@@ -39,9 +39,9 @@ def _dump(obj: Any) -> str:
 
 def _ambient(payload: dict) -> Ambient:
     try:
-        m = int(payload["m"])
-        n = int(payload["n"])
-    except (KeyError, TypeError, ValueError):
+        m = jsonio._int(payload.get("m"))
+        n = jsonio._int(payload.get("n"))
+    except FormatError:
         raise FormatError("payload needs integer fields m and n") from None
     try:
         return Ambient(m, n)
@@ -97,7 +97,7 @@ def _cmd_per(payload: dict) -> dict:
         e = fixpoint.periodic_exponent(psi)
     except ValueError as err:
         raise FormatError(str(err)) from None
-    res = fixpoint.periodic_subgroup(psi)
+    res = fixpoint.fix_power(psi, e)
     return {"ok": True, "exponent": str(e), "result": jsonio.fix_result_to_json(res)}
 
 
@@ -170,9 +170,10 @@ def _cmd_oracle_check(payload: dict) -> dict:
         raise FormatError("payload needs a bounds object")
     try:
         bnds = oracle.Bounds(
-            int(b_obj.get("word_len_max", 0)), int(b_obj.get("coord_abs_max", 0))
+            jsonio._int(b_obj.get("word_len_max", 0)),
+            jsonio._int(b_obj.get("coord_abs_max", 0)),
         )
-    except (TypeError, ValueError) as e:
+    except ValueError as e:
         raise FormatError(str(e)) from None
     fixed = oracle.brute_fixed(list(inp.morphisms), bnds)
     res = fixpoint.fix_tuple(inp)

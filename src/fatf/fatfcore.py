@@ -89,13 +89,6 @@ def element_power(g: GroupElement, k: int) -> GroupElement:
     return out
 
 
-def _net_exponents(expr: Sequence[int], r: int) -> Vec:
-    v = [0] * r
-    for a in expr:
-        v[abs(a) - 1] += 1 if a > 0 else -1
-    return tuple(v)
-
-
 class SubgroupBasis:
     """Canonical basis of a finitely generated subgroup of Z^m x F_n."""
 
@@ -114,7 +107,8 @@ class SubgroupBasis:
                 raise ValueError("identity word in the free part of a basis")
             if len(a) != ambient.m:
                 raise ValueError("vector length disagrees with the ambient")
-            pairs.append((tuple(int(x) for x in a), u))
+            # canonical: a_i is only defined modulo the abelian part
+            pairs.append((abelian_part.reduce(a)[1], u))
         self.ambient = ambient
         self.free_part: tuple[tuple[Vec, Word], ...] = tuple(pairs)
         self.abelian_part = abelian_part
@@ -128,7 +122,7 @@ class SubgroupBasis:
         for _, u in pairs:
             expr = self.graph.trace(u)
             assert expr is not None
-            rows.append(_net_exponents(expr, r))
+            rows.append(freewords.abelianize(expr, r))
         if r:
             T = IntMatrix(rows, cols=r)
             self._graph_to_stored = matrix_inverse(T)
@@ -148,7 +142,7 @@ class SubgroupBasis:
         expr = self.graph.trace(reduce_word(w, self.ambient.n))
         if expr is None:
             return None
-        exp_graph = _net_exponents(expr, self.rank)
+        exp_graph = freewords.abelianize(expr, self.rank)
         exp_stored = self._graph_to_stored.apply_row(exp_graph)
         v = [0] * self.ambient.m
         for c, a in zip(exp_stored, self._vector_rows):
@@ -210,7 +204,7 @@ def subgroup_basis(gens: Sequence[GroupElement], ambient: Ambient) -> SubgroupBa
     for g in mixed:
         expr = graph.trace(g.w)
         assert expr is not None, "generator must lie in the subgroup it generates"
-        E_rows.append(list(_net_exponents(expr, r)))
+        E_rows.append(list(freewords.abelianize(expr, r)))
         C_rows.append(list(g.t))
     E = IntMatrix(E_rows, cols=r)
     C = IntMatrix(C_rows, cols=ambient.m)

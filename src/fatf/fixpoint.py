@@ -25,7 +25,8 @@ from .freewords import Word, reduce_word
 from .intlat import (
     IntMatrix,
     Lattice,
-    image_lattice,
+    Vec,
+    hnf,
     kernel_lattice,
     lattice_index,
     lattice_intersect,
@@ -103,11 +104,12 @@ def fix_tuple(inp: FixInput) -> FixResult:
     Qt = IntMatrix.hstack([eye - psi.Q for psi in inp.morphisms])
     Pt = IntMatrix.hstack([psi.P for psi in inp.morphisms])
 
-    im_rho = Lattice.from_rows([freewords.abelianize(w, n) for w in v_words], n)
+    R = IntMatrix([freewords.abelianize(w, n) for w in v_words], cols=n)
+    im_rho = hnf(R)
     im_P = Lattice.from_rows(
         [Pt.apply_row(r) for r in im_rho.basis.entries], k * m
     )
-    M = image_lattice(Qt)
+    M = hnf(Qt)
     N = lattice_intersect(M, im_P)
     kernel = kernel_lattice(Qt)
 
@@ -116,14 +118,12 @@ def fix_tuple(inp: FixInput) -> FixResult:
         ell = lattice_index(preimage, im_rho)
         assert ell != math.inf
 
-        def in_subgroup(abstract: Word) -> bool:
-            w: Word = ()
-            for a in abstract:
-                g = v_words[abs(a) - 1]
-                w = freewords.multiply(w, g if a > 0 else freewords.invert(g))
-            return preimage.contains(freewords.abelianize(w, n))
+        # an abstract word's coset is the residue modulo preimage of its
+        # abelianization, which R maps into im_rho
+        def coset(x: Word) -> Vec:
+            return preimage.reduce(R.apply_row(freewords.abelianize(x, p)))[1]
 
-        u_words = freewords.schreier_basis(v_words, in_subgroup, int(ell))
+        u_words = freewords.schreier_basis(v_words, coset, int(ell))
         free_part = []
         for u in u_words:
             rhs = Pt.apply_row(freewords.abelianize(u, n))
@@ -175,9 +175,14 @@ def periodic_exponent(psi: Morphism) -> int:
 
 
 def periodic_subgroup(psi: Morphism) -> FixResult:
-    e = periodic_exponent(psi)
+    return fix_power(psi, periodic_exponent(psi))
+
+
+def fix_power(psi: Morphism, e: int) -> FixResult:
+    """Fix psi^e for an exponent e with phi^e = id, so that Fix phi^e = F_n."""
     pe = morphisms.power(psi, e)
-    assert pe.phi.is_identity()
+    if not pe.phi.is_identity():
+        raise ValueError("the free part of psi^e is not the identity")
     full_basis = [(i,) for i in range(1, psi.ambient.n + 1)]
     return fix_single(pe, full_basis)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 Word = tuple[int, ...]
 
@@ -298,9 +298,6 @@ class StallingsGraph:
             return None
         return list(reduce_word(expr))
 
-    def member(self, w: Word) -> Optional[list[int]]:
-        return self.trace(w)
-
     def complete_index(self):
         """Vertex count if every vertex carries all 2n labels, else math.inf."""
         for v in range(self.num_vertices):
@@ -350,28 +347,24 @@ def pullback(g1: StallingsGraph, g2: StallingsGraph) -> StallingsGraph:
     return StallingsGraph._finish(n, 0, delta)
 
 
-def graph_index(g: StallingsGraph, ambient_rank: int):
-    if g.n != ambient_rank:
-        raise ValueError("graph alphabet disagrees with the ambient rank")
-    return g.complete_index()
-
-
 class IndexBoundExceeded(RuntimeError):
     """Coset enumeration found more cosets than the promised index."""
 
 
 def schreier_basis(
     ambient_basis: Sequence[Word],
-    member: Callable[[Word], bool],
+    coset_key: Callable[[Word], Hashable],
     index_bound: int,
 ) -> list[Word]:
-    """Free-basis of a finite-index subgroup given by a membership predicate.
+    """Free basis of a finite-index subgroup H given by its coset keys.
 
-    The predicate speaks about abstract words over len(ambient_basis) letters;
-    the returned basis is substituted back into the actual ambient words.
+    coset_key speaks about abstract words over len(ambient_basis) letters and
+    takes equal values on u and v exactly when H u = H v; the returned basis
+    is substituted back into the actual ambient words.
     """
     p = len(ambient_basis)
     reps: list[Word] = [()]
+    coset_of = {coset_key(()): 0}
     table: dict[tuple[int, int], int] = {}
     discovery: dict[int, tuple[int, int]] = {}
     i = 0
@@ -380,18 +373,13 @@ def schreier_basis(
             if (i, a) in table:
                 continue
             cand = multiply(reps[i], (a,))
-            target = None
-            for j, r in enumerate(reps):
-                if member(multiply(cand, invert(r))):
-                    target = j
-                    break
-            if target is None:
+            target = coset_of.setdefault(coset_key(cand), len(reps))
+            if target == len(reps):
                 reps.append(cand)
-                target = len(reps) - 1
                 discovery[target] = (i, a)
                 if len(reps) > index_bound:
                     raise IndexBoundExceeded(
-                        f"more than {index_bound} cosets found; predicate and bound disagree"
+                        f"more than {index_bound} cosets found; coset keys and bound disagree"
                     )
             table[(i, a)] = target
             table[(target, -a)] = i

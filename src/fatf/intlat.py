@@ -243,45 +243,33 @@ class Lattice:
     def rank(self) -> int:
         return self.basis.rows
 
-    def coords(self, v: Sequence[int]) -> Optional[Vec]:
-        """Integer coordinates of v in the HNF basis, or None if v is outside."""
+    def reduce(self, v: Sequence[int]) -> tuple[Vec, Vec]:
+        """(coords, residue) with v = coords * basis + residue.
+
+        Back-substitution with floor division puts each pivot entry of the
+        residue into [0, pivot), so every vector of the coset v + L has the
+        same residue, and v lies in L exactly when the residue is zero.
+        """
         if len(v) != self.ambient:
             raise DimensionError("vector dimension mismatch")
         res = list(map(int, v))
         xs = []
         for row in self.basis.entries:
             j = next(t for t, a in enumerate(row) if a != 0)
-            q, rem = divmod(res[j], row[j])
-            if rem:
-                return None
+            q = res[j] // row[j]
             xs.append(q)
             if q:
                 for t in range(j, self.ambient):
                     res[t] -= q * row[t]
-        if any(res):
-            return None
-        return tuple(xs)
+        return tuple(xs), tuple(res)
 
-    def rational_coords(self, v: Sequence[int]) -> Optional[tuple[Fraction, ...]]:
-        """Coordinates of v in the rational span of the basis, or None."""
-        res = [Fraction(int(x)) for x in v]
-        xs = []
-        for row in self.basis.entries:
-            j = next(t for t, a in enumerate(row) if a != 0)
-            q = res[j] / row[j]
-            xs.append(q)
-            if q:
-                for t in range(j, self.ambient):
-                    res[t] -= q * row[t]
-        if any(res):
-            return None
-        return tuple(xs)
+    def coords(self, v: Sequence[int]) -> Optional[Vec]:
+        """Integer coordinates of v in the HNF basis, or None if v is outside."""
+        xs, res = self.reduce(v)
+        return None if any(res) else xs
 
     def contains(self, v: Sequence[int]) -> bool:
         return self.coords(v) is not None
-
-    def member_vector(self, x: Sequence[int]) -> Vec:
-        return self.basis.apply_row(x)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -300,11 +288,6 @@ class Lattice:
 def hnf(M: IntMatrix) -> Lattice:
     """Canonical HNF row lattice of M."""
     return Lattice.from_rows(M.entries, M.cols)
-
-
-def image_lattice(M: IntMatrix) -> Lattice:
-    """Row lattice {v*M : v in Z^rows}, canonical."""
-    return hnf(M)
 
 
 def kernel_lattice(M: IntMatrix) -> Lattice:
@@ -444,26 +427,11 @@ def solve_left(M: IntMatrix, b: Sequence[int]) -> Optional[Vec]:
     """
     if len(b) != M.cols:
         raise DimensionError("right-hand side has the wrong length")
-    rows = [list(r) for r in M.entries]
-    H, U, piv = _row_echelon(rows)
-    res = list(map(int, b))
-    y = [0] * M.rows
-    for i, j in enumerate(piv):
-        q, rem = divmod(res[j], H[i][j])
-        if rem:
-            return None
-        y[i] = q
-        if q:
-            for t in range(j, M.cols):
-                res[t] -= q * H[i][t]
+    H, U, piv = _row_echelon([list(r) for r in M.entries])
+    y, res = Lattice(M.cols, IntMatrix(H[: len(piv)], cols=M.cols)).reduce(b)
     if any(res):
         return None
-    x = [0] * M.rows
-    for i in range(M.rows):
-        if y[i]:
-            for t in range(M.rows):
-                x[t] += y[i] * U[i][t]
-    return tuple(x)
+    return IntMatrix(U[: len(piv)], cols=M.rows).apply_row(y)
 
 
 def matrix_inverse(M: IntMatrix) -> IntMatrix:

@@ -261,7 +261,7 @@ def order(psi: Morphism):
     if r1 == math.inf or r2 == math.inf:
         return math.inf
     r3 = math.lcm(int(r1), int(r2))
-    return r3 if power_vector_matrix(psi, r3).is_zero() else math.inf
+    return r3 if power(psi, r3).is_identity() else math.inf
 
 
 def inner(ambient: Ambient, u: Word) -> Morphism:

@@ -35,7 +35,7 @@ from fatf.bounds import automorphism_order_bound, constants, periodic_exponent_b
 from fatf.fixpoint import FixInput, autofixed_closure, fix_tuple, is_autofixed, periodic_subgroup
 from fatf.freewords import abelianize, invert, multiply, pullback, schreier_basis, stallings
 from fatf.intlat import (
-    image_lattice,
+    hnf,
     kernel_lattice,
     lattice_index,
     matrix_order,
@@ -151,7 +151,7 @@ def test_criterion_05_finite_order_matrix_suite():
         S = IntMatrix.zeros(m, m)
         for i in range(k):
             S = S + Q ** i
-        im = image_lattice(Q - eye)
+        im = hnf(Q - eye)
         ker = kernel_lattice(S)
         if not all(ker.contains(r) for r in im.basis.entries):
             violations += 1
@@ -286,12 +286,12 @@ def test_criterion_10_free_machinery_suite():
                 for pos in (True, False)
             }
         for w in pool:
-            if graph.member(w) is None:
+            if graph.trace(w) is None:
                 violations += 1
                 break
         for _ in range(5):
             w = random_word(rng, n, 8)
-            expr = graph.member(w)
+            expr = graph.trace(w)
             if expr is None:
                 if w in pool:
                     violations += 1
@@ -311,14 +311,14 @@ def test_criterion_10_free_machinery_suite():
         pb = pullback(g1, g2)
         for _ in range(8):
             w = random_word(rng, 2, 8)
-            both = g1.member(w) is not None and g2.member(w) is not None
-            if (pb.member(w) is not None) != both:
+            both = g1.trace(w) is not None and g2.trace(w) is not None
+            if (pb.trace(w) is not None) != both:
                 violations += 1
     # Schreier rank formula on constructed finite-index subgroups
     for mod, r in [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3)]:
         ambient = [(i,) for i in range(1, r + 1)]
-        pred = lambda w, mod=mod: abelianize(w, r)[0] % mod == 0
-        basis = schreier_basis(ambient, pred, mod)
+        key = lambda w, mod=mod: abelianize(w, r)[0] % mod
+        basis = schreier_basis(ambient, key, mod)
         if len(basis) != mod * (r - 1) + 1:
             violations += 1
     report(10, violations == 0, f"membership, pullback and rank formula, {violations} violations")

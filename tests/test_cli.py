@@ -76,6 +76,54 @@ class TestErrorPaths:
         assert code == EXIT_VALIDATION
 
 
+def test_per_computes_exponent_once(monkeypatch):
+    calls = []
+    real = fatf.fixpoint.periodic_exponent
+
+    def counted(psi):
+        calls.append(psi)
+        return real(psi)
+
+    monkeypatch.setattr(fatf.fixpoint, "periodic_exponent", counted)
+    stdin = (FIXTURES / "per.in.json").read_text()
+    code, out = run(["per"], stdin)
+    assert code == EXIT_OK
+    assert out == (FIXTURES / "per.out.json").read_text()
+    assert len(calls) == 1
+
+
+class TestBooleanFields:
+    # every integer field of this payload is 1, so reading true as 1 would
+    # accept it; JSON booleans must be rejected instead
+    PAYLOAD = {
+        "m": 1,
+        "n": 1,
+        "morphisms": [{"phi": ["z1^-1"], "phi_inv": ["z1^-1"], "Q": [["-1"]], "P": [["1"]]}],
+        "fixed_bases": [[]],
+        "bounds": {"word_len_max": 1, "coord_abs_max": 1},
+    }
+
+    def test_payload_is_valid(self):
+        code, _ = run(["oracle-check"], json.dumps(self.PAYLOAD))
+        assert code == EXIT_OK
+
+    @pytest.mark.parametrize("field", ["m", "n"])
+    def test_ambient_boolean_rejected(self, field):
+        body = json.loads(json.dumps(self.PAYLOAD))
+        body[field] = True
+        code, out = run(["oracle-check"], json.dumps(body))
+        assert code == EXIT_VALIDATION
+        assert json.loads(out)["ok"] is False
+
+    @pytest.mark.parametrize("field", ["word_len_max", "coord_abs_max"])
+    def test_bound_boolean_rejected(self, field):
+        body = json.loads(json.dumps(self.PAYLOAD))
+        body["bounds"][field] = True
+        code, out = run(["oracle-check"], json.dumps(body))
+        assert code == EXIT_VALIDATION
+        assert json.loads(out)["ok"] is False
+
+
 def _console_script_wrapper(name: str) -> str:
     """Body of the script pip generates for `name` in [project.scripts]."""
     if sys.version_info >= (3, 11):

@@ -1,9 +1,11 @@
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_element, random_word
+from fatf import cli, jsonio
 from fatf import (
     Ambient,
     GroupElement,
@@ -80,13 +82,31 @@ class TestSubgroupBasis:
 
     def test_no_unit_exponent_witness(self):
         # generators whose rewriting exponents are 2 and 3: the vector of
-        # the basis word must still be recovered exactly
+        # the basis word must still be recovered exactly, reduced modulo 3Z
         amb = Ambient(1, 1)
         H = subgroup_basis(
             [GroupElement(amb, (1,), (1, 1)), GroupElement(amb, (0,), (1, 1, 1))], amb
         )
-        assert H.free_part == (((-1,), (1,)),)
+        assert H.free_part == (((2,), (1,)),)
         assert H.abelian_part == Lattice.from_rows([[3]], 1)
+
+    def test_basis_independent_of_generator_order(self):
+        # <t^(1,0) z1, t^(0,1) z1>: the free vector is reduced modulo the
+        # abelian lattice [(1,-1)], so both orders give the same bytes
+        g1 = GroupElement(AMB, (1, 0), (1,))
+        g2 = GroupElement(AMB, (0, 1), (1,))
+        outs = []
+        for gens in ([g1, g2], [g2, g1]):
+            payload = {"m": 2, "n": 2, "generators": [jsonio.element_to_json(g) for g in gens]}
+            code, out = cli.run(["basis"], json.dumps(payload))
+            assert code == cli.EXIT_OK
+            outs.append(out)
+        assert outs[0] == outs[1]
+        new = jsonio.subgroup_from_json(json.loads(outs[0])["basis"], AMB)
+        assert new.free_part == (((0, 1), (1,)),)
+        old = SubgroupBasis(AMB, [((1, 0), (1,))], Lattice.from_rows([[1, -1]], 2))
+        assert subgroup_equal(new, old)
+        assert member(new, g1) and member(new, g2)
 
     def test_generators_are_members(self):
         rng = random.Random(4)

@@ -23,6 +23,7 @@ from fatf.fixpoint import (
     FixInput,
     InvalidFixInput,
     autofixed_closure,
+    fix_power,
     fixed_basis_letter_map,
     is_autofixed,
 )
@@ -141,6 +142,20 @@ class TestFixTuple:
             for g in res.basis.basis_elements():
                 assert apply(p1, g) == g and apply(p2, g) == g
 
+    @pytest.mark.parametrize("ell", [16, 64])
+    def test_large_index_family(self, ell):
+        # phi = id on F_2, Q = [[ell+2, 1], [-1, 0]], P = I: det(I - Q) = -ell,
+        # so Fix is the index-ell subgroup of F_2, of rank ell + 1
+        amb = Ambient(2, 2)
+        Q = IntMatrix([[ell + 2, 1], [-1, 0]])
+        psi = Morphism(amb, FreeMap.identity(2), Q, IntMatrix.identity(2))
+        res = fix_single(psi, [(1,), (2,)])
+        assert res.finitely_generated and res.diagnostics.ell == ell
+        assert res.basis.rank == ell + 1
+        assert res.basis.graph.complete_index() == ell
+        for g in res.basis.basis_elements():
+            assert apply(psi, g) == g
+
     def test_kernel_is_common_eigenspace(self):
         psi = worked_morphism()
         res = fix_single(psi, [(2,), (3,)])
@@ -201,6 +216,15 @@ class TestPeriodic:
             Lattice.from_rows([[0, 1]], 2),
         )
         assert subgroup_equal(res.basis, want)
+
+    def test_fix_power_needs_trivial_free_power(self):
+        psi = worked_morphism()
+        with pytest.raises(ValueError):
+            fix_power(psi, 1)
+        res = fix_power(psi, 2)
+        assert res.finitely_generated
+        for g in res.basis.basis_elements():
+            assert apply(power(psi, 2), g) == g
 
     def test_periodic_captures_low_periods(self):
         psi = worked_morphism()

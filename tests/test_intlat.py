@@ -15,7 +15,6 @@ from fatf.intlat import (
     cyclotomic,
     euler_phi,
     hnf,
-    image_lattice,
     is_direct_summand,
     kernel_lattice,
     lattice_index,
@@ -79,7 +78,7 @@ class TestHermiteForm:
     @settings(max_examples=60, deadline=None)
     @given(matrices(3, 4))
     def test_rank_nullity(self, M):
-        assert image_lattice(M).rank + kernel_lattice(M).rank == M.rows
+        assert hnf(M).rank + kernel_lattice(M).rank == M.rows
 
     @settings(max_examples=60, deadline=None)
     @given(matrices(3, 3))
@@ -164,6 +163,44 @@ class TestLattice:
         pre = lattice_preimage(Lattice.full(3), M, target)
         for r in pre.basis.entries:
             assert target.contains(M.apply_row(r))
+
+
+class TestReduce:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda d: st.tuples(
+                st.integers(0, d).flatmap(lambda r: matrices(r, d)),
+                st.lists(small_int, min_size=d, max_size=d),
+                st.lists(small_int, min_size=d, max_size=d),
+            )
+        )
+    )
+    def test_residue_is_a_coset_key(self, data):
+        # ranks 0..d cover lattices of less than full rank; membership of
+        # the difference is decided without reduce: adding a vector of L
+        # leaves the HNF of L unchanged
+        G, v, w = data
+        L = hnf(G)
+        d = L.ambient
+        rv, rw = L.reduce(v)[1], L.reduce(w)[1]
+        diff = [a - b for a, b in zip(v, w)]
+        in_L = Lattice.from_rows(list(G.entries) + [diff], d) == L
+        assert (rv == rw) == in_L
+        for row in L.basis.entries:
+            j = next(t for t, a in enumerate(row) if a)
+            assert 0 <= rv[j] < row[j]
+        xs, res = L.reduce(v)
+        assert tuple(a + b for a, b in zip(L.basis.apply_row(xs), res)) == tuple(v)
+
+    def test_shift_by_lattice_keeps_residue(self):
+        L = Lattice.from_rows([[2, 1, 0], [0, 3, 5]], 3)
+        v = (7, -4, 2)
+        for c in [(1, 0), (0, 1), (-3, 2), (5, -7)]:
+            shifted = tuple(a + b for a, b in zip(v, L.basis.apply_row(c)))
+            assert L.reduce(shifted)[1] == L.reduce(v)[1]
+        assert L.reduce(v) == ((3, -3), (1, 2, 17))
+        assert L.reduce(L.basis.apply_row((4, -1))) == ((4, -1), (0, 0, 0))
 
 
 class TestSolveLeft:

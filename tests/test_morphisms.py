@@ -7,11 +7,13 @@ from conftest import (
     random_element,
     random_finite_order_morphism,
     random_free_aut,
+    random_matrix,
     random_morphism,
     random_word,
 )
 from fatf import Ambient, FreeMap, GroupElement, IntMatrix, Morphism
 from fatf.bounds import automorphism_order_bound
+from fatf.intlat import matrix_order
 from fatf.morphisms import apply, compose, inner, invert, order, power, power_vector_matrix
 
 
@@ -169,6 +171,24 @@ class TestOrder:
             assert power(psi, k).is_identity()
             for j in range(1, min(k, 6)):
                 assert not power(psi, j).is_identity()
+
+
+    def test_finite_exactly_when_closed_form_vanishes(self):
+        # phi and Q have finite order, so psi has finite order exactly when
+        # the closed-form P block of psi^lcm(ord phi, ord Q) vanishes
+        rng = random.Random(27)
+        seen = set()
+        for i in range(40):
+            amb = Ambient(rng.randint(0, 3), rng.randint(1, 3))
+            psi, _, _ = random_finite_order_morphism(rng, amb)
+            if i % 2:
+                psi = Morphism(amb, psi.phi, psi.Q, random_matrix(rng, amb.n, amb.m, bound=1))
+            r3 = math.lcm(int(psi.phi.order()), int(matrix_order(psi.Q)))
+            k = order(psi)
+            assert (k != math.inf) == power_vector_matrix(psi, r3).is_zero()
+            assert k in (r3, math.inf)
+            seen.add(k == math.inf)
+        assert seen == {True, False}
 
 
 class TestInner:
