@@ -13,7 +13,7 @@ from typing import Any, Optional
 
 from . import bounds as bounds_mod
 from . import fixpoint, jsonio, morphisms, oracle
-from .fatfcore import Ambient, member, subgroup_basis, subgroup_equal
+from .fatfcore import Ambient, member, subgroup_basis
 from .jsonio import FormatError
 
 EXIT_OK = 0
@@ -121,15 +121,10 @@ def _cmd_closure(payload: dict) -> dict:
         res = fixpoint.autofixed_closure(H, inp)
     except ValueError as err:
         raise FormatError(str(err)) from None
-    auto = (
-        res.finitely_generated
-        and res.basis is not None
-        and subgroup_equal(H, res.basis)
-    )
     return {
         "ok": True,
         "result": jsonio.fix_result_to_json(res),
-        "autofixed": auto,
+        "autofixed": res.basis == H,
     }
 
 

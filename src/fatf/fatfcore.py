@@ -13,14 +13,7 @@ from typing import Optional, Sequence
 
 from . import freewords
 from .freewords import Word, reduce_word
-from .intlat import (
-    IntMatrix,
-    Lattice,
-    is_direct_summand,
-    kernel_lattice,
-    matrix_inverse,
-    solve_left,
-)
+from .intlat import IntMatrix, Lattice, is_direct_summand, matrix_inverse
 
 Vec = tuple[int, ...]
 
@@ -90,45 +83,58 @@ def element_power(g: GroupElement, k: int) -> GroupElement:
 
 
 class SubgroupBasis:
-    """Canonical basis of a finitely generated subgroup of Z^m x F_n."""
+    """Canonical basis of a finitely generated subgroup of Z^m x F_n.
+
+    The subgroup is the triple (graph, vectors, abelian lattice): the free
+    part pairs each basis word u_i of the Stallings graph of the projection
+    with the vector a_i, reduced modulo the HNF abelian part, for which
+    t^a_i u_i lies in the subgroup. Equal subgroups give equal triples.
+    """
 
     def __init__(
         self,
         ambient: Ambient,
-        free_part: Sequence[tuple[Sequence[int], Word]],
+        graph: freewords.StallingsGraph,
+        vectors: Sequence[Sequence[int]],
         abelian_part: Lattice,
     ):
         if abelian_part.ambient != ambient.m:
             raise ValueError("abelian lattice lives in the wrong ambient")
-        pairs = []
-        for a, u in free_part:
-            u = reduce_word(u, ambient.n)
-            if not u:
-                raise ValueError("identity word in the free part of a basis")
-            if len(a) != ambient.m:
-                raise ValueError("vector length disagrees with the ambient")
-            # canonical: a_i is only defined modulo the abelian part
-            pairs.append((abelian_part.reduce(a)[1], u))
+        if graph.n != ambient.n:
+            raise ValueError("graph lives in the wrong ambient")
+        words = graph.basis_words
+        if len(vectors) != len(words):
+            raise ValueError("need one vector per basis word of the graph")
         self.ambient = ambient
-        self.free_part: tuple[tuple[Vec, Word], ...] = tuple(pairs)
+        self.graph = graph
+        # canonical: a_i is only defined modulo the abelian part
+        self.free_part: tuple[tuple[Vec, Word], ...] = tuple(
+            (abelian_part.reduce(a)[1], u) for a, u in zip(vectors, words)
+        )
         self.abelian_part = abelian_part
-        self.graph = freewords.stallings([u for _, u in pairs], ambient.n)
-        r = len(pairs)
-        if self.graph.rank != r:
+
+    @classmethod
+    def from_words(
+        cls,
+        ambient: Ambient,
+        free_part: Sequence[tuple[Sequence[int], Word]],
+        abelian_part: Lattice,
+    ) -> "SubgroupBasis":
+        """Subgroup with basis t^a_i u_i plus the abelian part, for words u_i
+        that form a free basis of the projection."""
+        words = [reduce_word(u, ambient.n) for _, u in free_part]
+        if not all(words):
+            raise ValueError("identity word in the free part of a basis")
+        graph = freewords.stallings(words, ambient.n)
+        r = len(words)
+        if graph.rank != r:
             raise ValueError("free part words are not a free basis")
-        # words rewrite over the graph's own spanning-tree basis; the change
-        # of basis to the stored {u_i} abelianizes to a unimodular matrix
-        rows = []
-        for _, u in pairs:
-            expr = self.graph.trace(u)
-            assert expr is not None
-            rows.append(freewords.abelianize(expr, r))
-        if r:
-            T = IntMatrix(rows, cols=r)
-            self._graph_to_stored = matrix_inverse(T)
-        else:
-            self._graph_to_stored = IntMatrix.identity(0)
-        self._vector_rows = [a for a, _ in pairs]
+        # row i of T spells u_i over the graph's basis in abelianized form;
+        # vectors are additive in the words, so the graph's basis words carry
+        # the rows of T^-1 A, T being unimodular
+        T = IntMatrix([freewords.abelianize(graph.trace(u), r) for u in words], cols=r)
+        A = IntMatrix([a for a, _ in free_part], cols=ambient.m)
+        return cls(ambient, graph, (matrix_inverse(T) * A).entries, abelian_part)
 
     @property
     def rank(self) -> int:
@@ -142,20 +148,24 @@ class SubgroupBasis:
         expr = self.graph.trace(reduce_word(w, self.ambient.n))
         if expr is None:
             return None
-        exp_graph = freewords.abelianize(expr, self.rank)
-        exp_stored = self._graph_to_stored.apply_row(exp_graph)
-        v = [0] * self.ambient.m
-        for c, a in zip(exp_stored, self._vector_rows):
-            if c:
-                for i in range(self.ambient.m):
-                    v[i] += c * a[i]
-        return tuple(v)
+        exps = freewords.abelianize(expr, self.rank)
+        pairs = [(c, a) for c, (a, _) in zip(exps, self.free_part) if c]
+        return tuple(sum(c * a[i] for c, a in pairs) for i in range(self.ambient.m))
 
     def basis_elements(self) -> list[GroupElement]:
         out = [GroupElement(self.ambient, a, u) for a, u in self.free_part]
         for b in self.abelian_part.basis.entries:
             out.append(GroupElement(self.ambient, b, ()))
         return out
+
+    def _key(self) -> tuple:
+        return (self.ambient, self.free_part, self.abelian_part)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, SubgroupBasis) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def __repr__(self) -> str:
         return (
@@ -165,18 +175,16 @@ class SubgroupBasis:
 
 
 def trivial_subgroup(ambient: Ambient) -> SubgroupBasis:
-    return SubgroupBasis(ambient, [], Lattice.zero(ambient.m))
+    return SubgroupBasis(ambient, freewords.stallings([], ambient.n), [], Lattice.zero(ambient.m))
 
 
 def full_group(ambient: Ambient) -> SubgroupBasis:
     free = [((0,) * ambient.m, (i,)) for i in range(1, ambient.n + 1)]
-    return SubgroupBasis(ambient, free, Lattice.full(ambient.m))
+    return SubgroupBasis.from_words(ambient, free, Lattice.full(ambient.m))
 
 
 def member(H: SubgroupBasis, g: GroupElement) -> bool:
     _check_same(H.ambient, g.ambient)
-    if not g.w:
-        return H.abelian_part.contains(g.t)
     v = H.projection_word_vector(g.w)
     if v is None:
         return False
@@ -187,46 +195,26 @@ def subgroup_basis(gens: Sequence[GroupElement], ambient: Ambient) -> SubgroupBa
     """Basis of the subgroup generated by gens.
 
     The free basis {u_i} comes from the Stallings graph of the projected
-    generators. Writing generator j over that basis with net exponent row
-    E_j and abelian part c_j, the abelian lattice is (ker E)C plus the pure
-    abelian generators, and a_i = yC for any integer solution of yE = e_i.
+    generators. Generator j gives the row (E_j | c_j): its net exponents over
+    that basis, then its abelian part. The E_j generate Z^r because the
+    projections generate a free group of rank r, so the HNF of these rows is
+    [[I, A], [0, L]]: L is the abelian lattice, and row i of A is the vector
+    of u_i, already reduced modulo L.
     """
     for g in gens:
         _check_same(g.ambient, ambient)
-    mixed = [g for g in gens if g.w]
-    pure = [g.t for g in gens if not g.w]
-    graph = freewords.stallings([g.w for g in mixed], ambient.n)
-    basis_words = graph.basis_words
+    graph = freewords.stallings([g.w for g in gens], ambient.n)
     r = graph.rank
-    p = len(mixed)
-    E_rows = []
-    C_rows = []
-    for g in mixed:
-        expr = graph.trace(g.w)
-        assert expr is not None, "generator must lie in the subgroup it generates"
-        E_rows.append(list(freewords.abelianize(expr, r)))
-        C_rows.append(list(g.t))
-    E = IntMatrix(E_rows, cols=r)
-    C = IntMatrix(C_rows, cols=ambient.m)
-    lattice_rows = [C.apply_row(k) for k in kernel_lattice(E).basis.entries]
-    lattice_rows.extend(pure)
-    L = Lattice.from_rows(lattice_rows, ambient.m)
-    free_part = []
-    for i, u in enumerate(basis_words):
-        e_i = tuple(1 if j == i else 0 for j in range(r))
-        y = solve_left(E, e_i)
-        # the net-exponent rows generate Z^r because the projections
-        # generate a free group of rank r, so this always solves
-        assert y is not None
-        free_part.append((C.apply_row(y), u))
-    return SubgroupBasis(ambient, free_part, L)
+    # every generator lies in the graph it spans, so each trace succeeds
+    rows = [freewords.abelianize(graph.trace(g.w), r) + g.t for g in gens]
+    H = Lattice.from_rows(rows, r + ambient.m).basis.entries
+    L = Lattice.from_rows([h[r:] for h in H[r:]], ambient.m)
+    return SubgroupBasis(ambient, graph, [h[r:] for h in H[:r]], L)
 
 
 def subgroup_equal(H: SubgroupBasis, K: SubgroupBasis) -> bool:
     _check_same(H.ambient, K.ambient)
-    return all(member(K, g) for g in H.basis_elements()) and all(
-        member(H, g) for g in K.basis_elements()
-    )
+    return H == K
 
 
 def abelian_summand_test(H: SubgroupBasis, K: SubgroupBasis) -> bool:

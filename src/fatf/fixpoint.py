@@ -13,14 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import freewords, morphisms
-from .fatfcore import (
-    Ambient,
-    GroupElement,
-    SubgroupBasis,
-    _check_same,
-    member,
-    subgroup_equal,
-)
+from .fatfcore import Ambient, SubgroupBasis, _check_same, member
 from .freewords import Word, reduce_word
 from .intlat import (
     IntMatrix,
@@ -39,6 +32,10 @@ from .morphisms import FreeMap, Morphism
 
 class InvalidFixInput(ValueError):
     """The supplied fixed free-bases fail verification."""
+
+
+class CertificateError(RuntimeError):
+    """A computed answer failed its runtime certificate check."""
 
 
 @dataclass(frozen=True)
@@ -123,21 +120,26 @@ def fix_tuple(inp: FixInput) -> FixResult:
         def coset(x: Word) -> Vec:
             return preimage.reduce(R.apply_row(freewords.abelianize(x, p)))[1]
 
-        u_words = freewords.schreier_basis(v_words, coset, int(ell))
-        free_part = []
-        for u in u_words:
-            rhs = Pt.apply_row(freewords.abelianize(u, n))
-            e = solve_left(Qt, rhs)
-            if e is None:
-                raise InvalidFixInput("inconsistent fixed free-bases: unsolvable system")
-            free_part.append((e, u))
-        basis = SubgroupBasis(ambient, free_part, kernel)
+        # the answer's free part is the ell-sheeted cover of the v_words graph
+        # that the coset graph defines, so no word of it is folded again
+        sheets = freewords.coset_graph(p, coset, int(ell))
+        answer = freewords.cover(graph, sheets)
+        # an answer word abelianizes into preimage and e is linear in it, so
+        # one solve per preimage row covers every word
+        solutions = [solve_left(Qt, Pt.apply_row(b)) for b in preimage.basis.entries]
+        if None in solutions:
+            raise InvalidFixInput("inconsistent fixed free-bases: unsolvable system")
+        E = IntMatrix(solutions, cols=m)
+        vectors = [
+            E.apply_row(preimage.coords(freewords.abelianize(u, n))) for u in answer.basis_words
+        ]
+        basis = SubgroupBasis(ambient, answer, vectors, kernel)
         result = FixResult(True, basis, FixDiagnostics(im_rho, im_P, M, N, preimage, ell))
     elif p == 1:
         # cyclic free intersection whose generator picks up a nonzero abelian
         # defect: no power of it extends to a fixed element, so only the
         # abelian kernel survives
-        basis = SubgroupBasis(ambient, [], kernel)
+        basis = SubgroupBasis(ambient, freewords.stallings([], n), [], kernel)
         result = FixResult(True, basis, FixDiagnostics(im_rho, im_P, M, N, None, math.inf))
     else:
         result = FixResult(False, None, FixDiagnostics(im_rho, im_P, M, N, None, math.inf))
@@ -146,7 +148,8 @@ def fix_tuple(inp: FixInput) -> FixResult:
         assert result.basis is not None
         for g in result.basis.basis_elements():
             for psi in inp.morphisms:
-                assert morphisms.apply(psi, g) == g, "computed basis element not fixed"
+                if morphisms.apply(psi, g) != g:
+                    raise CertificateError("computed basis element not fixed")
     return result
 
 
@@ -197,13 +200,10 @@ def autofixed_closure(H: SubgroupBasis, stab_gens: FixInput) -> FixResult:
     if result.finitely_generated:
         assert result.basis is not None
         for g in H.basis_elements():
-            assert member(result.basis, g), "closure must contain the subgroup"
+            if not member(result.basis, g):
+                raise CertificateError("closure must contain the subgroup")
     return result
 
 
 def is_autofixed(H: SubgroupBasis, stab_gens: FixInput) -> bool:
-    result = autofixed_closure(H, stab_gens)
-    if not result.finitely_generated:
-        return False
-    assert result.basis is not None
-    return subgroup_equal(H, result.basis)
+    return autofixed_closure(H, stab_gens).basis == H

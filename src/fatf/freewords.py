@@ -8,7 +8,6 @@ equality of graphs meaningful for equal subgroups.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
@@ -351,6 +350,57 @@ class IndexBoundExceeded(RuntimeError):
     """Coset enumeration found more cosets than the promised index."""
 
 
+def coset_graph(
+    p: int,
+    coset_key: Callable[[Word], Hashable],
+    index_bound: int,
+) -> StallingsGraph:
+    """Coset graph over F_p of a finite-index subgroup H given by its coset keys.
+
+    coset_key takes equal values on abstract words u and v exactly when
+    H u = H v. Cosets are discovered breadth-first with the label order of
+    `_alphabet`, which is already the canonical numbering, so the graph's
+    `basis_words` are the Schreier basis of H.
+    """
+    reps: list[Word] = [()]
+    coset_of = {coset_key(()): 0}
+    table: dict[tuple[int, int], int] = {}
+    i = 0
+    while i < len(reps):
+        for a in _alphabet(p):
+            if (i, a) in table:
+                continue
+            cand = multiply(reps[i], (a,))
+            target = coset_of.setdefault(coset_key(cand), len(reps))
+            if target == len(reps):
+                reps.append(cand)
+                if len(reps) > index_bound:
+                    raise IndexBoundExceeded(
+                        f"more than {index_bound} cosets found; coset keys and bound disagree"
+                    )
+            table[(i, a)] = target
+            table[(target, -a)] = i
+        i += 1
+    return StallingsGraph(p, len(reps), table)
+
+
+def cover(graph: StallingsGraph, sheets: StallingsGraph) -> StallingsGraph:
+    """Graph of the subgroup of <graph.basis_words> whose words, spelled over
+    that basis, lie in the subgroup of F_rank that `sheets` recognizes.
+
+    It is the cover with vertices (coset, vertex): crossing basis edge j
+    moves the coset along letter j of `sheets`, and a tree edge keeps it. A
+    cover of a folded graph is folded, so `_finish` only trims and renumbers.
+    """
+    delta: dict[tuple[Hashable, int], Hashable] = {}
+    for c in range(sheets.num_vertices):
+        for (v, a), w in graph.delta.items():
+            hit = graph._edge_index.get((v, a))
+            d = c if hit is None else sheets.delta[(c, hit[0])]
+            delta[((c, v), a)] = (d, w)
+    return StallingsGraph._finish(graph.n, (0, 0), delta)
+
+
 def schreier_basis(
     ambient_basis: Sequence[Word],
     coset_key: Callable[[Word], Hashable],
@@ -362,40 +412,8 @@ def schreier_basis(
     takes equal values on u and v exactly when H u = H v; the returned basis
     is substituted back into the actual ambient words.
     """
-    p = len(ambient_basis)
-    reps: list[Word] = [()]
-    coset_of = {coset_key(()): 0}
-    table: dict[tuple[int, int], int] = {}
-    discovery: dict[int, tuple[int, int]] = {}
-    i = 0
-    while i < len(reps):
-        for a in _alphabet(p):
-            if (i, a) in table:
-                continue
-            cand = multiply(reps[i], (a,))
-            target = coset_of.setdefault(coset_key(cand), len(reps))
-            if target == len(reps):
-                reps.append(cand)
-                discovery[target] = (i, a)
-                if len(reps) > index_bound:
-                    raise IndexBoundExceeded(
-                        f"more than {index_bound} cosets found; coset keys and bound disagree"
-                    )
-            table[(i, a)] = target
-            table[(target, -a)] = i
-        i += 1
-    tree: set[tuple[int, int, int]] = set()
-    for child, (par, a) in discovery.items():
-        tree.add((par, a, child))
-        tree.add((child, -a, par))
-    abstract: list[Word] = []
-    for (v, a), w in sorted(table.items()):
-        if a > 0 and (v, a, w) not in tree:
-            u = reduce_word(list(reps[v]) + [a] + list(invert(reps[w])))
-            if u:
-                abstract.append(u)
     out = []
-    for u in abstract:
+    for u in coset_graph(len(ambient_basis), coset_key, index_bound).basis_words:
         word: Word = ()
         for a in u:
             g = ambient_basis[abs(a) - 1]

@@ -7,7 +7,6 @@ Matrices act on row vectors from the right (v -> v*M).
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -20,10 +19,6 @@ class DimensionError(ValueError):
 
 class NotSublatticeError(ValueError):
     """A lattice claimed to be contained in another is not."""
-
-
-class InfiniteIndexError(ValueError):
-    """A finite index was required but the index is infinite."""
 
 
 Vec = tuple[int, ...]
@@ -332,18 +327,6 @@ def lattice_index(sub: Lattice, sup: Lattice):
     return idx
 
 
-def coset_reps(sub: Lattice, sup: Lattice) -> list[Vec]:
-    """One representative per coset of sub in sup; the zero vector comes first."""
-    C = _coordinate_matrix(sub, sup)
-    if sub.rank != sup.rank:
-        raise InfiniteIndexError("coset representatives require finite index")
-    H = Lattice.from_rows(C.entries, C.cols).basis
-    # H is square upper triangular with positive diagonal; tuples with
-    # 0 <= x_i < H[i][i] hit each coset exactly once.
-    ranges = [range(H.entries[i][i]) for i in range(H.rows)]
-    return [sup.basis.apply_row(x) for x in itertools.product(*ranges)]
-
-
 def smith_divisors(M: IntMatrix) -> list[int]:
     """Nonzero elementary divisors d1 | d2 | ... of M."""
     A = [list(r) for r in M.entries]
@@ -464,15 +447,6 @@ def charpoly(Q: IntMatrix) -> list[int]:
         coeffs_desc.append(c)
         M = M + IntMatrix.identity(m).scale(c)
     return list(reversed(coeffs_desc))
-
-
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
 
 
 def _poly_divmod_monic(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:

@@ -115,7 +115,7 @@ def subgroup_from_json(obj: Any, ambient: Ambient) -> SubgroupBasis:
         free.append((g.t, g.w))
     lattice = lattice_from_json(obj.get("abelian", []), ambient.m)
     try:
-        return SubgroupBasis(ambient, free, lattice)
+        return SubgroupBasis.from_words(ambient, free, lattice)
     except ValueError as e:
         raise FormatError(str(e)) from None
 

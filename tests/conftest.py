@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from fatf import Ambient, FreeMap, GroupElement, IntMatrix, Morphism
+from fatf import Ambient, FreeMap, GroupElement, IntMatrix, Morphism, SubgroupBasis, member
 from fatf import morphisms as morphisms_mod
 from fatf.fixpoint import fixed_basis_letter_map
 from fatf.freewords import Word
@@ -117,3 +117,11 @@ def random_finite_order_morphism(
 def random_element(rng: random.Random, ambient: Ambient, max_len: int = 4, bound: int = 3) -> GroupElement:
     t = tuple(rng.randint(-bound, bound) for _ in range(ambient.m))
     return GroupElement(ambient, t, random_word(rng, ambient.n, max_len))
+
+
+def equal_by_membership(H: SubgroupBasis, K: SubgroupBasis) -> bool:
+    """Subgroup equality decided by two-way membership of basis elements,
+    the reference that `==` on SubgroupBasis is checked against."""
+    return all(member(K, g) for g in H.basis_elements()) and all(
+        member(H, g) for g in K.basis_elements()
+    )

@@ -59,7 +59,7 @@ def spiral_morphism():
     return Morphism(amb, phi, IntMatrix([[-1]]), IntMatrix([[1], [0]]))
 
 
-WORKED_FIX = SubgroupBasis(
+WORKED_FIX = SubgroupBasis.from_words(
     Ambient(2, 3),
     [((0, 1), (2, 2)), ((0, 1), (3,)), ((0, 1), (-2, 3, 2))],
     Lattice.from_rows([[1, 0]], 2),
@@ -249,7 +249,7 @@ def test_criterion_08_closure_pipeline():
     )
     amb = Ambient(2, 2)
     ident = Morphism.identity(amb)
-    H = SubgroupBasis(amb, [], Lattice.from_rows([[0, 2]], 2))
+    H = SubgroupBasis.from_words(amb, [], Lattice.from_rows([[0, 2]], 2))
     second = not is_autofixed(H, FixInput((ident,), (((1,), (2,)),)))
     report(8, first and second, "closure returns the subgroup; proper subgroup rejected")
 

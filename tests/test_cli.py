@@ -92,6 +92,31 @@ def test_per_computes_exponent_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_basis_of_fix_elements_gives_fix_bytes():
+    # Fix of (psi, id) on Z^2 x F_2, with psi = (id, [[6,1],[-1,0]], I) and
+    # the fixed basis {z2 z1, z1 z1 z2} for id: the subgroup generated by
+    # the elements fix reports serializes to the same bytes
+    payload = {
+        "m": 2,
+        "n": 2,
+        "morphisms": [
+            {"phi": ["z1", "z2"], "phi_inv": ["z1", "z2"], "Q": [["6", "1"], ["-1", "0"]],
+             "P": [["1", "0"], ["0", "1"]]},
+            {"phi": ["z1", "z2"], "phi_inv": ["z1", "z2"], "Q": [["1", "0"], ["0", "1"]],
+             "P": [["0", "0"], ["0", "0"]]},
+        ],
+        "fixed_bases": [["z1", "z2"], ["z2 z1", "z1 z1 z2"]],
+    }
+    code, out = run(["fix"], json.dumps(payload))
+    assert code == EXIT_OK
+    fixed = json.loads(out)["result"]["basis"]
+    assert len(fixed["free"]) == 5
+    gens = fixed["free"] + [{"t": row, "w": ""} for row in fixed["abelian"]]
+    code, out = run(["basis"], json.dumps({"m": 2, "n": 2, "generators": gens}))
+    assert code == EXIT_OK
+    assert json.dumps(json.loads(out)["basis"], sort_keys=True) == json.dumps(fixed, sort_keys=True)
+
+
 class TestBooleanFields:
     # every integer field of this payload is 1, so reading true as 1 would
     # accept it; JSON booleans must be rejected instead

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_element, random_word
+from conftest import equal_by_membership, random_element, random_word
 from fatf import cli, jsonio
 from fatf import (
     Ambient,
@@ -104,7 +104,7 @@ class TestSubgroupBasis:
         assert outs[0] == outs[1]
         new = jsonio.subgroup_from_json(json.loads(outs[0])["basis"], AMB)
         assert new.free_part == (((0, 1), (1,)),)
-        old = SubgroupBasis(AMB, [((1, 0), (1,))], Lattice.from_rows([[1, -1]], 2))
+        old = SubgroupBasis.from_words(AMB, [((1, 0), (1,))], Lattice.from_rows([[1, -1]], 2))
         assert subgroup_equal(new, old)
         assert member(new, g1) and member(new, g2)
 
@@ -133,7 +133,7 @@ class TestMembership:
     def setup_method(self):
         amb = Ambient(2, 3)
         self.amb = amb
-        self.H = SubgroupBasis(
+        self.H = SubgroupBasis.from_words(
             amb,
             [((0, 1), (2, 2)), ((0, 1), (3,)), ((0, 1), (-2, 3, 2))],
             Lattice.from_rows([[1, 0]], 2),
@@ -173,12 +173,68 @@ class TestSubgroupEqual:
         assert member(F, GroupElement(amb, (5, -7), (1, 2, -1)))
 
 
+class TestCanonicalEquality:
+    def test_equality_matches_membership(self):
+        # K is H regenerated from shuffled and multiplied generators (equal),
+        # H with one more random element (sometimes equal) or an unrelated
+        # subgroup; == must agree with two-way membership on every pair
+        rng = random.Random(41)
+        outcomes = set()
+        for trial in range(150):
+            amb = Ambient(rng.randint(0, 2), rng.randint(1, 3))
+            gens = [random_element(rng, amb, 3, 2) for _ in range(rng.randint(1, 3))]
+            H = subgroup_basis(gens, amb)
+            kind = trial % 3
+            if kind == 0:
+                other = list(gens) + [mul(rng.choice(gens), inv(rng.choice(gens)))]
+                rng.shuffle(other)
+            elif kind == 1:
+                other = gens + [random_element(rng, amb, 2, 1)]
+            else:
+                other = [random_element(rng, amb, 3, 2) for _ in range(rng.randint(1, 3))]
+            K = subgroup_basis(other, amb)
+            same = H == K
+            assert same == equal_by_membership(H, K)
+            assert same == subgroup_equal(H, K)
+            if same:
+                assert hash(H) == hash(K)
+            outcomes.add(same)
+        assert outcomes == {True, False}
+
+    def test_words_restated_over_the_graph(self):
+        # a basis given by words and vectors, read back through from_words
+        # in any order, with Nielsen-moved words and with vectors shifted by
+        # the abelian lattice, is the same triple
+        rng = random.Random(42)
+        for _ in range(40):
+            amb = Ambient(rng.randint(0, 2), rng.randint(1, 3))
+            H = subgroup_basis([random_element(rng, amb) for _ in range(3)], amb)
+            L = H.abelian_part.basis
+            pairs = []
+            for a, u in H.free_part:
+                shift = L.apply_row([rng.randint(-2, 2) for _ in range(L.rows)])
+                pairs.append((tuple(x + y for x, y in zip(a, shift)), u))
+            rng.shuffle(pairs)
+            if len(pairs) >= 2:
+                (a, u), (b, v) = pairs[0], pairs[1]
+                g = mul(GroupElement(amb, a, u), GroupElement(amb, b, v))
+                pairs[0] = (g.t, g.w)
+            K = SubgroupBasis.from_words(amb, pairs, H.abelian_part)
+            assert K == H and hash(K) == hash(H)
+            assert K.basis_elements() == H.basis_elements()
+
+    def test_ambient_is_part_of_the_key(self):
+        assert trivial_subgroup(Ambient(1, 2)) != trivial_subgroup(Ambient(2, 2))
+        with pytest.raises(AmbientMismatch):
+            subgroup_equal(trivial_subgroup(Ambient(1, 2)), trivial_subgroup(Ambient(2, 2)))
+
+
 class TestAbelianSummand:
     def test_cases(self):
         amb = Ambient(2, 0)
         full = full_group(amb)
-        H1 = SubgroupBasis(amb, [], Lattice.from_rows([[1, 0]], 2))
-        H2 = SubgroupBasis(amb, [], Lattice.from_rows([[0, 2]], 2))
+        H1 = SubgroupBasis.from_words(amb, [], Lattice.from_rows([[1, 0]], 2))
+        H2 = SubgroupBasis.from_words(amb, [], Lattice.from_rows([[0, 2]], 2))
         assert abelian_summand_test(H1, full)
         assert not abelian_summand_test(H2, full)
         assert abelian_summand_test(H2, H2)
@@ -187,8 +243,8 @@ class TestAbelianSummand:
 class TestValidation:
     def test_identity_word_rejected(self):
         with pytest.raises(ValueError):
-            SubgroupBasis(AMB, [((0, 0), ())], Lattice.zero(2))
+            SubgroupBasis.from_words(AMB, [((0, 0), ())], Lattice.zero(2))
 
     def test_dependent_words_rejected(self):
         with pytest.raises(ValueError):
-            SubgroupBasis(AMB, [((0, 0), (1,)), ((0, 0), (1, 1))], Lattice.zero(2))
+            SubgroupBasis.from_words(AMB, [((0, 0), (1,)), ((0, 0), (1, 1))], Lattice.zero(2))

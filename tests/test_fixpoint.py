@@ -1,9 +1,14 @@
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
-from conftest import random_finite_order_morphism
+from conftest import random_finite_order_morphism, random_matrix
+from fatf import fixpoint
 from fatf import (
     Ambient,
     FreeMap,
@@ -20,6 +25,7 @@ from fatf import (
     subgroup_equal,
 )
 from fatf.fixpoint import (
+    CertificateError,
     FixInput,
     InvalidFixInput,
     autofixed_closure,
@@ -46,7 +52,7 @@ def spiral_morphism():
     return Morphism(amb, phi, IntMatrix([[-1]]), IntMatrix([[1], [0]]))
 
 
-WORKED_BASIS = SubgroupBasis(
+WORKED_BASIS = SubgroupBasis.from_words(
     Ambient(2, 3),
     [((0, 1), (2, 2)), ((0, 1), (3,)), ((0, 1), (-2, 3, 2))],
     Lattice.from_rows([[1, 0]], 2),
@@ -87,7 +93,7 @@ class TestFixSingle:
         assert res.finitely_generated
         assert subgroup_equal(
             res.basis,
-            SubgroupBasis(
+            SubgroupBasis.from_words(
                 amb, [((0, 0), (1,)), ((0, 0), (2,))], Lattice.full(2)
             ),
         )
@@ -142,7 +148,7 @@ class TestFixTuple:
             for g in res.basis.basis_elements():
                 assert apply(p1, g) == g and apply(p2, g) == g
 
-    @pytest.mark.parametrize("ell", [16, 64])
+    @pytest.mark.parametrize("ell", [16, 64, 256])
     def test_large_index_family(self, ell):
         # phi = id on F_2, Q = [[ell+2, 1], [-1, 0]], P = I: det(I - Q) = -ell,
         # so Fix is the index-ell subgroup of F_2, of rank ell + 1
@@ -155,6 +161,29 @@ class TestFixTuple:
         assert res.basis.graph.complete_index() == ell
         for g in res.basis.basis_elements():
             assert apply(psi, g) == g
+
+    def test_refolded_answer_is_the_same_triple(self):
+        # folding the answer's own words again gives the graph fix_tuple
+        # built as a cover, and the same reduced vectors
+        rng = random.Random(43)
+        indices = set()
+        for trial in range(40):
+            amb = Ambient(rng.randint(1, 2), rng.randint(1, 3))
+            psi, basis, _ = random_finite_order_morphism(rng, amb)
+            Q = random_matrix(rng, amb.m, amb.m, 3)
+            psi = Morphism(amb, psi.phi, Q, random_matrix(rng, amb.n, amb.m, 3))
+            maps, bases = [psi], [tuple(basis)]
+            if trial % 2:
+                other, other_basis, _ = random_finite_order_morphism(rng, amb)
+                maps.append(other)
+                bases.append(tuple(other_basis))
+            res = fix_tuple(FixInput(tuple(maps), tuple(bases)))
+            if not res.finitely_generated:
+                continue
+            B = res.basis
+            assert B == SubgroupBasis.from_words(amb, B.free_part, B.abelian_part)
+            indices.add(res.diagnostics.ell)
+        assert max(indices) >= 4
 
     def test_kernel_is_common_eigenspace(self):
         psi = worked_morphism()
@@ -210,7 +239,7 @@ class TestPeriodic:
         assert periodic_exponent(psi) == 2
         res = periodic_subgroup(psi)
         assert res.finitely_generated
-        want = SubgroupBasis(
+        want = SubgroupBasis.from_words(
             amb,
             [((0, 0), (1,)), ((0, 0), (2,))],
             Lattice.from_rows([[0, 1]], 2),
@@ -249,25 +278,74 @@ class TestClosure:
         amb = Ambient(2, 2)
         ident = Morphism.identity(amb)
         inp = FixInput((ident,), (((1,), (2,)),))
-        H = SubgroupBasis(amb, [], Lattice.from_rows([[0, 2]], 2))
+        H = SubgroupBasis.from_words(amb, [], Lattice.from_rows([[0, 2]], 2))
         assert not is_autofixed(H, inp)
-        G = SubgroupBasis(
+        G = SubgroupBasis.from_words(
             amb, [((0, 0), (1,)), ((0, 0), (2,))], Lattice.full(2)
         )
         assert is_autofixed(G, inp)
 
     def test_rejects_non_stabilizing_generator(self):
         psi = worked_morphism()
-        H = SubgroupBasis(psi.ambient, [((0, 0), (1,))], Lattice.zero(2))
+        H = SubgroupBasis.from_words(psi.ambient, [((0, 0), (1,))], Lattice.zero(2))
         with pytest.raises(ValueError):
             autofixed_closure(H, FixInput((psi,), (((2,), (3,)),)))
 
     def test_ambient_mismatch(self):
         amb = Ambient(1, 2)
-        H = SubgroupBasis(amb, [((0,), (1,))], Lattice.zero(1))
+        H = SubgroupBasis.from_words(amb, [((0,), (1,))], Lattice.zero(1))
         psi = worked_morphism()
         with pytest.raises(ValueError):
             autofixed_closure(H, FixInput((psi,), (((2,), (3,)),)))
+
+
+def _corrupt_first_solution(monkeypatch):
+    real = fixpoint.solve_left
+    calls = []
+
+    def corrupted(M, b):
+        x = real(M, b)
+        calls.append(x)
+        return x if len(calls) > 1 else tuple(c + 1 for c in x)
+
+    monkeypatch.setattr(fixpoint, "solve_left", corrupted)
+
+
+class TestCertificates:
+    def test_corrupted_vector_is_caught(self, monkeypatch):
+        _corrupt_first_solution(monkeypatch)
+        with pytest.raises(CertificateError, match="not fixed"):
+            fix_single(worked_morphism(), [(2,), (3,)])
+
+    def test_closure_missing_the_subgroup_is_caught(self, monkeypatch):
+        psi = worked_morphism()
+        inp = FixInput((psi,), (((2,), (3,)),))
+        small = fix_tuple(FixInput((psi,), (((3,),),)))
+        monkeypatch.setattr(fixpoint, "fix_tuple", lambda _inp: small)
+        with pytest.raises(CertificateError, match="must contain"):
+            autofixed_closure(WORKED_BASIS, inp)
+
+    def test_checked_under_optimization(self):
+        # the certificates are explicit checks, so python -O keeps them
+        script = (
+            "import pytest\n"
+            "from test_fixpoint import _corrupt_first_solution, worked_morphism\n"
+            "from fatf.fixpoint import CertificateError, fix_single\n"
+            "mp = pytest.MonkeyPatch()\n"
+            "_corrupt_first_solution(mp)\n"
+            "try:\n"
+            "    fix_single(worked_morphism(), [(2,), (3,)])\n"
+            "except CertificateError:\n"
+            "    print('caught')\n"
+        )
+        here = pathlib.Path(__file__).resolve().parent
+        src = pathlib.Path(fixpoint.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(here)]))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "caught"
 
 
 class TestConjugationInvariance:

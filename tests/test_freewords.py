@@ -10,6 +10,8 @@ from fatf.freewords import (
     IndexBoundExceeded,
     LetterError,
     abelianize,
+    coset_graph,
+    cover,
     format_word,
     invert,
     multiply,
@@ -225,3 +227,43 @@ class TestIndexAndSchreier:
         key = lambda w: abelianize(w, 1)[0] % 3
         with pytest.raises(IndexBoundExceeded):
             schreier_basis([(1,)], key, 2)
+
+    SCHREIER_KEYS = [
+        ([(2,), (3,)], 3, lambda w: abelianize(w, 2)[0] % 2, 2),
+        ([(1,), (2,)], 2, lambda w: 0, 1),
+        ([(1,)], 1, lambda w: abelianize(w, 1)[0] % 3, 3),
+    ] + [
+        ([(i,) for i in range(1, r + 1)], r, lambda w, mod=mod, r=r: abelianize(w, r)[0] % mod, mod)
+        for mod, r in [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3)]
+    ]
+
+    @pytest.mark.parametrize("case", range(len(SCHREIER_KEYS)))
+    def test_cover_of_rose_is_schreier_graph(self, case):
+        ambient, n, key, bound = self.SCHREIER_KEYS[case]
+        rose = stallings(ambient, n)
+        assert rose.basis_words == ambient
+        sheets = coset_graph(len(ambient), key, bound)
+        assert sheets.complete_index() == bound
+        # discovery order is the canonical numbering
+        assert sheets == stallings(sheets.basis_words, len(ambient))
+        assert cover(rose, sheets) == stallings(schreier_basis(ambient, key, bound), n)
+
+    def test_cover_of_folded_graph_matches_refold(self):
+        # over any folded graph, the cover recognizes the same subgroup as the
+        # folded substituted Schreier basis
+        rng = random.Random(17)
+        checked = 0
+        for _ in range(40):
+            g = stallings([random_word(rng, 2, 5) for _ in range(rng.randint(1, 3))], 2)
+            p = g.rank
+            if p == 0:
+                continue
+            mod = rng.randint(2, 4)
+            j = rng.randrange(p)
+            key = lambda w, mod=mod, j=j, p=p: abelianize(w, p)[j] % mod
+            sheets = coset_graph(p, key, mod)
+            assert sheets == stallings(sheets.basis_words, p)
+            want = stallings(schreier_basis(g.basis_words, key, mod), 2)
+            assert cover(g, sheets) == want
+            checked += 1
+        assert checked >= 30

@@ -7,11 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from fatf.intlat import (
     IntMatrix,
-    InfiniteIndexError,
     Lattice,
     NotSublatticeError,
     charpoly,
-    coset_reps,
     cyclotomic,
     euler_phi,
     hnf,
@@ -116,17 +114,10 @@ class TestLattice:
         sub = Lattice.from_rows([[2, 0], [0, 3]], 2)
         sup = Lattice.full(2)
         assert lattice_index(sub, sup) == 6
-        reps = coset_reps(sub, sup)
-        assert len(reps) == 6
-        assert reps[0] == (0, 0)
-        seen = {tuple(x % 2 for x in (r[0],)) + (r[1] % 3,) for r in reps}
-        assert len(seen) == 6
 
     def test_index_infinite(self):
         sub = Lattice.from_rows([[1, 0]], 2)
         assert lattice_index(sub, Lattice.full(2)) == math.inf
-        with pytest.raises(InfiniteIndexError):
-            coset_reps(sub, Lattice.full(2))
 
     def test_not_sublattice(self):
         with pytest.raises(NotSublatticeError):

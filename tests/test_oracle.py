@@ -87,7 +87,7 @@ class TestClosureCheck:
         good = subgroup_basis(gens, amb)
         from fatf import SubgroupBasis
 
-        bad = SubgroupBasis(amb, [((0, 1), (1,))], good.abelian_part)
+        bad = SubgroupBasis.from_words(amb, [((0, 1), (1,))], good.abelian_part)
         assert closure_check(good, gens, 3)
         assert not closure_check(bad, gens, 3)
 
