@@ -8,7 +8,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .intlat import euler_phi
+
+# Largest ranks `constants` accepts. At (MAX_M, MAX_N) the longest constant,
+# C3 = (6 MAX_N - 6)!, has 4,096 decimal digits, inside Python's default
+# limit of 4,300 for printing an int.
+MAX_M = 100
+MAX_N = 250
 
 
 def phi_threshold(m: int) -> int:
@@ -18,7 +23,14 @@ def phi_threshold(m: int) -> int:
     """
     if m < 1:
         raise ValueError("threshold needs m >= 1")
-    return max(d for d in range(1, 2 * m * m + 2) if euler_phi(d) <= m)
+    top = 2 * m * m + 1
+    # totients of 1..top by a sieve: phi(d) = d * prod (1 - 1/p) over p | d
+    phi = list(range(top + 1))
+    for p in range(2, top + 1):
+        if phi[p] == p:
+            for k in range(p, top + 1, p):
+                phi[k] -= phi[k] // p
+    return max(d for d in range(1, top + 1) if phi[d] <= m)
 
 
 def order_bound(m: int) -> int:
@@ -75,6 +87,8 @@ class ConstantsReport:
 def constants(m: int, n: int) -> ConstantsReport:
     if m < 0 or n < 0:
         raise ValueError("negative rank")
+    if m > MAX_M or n > MAX_N:
+        raise ValueError(f"constants are reported for m <= {MAX_M} and n <= {MAX_N}")
     return ConstantsReport(
         m=m,
         n=n,

@@ -1,7 +1,8 @@
 """Command-line front end: JSON in on stdin, JSON out on stdout.
 
-Exit codes: 0 success, 2 validation error (structured JSON error on stdout),
-64 unknown subcommand, 65 malformed JSON.
+Exit codes: 0 success, 2 validation error, budget overrun or failed
+certificate (structured JSON error on stdout), 64 unknown subcommand,
+65 malformed JSON.
 """
 
 from __future__ import annotations
@@ -168,9 +169,9 @@ def _cmd_oracle_check(payload: dict) -> dict:
             jsonio._int(b_obj.get("word_len_max", 0)),
             jsonio._int(b_obj.get("coord_abs_max", 0)),
         )
+        fixed = oracle.brute_fixed(list(inp.morphisms), bnds)
     except ValueError as e:
         raise FormatError(str(e)) from None
-    fixed = oracle.brute_fixed(list(inp.morphisms), bnds)
     res = fixpoint.fix_tuple(inp)
     if res.finitely_generated:
         assert res.basis is not None
@@ -211,7 +212,7 @@ def run(argv: list[str], stdin: str) -> tuple[int, str]:
     }[cmd]
     try:
         return EXIT_OK, _dump(handler(payload))
-    except FormatError as e:
+    except (FormatError, fixpoint.BudgetExceeded, fixpoint.CertificateError) as e:
         return EXIT_VALIDATION, _dump({"ok": False, "error": str(e)})
 
 

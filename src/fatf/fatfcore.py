@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 from . import freewords
 from .freewords import Word, reduce_word
-from .intlat import IntMatrix, Lattice, is_direct_summand, matrix_inverse
+from .intlat import Lattice, is_direct_summand
 
 Vec = tuple[int, ...]
 
@@ -122,19 +122,14 @@ class SubgroupBasis:
     ) -> "SubgroupBasis":
         """Subgroup with basis t^a_i u_i plus the abelian part, for words u_i
         that form a free basis of the projection."""
-        words = [reduce_word(u, ambient.n) for _, u in free_part]
-        if not all(words):
+        gens = [GroupElement(ambient, a, u) for a, u in free_part]
+        if not all(g.w for g in gens):
             raise ValueError("identity word in the free part of a basis")
-        graph = freewords.stallings(words, ambient.n)
-        r = len(words)
-        if graph.rank != r:
+        gens += [GroupElement(ambient, b, ()) for b in abelian_part.basis.entries]
+        H = subgroup_basis(gens, ambient)
+        if H.rank != len(free_part):
             raise ValueError("free part words are not a free basis")
-        # row i of T spells u_i over the graph's basis in abelianized form;
-        # vectors are additive in the words, so the graph's basis words carry
-        # the rows of T^-1 A, T being unimodular
-        T = IntMatrix([freewords.abelianize(graph.trace(u), r) for u in words], cols=r)
-        A = IntMatrix([a for a, _ in free_part], cols=ambient.m)
-        return cls(ambient, graph, (matrix_inverse(T) * A).entries, abelian_part)
+        return H
 
     @property
     def rank(self) -> int:

@@ -38,6 +38,17 @@ class CertificateError(RuntimeError):
     """A computed answer failed its runtime certificate check."""
 
 
+class BudgetExceeded(ValueError):
+    """The answer's graph would have more than MAX_COVER_VERTICES vertices."""
+
+
+# Most vertices fix_tuple gives its answer's graph, the cover with ell vertices
+# over each vertex of the fixed-basis graph. At the budget the F_2 family
+# phi = id, Q = [[ell+2, 1], [-1, 0]], P = I (ell = 1024, 526,336 letters of
+# basis) takes 0.8 s on Python 3.11.
+MAX_COVER_VERTICES = 1024
+
+
 @dataclass(frozen=True)
 class FixInput:
     morphisms: tuple[Morphism, ...]
@@ -51,15 +62,24 @@ class FixInput:
         ambient = self.morphisms[0].ambient
         object.__setattr__(self, "morphisms", tuple(self.morphisms))
         bases = []
+        n = ambient.n
         for psi, basis in zip(self.morphisms, self.fixed_free_bases):
             _check_same(ambient, psi.ambient)
-            words = tuple(reduce_word(w, ambient.n) for w in basis)
+            # a map of F_n is onto, hence an automorphism (F_n is Hopfian),
+            # exactly when its images fold to the one-vertex rose of rank n
+            rose = freewords.stallings(psi.phi.images, n)
+            if rose.num_vertices != 1 or rose.rank != n:
+                raise InvalidFixInput("a free map is not an automorphism: its images do not generate F_n")
+            # rank Fix(phi) <= n for every automorphism (Bestvina-Handel 1992)
+            if len(basis) > n:
+                raise InvalidFixInput(f"a fixed free-basis has more than n = {n} words")
+            words = tuple(reduce_word(w, n) for w in basis)
             for w in words:
                 if psi.phi.apply(w) != w:
                     raise InvalidFixInput(
                         f"word {freewords.format_word(w)!r} is not fixed by its map"
                     )
-            if freewords.stallings(words, ambient.n).rank != len(words):
+            if freewords.stallings(words, n).rank != len(words):
                 raise InvalidFixInput("a fixed free-basis is not a free basis")
             bases.append(words)
         object.__setattr__(self, "fixed_free_bases", tuple(bases))
@@ -114,6 +134,11 @@ def fix_tuple(inp: FixInput) -> FixResult:
         preimage = lattice_preimage(im_rho, Pt, N)
         ell = lattice_index(preimage, im_rho)
         assert ell != math.inf
+        if ell * graph.num_vertices > MAX_COVER_VERTICES:
+            raise BudgetExceeded(
+                f"index {ell} over a {graph.num_vertices}-vertex graph exceeds "
+                f"the budget of {MAX_COVER_VERTICES} vertices"
+            )
 
         # an abstract word's coset is the residue modulo preimage of its
         # abelianization, which R maps into im_rho

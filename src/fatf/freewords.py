@@ -8,10 +8,17 @@ equality of graphs meaningful for equal subgroups.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import Counter, deque
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 Word = tuple[int, ...]
+
+# Most letters `parse_word` spells out for one word before reducing it, so a
+# short text such as "z1^100000000" cannot make it allocate without bound.
+# Folding one word of this length takes about 1 s and 140 MiB on Python 3.11.
+MAX_WORD_LETTERS = 100_000
 
 
 class LetterError(ValueError):
@@ -39,13 +46,7 @@ def reduce_word(letters: Iterable[int], n: Optional[int] = None) -> Word:
 
 
 def multiply(u: Word, v: Word) -> Word:
-    out = list(u)
-    for a in v:
-        if out and out[-1] == -a:
-            out.pop()
-        else:
-            out.append(a)
-    return tuple(out)
+    return reduce_word(u + v)
 
 
 def invert(w: Word) -> Word:
@@ -53,12 +54,7 @@ def invert(w: Word) -> Word:
 
 
 def word_power(w: Word, k: int) -> Word:
-    if k < 0:
-        return word_power(invert(w), -k)
-    out: Word = ()
-    for _ in range(k):
-        out = multiply(out, w)
-    return out
+    return reduce_word((w if k >= 0 else invert(w)) * abs(k))
 
 
 def abelianize(w: Word, n: int) -> tuple[int, ...]:
@@ -69,7 +65,10 @@ def abelianize(w: Word, n: int) -> tuple[int, ...]:
 
 
 def parse_word(text: str, n: Optional[int] = None) -> Word:
-    """Parse "z1 z2^-1" (caret exponents allowed); "" is the identity."""
+    """Parse "z1 z2^-1" (caret exponents allowed); "" is the identity.
+
+    Raises ValueError when the word spells out more than MAX_WORD_LETTERS
+    letters before reduction."""
     letters: list[int] = []
     for tok in text.split():
         if not tok.startswith("z"):
@@ -83,6 +82,8 @@ def parse_word(text: str, n: Optional[int] = None) -> Word:
         idx = int(idx_s)
         if idx < 1:
             raise ValueError(f"bad generator index in {tok!r}")
+        if len(letters) + abs(exp) > MAX_WORD_LETTERS:
+            raise ValueError(f"word longer than {MAX_WORD_LETTERS} letters")
         letters.extend([idx if exp > 0 else -idx] * abs(exp))
     return reduce_word(letters, n)
 
@@ -115,144 +116,78 @@ def letter_order() -> Callable[[int], int]:
 
 
 def _alphabet(n: int) -> list[int]:
-    out = []
-    for i in range(1, n + 1):
-        out.extend([i, -i])
-    return out
+    return [a for i in range(1, n + 1) for a in (i, -i)]
+
+
+def _labels(delta: dict[tuple[Hashable, int], Hashable]) -> list[int]:
+    """The labels on edges of delta, in `_alphabet` order: no loop visits the
+    letters of a large alphabet that no edge carries."""
+    return sorted({a for _, a in delta}, key=letter_order())
 
 
 class StallingsGraph:
-    """Folded core automaton of a finitely generated subgroup of F_n."""
+    """Folded core automaton of a finitely generated subgroup of F_n.
+
+    `delta` must be canonically numbered (see `_finish`): then the spanning
+    tree edge into each vertex is the first edge into it in (vertex, label)
+    order, which is the edge a breadth-first search would take.
+    """
 
     def __init__(self, n: int, num_vertices: int, delta: dict[tuple[int, int], int]):
         self.n = n
         self.num_vertices = num_vertices
         self.delta = delta
         self._tree_parent: dict[int, tuple[int, int]] = {}
-        self._basis_edges: list[tuple[int, int, int]] = []
-        self._edge_index: dict[tuple[int, int], tuple[int, int]] = {}
-        self._compute_basis()
-
-    # -- construction ------------------------------------------------------
-
-    @classmethod
-    def from_generators(cls, generators: Sequence[Word], n: int) -> "StallingsGraph":
-        for w in generators:
-            check_letters(w, n)
-        words = [reduce_word(w) for w in generators if reduce_word(w)]
-        edges: list[tuple[int, int, int]] = []
-        nxt = 1
-        for w in words:
-            cur = 0
-            for i, a in enumerate(w):
-                dst = 0 if i == len(w) - 1 else nxt
-                if dst == nxt:
-                    nxt += 1
-                if a > 0:
-                    edges.append((cur, a, dst))
-                else:
-                    edges.append((dst, -a, cur))
-                cur = dst
-        parent = list(range(nxt))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x: int, y: int) -> None:
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                if rx == find(0):
-                    parent[ry] = rx
-                else:
-                    parent[rx] = ry
-
-        changed = True
-        while changed:
-            changed = False
-            table: dict[tuple[int, int], int] = {}
-            for (u, a, v) in edges:
-                fu, fv = find(u), find(v)
-                for key, tgt in (((fu, a), fv), ((fv, -a), fu)):
-                    seen = table.get(key)
-                    if seen is None:
-                        table[key] = tgt
-                    elif find(seen) != find(tgt):
-                        union(seen, tgt)
-                        changed = True
-        delta: dict[tuple[int, int], int] = {}
-        for (u, a, v) in edges:
-            fu, fv = find(u), find(v)
-            delta[(fu, a)] = fv
-            delta[(fv, -a)] = fu
-        base = find(0)
-        return cls._finish(n, base, delta)
-
-    @classmethod
-    def _finish(cls, n: int, base: int, delta: dict[tuple[int, int], int]) -> "StallingsGraph":
-        """Core-trim, then canonicalize vertex numbering by BFS."""
-        # restrict to the component of the basepoint
-        reachable = {base}
-        queue = [base]
-        while queue:
-            v = queue.pop()
-            for a in _alphabet(n):
+        labels = _labels(delta)
+        for v in range(num_vertices):
+            for a in labels:
                 w = delta.get((v, a))
-                if w is not None and w not in reachable:
-                    reachable.add(w)
-                    queue.append(w)
-        delta = {k: v for k, v in delta.items() if k[0] in reachable and v in reachable}
-        # trim hanging trees
-        while True:
-            deg: dict[int, int] = {}
-            for (v, a) in delta:
-                deg[v] = deg.get(v, 0) + 1
-            removable = [v for v in reachable if v != base and deg.get(v, 0) <= 1]
-            if not removable:
-                break
-            for v in removable:
-                reachable.discard(v)
-            delta = {k: w for k, w in delta.items() if k[0] in reachable and w in reachable}
-        # canonical renumbering
-        order: dict[int, int] = {base: 0}
-        queue = [base]
-        while queue:
-            v = queue.pop(0)
-            for a in _alphabet(n):
-                w = delta.get((v, a))
-                if w is not None and w not in order:
-                    order[w] = len(order)
-                    queue.append(w)
-        new_delta = {(order[v], a): order[w] for (v, a), w in delta.items()}
-        return cls(n, len(order), new_delta)
-
-    def _compute_basis(self) -> None:
-        tree_edges: set[tuple[int, int, int]] = set()
-        seen = {0}
-        queue = [0]
-        while queue:
-            v = queue.pop(0)
-            for a in _alphabet(self.n):
-                w = self.delta.get((v, a))
-                if w is not None and w not in seen:
-                    seen.add(w)
+                if w is not None and w and w not in self._tree_parent:
                     self._tree_parent[w] = (v, a)
-                    tree_edges.add((v, a, w))
-                    tree_edges.add((w, -a, v))
-                    queue.append(w)
-        basis: list[tuple[int, int, int]] = []
-        for (v, a), w in sorted(self.delta.items()):
-            if a > 0 and (v, a, w) not in tree_edges:
-                basis.append((v, a, w))
-        self._basis_edges = basis
+        self._basis_edges = [
+            (v, a, w)
+            for (v, a), w in sorted(delta.items())
+            if a > 0 and self._tree_parent.get(w) != (v, a) and self._tree_parent.get(v) != (w, -a)
+        ]
         # folded graphs have at most one transition per (vertex, label), so
         # each key below identifies a unique edge crossing
-        self._edge_index = {}
-        for idx, (v, a, w) in enumerate(basis, start=1):
+        self._edge_index: dict[tuple[int, int], tuple[int, int]] = {}
+        for idx, (v, a, w) in enumerate(self._basis_edges, start=1):
             self._edge_index[(v, a)] = (idx, w)
             self._edge_index[(w, -a)] = (-idx, v)
+
+    @classmethod
+    def _finish(cls, n: int, base: Hashable, delta: dict[tuple[Hashable, int], Hashable]) -> "StallingsGraph":
+        """Peel hanging trees, then number the basepoint component by BFS
+        with label order z1 < z1^-1 < z2 < ...; `delta` must be symmetric."""
+        labels = _labels(delta)
+        deg = Counter(v for v, _ in delta)
+        dead: set[Hashable] = set()
+        stack = [v for v, d in deg.items() if d <= 1 and v != base]
+        while stack:
+            v = stack.pop()
+            if v in dead:
+                continue
+            dead.add(v)
+            for a in labels:
+                w = delta.get((v, a))
+                if w is not None and w not in dead:
+                    deg[w] -= 1
+                    if deg[w] <= 1 and w != base:
+                        stack.append(w)
+        order = {base: 0}
+        queue = deque([base])
+        while queue:
+            v = queue.popleft()
+            for a in labels:
+                w = delta.get((v, a))
+                if w is not None and w not in dead and w not in order:
+                    order[w] = len(order)
+                    queue.append(w)
+        new_delta = {
+            (order[v], a): order[w] for (v, a), w in delta.items() if v in order and w in order
+        }
+        return cls(n, len(order), new_delta)
 
     # -- queries -----------------------------------------------------------
 
@@ -264,16 +199,14 @@ class StallingsGraph:
             v = u
         return tuple(reversed(letters))
 
-    @property
+    @functools.cached_property
     def basis_words(self) -> list[Word]:
-        out = []
-        for (v, a, w) in self._basis_edges:
-            out.append(
-                reduce_word(
-                    list(self.path_from_base(v)) + [a] + list(invert(self.path_from_base(w)))
-                )
-            )
-        return out
+        # tree paths are reduced and a basis edge is no tree edge, so no
+        # letter cancels at either end of the edge
+        return [
+            self.path_from_base(v) + (a,) + invert(self.path_from_base(w))
+            for (v, a, w) in self._basis_edges
+        ]
 
     @property
     def rank(self) -> int:
@@ -299,18 +232,11 @@ class StallingsGraph:
 
     def complete_index(self):
         """Vertex count if every vertex carries all 2n labels, else math.inf."""
-        for v in range(self.num_vertices):
-            for a in _alphabet(self.n):
-                if (v, a) not in self.delta:
-                    return math.inf
-        return self.num_vertices
+        return self.num_vertices if len(self.delta) == 2 * self.n * self.num_vertices else math.inf
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, StallingsGraph)
-            and self.n == other.n
-            and self.num_vertices == other.num_vertices
-            and self.delta == other.delta
+        return isinstance(other, StallingsGraph) and (self.n, self.num_vertices, self.delta) == (
+            other.n, other.num_vertices, other.delta
         )
 
     def __repr__(self) -> str:
@@ -318,7 +244,54 @@ class StallingsGraph:
 
 
 def stallings(generators: Sequence[Word], n: int) -> StallingsGraph:
-    return StallingsGraph.from_generators(generators, n)
+    """Stallings graph of the subgroup generated by `generators`.
+
+    Each generator is spelled as a loop at the basepoint 0. Edges go into a
+    per-vertex label dict; a second edge with a label already present queues
+    its target for identification with the first one, and identifying two
+    vertices moves the absorbed one's at most 2n edges onto the survivor.
+    """
+    out: list[dict[int, int]] = [{}]
+    parent = [0]
+    pending: list[tuple[int, int]] = []
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def link(u: int, a: int, v: int) -> None:
+        # u --a--> v, u a root
+        seen = out[u].setdefault(a, v)
+        if seen != v:
+            pending.append((seen, v))
+
+    for w in generators:
+        w = reduce_word(w, n)
+        cur = 0
+        for i, a in enumerate(w):
+            dst = 0 if i == len(w) - 1 else len(out)
+            if dst:
+                out.append({})
+                parent.append(dst)
+            link(find(cur), a, dst)
+            link(find(dst), -a, cur)
+            cur = dst
+        while pending:
+            x, y = (find(z) for z in pending.pop())
+            if x == y:
+                continue
+            if len(out[x]) < len(out[y]):
+                x, y = y, x
+            parent[y] = x
+            for a, z in out[y].items():
+                link(x, a, z)
+            out[y] = {}
+    delta = {
+        (v, a): find(z) for v in range(len(out)) if parent[v] == v for a, z in out[v].items()
+    }
+    return StallingsGraph._finish(n, find(0), delta)
 
 
 def pullback(g1: StallingsGraph, g2: StallingsGraph) -> StallingsGraph:
@@ -327,13 +300,14 @@ def pullback(g1: StallingsGraph, g2: StallingsGraph) -> StallingsGraph:
     if g1.n != g2.n:
         raise ValueError("pullback over different alphabets")
     n = g1.n
+    labels = _labels(g1.delta)
     ids = {(0, 0): 0}
-    queue = [(0, 0)]
+    queue = deque([(0, 0)])
     delta: dict[tuple[int, int], int] = {}
     while queue:
-        p = queue.pop(0)
+        p = queue.popleft()
         v1, v2 = p
-        for a in _alphabet(n):
+        for a in labels:
             w1 = g1.delta.get((v1, a))
             w2 = g2.delta.get((v2, a))
             if w1 is None or w2 is None:
@@ -412,11 +386,9 @@ def schreier_basis(
     takes equal values on u and v exactly when H u = H v; the returned basis
     is substituted back into the actual ambient words.
     """
-    out = []
-    for u in coset_graph(len(ambient_basis), coset_key, index_bound).basis_words:
-        word: Word = ()
-        for a in u:
-            g = ambient_basis[abs(a) - 1]
-            word = multiply(word, g if a > 0 else invert(g))
-        out.append(word)
-    return out
+    # spell[a] is the ambient word of letter a; a < 0 counts from the end
+    spell = [()] + list(ambient_basis) + [invert(g) for g in reversed(ambient_basis)]
+    return [
+        reduce_word([b for a in u for b in spell[a]])
+        for u in coset_graph(len(ambient_basis), coset_key, index_bound).basis_words
+    ]

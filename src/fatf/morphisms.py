@@ -85,11 +85,16 @@ class FreeMap:
         return cls(fwd, bwd, n)
 
     def apply(self, w: Word) -> Word:
-        out: Word = ()
+        # one list for the whole product, reduced as the letters arrive
+        out: list[int] = []
         for a in w:
-            img = self.images[abs(a) - 1]
-            out = freewords.multiply(out, img if a > 0 else freewords.invert(img))
-        return out
+            img = self.images[a - 1] if a > 0 else [-b for b in reversed(self.images[-a - 1])]
+            for b in img:
+                if out and out[-1] == -b:
+                    out.pop()
+                else:
+                    out.append(b)
+        return tuple(out)
 
     def compose(self, other: "FreeMap") -> "FreeMap":
         """self followed by other."""

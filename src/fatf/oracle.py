@@ -15,6 +15,12 @@ from .fatfcore import Ambient, GroupElement, SubgroupBasis, inv, member, mul
 from .freewords import Word
 from .morphisms import Morphism
 
+# Most elements `brute_fixed` may range over: reduced words of length at most
+# word_len_max, (2n)(2n-1)^(L-1) of each length L >= 1, times the (2c+1)^m
+# vectors of the box. The largest enumeration of the test suites and the
+# benchmark, Bounds(5, 2) at m = n = 4, is 22,409 * 625 = 14,005,625.
+MAX_ENUMERATION = 30_000_000
+
 
 @dataclass(frozen=True)
 class Bounds:
@@ -60,6 +66,11 @@ def brute_fixed(maps: Sequence[Morphism], bounds: Bounds) -> list[GroupElement]:
         raise ValueError("need at least one morphism")
     ambient = maps[0].ambient
     m, n = ambient.m, ambient.n
+    # exponents are cut at 64: 3^64 alone exceeds the budget
+    L, c = bounds.word_len_max, bounds.coord_abs_max
+    words = 1 + 2 * L if n == 1 else 1 + n * ((2 * n - 1) ** min(L, 64) - 1) // max(n - 1, 1)
+    if words * (2 * c + 1) ** min(m, 64) > MAX_ENUMERATION:
+        raise ValueError(f"bounds enumerate more than {MAX_ENUMERATION} elements")
     out: list[GroupElement] = []
     for w in reduced_words(n, bounds.word_len_max):
         if any(psi.phi.apply(w) != w for psi in maps):

@@ -10,9 +10,10 @@ import random
 from typing import Optional
 
 from fatf import Ambient, FreeMap, GroupElement, IntMatrix, Morphism, SubgroupBasis, member
+from fatf import freewords
 from fatf import morphisms as morphisms_mod
 from fatf.fixpoint import fixed_basis_letter_map
-from fatf.freewords import Word
+from fatf.freewords import Word, _alphabet, check_letters, invert, reduce_word
 from fatf.intlat import matrix_inverse
 
 
@@ -125,3 +126,157 @@ def equal_by_membership(H: SubgroupBasis, K: SubgroupBasis) -> bool:
     return all(member(K, g) for g in H.basis_elements()) and all(
         member(H, g) for g in K.basis_elements()
     )
+
+
+# -- reference Stallings pipeline ---------------------------------------------
+# The fixpoint fold, trim loop and BFS spanning tree that `freewords.stallings`
+# replaced, kept unchanged as the reference it is tested against. A graph is
+# (num_vertices, delta, basis_words).
+
+
+def reference_stallings(generators, n):
+    for w in generators:
+        check_letters(w, n)
+    words = [reduce_word(w) for w in generators if reduce_word(w)]
+    edges: list[tuple[int, int, int]] = []
+    nxt = 1
+    for w in words:
+        cur = 0
+        for i, a in enumerate(w):
+            dst = 0 if i == len(w) - 1 else nxt
+            if dst == nxt:
+                nxt += 1
+            if a > 0:
+                edges.append((cur, a, dst))
+            else:
+                edges.append((dst, -a, cur))
+            cur = dst
+    parent = list(range(nxt))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x: int, y: int) -> None:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            if rx == find(0):
+                parent[ry] = rx
+            else:
+                parent[rx] = ry
+
+    changed = True
+    while changed:
+        changed = False
+        table: dict[tuple[int, int], int] = {}
+        for (u, a, v) in edges:
+            fu, fv = find(u), find(v)
+            for key, tgt in (((fu, a), fv), ((fv, -a), fu)):
+                seen = table.get(key)
+                if seen is None:
+                    table[key] = tgt
+                elif find(seen) != find(tgt):
+                    union(seen, tgt)
+                    changed = True
+    delta: dict[tuple[int, int], int] = {}
+    for (u, a, v) in edges:
+        fu, fv = find(u), find(v)
+        delta[(fu, a)] = fv
+        delta[(fv, -a)] = fu
+    base = find(0)
+    return reference_finish(n, base, delta)
+
+
+def reference_finish(n, base, delta):
+    """Core-trim, then canonicalize vertex numbering by BFS."""
+    # restrict to the component of the basepoint
+    reachable = {base}
+    queue = [base]
+    while queue:
+        v = queue.pop()
+        for a in _alphabet(n):
+            w = delta.get((v, a))
+            if w is not None and w not in reachable:
+                reachable.add(w)
+                queue.append(w)
+    delta = {k: v for k, v in delta.items() if k[0] in reachable and v in reachable}
+    # trim hanging trees
+    while True:
+        deg: dict[int, int] = {}
+        for (v, a) in delta:
+            deg[v] = deg.get(v, 0) + 1
+        removable = [v for v in reachable if v != base and deg.get(v, 0) <= 1]
+        if not removable:
+            break
+        for v in removable:
+            reachable.discard(v)
+        delta = {k: w for k, w in delta.items() if k[0] in reachable and w in reachable}
+    # canonical renumbering
+    order: dict[int, int] = {base: 0}
+    queue = [base]
+    while queue:
+        v = queue.pop(0)
+        for a in _alphabet(n):
+            w = delta.get((v, a))
+            if w is not None and w not in order:
+                order[w] = len(order)
+                queue.append(w)
+    new_delta = {(order[v], a): order[w] for (v, a), w in delta.items()}
+    return len(order), new_delta, _reference_basis_words(n, new_delta)
+
+
+def _reference_basis_words(n, delta):
+    tree_parent: dict[int, tuple[int, int]] = {}
+    tree_edges: set[tuple[int, int, int]] = set()
+    seen = {0}
+    queue = [0]
+    while queue:
+        v = queue.pop(0)
+        for a in _alphabet(n):
+            w = delta.get((v, a))
+            if w is not None and w not in seen:
+                seen.add(w)
+                tree_parent[w] = (v, a)
+                tree_edges.add((v, a, w))
+                tree_edges.add((w, -a, v))
+                queue.append(w)
+    basis: list[tuple[int, int, int]] = []
+    for (v, a), w in sorted(delta.items()):
+        if a > 0 and (v, a, w) not in tree_edges:
+            basis.append((v, a, w))
+
+    def path_from_base(v: int) -> Word:
+        letters: list[int] = []
+        while v != 0:
+            u, a = tree_parent[v]
+            letters.append(a)
+            v = u
+        return tuple(reversed(letters))
+
+    out = []
+    for (v, a, w) in basis:
+        out.append(
+            reduce_word(list(path_from_base(v)) + [a] + list(invert(path_from_base(w))))
+        )
+    return out
+
+
+def as_reference(graph: freewords.StallingsGraph):
+    return graph.num_vertices, graph.delta, graph.basis_words
+
+
+def reference_from_words(ambient, free_part, abelian_part) -> SubgroupBasis:
+    """`SubgroupBasis.from_words` by one fold and the vectors T^-1 A, T the
+    abelianized traces of the words over the graph's basis."""
+    words = [reduce_word(u, ambient.n) for _, u in free_part]
+    if not all(words):
+        raise ValueError("identity word in the free part of a basis")
+    graph = freewords.stallings(words, ambient.n)
+    r = len(words)
+    if graph.rank != r:
+        raise ValueError("free part words are not a free basis")
+    T = IntMatrix([freewords.abelianize(graph.trace(u), r) for u in words], cols=r)
+    A = IntMatrix([a for a, _ in free_part], cols=ambient.m)
+    return SubgroupBasis(ambient, graph, (matrix_inverse(T) * A).entries, abelian_part)

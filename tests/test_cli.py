@@ -1,13 +1,16 @@
 import json
 import os
 import pathlib
+import random
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
 import fatf
+from fatf.bounds import MAX_M, MAX_N
 from fatf.cli import EXIT_BAD_JSON, EXIT_OK, EXIT_UNKNOWN, EXIT_VALIDATION, run
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -147,6 +150,119 @@ class TestBooleanFields:
         code, out = run(["oracle-check"], json.dumps(body))
         assert code == EXIT_VALIDATION
         assert json.loads(out)["ok"] is False
+
+
+def _fix_payload(phi, basis, n):
+    return {
+        "m": 0,
+        "n": n,
+        "morphisms": [{"phi": phi, "Q": [], "P": [[] for _ in range(n)]}],
+        "fixed_bases": [basis],
+    }
+
+
+def _rejected(argv, body) -> str:
+    t0 = time.perf_counter()
+    code, out = run(argv, body if isinstance(body, str) else json.dumps(body))
+    assert time.perf_counter() - t0 < 2.0
+    payload = json.loads(out)
+    assert code == EXIT_VALIDATION and payload["ok"] is False
+    return payload["error"]
+
+
+class TestTrustBoundary:
+    def test_non_automorphism_rejected(self):
+        # z1 -> z1^2 is not onto: its image folds to a 2-vertex graph
+        assert "not an automorphism" in _rejected(["fix"], _fix_payload(["z1 z1"], [], 1))
+
+    def test_fixed_basis_above_rank_n_rejected(self):
+        # a rank-3 free basis of the even-z1 subgroup, fixed by phi = id on F_2
+        body = _fix_payload(["z1", "z2"], ["z1 z1", "z2", "z1 z2 z1^-1"], 2)
+        assert "more than n = 2" in _rejected(["fix"], body)
+
+    def test_incomplete_fixed_basis_caught_by_closure_certificate(self):
+        body = json.loads((FIXTURES / "closure.in.json").read_text())
+        body["fixed_bases"] = [["z3"]]
+        assert "closure must contain" in _rejected(["closure"], body)
+
+
+class TestBudgets:
+    def test_long_exponent(self):
+        body = {"m": 0, "n": 1, "subgroup": {"free": [], "abelian": []},
+                "element": {"t": [], "w": "z1^100000000"}}
+        assert "longer than" in _rejected(["member"], body)
+
+    def test_oracle_enumeration(self):
+        body = json.loads((FIXTURES / "oracle-check.in.json").read_text())
+        body["bounds"]["word_len_max"] = "999999999"
+        assert "enumerate more than" in _rejected(["oracle-check"], body)
+
+    @pytest.mark.parametrize("m, n", [("1", "400"), ("10000000", "1"), ("1", "100000")])
+    def test_constants_ranks(self, m, n):
+        assert "constants are reported" in _rejected(["constants", "--m", m, "--n", n], "")
+
+    def test_constants_at_the_caps_print(self):
+        code, out = run(["constants", "--m", str(MAX_M), "--n", str(MAX_N)], "")
+        assert code == EXIT_OK and json.loads(out)["ok"] is True
+
+    def test_cover_size(self):
+        # Q = diag(1, -10^30) puts the coset index near 10^30
+        body = json.loads((FIXTURES / "fix.in.json").read_text())
+        body["morphisms"][0]["Q"] = [["1", "0"], ["0", str(-10**30)]]
+        assert "budget" in _rejected(["fix"], body)
+
+
+def _paths(obj, prefix=()):
+    yield prefix
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for k, v in items:
+        yield from _paths(v, prefix + (k,))
+
+
+def _mutate(rng: random.Random, payload: dict) -> dict:
+    """One random change to a copy of payload: a dropped or duplicated field,
+    a value of another JSON type, a scaled integer or a long exponent."""
+    doc = json.loads(json.dumps(payload))
+    path = rng.choice([p for p in _paths(doc) if p])
+    parent = doc
+    for k in path[:-1]:
+        parent = parent[k]
+    key = path[-1]
+    value = parent[key]
+    kind = rng.choice(["drop", "dup", "swap", "scale", "exponent"])
+    others = [None, True, 1, 2.5, "z1", "7", [], {}, ["1"], [["1"]]]
+    if kind == "drop":
+        del parent[key]
+    elif kind == "dup" and isinstance(value, list) and value:
+        value.append(rng.choice(value))
+    elif kind == "dup":
+        if isinstance(parent, list):
+            parent.insert(key, value)
+        else:
+            parent[key + "_copy"] = value
+    elif kind == "scale" and isinstance(value, str) and value.lstrip("-").isdigit():
+        # 10^30 overruns every budget; factors near a budget would each take seconds
+        parent[key] = str(int(value) * rng.choice([-1, 0, 2, 3, 10**30]))
+    elif kind == "exponent" and isinstance(value, str):
+        parent[key] = f"{value} z1^{rng.choice([2, 7, 300, 10**9, -(10**12)])}".strip()
+    else:
+        parent[key] = rng.choice(others)
+    return doc
+
+
+def test_mutated_golden_inputs_never_raise():
+    rng = random.Random(2026)
+    inputs = {name: json.loads((FIXTURES / f"{name}.in.json").read_text()) for name in STDIN_CASES}
+    codes = set()
+    for i in range(300):
+        name = STDIN_CASES[i % len(STDIN_CASES)]
+        doc = _mutate(rng, inputs[name])
+        code, out = run([name], json.dumps(doc))
+        assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_UNKNOWN, EXIT_BAD_JSON), doc
+        assert out.endswith("\n") and out.count("\n") == 1
+        assert isinstance(json.loads(out), dict)
+        codes.add(code)
+    assert codes == {EXIT_OK, EXIT_VALIDATION}
 
 
 def _console_script_wrapper(name: str) -> str:

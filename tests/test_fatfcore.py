@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import equal_by_membership, random_element, random_word
+from conftest import equal_by_membership, random_element, random_word, reference_from_words
 from fatf import cli, jsonio
 from fatf import (
     Ambient,
@@ -248,3 +248,29 @@ class TestValidation:
     def test_dependent_words_rejected(self):
         with pytest.raises(ValueError):
             SubgroupBasis.from_words(AMB, [((0, 0), (1,)), ((0, 0), (1, 1))], Lattice.zero(2))
+
+
+class TestFromWordsReference:
+    def test_same_bytes_or_same_error_as_reference(self):
+        # from_words goes through subgroup_basis; the reference folds the
+        # words and restates the vectors as T^-1 A
+        rng = random.Random(29)
+        outcomes = set()
+        for _ in range(1000):
+            m, n = rng.randint(0, 3), rng.randint(1, 3)
+            amb = Ambient(m, n)
+            words = [random_word(rng, n, 5) for _ in range(rng.randint(0, n + 1))]
+            if len(words) >= 2 and rng.random() < 0.3:
+                words[1] = words[0] + words[1]
+            free = [(tuple(rng.randint(-4, 4) for _ in range(m)), u) for u in words]
+            rows = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(rng.randint(0, m))]
+            lat = Lattice.from_rows(rows, m)
+            results = []
+            for build in (SubgroupBasis.from_words, reference_from_words):
+                try:
+                    results.append(json.dumps(jsonio.subgroup_to_json(build(amb, free, lat))))
+                except ValueError as e:
+                    results.append(str(e))
+            assert results[0] == results[1]
+            outcomes.add(results[0].startswith("{"))
+        assert outcomes == {True, False}

@@ -33,6 +33,7 @@ from fatf.fixpoint import (
     fixed_basis_letter_map,
     is_autofixed,
 )
+from fatf.freewords import stallings
 from fatf.intlat import kernel_lattice
 from fatf.morphisms import apply, compose, inner, power
 from fatf.oracle import Bounds, brute_fixed
@@ -159,6 +160,8 @@ class TestFixTuple:
         assert res.finitely_generated and res.diagnostics.ell == ell
         assert res.basis.rank == ell + 1
         assert res.basis.graph.complete_index() == ell
+        # the cover fix_tuple builds is the graph its own words fold to
+        assert stallings(res.basis.graph.basis_words, 2) == res.basis.graph
         for g in res.basis.basis_elements():
             assert apply(psi, g) == g
 

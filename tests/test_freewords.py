@@ -4,10 +4,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_word
+from conftest import as_reference, random_word, reference_finish, reference_stallings
 from fatf import freewords
 from fatf.freewords import (
+    MAX_WORD_LETTERS,
     IndexBoundExceeded,
+    StallingsGraph,
     LetterError,
     abelianize,
     coset_graph,
@@ -71,6 +73,12 @@ class TestWords:
         assert parse_word("z2^3") == (2, 2, 2)
         with pytest.raises(ValueError):
             parse_word("x1")
+
+    def test_parse_word_budget(self):
+        assert len(parse_word(f"z1^{MAX_WORD_LETTERS}")) == MAX_WORD_LETTERS
+        for text in (f"z1^{MAX_WORD_LETTERS + 1}", "z1^-100000000", f"z2 z1^{MAX_WORD_LETTERS}"):
+            with pytest.raises(ValueError, match="longer than"):
+                parse_word(text)
 
 
 class TestRoot:
@@ -160,6 +168,63 @@ class TestStallings:
                     u = basis[abs(idx) - 1]
                     check = multiply(check, u if idx > 0 else invert(u))
                 assert check == w
+
+
+class TestReferenceFold:
+    """The worklist fold and the one-pass `_finish` against the fixpoint fold,
+    trim loop and BFS tree they replaced (conftest.reference_stallings)."""
+
+    def test_random_generator_sets(self):
+        rng = random.Random(2006)
+        cancelling = 0
+        for _ in range(2400):
+            n = rng.randint(1, 4)
+            gens = [random_word(rng, n, 8) for _ in range(rng.randint(0, 5))]
+            if gens and rng.random() < 0.5:
+                # unreduced generators: a prefix of one generator, a detour
+                # and the prefix's inverse, and a word times its own inverse
+                u = gens[0][: rng.randint(0, len(gens[0]))]
+                gens.append(u + random_word(rng, n, 3) + invert(u))
+                gens.append(gens[-1] + invert(gens[-1]))
+                cancelling += 1
+            assert as_reference(stallings(gens, n)) == reference_stallings(gens, n)
+        assert cancelling >= 900
+
+    def test_finish_peels_hanging_trees(self):
+        # a folded graph with trees hung on it and a second component, on
+        # shuffled vertex names: _finish keeps only the core of the basepoint
+        # component, numbered canonically
+        rng = random.Random(2002)
+        peeled = 0
+        for _ in range(400):
+            n = rng.randint(1, 4)
+            g = stallings([random_word(rng, n, 6) for _ in range(rng.randint(1, 3))], n)
+            other = stallings([random_word(rng, n, 6)], n)
+            size = g.num_vertices
+            delta = dict(g.delta)
+            delta.update({(v + size, a): w + size for (v, a), w in other.delta.items()})
+            total = size + other.num_vertices
+            for _ in range(rng.randint(0, 8)):
+                v, a = rng.randrange(total), rng.choice([x for x in range(-n, n + 1) if x])
+                if (v, a) not in delta:
+                    delta[(v, a)] = total
+                    delta[(total, -a)] = v
+                    total += 1
+            names = list(range(total))
+            rng.shuffle(names)
+            named = {(names[v], a): names[w] for (v, a), w in delta.items()}
+            got = as_reference(StallingsGraph._finish(n, names[0], named))
+            assert got == reference_finish(n, names[0], named)
+            peeled += total > got[0] + other.num_vertices
+        assert peeled >= 200
+
+    def test_refold_of_basis_words(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            g = stallings([random_word(rng, n, 8) for _ in range(rng.randint(1, 5))], n)
+            assert stallings(g.basis_words, n) == g
+            assert g.basis_words is g.basis_words
 
 
 class TestPullback:
