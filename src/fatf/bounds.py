@@ -8,6 +8,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .intlat import totients
+
 
 # Largest ranks `constants` accepts. At (MAX_M, MAX_N) the longest constant,
 # C3 = (6 MAX_N - 6)!, has 4,096 decimal digits, inside Python's default
@@ -17,20 +19,14 @@ MAX_N = 250
 
 
 def phi_threshold(m: int) -> int:
-    """Largest d with euler_phi(d) <= m.
+    """Largest d whose Euler totient phi(d) is at most m.
 
     phi(d) >= sqrt(d/2), so scanning d <= 2*m^2 + 1 is exhaustive.
     """
     if m < 1:
         raise ValueError("threshold needs m >= 1")
-    top = 2 * m * m + 1
-    # totients of 1..top by a sieve: phi(d) = d * prod (1 - 1/p) over p | d
-    phi = list(range(top + 1))
-    for p in range(2, top + 1):
-        if phi[p] == p:
-            for k in range(p, top + 1, p):
-                phi[k] -= phi[k] // p
-    return max(d for d in range(1, top + 1) if phi[d] <= m)
+    phi = totients(2 * m * m + 1)
+    return max(d for d in range(1, len(phi)) if phi[d] <= m)
 
 
 def order_bound(m: int) -> int:

@@ -8,7 +8,6 @@ Matrices act on row vectors from the right (v -> v*M).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
@@ -154,19 +153,20 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self.entries]!r})"
 
 
-def _row_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[int]]:
-    """In-place HNF row reduction with a unimodular transform.
+def _row_echelon(rows: list[list[int]], cols: int) -> int:
+    """In-place row reduction of the first `cols` columns to Hermite normal
+    form; returns the rank r of that block.
 
-    Returns (H, U, pivot_cols) with U * input = H; H is in row Hermite normal
-    form (positive pivots, entries above a pivot reduced into [0, pivot)),
-    nonzero rows first.
+    Row operations act on whole rows, so row-reducing [M | I] with
+    cols = M.cols leaves [H | U] with U * M = H. H is in row HNF (positive
+    pivots, entries above a pivot reduced into [0, pivot)), its r nonzero
+    rows first; no elimination takes place inside the columns past `cols`.
     """
     m = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     r = 0
-    pivot_cols: list[int] = []
-    for j in range(ncols):
+    for j in range(cols):
+        if r == m:
+            break
         # gcd-eliminate below position r in column j
         while True:
             nz = [i for i in range(r, m) if rows[i][j] != 0]
@@ -175,35 +175,36 @@ def _row_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[list[int]
             i0 = min(nz, key=lambda i: abs(rows[i][j]))
             if i0 != r:
                 rows[r], rows[i0] = rows[i0], rows[r]
-                U[r], U[i0] = U[i0], U[r]
             if len(nz) == 1:
                 break
-            p = rows[r][j]
+            top = rows[r]
+            p = top[j]
             for i in range(r + 1, m):
-                if rows[i][j]:
-                    q = rows[i][j] // p
-                    if q:
-                        for t in range(ncols):
-                            rows[i][t] -= q * rows[r][t]
-                        for t in range(m):
-                            U[i][t] -= q * U[r][t]
-        if r < m and rows[r][j] != 0:
+                q = rows[i][j] // p
+                if q:
+                    rows[i] = [a - q * b for a, b in zip(rows[i], top)]
+        if rows[r][j] != 0:
             if rows[r][j] < 0:
                 rows[r] = [-x for x in rows[r]]
-                U[r] = [-x for x in U[r]]
-            p = rows[r][j]
+            top = rows[r]
+            p = top[j]
             for i in range(r):
                 q = rows[i][j] // p
                 if q:
-                    for t in range(ncols):
-                        rows[i][t] -= q * rows[r][t]
-                    for t in range(m):
-                        U[i][t] -= q * U[r][t]
-            pivot_cols.append(j)
+                    rows[i] = [a - q * b for a, b in zip(rows[i], top)]
             r += 1
-            if r == m:
-                break
-    return rows, U, pivot_cols
+    return r
+
+
+def _with_transform(M: IntMatrix) -> tuple[list[list[int]], list[list[int]], int]:
+    """(H, U, r) with U unimodular, U * M = H in HNF and r = rank M, read off
+    the row reduction of [M | I]."""
+    c, m = M.cols, M.rows
+    aug = [list(row) + [0] * m for row in M.entries]
+    for i in range(m):
+        aug[i][c + i] = 1
+    r = _row_echelon(aug, c)
+    return [row[:c] for row in aug], [row[c:] for row in aug], r
 
 
 class Lattice:
@@ -223,8 +224,8 @@ class Lattice:
         for r in mat:
             if len(r) != ambient:
                 raise DimensionError("row width disagrees with ambient dimension")
-        H, _, piv = _row_echelon(mat)
-        return cls(ambient, IntMatrix([H[i] for i in range(len(piv))], cols=ambient))
+        r = _row_echelon(mat, ambient)
+        return cls(ambient, IntMatrix(mat[:r], cols=ambient))
 
     @classmethod
     def zero(cls, ambient: int) -> "Lattice":
@@ -287,20 +288,14 @@ def hnf(M: IntMatrix) -> Lattice:
 
 def kernel_lattice(M: IntMatrix) -> Lattice:
     """{v in Z^rows : v*M = 0} as a lattice in Z^rows."""
-    rows = [list(r) for r in M.entries]
-    _, U, piv = _row_echelon(rows)
-    ker = U[len(piv):]
-    return Lattice.from_rows(ker, M.rows)
+    _, U, r = _with_transform(M)
+    return Lattice.from_rows(U[r:], M.rows)
 
 
 def lattice_intersect(L1: Lattice, L2: Lattice) -> Lattice:
     if L1.ambient != L2.ambient:
         raise DimensionError("intersecting lattices of different ambient dimension")
-    stacked = IntMatrix(list(L1.basis.entries) + list(L2.basis.entries), cols=L1.ambient)
-    ker = kernel_lattice(stacked)
-    r1 = L1.rank
-    rows = [L1.basis.apply_row(k[:r1]) for k in ker.basis.entries]
-    return Lattice.from_rows(rows, L1.ambient)
+    return lattice_preimage(L1, IntMatrix.identity(L1.ambient), L2)
 
 
 def _coordinate_matrix(sub: Lattice, sup: Lattice) -> IntMatrix:
@@ -327,68 +322,15 @@ def lattice_index(sub: Lattice, sup: Lattice):
     return idx
 
 
-def smith_divisors(M: IntMatrix) -> list[int]:
-    """Nonzero elementary divisors d1 | d2 | ... of M."""
-    A = [list(r) for r in M.entries]
-    rows, cols = len(A), M.cols
-    divisors = []
-    top = 0
-    while top < rows and top < cols:
-        # find a nonzero entry in the remaining block
-        pos = None
-        best = None
-        for i in range(top, rows):
-            for j in range(top, cols):
-                if A[i][j] and (best is None or abs(A[i][j]) < best):
-                    best = abs(A[i][j])
-                    pos = (i, j)
-        if pos is None:
-            break
-        i0, j0 = pos
-        A[top], A[i0] = A[i0], A[top]
-        for row in A:
-            row[top], row[j0] = row[j0], row[top]
-        while True:
-            p = A[top][top]
-            done = True
-            for i in range(top + 1, rows):
-                if A[i][top]:
-                    q = A[i][top] // p
-                    for t in range(top, cols):
-                        A[i][t] -= q * A[top][t]
-                    if A[i][top]:
-                        A[top], A[i] = A[i], A[top]
-                        done = False
-                        break
-            if not done:
-                continue
-            for j in range(top + 1, cols):
-                if A[top][j]:
-                    q = A[top][j] // p
-                    for i in range(top, rows):
-                        A[i][j] -= q * A[i][top]
-                    if A[top][j]:
-                        for i in range(top, rows):
-                            A[i][top], A[i][j] = A[i][j], A[i][top]
-                        done = False
-                        break
-            if done:
-                break
-        divisors.append(abs(A[top][top]))
-        top += 1
-    # enforce the divisibility chain
-    for i in range(len(divisors)):
-        for j in range(i + 1, len(divisors)):
-            a, b = divisors[i], divisors[j]
-            g = math.gcd(a, b)
-            divisors[i], divisors[j] = g, a * b // g if g else 0
-    return divisors
-
-
 def is_direct_summand(sub: Lattice, sup: Lattice) -> bool:
-    """True iff sup/sub is torsion-free (all elementary divisors are 1)."""
+    """True iff sup/sub is torsion-free.
+
+    With C the coordinates of sub's basis over sup's, sup/sub is Z^s / (row
+    space of C); it is torsion-free exactly when every elementary divisor of
+    C is 1, that is when the columns of C span Z^rank(sub).
+    """
     C = _coordinate_matrix(sub, sup)
-    return all(d == 1 for d in smith_divisors(C))
+    return Lattice.from_rows(zip(*C.entries), sub.rank) == Lattice.full(sub.rank)
 
 
 def lattice_preimage(domain: Lattice, M: IntMatrix, target: Lattice) -> Lattice:
@@ -410,20 +352,19 @@ def solve_left(M: IntMatrix, b: Sequence[int]) -> Optional[Vec]:
     """
     if len(b) != M.cols:
         raise DimensionError("right-hand side has the wrong length")
-    H, U, piv = _row_echelon([list(r) for r in M.entries])
-    y, res = Lattice(M.cols, IntMatrix(H[: len(piv)], cols=M.cols)).reduce(b)
+    H, U, r = _with_transform(M)
+    y, res = Lattice(M.cols, IntMatrix(H[:r], cols=M.cols)).reduce(b)
     if any(res):
         return None
-    return IntMatrix(U[: len(piv)], cols=M.rows).apply_row(y)
+    return IntMatrix(U[:r], cols=M.rows).apply_row(y)
 
 
 def matrix_inverse(M: IntMatrix) -> IntMatrix:
     """Exact inverse of a unimodular integer matrix."""
     if M.rows != M.cols:
         raise DimensionError("inverse of a non-square matrix")
-    rows = [list(r) for r in M.entries]
-    H, U, piv = _row_echelon(rows)
-    if len(piv) != M.rows or any(H[i][i] != 1 for i in range(M.rows)):
+    H, U, r = _with_transform(M)
+    if r != M.rows or any(H[i][i] != 1 for i in range(M.rows)):
         raise ValueError("matrix is not unimodular")
     return IntMatrix(U, cols=M.rows)
 
@@ -479,28 +420,23 @@ def cyclotomic(d: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def euler_phi(d: int) -> int:
-    if d < 1:
-        raise ValueError("totient of a non-positive integer")
-    result = d
-    p = 2
-    n = d
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            result -= result // p
-        p += 1
-    if n > 1:
-        result -= result // n
-    return result
+def totients(top: int) -> list[int]:
+    """Euler's totient of 0, 1, ..., top by a sieve (entry 0 is 0):
+    phi(d) = d * prod (1 - 1/p) over the primes p dividing d."""
+    phi = list(range(top + 1))
+    for p in range(2, top + 1):
+        if phi[p] == p:
+            for k in range(p, top + 1, p):
+                phi[k] -= phi[k] // p
+    return phi
 
 
 def _unity_divisors(chi: list[int], m: int) -> list[int]:
     """All d with phi(d) <= m whose cyclotomic polynomial divides chi."""
     out = []
-    for d in range(1, 2 * m * m + 2):
-        if euler_phi(d) <= m:
+    phi = totients(2 * m * m + 1)
+    for d in range(1, len(phi)):
+        if phi[d] <= m:
             _, rem = _poly_divmod_monic(chi, list(cyclotomic(d)))
             if rem == [0]:
                 out.append(d)
@@ -532,22 +468,3 @@ def matrix_order(Q: IntMatrix):
     if (Q ** s).is_identity():
         return s
     return math.inf
-
-
-def split_ker(Q: IntMatrix, k: int, v: Sequence[int]) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Rational decomposition v = v1 + v2 with v1(Q - I) = 0 and
-    v2(Q^{k-1} + ... + I) = 0; unique, and rational in general."""
-    if Q.rows != Q.cols:
-        raise DimensionError("split of a non-square matrix")
-    if not (Q ** k).is_identity():
-        raise ValueError("Q^k is not the identity")
-    m = Q.rows
-    S = IntMatrix.zeros(m, m)
-    power = IntMatrix.identity(m)
-    for _ in range(k):
-        S = S + power
-        power = power * Q
-    vS = S.apply_row(v) if m else ()
-    v1 = tuple(Fraction(x, k) for x in vS)
-    v2 = tuple(Fraction(int(a)) - b for a, b in zip(v, v1))
-    return v1, v2

@@ -120,17 +120,6 @@ def subgroup_from_json(obj: Any, ambient: Ambient) -> SubgroupBasis:
         raise FormatError(str(e)) from None
 
 
-def morphism_to_json(psi: Morphism) -> dict:
-    out = {
-        "phi": [freewords.format_word(w) for w in psi.phi.images],
-        "Q": matrix_to_json(psi.Q),
-        "P": matrix_to_json(psi.P),
-    }
-    if psi.phi.inverse_images is not None:
-        out["phi_inv"] = [freewords.format_word(w) for w in psi.phi.inverse_images]
-    return out
-
-
 def morphism_from_json(obj: Any, ambient: Ambient) -> Morphism:
     if not isinstance(obj, dict):
         raise FormatError("expected a morphism object")

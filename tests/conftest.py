@@ -6,6 +6,7 @@ keeps exact fixed bases and exact orders available for checking.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Optional
 
@@ -280,3 +281,120 @@ def reference_from_words(ambient, free_part, abelian_part) -> SubgroupBasis:
     T = IntMatrix([freewords.abelianize(graph.trace(u), r) for u in words], cols=r)
     A = IntMatrix([a for a, _ in free_part], cols=ambient.m)
     return SubgroupBasis(ambient, graph, (matrix_inverse(T) * A).entries, abelian_part)
+
+
+# -- reference lattice algebra ------------------------------------------------
+# The HNF elimination with a separate transform U and the Smith-form
+# elimination that `intlat` replaced by row-reducing [M | I] and by an HNF of
+# the transposed coordinate matrix, kept unchanged as the references they are
+# tested against.
+
+
+def reference_row_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[int]]:
+    """In-place HNF row reduction with a unimodular transform.
+
+    Returns (H, U, pivot_cols) with U * input = H; H is in row Hermite normal
+    form (positive pivots, entries above a pivot reduced into [0, pivot)),
+    nonzero rows first.
+    """
+    m = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    r = 0
+    pivot_cols: list[int] = []
+    for j in range(ncols):
+        # gcd-eliminate below position r in column j
+        while True:
+            nz = [i for i in range(r, m) if rows[i][j] != 0]
+            if not nz:
+                break
+            i0 = min(nz, key=lambda i: abs(rows[i][j]))
+            if i0 != r:
+                rows[r], rows[i0] = rows[i0], rows[r]
+                U[r], U[i0] = U[i0], U[r]
+            if len(nz) == 1:
+                break
+            p = rows[r][j]
+            for i in range(r + 1, m):
+                if rows[i][j]:
+                    q = rows[i][j] // p
+                    if q:
+                        for t in range(ncols):
+                            rows[i][t] -= q * rows[r][t]
+                        for t in range(m):
+                            U[i][t] -= q * U[r][t]
+        if r < m and rows[r][j] != 0:
+            if rows[r][j] < 0:
+                rows[r] = [-x for x in rows[r]]
+                U[r] = [-x for x in U[r]]
+            p = rows[r][j]
+            for i in range(r):
+                q = rows[i][j] // p
+                if q:
+                    for t in range(ncols):
+                        rows[i][t] -= q * rows[r][t]
+                    for t in range(m):
+                        U[i][t] -= q * U[r][t]
+            pivot_cols.append(j)
+            r += 1
+            if r == m:
+                break
+    return rows, U, pivot_cols
+
+
+def smith_divisors(M: IntMatrix) -> list[int]:
+    """Nonzero elementary divisors d1 | d2 | ... of M."""
+    A = [list(r) for r in M.entries]
+    rows, cols = len(A), M.cols
+    divisors = []
+    top = 0
+    while top < rows and top < cols:
+        # find a nonzero entry in the remaining block
+        pos = None
+        best = None
+        for i in range(top, rows):
+            for j in range(top, cols):
+                if A[i][j] and (best is None or abs(A[i][j]) < best):
+                    best = abs(A[i][j])
+                    pos = (i, j)
+        if pos is None:
+            break
+        i0, j0 = pos
+        A[top], A[i0] = A[i0], A[top]
+        for row in A:
+            row[top], row[j0] = row[j0], row[top]
+        while True:
+            p = A[top][top]
+            done = True
+            for i in range(top + 1, rows):
+                if A[i][top]:
+                    q = A[i][top] // p
+                    for t in range(top, cols):
+                        A[i][t] -= q * A[top][t]
+                    if A[i][top]:
+                        A[top], A[i] = A[i], A[top]
+                        done = False
+                        break
+            if not done:
+                continue
+            for j in range(top + 1, cols):
+                if A[top][j]:
+                    q = A[top][j] // p
+                    for i in range(top, rows):
+                        A[i][j] -= q * A[i][top]
+                    if A[top][j]:
+                        for i in range(top, rows):
+                            A[i][top], A[i][j] = A[i][j], A[i][top]
+                        done = False
+                        break
+            if done:
+                break
+        divisors.append(abs(A[top][top]))
+        top += 1
+    # enforce the divisibility chain
+    for i in range(len(divisors)):
+        for j in range(i + 1, len(divisors)):
+            a, b = divisors[i], divisors[j]
+            g = math.gcd(a, b)
+            divisors[i], divisors[j] = g, a * b // g if g else 0
+    return divisors

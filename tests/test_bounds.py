@@ -27,6 +27,16 @@ class TestThreshold:
         with pytest.raises(ValueError):
             phi_threshold(0)
 
+    def test_first_hundred(self):
+        # every constants report reads phi_threshold, and the golden
+        # constants fixture covers one m only
+        expected = (
+            [2, 6, 6, 12, 12, 18, 18] + [30] * 4 + [42] * 4 + [60] * 4 + [66] * 4
+            + [90] * 8 + [120] * 4 + [126] * 4 + [150] * 8 + [210] * 16
+            + [240] * 8 + [270] * 8 + [330] * 16 + [420] * 5
+        )
+        assert [phi_threshold(m) for m in range(1, 101)] == expected
+
 
 class TestConstants:
     def test_report_1_2(self):

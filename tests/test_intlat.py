@@ -1,17 +1,17 @@
 import math
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import random_unimodular, reference_row_echelon, smith_divisors
 from fatf.intlat import (
     IntMatrix,
     Lattice,
     NotSublatticeError,
+    _with_transform,
     charpoly,
     cyclotomic,
-    euler_phi,
     hnf,
     is_direct_summand,
     kernel_lattice,
@@ -20,9 +20,8 @@ from fatf.intlat import (
     lattice_preimage,
     matrix_inverse,
     matrix_order,
-    smith_divisors,
     solve_left,
-    split_ker,
+    totients,
     unity_exponent,
 )
 
@@ -228,7 +227,13 @@ class TestCharpolyAndCyclotomic:
         assert charpoly(IntMatrix([[0, 1], [1, 1]])) == [-1, -1, 1]
 
     def test_euler_phi(self):
-        assert [euler_phi(d) for d in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
+        assert totients(12)[1:] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
+
+    def test_totients_count_coprime_residues(self):
+        phi = totients(300)
+        assert phi[0] == 0
+        for d in range(1, 301):
+            assert phi[d] == sum(1 for k in range(1, d + 1) if math.gcd(k, d) == 1)
 
     def test_cyclotomic(self):
         assert cyclotomic(1) == (-1, 1)
@@ -261,16 +266,92 @@ class TestMatrixOrder:
         assert unity_exponent(IntMatrix([[0, 1], [1, 0]])) == 2
 
 
-class TestSplitKer:
-    def test_projection_identities(self):
-        Q = IntMatrix([[0, 1], [1, 0]])
-        v = (1, 0)
-        v1, v2 = split_ker(Q, 2, v)
-        assert v1 == (Fraction(1, 2), Fraction(1, 2))
-        assert tuple(a + b for a, b in zip(v1, v2)) == (Fraction(1), Fraction(0))
-        # v1 is fixed by Q, v2 is killed by the averaging operator
-        assert tuple(sum(Fraction(Q.entries[i][j]) * v1[i] for i in range(2)) for j in range(2)) == v1
+def _random_matrix(rng: random.Random) -> IntMatrix:
+    """0-6 rows, 1-6 columns: full-rank entries, low-rank products, or a
+    unimodular square matrix."""
+    rows, cols = rng.randint(0, 6), rng.randint(1, 6)
+    kind = rng.random()
+    if rows == cols and kind < 0.4:
+        return random_unimodular(rng, rows, steps=rng.randint(0, 8))
+    if rows and kind < 0.6:
+        k = rng.randint(0, min(rows, cols) - 1)
+        A = IntMatrix([[rng.randint(-3, 3) for _ in range(k)] for _ in range(rows)], cols=k)
+        B = IntMatrix([[rng.randint(-3, 3) for _ in range(cols)] for _ in range(k)], cols=cols)
+        return A * B
+    return IntMatrix([[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)], cols=cols)
 
-    def test_rejects_wrong_exponent(self):
-        with pytest.raises(ValueError):
-            split_ker(IntMatrix([[2]]), 3, (1,))
+
+class TestTransformReference:
+    """The transforms read off [M | I] equal those of the reference
+    elimination that carries U beside the rows (conftest.reference_row_echelon)."""
+
+    def test_identity_block_is_not_eliminated(self):
+        # eliminating inside the identity block would give (0, 1, 0, 0)
+        M = IntMatrix([[3], [3], [0], [-6]])
+        assert solve_left(M, (3,)) == (1, 0, 0, 0)
+
+    def test_matches_reference(self):
+        rng = random.Random(20190606)
+        total = deficient = unsolvable = inverted = singular = 0
+        for _ in range(2400):
+            M = _random_matrix(rng)
+            H, U, piv = reference_row_echelon([list(r) for r in M.entries])
+            r = len(piv)
+            total += 1
+            deficient += r < min(M.rows, M.cols)
+            assert _with_transform(M) == (H, U, r)
+            assert Lattice.from_rows(M.entries, M.cols).basis.entries == tuple(map(tuple, H[:r]))
+            assert kernel_lattice(M) == Lattice.from_rows(U[r:], M.rows)
+
+            if rng.random() < 0.5:
+                b = M.apply_row([rng.randint(-3, 3) for _ in range(M.rows)])
+            else:
+                b = tuple(rng.randint(-4, 4) for _ in range(M.cols))
+            y, res = Lattice(M.cols, IntMatrix(H[:r], cols=M.cols)).reduce(b)
+            expected = None if any(res) else IntMatrix(U[:r], cols=M.rows).apply_row(y)
+            unsolvable += expected is None
+            assert solve_left(M, b) == expected
+
+            if M.rows == M.cols:
+                if r != M.rows or any(H[i][i] != 1 for i in range(M.rows)):
+                    singular += 1
+                    with pytest.raises(ValueError, match="not unimodular"):
+                        matrix_inverse(M)
+                else:
+                    inverted += 1
+                    assert matrix_inverse(M) == IntMatrix(U, cols=M.rows)
+        assert deficient * 3 >= total
+        assert 0 < unsolvable < total
+        assert inverted >= 100 and singular >= 100
+
+
+class TestDirectSummandReference:
+    """is_direct_summand agrees with the Smith-form test: sup/sub is
+    torsion-free exactly when every elementary divisor of the coordinate
+    matrix of sub over sup is 1 (conftest.smith_divisors)."""
+
+    def test_matches_smith_divisors(self):
+        rng = random.Random(1906)
+        outcomes = {True: 0, False: 0}
+        rank_zero = 0
+        for i in range(1200):
+            d = rng.randint(1, 5)
+            sup = Lattice.from_rows(
+                [[rng.randint(-3, 3) for _ in range(d)] for _ in range(rng.randint(0, d + 1))], d
+            )
+            k = 0 if i % 10 == 0 else rng.randint(0, sup.rank + 1)
+            bound = rng.choice([1, 2, 3])
+            sub = Lattice.from_rows(
+                [
+                    sup.basis.apply_row([rng.randint(-bound, bound) for _ in range(sup.rank)])
+                    for _ in range(k)
+                ],
+                d,
+            )
+            coords = IntMatrix([sup.coords(r) for r in sub.basis.entries], cols=sup.rank)
+            expected = all(e == 1 for e in smith_divisors(coords))
+            assert is_direct_summand(sub, sup) == expected
+            outcomes[expected] += 1
+            rank_zero += sub.rank == 0
+        assert outcomes[True] >= 200 and outcomes[False] >= 200
+        assert rank_zero >= 100
