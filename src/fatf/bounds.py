@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 from .intlat import totients
 
@@ -18,29 +19,37 @@ MAX_M = 100
 MAX_N = 250
 
 
-def phi_threshold(m: int) -> int:
+# Every bound below takes an optional totient table `phi`, sieved once by
+# `constants` for all the thresholds of a report; alone, each sieves its own.
+Totients = Optional[list[int]]
+
+
+def phi_threshold(m: int, phi: Totients = None) -> int:
     """Largest d whose Euler totient phi(d) is at most m.
 
-    phi(d) >= sqrt(d/2), so scanning d <= 2*m^2 + 1 is exhaustive.
+    phi(d) >= sqrt(d/2), so scanning d <= 2*m^2 + 1 is exhaustive; `phi`
+    must reach that far.
     """
     if m < 1:
         raise ValueError("threshold needs m >= 1")
-    phi = totients(2 * m * m + 1)
-    return max(d for d in range(1, len(phi)) if phi[d] <= m)
+    top = 2 * m * m + 1
+    if phi is None:
+        phi = totients(top)
+    return max(d for d in range(1, top + 1) if phi[d] <= m)
 
 
-def order_bound(m: int) -> int:
+def order_bound(m: int, phi: Totients = None) -> int:
     """Upper bound L1(m) on the order of any finite-order matrix in GL_m(Z)."""
     if m < 0:
         raise ValueError("negative rank")
     if m == 0:
         return 1
-    return phi_threshold(m) ** m
+    return phi_threshold(m, phi) ** m
 
 
-def periodic_exponent_bound(m: int) -> int:
+def periodic_exponent_bound(m: int, phi: Totients = None) -> int:
     """Uniform exponent L3(m) with Per Q = Fix Q^{L3} for all m x m integer Q."""
-    return math.factorial(phi_threshold(max(m, 1)))
+    return math.factorial(phi_threshold(max(m, 1), phi))
 
 
 def free_periodic_exponent(n: int) -> int:
@@ -50,20 +59,20 @@ def free_periodic_exponent(n: int) -> int:
     return math.factorial(6 * n - 6)
 
 
-def automorphism_order_bound(m: int, n: int) -> int:
+def automorphism_order_bound(m: int, n: int, phi: Totients = None) -> int:
     """Upper bound C1(m,n) on the order of any finite-order automorphism of Z^m x F_n."""
     if n <= 1:
-        return order_bound(m + n)
+        return order_bound(m + n, phi)
     if m == 0:
-        return order_bound(n)
-    return order_bound(n) * order_bound(m)
+        return order_bound(n, phi)
+    return order_bound(n, phi) * order_bound(m, phi)
 
 
-def group_periodic_exponent(m: int, n: int) -> int:
+def group_periodic_exponent(m: int, n: int, phi: Totients = None) -> int:
     """Uniform exponent C3(m,n) with Per Psi = Fix Psi^{C3} on Z^m x F_n."""
     return math.lcm(
-        periodic_exponent_bound(m),
-        periodic_exponent_bound(m + 1),
+        periodic_exponent_bound(m, phi),
+        periodic_exponent_bound(m + 1, phi),
         free_periodic_exponent(n),
     )
 
@@ -85,13 +94,16 @@ def constants(m: int, n: int) -> ConstantsReport:
         raise ValueError("negative rank")
     if m > MAX_M or n > MAX_N:
         raise ValueError(f"constants are reported for m <= {MAX_M} and n <= {MAX_N}")
+    # the largest threshold read is at m + 1 or n (m + n <= m + 1 when n <= 1)
+    top = max(m + 1, n)
+    phi = totients(2 * top * top + 1)
     return ConstantsReport(
         m=m,
         n=n,
-        C=phi_threshold(max(m, 1)),
-        L1=order_bound(m),
-        L3=periodic_exponent_bound(m),
+        C=phi_threshold(max(m, 1), phi),
+        L1=order_bound(m, phi),
+        L3=periodic_exponent_bound(m, phi),
         free_per=free_periodic_exponent(n),
-        C1=automorphism_order_bound(m, n),
-        C3=group_periodic_exponent(m, n),
+        C1=automorphism_order_bound(m, n, phi),
+        C3=group_periodic_exponent(m, n, phi),
     )

@@ -2,6 +2,24 @@
 
 Everything here is bounded enumeration: it can certify containment within
 the bounds, never completeness of an infinite subgroup.
+
+`brute_fixed` finds the fixed reduced words of length <= L by a
+meet-in-the-middle join (Horowitz-Sahni, J. ACM 1974) on the split identity:
+for w = u v reduced,
+
+    phi(w) = w   iff   u^-1 phi(u) = v phi(v)^-1   as reduced words,
+
+and v phi(v)^-1 = F(v^-1) with F(x) = x^-1 phi(x). So it walks the reduced
+words x of length <= H = ceil(L/2) once, carrying F(x a) = a^-1 F(x) phi(a),
+keys each by (F_1(x), ..., F_k(x)) over the k maps, and joins the words u of length ceil(l/2) with the words
+y = v^-1 of length floor(l/2) on equal keys, for each l <= L. It applies no
+map to a word longer than H: it reads the maps' images and matrices, calls
+no `FreeMap` method and uses none of the Stallings or lattice code it checks.
+
+Two budgets bound a call up front, both at MAX_ENUMERATION: the elements
+(words of length <= L times the (2c+1)^m vectors of the box), which bound
+the output, and the letters the half-word tables store, at most
+(half-words) * H * (1 + sum_i (1 + K_i)), K_i the longest image of phi_i.
 """
 
 from __future__ import annotations
@@ -10,15 +28,17 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from . import freewords, morphisms
+from . import freewords
 from .fatfcore import Ambient, GroupElement, SubgroupBasis, inv, member, mul
 from .freewords import Word
 from .morphisms import Morphism
 
-# Most elements `brute_fixed` may range over: reduced words of length at most
-# word_len_max, (2n)(2n-1)^(L-1) of each length L >= 1, times the (2c+1)^m
-# vectors of the box. The largest enumeration of the test suites and the
-# benchmark, Bounds(5, 2) at m = n = 4, is 22,409 * 625 = 14,005,625.
+# Most elements and most half-word-table letters `brute_fixed` may range
+# over. The largest element count of the test suites and the benchmark,
+# Bounds(5, 2) at m = n = 4, is 22,409 * 625 = 14,005,625. The letter bound
+# grows with the square of L when n = 1 and with the longest image; it is at
+# most 12,339 on the benchmark and 50,010 in the tests (a 10,000-letter
+# image at L = 2).
 MAX_ENUMERATION = 30_000_000
 
 
@@ -60,32 +80,123 @@ def enumerate_elements(ambient: Ambient, bounds: Bounds) -> Iterator[GroupElemen
             yield GroupElement(ambient, a, w)
 
 
+def _word_count(n: int, max_len: int) -> int:
+    """Reduced words of length <= max_len in F_n; exponents are cut at 64,
+    where 3^64 alone exceeds the budget."""
+    if n == 1:
+        return 1 + 2 * max_len
+    return 1 + n * ((2 * n - 1) ** min(max_len, 64) - 1) // max(n - 1, 1)
+
+
+def _check_budget(maps: Sequence[Morphism], bounds: Bounds) -> None:
+    m, n = maps[0].ambient.m, maps[0].ambient.n
+    L, c = bounds.word_len_max, bounds.coord_abs_max
+    if _word_count(n, L) * (2 * c + 1) ** min(m, 64) > MAX_ENUMERATION:
+        raise ValueError(f"bounds enumerate more than {MAX_ENUMERATION} elements")
+    H = (L + 1) // 2
+    # a half-word x of length <= H is stored with each F_i(x), of length
+    # <= H (1 + K_i)
+    per_letter = 1 + sum(1 + max(map(len, psi.phi.images), default=0) for psi in maps)
+    if _word_count(n, H) * H * per_letter > MAX_ENUMERATION:
+        raise ValueError(f"bounds need half-word tables of more than {MAX_ENUMERATION} letters")
+
+
+def _extend(f: Word, a: int, image: Word) -> Word:
+    """F(x a) = a^-1 F(x) phi(a), reduced, from F(x) reduced and the image
+    phi(a)."""
+    f = f[1:] if f and f[0] == a else (-a,) + f
+    k = 0
+    top = min(len(f), len(image))
+    while k < top and f[-1 - k] == -image[k]:
+        k += 1
+    return f[: len(f) - k] + image[k:]
+
+
+def _half_word_tables(maps: Sequence[Morphism], n: int, H: int) -> list[dict[tuple[Word, ...], list[Word]]]:
+    """Entry h maps each key (F_1(x), ..., F_k(x)) to the reduced words x of
+    length h with that key, F_i(x) = x^-1 phi_i(x) reduced."""
+    alphabet = [a for i in range(1, n + 1) for a in (i, -i)]
+    images = []
+    for psi in maps:
+        img = {}
+        for i, u in enumerate(psi.phi.images, start=1):
+            img[i] = u
+            img[-i] = freewords.invert(u)
+        images.append(img)
+    tables = [{tuple(() for _ in maps): [()]}]
+    for _ in range(H):
+        table: dict[tuple[Word, ...], list[Word]] = {}
+        for key, xs in tables[-1].items():
+            for x in xs:
+                for a in alphabet:
+                    if x and x[-1] == -a:
+                        continue
+                    child = tuple(_extend(f, a, img[a]) for f, img in zip(key, images))
+                    table.setdefault(child, []).append(x + (a,))
+        tables.append(table)
+    return tables
+
+
+def _shift_table(psi: Morphism, c: int) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """a - aQ -> the ascending list of the a in the box |a_j| <= c, summed
+    row by row of I - Q in the order of `vectors`."""
+    m = psi.ambient.m
+    Q = psi.Q.entries
+    cur: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), (0,) * m)]
+    for i in range(m):
+        r = [(i == j) - Q[i][j] for j in range(m)]
+        cur = [
+            (a + (x,), tuple(s_j + x * r_j for s_j, r_j in zip(s, r)))
+            for a, s in cur
+            for x in range(-c, c + 1)
+        ]
+    table: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for a, s in cur:
+        table.setdefault(s, []).append(a)
+    return table
+
+
 def brute_fixed(maps: Sequence[Morphism], bounds: Bounds) -> list[GroupElement]:
-    """Enumerated elements fixed by every morphism."""
+    """Enumerated elements fixed by every morphism: the (a, w) with |w| <= L
+    and every |a_j| <= c, words in shortlex order (z1 < z1^-1 < z2 < ...),
+    vectors ascending.
+
+    The words come from the meet-in-the-middle join of the module docstring:
+    w = u y^-1 with |u| = ceil(l/2), |y| = floor(l/2) and equal keys, where
+    u y^-1 is reduced unless u and y end in the same letter (u is not empty
+    when y is not, as |u| >= |y|). A fixed word w takes the a with
+    a - aQ_i = w_ab P_i for every map, looked up in one dict per map from
+    a - aQ_i to the ascending list of the a of the box.
+
+    Raises ValueError when the bounds exceed either budget of the module
+    docstring."""
     if not maps:
         raise ValueError("need at least one morphism")
+    _check_budget(maps, bounds)
     ambient = maps[0].ambient
-    m, n = ambient.m, ambient.n
-    # exponents are cut at 64: 3^64 alone exceeds the budget
-    L, c = bounds.word_len_max, bounds.coord_abs_max
-    words = 1 + 2 * L if n == 1 else 1 + n * ((2 * n - 1) ** min(L, 64) - 1) // max(n - 1, 1)
-    if words * (2 * c + 1) ** min(m, 64) > MAX_ENUMERATION:
-        raise ValueError(f"bounds enumerate more than {MAX_ENUMERATION} elements")
+    n = ambient.n
+    L = bounds.word_len_max
+    tables = _half_word_tables(maps, n, (L + 1) // 2)
+    rank = freewords.letter_order()
+    words: list[Word] = []
+    for ell in range(L + 1):
+        found: list[Word] = []
+        right = tables[ell // 2]
+        for key, us in tables[(ell + 1) // 2].items():
+            for y in right.get(key, ()):
+                v = freewords.invert(y)
+                found.extend(u + v for u in us if not (y and u[-1] == y[-1]))
+        found.sort(key=lambda w: [rank(a) for a in w])
+        words.extend(found)
+    by_shift = [_shift_table(psi, bounds.coord_abs_max) for psi in maps]
     out: list[GroupElement] = []
-    for w in reduced_words(n, bounds.word_len_max):
-        if any(psi.phi.apply(w) != w for psi in maps):
-            continue
+    for w in words:
         ab = freewords.abelianize(w, n)
-        shifts = [psi.P.apply_row(ab) for psi in maps]
-        for a in vectors(m, bounds.coord_abs_max):
-            ok = True
-            for psi, s in zip(maps, shifts):
-                aq = psi.Q.apply_row(a)
-                if any(aq[i] + s[i] != a[i] for i in range(m)):
-                    ok = False
-                    break
-            if ok:
-                out.append(GroupElement(ambient, a, w))
+        solutions = by_shift[0].get(maps[0].P.apply_row(ab), [])
+        for psi, d in zip(maps[1:], by_shift[1:]):
+            allowed = set(d.get(psi.P.apply_row(ab), ()))
+            solutions = [a for a in solutions if a in allowed]
+        out.extend(GroupElement(ambient, a, w) for a in solutions)
     return out
 
 

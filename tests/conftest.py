@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Optional
+from typing import Optional, Sequence
 
 from fatf import Ambient, FreeMap, GroupElement, IntMatrix, Morphism, SubgroupBasis, member
 from fatf import freewords
@@ -16,6 +16,7 @@ from fatf import morphisms as morphisms_mod
 from fatf.fixpoint import fixed_basis_letter_map
 from fatf.freewords import Word, _alphabet, check_letters, invert, reduce_word
 from fatf.intlat import matrix_inverse
+from fatf.oracle import MAX_ENUMERATION, Bounds, reduced_words, vectors
 
 
 def random_word(rng: random.Random, n: int, max_len: int) -> Word:
@@ -398,3 +399,38 @@ def smith_divisors(M: IntMatrix) -> list[int]:
             g = math.gcd(a, b)
             divisors[i], divisors[j] = g, a * b // g if g else 0
     return divisors
+
+
+# -- reference oracle ---------------------------------------------------------
+# The exhaustive `brute_fixed` that the meet-in-the-middle join replaced: it
+# applies every map to every reduced word of length <= L and tries every
+# vector of the box, kept unchanged as the reference it is tested against.
+
+
+def reference_brute_fixed(maps: Sequence[Morphism], bounds: Bounds) -> list[GroupElement]:
+    """Enumerated elements fixed by every morphism."""
+    if not maps:
+        raise ValueError("need at least one morphism")
+    ambient = maps[0].ambient
+    m, n = ambient.m, ambient.n
+    # exponents are cut at 64: 3^64 alone exceeds the budget
+    L, c = bounds.word_len_max, bounds.coord_abs_max
+    words = 1 + 2 * L if n == 1 else 1 + n * ((2 * n - 1) ** min(L, 64) - 1) // max(n - 1, 1)
+    if words * (2 * c + 1) ** min(m, 64) > MAX_ENUMERATION:
+        raise ValueError(f"bounds enumerate more than {MAX_ENUMERATION} elements")
+    out: list[GroupElement] = []
+    for w in reduced_words(n, bounds.word_len_max):
+        if any(psi.phi.apply(w) != w for psi in maps):
+            continue
+        ab = freewords.abelianize(w, n)
+        shifts = [psi.P.apply_row(ab) for psi in maps]
+        for a in vectors(m, bounds.coord_abs_max):
+            ok = True
+            for psi, s in zip(maps, shifts):
+                aq = psi.Q.apply_row(a)
+                if any(aq[i] + s[i] != a[i] for i in range(m)):
+                    ok = False
+                    break
+            if ok:
+                out.append(GroupElement(ambient, a, w))
+    return out

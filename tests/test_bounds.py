@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import random_finite_order_matrix
+from fatf import bounds
 from fatf.bounds import (
     automorphism_order_bound,
     constants,
@@ -59,6 +60,22 @@ class TestConstants:
     def test_zero_abelian_rank(self):
         assert order_bound(0) == 1
         assert constants(0, 2).L1 == 1
+
+    @pytest.mark.parametrize("m, n", [(0, 0), (0, 1), (0, 3), (1, 0), (1, 1), (1, 2), (3, 5), (100, 250)])
+    def test_one_sieve_per_report(self, monkeypatch, m, n):
+        calls = []
+
+        def counted(top):
+            calls.append(top)
+            return sieve(top)
+
+        sieve = bounds.totients
+        monkeypatch.setattr(bounds, "totients", counted)
+        r = constants(m, n)
+        assert len(calls) == 1
+        # each bound alone sieves its own table and gives the same value
+        assert (r.C, r.L1, r.L3) == (phi_threshold(max(m, 1)), order_bound(m), periodic_exponent_bound(m))
+        assert (r.C1, r.C3) == (automorphism_order_bound(m, n), group_periodic_exponent(m, n))
 
     def test_exponent_is_factorial_of_threshold(self):
         assert periodic_exponent_bound(2) == math.factorial(6)

@@ -197,6 +197,30 @@ class TestBudgets:
         body["bounds"]["word_len_max"] = "999999999"
         assert "enumerate more than" in _rejected(["oracle-check"], body)
 
+    def test_oracle_tables_rank_one(self):
+        # 40,001 words pass the element budget; the half-word tables would
+        # hold about 6 * 10^8 letters, and the exhaustive walk ran for minutes
+        body = dict(TestBooleanFields.PAYLOAD, bounds={"word_len_max": "20000", "coord_abs_max": "1"})
+        t0 = time.perf_counter()
+        assert "letters" in _rejected(["oracle-check"], body)
+        assert time.perf_counter() - t0 < 0.5
+
+    def test_oracle_tables_long_image(self):
+        # z1 -> z1 z2^9999: 1,062,881 words of length <= 12 pass the element
+        # budget; 1,457 half-words with images of up to 60,000 letters do not
+        phi, phi_inv = ["z1 z2^9999", "z2"], ["z1 z2^-9999", "z2"]
+        body = {
+            "m": 0,
+            "n": 2,
+            "morphisms": [{"phi": phi, "phi_inv": phi_inv, "Q": [], "P": [[], []]}],
+            "fixed_bases": [["z2", "z1 z2 z1^-1"]],
+            "bounds": {"word_len_max": "12", "coord_abs_max": "0"},
+        }
+        assert "letters" in _rejected(["oracle-check"], body)
+        body["bounds"]["word_len_max"] = "2"
+        code, out = run(["oracle-check"], json.dumps(body))
+        assert code == EXIT_OK and json.loads(out)["contained"] is True
+
     @pytest.mark.parametrize("m, n", [("1", "400"), ("10000000", "1"), ("1", "100000")])
     def test_constants_ranks(self, m, n):
         assert "constants are reported" in _rejected(["constants", "--m", m, "--n", n], "")

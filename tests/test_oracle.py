@@ -2,7 +2,12 @@ import random
 
 import pytest
 
-from conftest import random_element, random_finite_order_morphism
+from conftest import (
+    random_element,
+    random_finite_order_morphism,
+    random_morphism,
+    reference_brute_fixed,
+)
 from fatf import Ambient, FreeMap, GroupElement, IntMatrix, Morphism, member, subgroup_basis
 from fatf.oracle import (
     Bounds,
@@ -12,6 +17,7 @@ from fatf.oracle import (
     enumerate_elements,
     reduced_words,
 )
+from test_acceptance import finite_order_suite, spiral_morphism, worked_morphism
 
 
 class TestEnumeration:
@@ -66,6 +72,66 @@ class TestBruteFixed:
     def test_requires_morphisms(self):
         with pytest.raises(ValueError):
             brute_fixed([], Bounds(1, 1))
+
+
+class TestAgainstReference:
+    """The meet-in-the-middle join returns exactly the list of the exhaustive
+    reference, order included."""
+
+    @staticmethod
+    def same(maps, bounds):
+        got = brute_fixed(maps, bounds)
+        assert got == reference_brute_fixed(maps, bounds)
+        return got
+
+    def test_acceptance_suite_one_per_shape(self):
+        # the reference costs seconds per hundred morphisms at Bounds(5, 2),
+        # so take the first morphism of each (m, n) of the suite
+        shapes = {}
+        for psi, _, _ in finite_order_suite():
+            shapes.setdefault((psi.ambient.m, psi.ambient.n), psi)
+        assert len(shapes) == 20
+        for psi in [worked_morphism(), spiral_morphism(), *shapes.values()]:
+            self.same([psi], Bounds(5, 2))
+
+    @pytest.mark.parametrize("L", range(6))
+    def test_identity_fixes_every_word(self, L):
+        for m, n, c in [(0, 1, 0), (1, 1, 2), (0, 2, 0), (1, 2, 1), (2, 3, 1)]:
+            amb = Ambient(m, n)
+            bounds = Bounds(L if n < 3 else min(L, 4), c)
+            fixed = self.same([Morphism.identity(amb)], bounds)
+            assert len(fixed) == sum(1 for _ in enumerate_elements(amb, bounds))
+
+    @pytest.mark.parametrize("L", range(6))
+    def test_random_tuples(self, L):
+        rng = random.Random(100 + L)
+        for _ in range(12):
+            amb = Ambient(rng.randint(0, 2), rng.randint(1, 3))
+            maps = []
+            for _ in range(rng.randint(1, 3)):
+                kind = rng.choice(["identity", "finite", "unimodular", "any"])
+                if kind == "identity":
+                    maps.append(Morphism.identity(amb))
+                elif kind == "finite":
+                    maps.append(random_finite_order_morphism(rng, amb)[0])
+                else:
+                    maps.append(random_morphism(rng, amb, invertible=kind == "unimodular"))
+            self.same(maps, Bounds(L if amb.n < 3 else min(L, 4), rng.randint(0, 2)))
+
+    def test_non_finite_order_maps(self):
+        rng = random.Random(7)
+        for _ in range(20):
+            amb = Ambient(rng.randint(0, 3), rng.randint(1, 2))
+            self.same([random_morphism(rng, amb)], Bounds(5, 2))
+
+    def test_rank_one(self):
+        amb = Ambient(1, 1)
+        inversion = Morphism(amb, FreeMap([(-1,)], [(-1,)], 1), IntMatrix([[1]]), IntMatrix([[0]]))
+        for L in range(8):
+            assert len(self.same([Morphism.identity(amb)], Bounds(L, 1))) == 3 * (2 * L + 1)
+            assert self.same([inversion], Bounds(L, 1)) == [
+                GroupElement(amb, (a,), ()) for a in (-1, 0, 1)
+            ]
 
 
 class TestClosureCheck:
