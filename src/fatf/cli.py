@@ -1,16 +1,20 @@
 """Command-line front end: JSON in on stdin, JSON out on stdout.
 
-Exit codes: 0 success, 2 validation error, budget overrun or failed
-certificate (structured JSON error on stdout), 64 unknown subcommand,
-65 malformed JSON.
+Exit codes: 0 success; 2 for a rejected input, with one JSON error object
+on stdout; 64 unknown subcommand; 65 malformed JSON, nesting too deep to
+parse included. `run` is the one boundary: every ValueError a library call
+raises for an input it rejects (payload shape, validation, budget overrun)
+and every failed certificate (CertificateError) exits 2. Any other
+exception is an internal fault and propagates.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import sys
-from typing import Any, Optional
+from typing import Any
 
 from . import bounds as bounds_mod
 from . import fixpoint, jsonio, morphisms, oracle
@@ -22,17 +26,6 @@ EXIT_VALIDATION = 2
 EXIT_UNKNOWN = 64
 EXIT_BAD_JSON = 65
 
-SUBCOMMANDS = (
-    "basis",
-    "member",
-    "fix",
-    "per",
-    "order",
-    "closure",
-    "constants",
-    "oracle-check",
-)
-
 
 def _dump(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
@@ -42,12 +35,9 @@ def _ambient(payload: dict) -> Ambient:
     try:
         m = jsonio._int(payload.get("m"))
         n = jsonio._int(payload.get("n"))
-    except FormatError:
+    except ValueError:
         raise FormatError("payload needs integer fields m and n") from None
-    try:
-        return Ambient(m, n)
-    except ValueError as e:
-        raise FormatError(str(e)) from None
+    return Ambient(m, n)
 
 
 def _fix_input(payload: dict, ambient: Ambient) -> fixpoint.FixInput:
@@ -61,10 +51,7 @@ def _fix_input(payload: dict, ambient: Ambient) -> fixpoint.FixInput:
         if not isinstance(b, list):
             raise FormatError("each fixed basis must be a list of words")
         bases.append(tuple(jsonio.word_from_json(w, ambient.n) for w in b))
-    try:
-        return fixpoint.FixInput(maps, tuple(bases))
-    except fixpoint.InvalidFixInput as e:
-        raise FormatError(str(e)) from None
+    return fixpoint.FixInput(maps, tuple(bases))
 
 
 def _cmd_basis(payload: dict) -> dict:
@@ -94,10 +81,7 @@ def _cmd_fix(payload: dict) -> dict:
 def _cmd_per(payload: dict) -> dict:
     ambient = _ambient(payload)
     psi = jsonio.morphism_from_json(payload.get("morphism"), ambient)
-    try:
-        e = fixpoint.periodic_exponent(psi)
-    except ValueError as err:
-        raise FormatError(str(err)) from None
+    e = fixpoint.periodic_exponent(psi)
     res = fixpoint.fix_power(psi, e)
     return {"ok": True, "exponent": str(e), "result": jsonio.fix_result_to_json(res)}
 
@@ -107,10 +91,7 @@ def _cmd_order(payload: dict) -> dict:
     psi = jsonio.morphism_from_json(payload.get("morphism"), ambient)
     if psi.phi.inverse_images is None:
         raise FormatError("order needs a morphism with inverse images")
-    try:
-        k = morphisms.order(psi)
-    except ValueError as err:
-        raise FormatError(str(err)) from None
+    k = morphisms.order(psi)
     return {"ok": True, "order": "inf" if k == math.inf else str(k)}
 
 
@@ -118,10 +99,7 @@ def _cmd_closure(payload: dict) -> dict:
     ambient = _ambient(payload)
     H = jsonio.subgroup_from_json(payload.get("subgroup"), ambient)
     inp = _fix_input(payload, ambient)
-    try:
-        res = fixpoint.autofixed_closure(H, inp)
-    except ValueError as err:
-        raise FormatError(str(err)) from None
+    res = fixpoint.autofixed_closure(H, inp)
     return {
         "ok": True,
         "result": jsonio.fix_result_to_json(res),
@@ -130,6 +108,7 @@ def _cmd_closure(payload: dict) -> dict:
 
 
 def _cmd_constants(argv: list[str]) -> dict:
+    """Reads only its argv flags, never stdin."""
     m = n = None
     it = iter(argv)
     for flag in it:
@@ -141,21 +120,8 @@ def _cmd_constants(argv: list[str]) -> dict:
             raise FormatError(f"unknown flag {flag!r}")
     if m is None or n is None:
         raise FormatError("constants needs --m and --n")
-    try:
-        report = bounds_mod.constants(int(m), int(n))
-    except ValueError as e:
-        raise FormatError(str(e)) from None
-    return {
-        "ok": True,
-        "m": str(report.m),
-        "n": str(report.n),
-        "C": str(report.C),
-        "L1": str(report.L1),
-        "L3": str(report.L3),
-        "free_per": str(report.free_per),
-        "C1": str(report.C1),
-        "C3": str(report.C3),
-    }
+    report = bounds_mod.constants(int(m), int(n))
+    return {"ok": True, **{k: str(v) for k, v in dataclasses.asdict(report).items()}}
 
 
 def _cmd_oracle_check(payload: dict) -> dict:
@@ -164,55 +130,49 @@ def _cmd_oracle_check(payload: dict) -> dict:
     b_obj = payload.get("bounds")
     if not isinstance(b_obj, dict):
         raise FormatError("payload needs a bounds object")
-    try:
-        bnds = oracle.Bounds(
-            jsonio._int(b_obj.get("word_len_max", 0)),
-            jsonio._int(b_obj.get("coord_abs_max", 0)),
-        )
-        fixed = oracle.brute_fixed(list(inp.morphisms), bnds)
-    except ValueError as e:
-        raise FormatError(str(e)) from None
+    bnds = oracle.Bounds(
+        jsonio._int(b_obj.get("word_len_max", 0)),
+        jsonio._int(b_obj.get("coord_abs_max", 0)),
+    )
+    fixed = oracle.brute_fixed(list(inp.morphisms), bnds)
     res = fixpoint.fix_tuple(inp)
-    if res.finitely_generated:
-        assert res.basis is not None
-        contained = all(member(res.basis, g) for g in fixed)
-    else:
-        contained = None
     return {
         "ok": True,
         "fixed": [jsonio.element_to_json(g) for g in fixed],
         "fg": res.finitely_generated,
-        "contained": contained,
+        "contained": None if res.basis is None else all(member(res.basis, g) for g in fixed),
     }
 
 
+COMMANDS = {
+    "basis": _cmd_basis,
+    "member": _cmd_member,
+    "fix": _cmd_fix,
+    "per": _cmd_per,
+    "order": _cmd_order,
+    "closure": _cmd_closure,
+    "constants": _cmd_constants,
+    "oracle-check": _cmd_oracle_check,
+}
+
+
 def run(argv: list[str], stdin: str) -> tuple[int, str]:
-    if not argv or argv[0] not in SUBCOMMANDS:
+    handler = COMMANDS.get(argv[0]) if argv else None
+    if handler is None:
         return EXIT_UNKNOWN, _dump({"ok": False, "error": "unknown subcommand"})
-    cmd = argv[0]
-    if cmd == "constants":
+    if handler is _cmd_constants:
+        arg: Any = argv[1:]
+    else:
         try:
-            return EXIT_OK, _dump(_cmd_constants(argv[1:]))
-        except FormatError as e:
-            return EXIT_VALIDATION, _dump({"ok": False, "error": str(e)})
+            arg = json.loads(stdin) if stdin.strip() else {}
+        except (json.JSONDecodeError, RecursionError) as e:
+            return EXIT_BAD_JSON, _dump({"ok": False, "error": f"malformed JSON: {e}"})
+        if not isinstance(arg, dict):
+            return EXIT_BAD_JSON, _dump({"ok": False, "error": "payload must be an object"})
+    # the library raises ValueError only for inputs it rejects; other faults propagate
     try:
-        payload = json.loads(stdin) if stdin.strip() else {}
-    except json.JSONDecodeError as e:
-        return EXIT_BAD_JSON, _dump({"ok": False, "error": f"malformed JSON: {e}"})
-    if not isinstance(payload, dict):
-        return EXIT_BAD_JSON, _dump({"ok": False, "error": "payload must be an object"})
-    handler = {
-        "basis": _cmd_basis,
-        "member": _cmd_member,
-        "fix": _cmd_fix,
-        "per": _cmd_per,
-        "order": _cmd_order,
-        "closure": _cmd_closure,
-        "oracle-check": _cmd_oracle_check,
-    }[cmd]
-    try:
-        return EXIT_OK, _dump(handler(payload))
-    except (FormatError, fixpoint.BudgetExceeded, fixpoint.CertificateError) as e:
+        return EXIT_OK, _dump(handler(arg))
+    except (ValueError, fixpoint.CertificateError) as e:
         return EXIT_VALIDATION, _dump({"ok": False, "error": str(e)})
 
 

@@ -101,9 +101,12 @@ class FixDiagnostics:
 
 @dataclass(frozen=True)
 class FixResult:
-    finitely_generated: bool
     basis: Optional[SubgroupBasis]
     diagnostics: FixDiagnostics
+
+    @property
+    def finitely_generated(self) -> bool:
+        return self.basis is not None
 
 
 def fix_tuple(inp: FixInput) -> FixResult:
@@ -159,18 +162,17 @@ def fix_tuple(inp: FixInput) -> FixResult:
             E.apply_row(preimage.coords(freewords.abelianize(u, n))) for u in answer.basis_words
         ]
         basis = SubgroupBasis(ambient, answer, vectors, kernel)
-        result = FixResult(True, basis, FixDiagnostics(im_rho, im_P, M, N, preimage, ell))
+        result = FixResult(basis, FixDiagnostics(im_rho, im_P, M, N, preimage, ell))
     elif p == 1:
         # cyclic free intersection whose generator picks up a nonzero abelian
         # defect: no power of it extends to a fixed element, so only the
         # abelian kernel survives
         basis = SubgroupBasis(ambient, freewords.stallings([], n), [], kernel)
-        result = FixResult(True, basis, FixDiagnostics(im_rho, im_P, M, N, None, math.inf))
+        result = FixResult(basis, FixDiagnostics(im_rho, im_P, M, N, None, math.inf))
     else:
-        result = FixResult(False, None, FixDiagnostics(im_rho, im_P, M, N, None, math.inf))
+        result = FixResult(None, FixDiagnostics(im_rho, im_P, M, N, None, math.inf))
 
-    if result.finitely_generated:
-        assert result.basis is not None
+    if result.basis is not None:
         for g in result.basis.basis_elements():
             for psi in inp.morphisms:
                 if morphisms.apply(psi, g) != g:
@@ -222,8 +224,7 @@ def autofixed_closure(H: SubgroupBasis, stab_gens: FixInput) -> FixResult:
             if morphisms.apply(psi, g) != g:
                 raise ValueError("a stabilizer generator does not fix the subgroup")
     result = fix_tuple(stab_gens)
-    if result.finitely_generated:
-        assert result.basis is not None
+    if result.basis is not None:
         for g in H.basis_elements():
             if not member(result.basis, g):
                 raise CertificateError("closure must contain the subgroup")

@@ -23,10 +23,7 @@ class FormatError(ValueError):
 def _int(s: Any) -> int:
     if isinstance(s, bool) or not isinstance(s, (str, int)):
         raise FormatError(f"expected a decimal string, got {s!r}")
-    try:
-        return int(s)
-    except ValueError as e:
-        raise FormatError(str(e)) from None
+    return int(s)
 
 
 def vec_to_json(v: Sequence[int]) -> list[str]:
@@ -46,20 +43,13 @@ def matrix_to_json(M: IntMatrix) -> list[list[str]]:
     return [vec_to_json(r) for r in M.entries]
 
 
-def matrix_from_json(obj: Any, rows: Optional[int] = None, cols: Optional[int] = None) -> IntMatrix:
+def matrix_from_json(obj: Any, rows: int, cols: int) -> IntMatrix:
     if not isinstance(obj, list):
         raise FormatError("expected a list of rows")
     data = [vec_from_json(r) for r in obj]
-    if rows is not None and len(data) != rows:
+    if len(data) != rows:
         raise FormatError(f"expected {rows} rows")
-    if cols is None:
-        if not data:
-            raise FormatError("cannot infer width of an empty matrix")
-        cols = len(data[0])
-    try:
-        return IntMatrix(data, cols=cols)
-    except ValueError as e:
-        raise FormatError(str(e)) from None
+    return IntMatrix(data, cols=cols)
 
 
 def lattice_to_json(L: Lattice) -> list[list[str]]:
@@ -76,10 +66,7 @@ def lattice_from_json(obj: Any, ambient: int) -> Lattice:
 def word_from_json(obj: Any, n: int) -> freewords.Word:
     if not isinstance(obj, str):
         raise FormatError("expected a word string")
-    try:
-        return freewords.parse_word(obj, n)
-    except (ValueError, freewords.LetterError) as e:
-        raise FormatError(str(e)) from None
+    return freewords.parse_word(obj, n)
 
 
 def element_to_json(g: GroupElement) -> dict:
@@ -114,10 +101,7 @@ def subgroup_from_json(obj: Any, ambient: Ambient) -> SubgroupBasis:
         g = element_from_json(e, ambient)
         free.append((g.t, g.w))
     lattice = lattice_from_json(obj.get("abelian", []), ambient.m)
-    try:
-        return SubgroupBasis.from_words(ambient, free, lattice)
-    except ValueError as e:
-        raise FormatError(str(e)) from None
+    return SubgroupBasis.from_words(ambient, free, lattice)
 
 
 def morphism_from_json(obj: Any, ambient: Ambient) -> Morphism:
@@ -133,16 +117,10 @@ def morphism_from_json(obj: Any, ambient: Ambient) -> Morphism:
         if not isinstance(inv_obj, list):
             raise FormatError("expected a list of inverse images")
         inverse = [word_from_json(w, ambient.n) for w in inv_obj]
-    try:
-        phi = FreeMap(images, inverse, ambient.n)
-    except ValueError as e:
-        raise FormatError(str(e)) from None
+    phi = FreeMap(images, inverse, ambient.n)
     Q = matrix_from_json(obj.get("Q", []), rows=ambient.m, cols=ambient.m)
     P = matrix_from_json(obj.get("P", []), rows=ambient.n, cols=ambient.m)
-    try:
-        return Morphism(ambient, phi, Q, P)
-    except ValueError as e:
-        raise FormatError(str(e)) from None
+    return Morphism(ambient, phi, Q, P)
 
 
 def _count_to_json(x) -> str:

@@ -47,8 +47,13 @@ class TestErrorPaths:
         assert code == EXIT_UNKNOWN
         assert json.loads(out)["ok"] is False
 
-    def test_malformed_json(self):
-        code, out = run(["fix"], "{not json")
+    @pytest.mark.parametrize(
+        "stdin",
+        ["{not json", "[" * 100000 + "]" * 100000, '{"m": ' + "[" * 100000 + "]" * 100000 + "}"],
+        ids=["syntax", "deep-array", "deep-field"],
+    )
+    def test_malformed_json(self, stdin):
+        code, out = run(["fix"], stdin)
         assert code == EXIT_BAD_JSON
         assert "error" in json.loads(out)
 
@@ -71,6 +76,21 @@ class TestErrorPaths:
     def test_constants_missing_flags(self):
         code, out = run(["constants", "--m", "1"], "")
         assert code == EXIT_VALIDATION
+
+    @pytest.mark.parametrize(
+        "flags, error",
+        [
+            (["--m", "x", "--n", "1"], "invalid literal for int() with base 10: 'x'"),
+            (["--m", "-1", "--n", "2"], "negative rank"),
+            (["--q"], "unknown flag '--q'"),
+            (["--m", "1", "--n", "2", "--m"], "constants needs --m and --n"),
+        ],
+    )
+    def test_constants_flag_errors(self, flags, error):
+        code, out = run(["constants"] + flags, "{not json")
+        assert code == EXIT_VALIDATION
+        assert out.count("\n") == 1
+        assert json.loads(out) == {"ok": False, "error": error}
 
     def test_order_without_inverse(self):
         body = {"m": 0, "n": 2,
