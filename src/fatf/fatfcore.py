@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 from . import freewords
 from .freewords import Word, reduce_word
-from .intlat import Lattice, is_direct_summand
+from .intlat import Lattice
 
 Vec = tuple[int, ...]
 
@@ -72,14 +72,6 @@ def inv(g: GroupElement) -> GroupElement:
 
 def project(g: GroupElement) -> Word:
     return g.w
-
-
-def element_power(g: GroupElement, k: int) -> GroupElement:
-    out = GroupElement.identity(g.ambient)
-    base = g if k >= 0 else inv(g)
-    for _ in range(abs(k)):
-        out = mul(out, base)
-    return out
 
 
 class SubgroupBasis:
@@ -169,15 +161,6 @@ class SubgroupBasis:
         )
 
 
-def trivial_subgroup(ambient: Ambient) -> SubgroupBasis:
-    return SubgroupBasis(ambient, freewords.stallings([], ambient.n), [], Lattice.zero(ambient.m))
-
-
-def full_group(ambient: Ambient) -> SubgroupBasis:
-    free = [((0,) * ambient.m, (i,)) for i in range(1, ambient.n + 1)]
-    return SubgroupBasis.from_words(ambient, free, Lattice.full(ambient.m))
-
-
 def member(H: SubgroupBasis, g: GroupElement) -> bool:
     _check_same(H.ambient, g.ambient)
     v = H.projection_word_vector(g.w)
@@ -210,9 +193,3 @@ def subgroup_basis(gens: Sequence[GroupElement], ambient: Ambient) -> SubgroupBa
 def subgroup_equal(H: SubgroupBasis, K: SubgroupBasis) -> bool:
     _check_same(H.ambient, K.ambient)
     return H == K
-
-
-def abelian_summand_test(H: SubgroupBasis, K: SubgroupBasis) -> bool:
-    """Whether the abelian part of H is a direct summand of that of K."""
-    _check_same(H.ambient, K.ambient)
-    return is_direct_summand(H.abelian_part, K.abelian_part)

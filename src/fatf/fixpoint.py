@@ -27,7 +27,7 @@ from .intlat import (
     solve_left,
     unity_exponent,
 )
-from .morphisms import FreeMap, Morphism
+from .morphisms import Morphism
 
 
 class InvalidFixInput(ValueError):
@@ -182,18 +182,6 @@ def fix_tuple(inp: FixInput) -> FixResult:
 
 def fix_single(psi: Morphism, fix_phi_basis: Sequence[Word]) -> FixResult:
     return fix_tuple(FixInput((psi,), (tuple(fix_phi_basis),)))
-
-
-def fixed_basis_letter_map(phi: FreeMap) -> Optional[list[Word]]:
-    """Exact fixed free-basis when every generator maps to a single letter."""
-    targets = phi.letter_targets()
-    if targets is None:
-        return None
-    if sorted(abs(t) for t in targets) != list(range(1, phi.n + 1)):
-        return None
-    # a signed-permutation map sends each reduced word to a reduced word
-    # letter by letter, so a word is fixed iff each letter is
-    return [(i,) for i, t in enumerate(targets, start=1) if t == i]
 
 
 def periodic_exponent(psi: Morphism) -> int:

@@ -9,7 +9,6 @@ equality of graphs meaningful for equal subgroups.
 from __future__ import annotations
 
 import functools
-import math
 from collections import Counter, deque
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
@@ -53,10 +52,6 @@ def invert(w: Word) -> Word:
     return tuple(-a for a in reversed(w))
 
 
-def word_power(w: Word, k: int) -> Word:
-    return reduce_word((w if k >= 0 else invert(w)) * abs(k))
-
-
 def abelianize(w: Word, n: int) -> tuple[int, ...]:
     v = [0] * n
     for a in w:
@@ -90,24 +85,6 @@ def parse_word(text: str, n: Optional[int] = None) -> Word:
 
 def format_word(w: Word) -> str:
     return " ".join(f"z{a}" if a > 0 else f"z{-a}^-1" for a in w)
-
-
-def root(w: Word) -> tuple[Word, int]:
-    """(w_hat, alpha) with w = w_hat^alpha, alpha maximal."""
-    if not w:
-        raise ValueError("the identity has no root")
-    pre: list[int] = []
-    core = list(w)
-    while len(core) >= 2 and core[0] == -core[-1]:
-        pre.append(core[0])
-        core = core[1:-1]
-    L = len(core)
-    for d in sorted(k for k in range(1, L + 1) if L % k == 0):
-        if core[:d] * (L // d) == core:
-            alpha = L // d
-            hat = reduce_word(pre + core[:d] + [-a for a in reversed(pre)])
-            return hat, alpha
-    raise AssertionError("unreachable: every word is a power of itself")
 
 
 def letter_order() -> Callable[[int], int]:
@@ -229,10 +206,6 @@ class StallingsGraph:
         if cur != 0:
             return None
         return list(reduce_word(expr))
-
-    def complete_index(self):
-        """Vertex count if every vertex carries all 2n labels, else math.inf."""
-        return self.num_vertices if len(self.delta) == 2 * self.n * self.num_vertices else math.inf
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, StallingsGraph) and (self.n, self.num_vertices, self.delta) == (

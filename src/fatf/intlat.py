@@ -75,9 +75,6 @@ class IntMatrix:
             cols=sum(b.cols for b in blocks),
         )
 
-    def row(self, i: int) -> Vec:
-        return self.entries[i]
-
     def apply_row(self, v: Sequence[int]) -> Vec:
         """v * self for a row vector v of length self.rows."""
         if len(v) != self.rows:
@@ -227,14 +224,6 @@ class Lattice:
         r = _row_echelon(mat, ambient)
         return cls(ambient, IntMatrix(mat[:r], cols=ambient))
 
-    @classmethod
-    def zero(cls, ambient: int) -> "Lattice":
-        return cls(ambient, IntMatrix([], cols=ambient))
-
-    @classmethod
-    def full(cls, ambient: int) -> "Lattice":
-        return cls(ambient, IntMatrix.identity(ambient))
-
     @property
     def rank(self) -> int:
         return self.basis.rows
@@ -320,17 +309,6 @@ def lattice_index(sub: Lattice, sup: Lattice):
     for i, row in enumerate(H.basis.entries):
         idx *= row[i]
     return idx
-
-
-def is_direct_summand(sub: Lattice, sup: Lattice) -> bool:
-    """True iff sup/sub is torsion-free.
-
-    With C the coordinates of sub's basis over sup's, sup/sub is Z^s / (row
-    space of C); it is torsion-free exactly when every elementary divisor of
-    C is 1, that is when the columns of C span Z^rank(sub).
-    """
-    C = _coordinate_matrix(sub, sup)
-    return Lattice.from_rows(zip(*C.entries), sub.rank) == Lattice.full(sub.rank)
 
 
 def lattice_preimage(domain: Lattice, M: IntMatrix, target: Lattice) -> Lattice:

@@ -7,6 +7,7 @@ JSON implementation. Words use the text form "z1 z2^-1"; the identity is "".
 from __future__ import annotations
 
 import math
+import sys
 from typing import Any, Optional, Sequence
 
 from . import freewords
@@ -27,7 +28,13 @@ def _int(s: Any) -> int:
 
 
 def vec_to_json(v: Sequence[int]) -> list[str]:
-    return [str(int(x)) for x in v]
+    # str() refuses integers past the interpreter's digit limit (4,300 by
+    # default); entries that large arise only as products of large inputs
+    try:
+        return [str(int(x)) for x in v]
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"the answer has an integer of more than {limit} digits") from None
 
 
 def vec_from_json(obj: Any, length: Optional[int] = None) -> tuple[int, ...]:

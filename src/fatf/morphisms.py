@@ -50,40 +50,6 @@ class FreeMap:
         gens = [(i,) for i in range(1, n + 1)]
         return cls(gens, gens, n)
 
-    @classmethod
-    def letter_map(cls, targets: Sequence[int], n: Optional[int] = None) -> "FreeMap":
-        """z_i -> z_|targets[i]| ^ sign(targets[i]); targets a signed permutation."""
-        if n is None:
-            n = len(targets)
-        if sorted(abs(t) for t in targets) != list(range(1, n + 1)):
-            raise ValueError("targets must be a signed permutation")
-        inv = [0] * n
-        for i, t in enumerate(targets, start=1):
-            inv[abs(t) - 1] = i if t > 0 else -i
-        return cls([(t,) for t in targets], [(t,) for t in inv], n)
-
-    @classmethod
-    def inversion(cls, n: int) -> "FreeMap":
-        return cls.letter_map([-i for i in range(1, n + 1)], n)
-
-    @classmethod
-    def nielsen(cls, i: int, j: int, sign: int, n: int) -> "FreeMap":
-        """z_i -> z_i z_j^sign, other generators fixed."""
-        if i == j or not (1 <= i <= n) or not (1 <= j <= n) or sign not in (1, -1):
-            raise ValueError("invalid elementary map parameters")
-        fwd = [(k,) if k != i else (i, sign * j) for k in range(1, n + 1)]
-        bwd = [(k,) if k != i else (i, -sign * j) for k in range(1, n + 1)]
-        return cls(fwd, bwd, n)
-
-    @classmethod
-    def conjugation(cls, u: Word, n: int) -> "FreeMap":
-        """w -> u^-1 w u."""
-        u = reduce_word(u, n)
-        ui = freewords.invert(u)
-        fwd = [freewords.reduce_word(ui + (k,) + u) for k in range(1, n + 1)]
-        bwd = [freewords.reduce_word(u + (k,) + ui) for k in range(1, n + 1)]
-        return cls(fwd, bwd, n)
-
     def apply(self, w: Word) -> Word:
         # one list for the whole product, reduced as the letters arrive
         out: list[int] = []
@@ -147,12 +113,6 @@ class FreeMap:
         if s == math.inf:
             return math.inf
         return s if self.power(s).is_identity() else math.inf
-
-    def letter_targets(self) -> Optional[list[int]]:
-        """Signed targets when every image is a single letter, else None."""
-        if all(len(w) == 1 for w in self.images):
-            return [w[0] for w in self.images]
-        return None
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -260,20 +220,16 @@ def power_vector_matrix(psi: Morphism, k: int) -> IntMatrix:
 
 
 def order(psi: Morphism):
-    """Exact order, or math.inf."""
-    r1 = psi.phi.order()
+    """Exact order, or math.inf.
+
+    A finite order k is a multiple of s = lcm(ord A, ord Q), A the
+    abelianization of phi. Then phi^s lies in the torsion-free kernel of
+    the abelianization map, so phi^s = id, and psi^s = (id, I, P_s) has
+    finite order only when P_s = 0: k = s exactly when psi^s = id.
+    """
+    r1 = matrix_order(psi.phi.abelianization_matrix())
     r2 = matrix_order(psi.Q)
     if r1 == math.inf or r2 == math.inf:
         return math.inf
-    r3 = math.lcm(int(r1), int(r2))
-    return r3 if power(psi, r3).is_identity() else math.inf
-
-
-def inner(ambient: Ambient, u: Word) -> Morphism:
-    """Conjugation by u; the abelian part is central and unmoved."""
-    return Morphism(
-        ambient,
-        FreeMap.conjugation(u, ambient.n),
-        IntMatrix.identity(ambient.m),
-        IntMatrix.zeros(ambient.n, ambient.m),
-    )
+    s = math.lcm(int(r1), int(r2))
+    return s if power(psi, s).is_identity() else math.inf

@@ -24,12 +24,11 @@ the output, and the letters the half-word tables store, at most
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from . import freewords
-from .fatfcore import Ambient, GroupElement, SubgroupBasis, inv, member, mul
+from .fatfcore import GroupElement
 from .freewords import Word
 from .morphisms import Morphism
 
@@ -68,16 +67,6 @@ def reduced_words(n: int, max_len: int) -> Iterator[Word]:
                 nxt.append(w + (a,))
         yield from nxt
         layer = nxt
-
-
-def vectors(m: int, max_abs: int) -> Iterator[tuple[int, ...]]:
-    yield from itertools.product(range(-max_abs, max_abs + 1), repeat=m)
-
-
-def enumerate_elements(ambient: Ambient, bounds: Bounds) -> Iterator[GroupElement]:
-    for w in reduced_words(ambient.n, bounds.word_len_max):
-        for a in vectors(ambient.m, bounds.coord_abs_max):
-            yield GroupElement(ambient, a, w)
 
 
 def _word_count(n: int, max_len: int) -> int:
@@ -138,8 +127,8 @@ def _half_word_tables(maps: Sequence[Morphism], n: int, H: int) -> list[dict[tup
 
 
 def _shift_table(psi: Morphism, c: int) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
-    """a - aQ -> the ascending list of the a in the box |a_j| <= c, summed
-    row by row of I - Q in the order of `vectors`."""
+    """a - aQ -> the ascending list of the a in the box |a_j| <= c, with
+    a - aQ summed row by row of I - Q."""
     m = psi.ambient.m
     Q = psi.Q.entries
     cur: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), (0,) * m)]
@@ -198,30 +187,3 @@ def brute_fixed(maps: Sequence[Morphism], bounds: Bounds) -> list[GroupElement]:
             solutions = [a for a in solutions if a in allowed]
         out.extend(GroupElement(ambient, a, w) for a in solutions)
     return out
-
-
-def bounded_products(gens: Sequence[GroupElement], ambient: Ambient, depth: int) -> set[GroupElement]:
-    seen = {GroupElement.identity(ambient)}
-    frontier = set(seen)
-    steps = [g for g in gens] + [inv(g) for g in gens]
-    for _ in range(depth):
-        nxt = set()
-        for g in frontier:
-            for s in steps:
-                h = mul(g, s)
-                if h not in seen:
-                    seen.add(h)
-                    nxt.add(h)
-        frontier = nxt
-        if not frontier:
-            break
-    return seen
-
-
-def closure_check(H: SubgroupBasis, gens: Sequence[GroupElement], depth: int) -> bool:
-    """Products of <= depth generators all lie in H, and every basis element
-    of H shows up among those products."""
-    products = bounded_products(gens, H.ambient, depth)
-    if not all(member(H, g) for g in products):
-        return False
-    return all(g in products for g in H.basis_elements())

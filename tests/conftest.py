@@ -6,17 +6,16 @@ keeps exact fixed bases and exact orders available for checking.
 
 from __future__ import annotations
 
-import math
+import itertools
 import random
-from typing import Optional, Sequence
+from typing import Sequence
 
-from fatf import Ambient, FreeMap, GroupElement, IntMatrix, Morphism, SubgroupBasis, member
+from fatf import Ambient, FreeMap, GroupElement, IntMatrix, Morphism, SubgroupBasis, inv, member, mul
 from fatf import freewords
 from fatf import morphisms as morphisms_mod
-from fatf.fixpoint import fixed_basis_letter_map
 from fatf.freewords import Word, _alphabet, check_letters, invert, reduce_word
 from fatf.intlat import matrix_inverse
-from fatf.oracle import MAX_ENUMERATION, Bounds, reduced_words, vectors
+from fatf.oracle import MAX_ENUMERATION, Bounds, reduced_words
 
 
 def random_word(rng: random.Random, n: int, max_len: int) -> Word:
@@ -35,8 +34,39 @@ def random_signed_targets(rng: random.Random, n: int) -> list[int]:
     return [p if rng.random() < 0.5 else -p for p in perm]
 
 
-def random_letter_map(rng: random.Random, n: int) -> FreeMap:
-    return FreeMap.letter_map(random_signed_targets(rng, n), n)
+def letter_map(targets: Sequence[int]) -> FreeMap:
+    """z_i -> z_|t_i|^sign(t_i) for a signed permutation t."""
+    back = [0] * len(targets)
+    for i, t in enumerate(targets, start=1):
+        back[abs(t) - 1] = i if t > 0 else -i
+    return FreeMap([(t,) for t in targets], [(t,) for t in back], len(targets))
+
+
+def nielsen(i: int, j: int, sign: int, n: int) -> FreeMap:
+    """z_i -> z_i z_j^sign, other generators fixed."""
+    fwd = [(k,) if k != i else (i, sign * j) for k in range(1, n + 1)]
+    bwd = [(k,) if k != i else (i, -sign * j) for k in range(1, n + 1)]
+    return FreeMap(fwd, bwd, n)
+
+
+def inner(ambient: Ambient, u: Word) -> Morphism:
+    """Conjugation w -> u^-1 w u; the abelian part is central and unmoved."""
+    ui = invert(u)
+    n = ambient.n
+    phi = FreeMap(
+        [reduce_word(ui + (k,) + u) for k in range(1, n + 1)],
+        [reduce_word(u + (k,) + ui) for k in range(1, n + 1)],
+        n,
+    )
+    return Morphism(ambient, phi, IntMatrix.identity(ambient.m), IntMatrix.zeros(n, ambient.m))
+
+
+def bounded_products(gens: Sequence[GroupElement], ambient: Ambient, depth: int) -> set[GroupElement]:
+    """Products of at most `depth` generators and their inverses."""
+    seen = {GroupElement.identity(ambient)}
+    for _ in range(depth):
+        seen |= {mul(g, s) for g in seen for t in gens for s in (t, inv(t))}
+    return seen
 
 
 def signed_perm_matrix(targets: list[int]) -> IntMatrix:
@@ -70,11 +100,11 @@ def random_finite_order_matrix(rng: random.Random, m: int) -> IntMatrix:
 
 def random_free_aut(rng: random.Random, n: int, steps: int = 3) -> FreeMap:
     """Composition of letter maps and at most `steps` elementary maps."""
-    out = random_letter_map(rng, n) if n else FreeMap.identity(0)
+    out = letter_map(random_signed_targets(rng, n))
     for _ in range(steps if n >= 2 else 0):
         i = rng.randrange(1, n + 1)
         j = rng.choice([t for t in range(1, n + 1) if t != i])
-        out = out.compose(FreeMap.nielsen(i, j, rng.choice([-1, 1]), n))
+        out = out.compose(nielsen(i, j, rng.choice([-1, 1]), n))
     return out
 
 
@@ -103,15 +133,16 @@ def random_finite_order_morphism(
     the fixed basis transport exactly.
     """
     m, n = ambient.m, ambient.n
-    targets = random_signed_targets(rng, n) if n else []
-    phi0 = FreeMap.letter_map(targets, n) if n else FreeMap.identity(0)
+    targets = random_signed_targets(rng, n)
+    phi0 = letter_map(targets)
     S = signed_perm_matrix(random_signed_targets(rng, m)) if m else IntMatrix.identity(0)
     psi0 = Morphism(ambient, phi0, S, IntMatrix.zeros(n, m))
     theta = random_morphism(rng, ambient, invertible=True)
     psi = morphisms_mod.compose(
         morphisms_mod.compose(morphisms_mod.invert(theta), psi0), theta
     )
-    base = fixed_basis_letter_map(phi0) or []
+    # a signed-permutation map fixes a reduced word iff it fixes each letter
+    base = [(i,) for i, t in enumerate(targets, 1) if t == i]
     basis = [theta.phi.apply(w) for w in base]
     order0 = morphisms_mod.order(psi0)
     return psi, basis, int(order0)
@@ -285,10 +316,8 @@ def reference_from_words(ambient, free_part, abelian_part) -> SubgroupBasis:
 
 
 # -- reference lattice algebra ------------------------------------------------
-# The HNF elimination with a separate transform U and the Smith-form
-# elimination that `intlat` replaced by row-reducing [M | I] and by an HNF of
-# the transposed coordinate matrix, kept unchanged as the references they are
-# tested against.
+# The HNF elimination with a separate transform U that `intlat` replaced by
+# row-reducing [M | I], kept unchanged as the reference it is tested against.
 
 
 def reference_row_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[int]]:
@@ -343,64 +372,6 @@ def reference_row_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[
     return rows, U, pivot_cols
 
 
-def smith_divisors(M: IntMatrix) -> list[int]:
-    """Nonzero elementary divisors d1 | d2 | ... of M."""
-    A = [list(r) for r in M.entries]
-    rows, cols = len(A), M.cols
-    divisors = []
-    top = 0
-    while top < rows and top < cols:
-        # find a nonzero entry in the remaining block
-        pos = None
-        best = None
-        for i in range(top, rows):
-            for j in range(top, cols):
-                if A[i][j] and (best is None or abs(A[i][j]) < best):
-                    best = abs(A[i][j])
-                    pos = (i, j)
-        if pos is None:
-            break
-        i0, j0 = pos
-        A[top], A[i0] = A[i0], A[top]
-        for row in A:
-            row[top], row[j0] = row[j0], row[top]
-        while True:
-            p = A[top][top]
-            done = True
-            for i in range(top + 1, rows):
-                if A[i][top]:
-                    q = A[i][top] // p
-                    for t in range(top, cols):
-                        A[i][t] -= q * A[top][t]
-                    if A[i][top]:
-                        A[top], A[i] = A[i], A[top]
-                        done = False
-                        break
-            if not done:
-                continue
-            for j in range(top + 1, cols):
-                if A[top][j]:
-                    q = A[top][j] // p
-                    for i in range(top, rows):
-                        A[i][j] -= q * A[i][top]
-                    if A[top][j]:
-                        for i in range(top, rows):
-                            A[i][top], A[i][j] = A[i][j], A[i][top]
-                        done = False
-                        break
-            if done:
-                break
-        divisors.append(abs(A[top][top]))
-        top += 1
-    # enforce the divisibility chain
-    for i in range(len(divisors)):
-        for j in range(i + 1, len(divisors)):
-            a, b = divisors[i], divisors[j]
-            g = math.gcd(a, b)
-            divisors[i], divisors[j] = g, a * b // g if g else 0
-    return divisors
-
-
 # -- reference oracle ---------------------------------------------------------
 # The exhaustive `brute_fixed` that the meet-in-the-middle join replaced: it
 # applies every map to every reduced word of length <= L and tries every
@@ -424,7 +395,7 @@ def reference_brute_fixed(maps: Sequence[Morphism], bounds: Bounds) -> list[Grou
             continue
         ab = freewords.abelianize(w, n)
         shifts = [psi.P.apply_row(ab) for psi in maps]
-        for a in vectors(m, bounds.coord_abs_max):
+        for a in itertools.product(range(-bounds.coord_abs_max, bounds.coord_abs_max + 1), repeat=m):
             ok = True
             for psi, s in zip(maps, shifts):
                 aq = psi.Q.apply_row(a)

@@ -255,6 +255,14 @@ class TestBudgets:
         body["morphisms"][0]["Q"] = [["1", "0"], ["0", str(-10**30)]]
         assert "budget" in _rejected(["fix"], body)
 
+    def test_answer_digits(self):
+        # the HNF of these generators holds 10^8000 - 1, past the 4,300 digits
+        # str() writes; the error is fatf's own, not the interpreter's remedy
+        big = "1" + "0" * 4000
+        body = {"m": 2, "n": 1, "generators": [{"t": [big, "1"], "w": ""}, {"t": ["1", big], "w": ""}]}
+        error = _rejected(["basis"], body)
+        assert "more than 4300 digits" in error and "set_int_max_str_digits" not in error
+
 
 def _paths(obj, prefix=()):
     yield prefix

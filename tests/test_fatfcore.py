@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import equal_by_membership, random_element, random_word, reference_from_words
+from conftest import bounded_products, equal_by_membership, random_element, random_word, reference_from_words
 from fatf import cli, jsonio
 from fatf import (
     Ambient,
@@ -18,8 +18,7 @@ from fatf import (
     subgroup_basis,
     subgroup_equal,
 )
-from fatf.fatfcore import AmbientMismatch, abelian_summand_test, element_power, full_group, trivial_subgroup
-from fatf.oracle import bounded_products
+from fatf.fatfcore import AmbientMismatch
 
 AMB = Ambient(2, 2)
 
@@ -51,11 +50,6 @@ class TestElements:
         assert mul(mul(g, h), k) == mul(g, mul(h, k))
         assert mul(g, inv(g)).is_identity()
         assert mul(g, GroupElement.identity(AMB)) == g
-
-    def test_power(self):
-        g = GroupElement(AMB, (1, 0), (1,))
-        assert element_power(g, 3) == GroupElement(AMB, (3, 0), (1, 1, 1))
-        assert element_power(g, -2) == GroupElement(AMB, (-2, 0), (-1, -1))
 
 
 class TestSubgroupBasis:
@@ -168,8 +162,11 @@ class TestSubgroupEqual:
 
     def test_trivial_and_full(self):
         amb = Ambient(2, 2)
-        assert subgroup_equal(trivial_subgroup(amb), subgroup_basis([], amb))
-        F = full_group(amb)
+        trivial = SubgroupBasis.from_words(amb, [], Lattice.from_rows([], 2))
+        assert subgroup_equal(trivial, subgroup_basis([], amb))
+        assert not member(trivial, GroupElement(amb, (0, 1), ()))
+        gens = [GroupElement(amb, t, ()) for t in ((1, 0), (0, 1))]
+        F = subgroup_basis(gens + [GroupElement(amb, (0, 0), (i,)) for i in (1, 2)], amb)
         assert member(F, GroupElement(amb, (5, -7), (1, 2, -1)))
 
 
@@ -224,30 +221,20 @@ class TestCanonicalEquality:
             assert K.basis_elements() == H.basis_elements()
 
     def test_ambient_is_part_of_the_key(self):
-        assert trivial_subgroup(Ambient(1, 2)) != trivial_subgroup(Ambient(2, 2))
+        H, K = subgroup_basis([], Ambient(1, 2)), subgroup_basis([], Ambient(2, 2))
+        assert H != K
         with pytest.raises(AmbientMismatch):
-            subgroup_equal(trivial_subgroup(Ambient(1, 2)), trivial_subgroup(Ambient(2, 2)))
-
-
-class TestAbelianSummand:
-    def test_cases(self):
-        amb = Ambient(2, 0)
-        full = full_group(amb)
-        H1 = SubgroupBasis.from_words(amb, [], Lattice.from_rows([[1, 0]], 2))
-        H2 = SubgroupBasis.from_words(amb, [], Lattice.from_rows([[0, 2]], 2))
-        assert abelian_summand_test(H1, full)
-        assert not abelian_summand_test(H2, full)
-        assert abelian_summand_test(H2, H2)
+            subgroup_equal(H, K)
 
 
 class TestValidation:
     def test_identity_word_rejected(self):
         with pytest.raises(ValueError):
-            SubgroupBasis.from_words(AMB, [((0, 0), ())], Lattice.zero(2))
+            SubgroupBasis.from_words(AMB, [((0, 0), ())], Lattice.from_rows([], 2))
 
     def test_dependent_words_rejected(self):
         with pytest.raises(ValueError):
-            SubgroupBasis.from_words(AMB, [((0, 0), (1,)), ((0, 0), (1, 1))], Lattice.zero(2))
+            SubgroupBasis.from_words(AMB, [((0, 0), (1,)), ((0, 0), (1, 1))], Lattice.from_rows([], 2))
 
 
 class TestFromWordsReference:

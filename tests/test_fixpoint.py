@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from conftest import random_finite_order_morphism, random_matrix
+from conftest import inner, letter_map, nielsen, random_finite_order_morphism, random_matrix
 from fatf import fixpoint
 from fatf import (
     Ambient,
@@ -30,12 +30,11 @@ from fatf.fixpoint import (
     InvalidFixInput,
     autofixed_closure,
     fix_power,
-    fixed_basis_letter_map,
     is_autofixed,
 )
 from fatf.freewords import stallings
 from fatf.intlat import kernel_lattice
-from fatf.morphisms import apply, compose, inner, power
+from fatf.morphisms import apply, power
 from fatf.oracle import Bounds, brute_fixed
 
 
@@ -95,7 +94,7 @@ class TestFixSingle:
         assert subgroup_equal(
             res.basis,
             SubgroupBasis.from_words(
-                amb, [((0, 0), (1,)), ((0, 0), (2,))], Lattice.full(2)
+                amb, [((0, 0), (1,)), ((0, 0), (2,))], Lattice.from_rows([[1, 0], [0, 1]], 2)
             ),
         )
 
@@ -108,7 +107,7 @@ class TestFixSingle:
         res = fix_single(psi, [(1,)])
         assert res.finitely_generated
         assert res.basis.free_part == ()
-        assert res.basis.abelian_part == Lattice.full(1)
+        assert res.basis.abelian_part == Lattice.from_rows([[1]], 1)
         assert res.diagnostics.N.rank == 0 and res.diagnostics.im_P.rank == 1
         fx = brute_fixed([psi], Bounds(4, 3))
         assert all(member(res.basis, g) for g in fx)
@@ -122,10 +121,10 @@ class TestFixTuple:
     def test_two_morphisms(self):
         amb = Ambient(1, 2)
         a = Morphism(
-            amb, FreeMap.letter_map([1, -2]), IntMatrix([[1]]), IntMatrix([[0], [1]])
+            amb, letter_map([1, -2]), IntMatrix([[1]]), IntMatrix([[0], [1]])
         )
         b = Morphism(
-            amb, FreeMap.letter_map([-1, 2]), IntMatrix([[1]]), IntMatrix([[0], [0]])
+            amb, letter_map([-1, 2]), IntMatrix([[1]]), IntMatrix([[0], [0]])
         )
         res = fix_tuple(
             FixInput((a, b), (((1,),), ((2,),)))
@@ -133,7 +132,7 @@ class TestFixTuple:
         assert res.finitely_generated
         # only the central lattice is fixed by both
         assert res.basis.free_part == ()
-        assert res.basis.abelian_part == Lattice.full(1)
+        assert res.basis.abelian_part == Lattice.from_rows([[1]], 1)
         fx = brute_fixed([a, b], Bounds(4, 2))
         assert all(member(res.basis, g) for g in fx)
 
@@ -159,7 +158,9 @@ class TestFixTuple:
         res = fix_single(psi, [(1,), (2,)])
         assert res.finitely_generated and res.diagnostics.ell == ell
         assert res.basis.rank == ell + 1
-        assert res.basis.graph.complete_index() == ell
+        # every vertex of the cover carries all 2n labels: index ell in F_2
+        graph = res.basis.graph
+        assert graph.num_vertices == ell and len(graph.delta) == 4 * ell
         # the cover fix_tuple builds is the graph its own words fold to
         assert stallings(res.basis.graph.basis_words, 2) == res.basis.graph
         for g in res.basis.basis_elements():
@@ -196,12 +197,6 @@ class TestFixTuple:
 
 
 class TestLetterMapBases:
-    def test_catalog(self):
-        phi = FreeMap.letter_map([1, -2, 3])
-        assert fixed_basis_letter_map(phi) == [(1,), (3,)]
-        assert fixed_basis_letter_map(FreeMap.identity(2)) == [(1,), (2,)]
-        assert fixed_basis_letter_map(FreeMap.nielsen(1, 2, 1, 2)) is None
-
     def test_transport_by_conjugation(self):
         rng = random.Random(32)
         for _ in range(10):
@@ -220,7 +215,7 @@ class TestPeriodic:
     def test_infinite_order_free_map_rejected(self):
         amb = Ambient(1, 2)
         psi = Morphism(
-            amb, FreeMap.nielsen(1, 2, 1, 2), IntMatrix([[1]]), IntMatrix.zeros(2, 1)
+            amb, nielsen(1, 2, 1, 2), IntMatrix([[1]]), IntMatrix.zeros(2, 1)
         )
         with pytest.raises(ValueError):
             periodic_exponent(psi)
@@ -284,19 +279,19 @@ class TestClosure:
         H = SubgroupBasis.from_words(amb, [], Lattice.from_rows([[0, 2]], 2))
         assert not is_autofixed(H, inp)
         G = SubgroupBasis.from_words(
-            amb, [((0, 0), (1,)), ((0, 0), (2,))], Lattice.full(2)
+            amb, [((0, 0), (1,)), ((0, 0), (2,))], Lattice.from_rows([[1, 0], [0, 1]], 2)
         )
         assert is_autofixed(G, inp)
 
     def test_rejects_non_stabilizing_generator(self):
         psi = worked_morphism()
-        H = SubgroupBasis.from_words(psi.ambient, [((0, 0), (1,))], Lattice.zero(2))
+        H = SubgroupBasis.from_words(psi.ambient, [((0, 0), (1,))], Lattice.from_rows([], 2))
         with pytest.raises(ValueError):
             autofixed_closure(H, FixInput((psi,), (((2,), (3,)),)))
 
     def test_ambient_mismatch(self):
         amb = Ambient(1, 2)
-        H = SubgroupBasis.from_words(amb, [((0,), (1,))], Lattice.zero(1))
+        H = SubgroupBasis.from_words(amb, [((0,), (1,))], Lattice.from_rows([], 1))
         psi = worked_morphism()
         with pytest.raises(ValueError):
             autofixed_closure(H, FixInput((psi,), (((2,), (3,)),)))

@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -20,10 +19,8 @@ from fatf.freewords import (
     parse_word,
     pullback,
     reduce_word,
-    root,
     schreier_basis,
     stallings,
-    word_power,
 )
 
 words3 = st.lists(
@@ -79,32 +76,6 @@ class TestWords:
         for text in (f"z1^{MAX_WORD_LETTERS + 1}", "z1^-100000000", f"z2 z1^{MAX_WORD_LETTERS}"):
             with pytest.raises(ValueError, match="longer than"):
                 parse_word(text)
-
-
-class TestRoot:
-    def test_power(self):
-        w = word_power((1, 2), 3)
-        assert root(w) == ((1, 2), 3)
-
-    def test_primitive(self):
-        assert root((1,)) == ((1,), 1)
-
-    def test_conjugate_power(self):
-        w = reduce_word([-2, 1, 1, 1, 2])
-        hat, a = root(w)
-        assert a == 3
-        assert hat == (-2, 1, 2)
-
-    def test_identity_rejected(self):
-        with pytest.raises(ValueError):
-            root(())
-
-    @settings(max_examples=60, deadline=None)
-    @given(words3.filter(lambda w: w))
-    def test_root_reexpands_and_is_primitive(self, w):
-        hat, a = root(w)
-        assert word_power(hat, a) == w
-        assert root(hat)[1] == 1
 
 
 class TestStallings:
@@ -230,7 +201,7 @@ class TestReferenceFold:
 class TestPullback:
     def test_cyclic_powers(self):
         g = pullback(stallings([(1, 1)], 2), stallings([(1, 1, 1)], 2))
-        assert g.basis_words == [word_power((1,), 6)]
+        assert g.basis_words == [(1,) * 6]
 
     def test_self_intersection(self):
         h = stallings([(1, 2), (2, 2)], 2)
@@ -253,16 +224,23 @@ class TestPullback:
 
 
 class TestIndexAndSchreier:
+    @staticmethod
+    def complete(g: StallingsGraph) -> bool:
+        """Every vertex carries all 2n labels, so the subgroup's index is the
+        number of vertices."""
+        return len(g.delta) == 2 * g.n * g.num_vertices
+
     def test_worked_index(self):
         g = stallings([(2, 2), (3,), (-2, 3, 2)], 3)
         # complete on the two-letter sub-alphabet only
         sub = stallings([(1, 1), (2,), (-1, 2, 1)], 2)
-        assert sub.complete_index() == 2
-        assert g.complete_index() == math.inf
+        assert self.complete(sub) and sub.num_vertices == 2
+        assert not self.complete(g)
 
     def test_whole_group(self):
-        assert stallings([(1,), (2,)], 2).complete_index() == 1
-        assert stallings([(1,)], 2).complete_index() == math.inf
+        g = stallings([(1,), (2,)], 2)
+        assert self.complete(g) and g.num_vertices == 1
+        assert not self.complete(stallings([(1,)], 2))
 
     def test_schreier_even_exponent(self):
         key = lambda w: abelianize(w, 2)[0] % 2
@@ -308,7 +286,7 @@ class TestIndexAndSchreier:
         rose = stallings(ambient, n)
         assert rose.basis_words == ambient
         sheets = coset_graph(len(ambient), key, bound)
-        assert sheets.complete_index() == bound
+        assert self.complete(sheets) and sheets.num_vertices == bound
         # discovery order is the canonical numbering
         assert sheets == stallings(sheets.basis_words, len(ambient))
         assert cover(rose, sheets) == stallings(schreier_basis(ambient, key, bound), n)

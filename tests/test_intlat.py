@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_unimodular, reference_row_echelon, smith_divisors
+from conftest import random_unimodular, reference_row_echelon
 from fatf.intlat import (
     IntMatrix,
     Lattice,
@@ -13,7 +13,6 @@ from fatf.intlat import (
     charpoly,
     cyclotomic,
     hnf,
-    is_direct_summand,
     kernel_lattice,
     lattice_index,
     lattice_intersect,
@@ -26,6 +25,8 @@ from fatf.intlat import (
 )
 
 small_int = st.integers(min_value=-6, max_value=6)
+Z2 = hnf(IntMatrix.identity(2))
+Z3 = hnf(IntMatrix.identity(3))
 
 
 def matrices(rows, cols):
@@ -111,36 +112,22 @@ class TestLattice:
 
     def test_index_and_cosets(self):
         sub = Lattice.from_rows([[2, 0], [0, 3]], 2)
-        sup = Lattice.full(2)
+        sup = Z2
         assert lattice_index(sub, sup) == 6
 
     def test_index_infinite(self):
         sub = Lattice.from_rows([[1, 0]], 2)
-        assert lattice_index(sub, Lattice.full(2)) == math.inf
+        assert lattice_index(sub, Z2) == math.inf
 
     def test_not_sublattice(self):
         with pytest.raises(NotSublatticeError):
-            lattice_index(Lattice.full(2), Lattice.from_rows([[2, 0], [0, 2]], 2))
-
-    def test_smith_divisors(self):
-        assert smith_divisors(IntMatrix([[2, 0], [0, 4]])) == [2, 4]
-        assert smith_divisors(IntMatrix([[2, 0], [0, 3]])) == [1, 6]
-        d = smith_divisors(IntMatrix([[6, 4], [4, 6]]))
-        assert d == [2, 10]
-        for a, b in zip(d, d[1:]):
-            assert b % a == 0
-
-    def test_direct_summand(self):
-        assert is_direct_summand(Lattice.from_rows([[1, 0]], 2), Lattice.full(2))
-        assert not is_direct_summand(Lattice.from_rows([[0, 2]], 2), Lattice.full(2))
-        L = Lattice.from_rows([[0, 2]], 2)
-        assert is_direct_summand(L, L)
+            lattice_index(Z2, Lattice.from_rows([[2, 0], [0, 2]], 2))
 
     def test_preimage(self):
         # {v : v*M in target} inside a domain lattice
         M = IntMatrix([[1, 0], [0, 2], [0, 0]])
         target = Lattice.from_rows([[0, 2]], 2)
-        dom = Lattice.full(3)
+        dom = Z3
         pre = lattice_preimage(dom, M, target)
         assert pre.contains((0, 1, 0))
         assert pre.contains((0, 0, 1))
@@ -150,7 +137,7 @@ class TestLattice:
     @given(matrices(3, 2), matrices(2, 2))
     def test_preimage_characterization(self, M, T):
         target = hnf(T)
-        pre = lattice_preimage(Lattice.full(3), M, target)
+        pre = lattice_preimage(Z3, M, target)
         for r in pre.basis.entries:
             assert target.contains(M.apply_row(r))
 
@@ -323,35 +310,3 @@ class TestTransformReference:
         assert deficient * 3 >= total
         assert 0 < unsolvable < total
         assert inverted >= 100 and singular >= 100
-
-
-class TestDirectSummandReference:
-    """is_direct_summand agrees with the Smith-form test: sup/sub is
-    torsion-free exactly when every elementary divisor of the coordinate
-    matrix of sub over sup is 1 (conftest.smith_divisors)."""
-
-    def test_matches_smith_divisors(self):
-        rng = random.Random(1906)
-        outcomes = {True: 0, False: 0}
-        rank_zero = 0
-        for i in range(1200):
-            d = rng.randint(1, 5)
-            sup = Lattice.from_rows(
-                [[rng.randint(-3, 3) for _ in range(d)] for _ in range(rng.randint(0, d + 1))], d
-            )
-            k = 0 if i % 10 == 0 else rng.randint(0, sup.rank + 1)
-            bound = rng.choice([1, 2, 3])
-            sub = Lattice.from_rows(
-                [
-                    sup.basis.apply_row([rng.randint(-bound, bound) for _ in range(sup.rank)])
-                    for _ in range(k)
-                ],
-                d,
-            )
-            coords = IntMatrix([sup.coords(r) for r in sub.basis.entries], cols=sup.rank)
-            expected = all(e == 1 for e in smith_divisors(coords))
-            assert is_direct_summand(sub, sup) == expected
-            outcomes[expected] += 1
-            rank_zero += sub.rank == 0
-        assert outcomes[True] >= 200 and outcomes[False] >= 200
-        assert rank_zero >= 100

@@ -4,6 +4,9 @@ import random
 import pytest
 
 from conftest import (
+    inner,
+    letter_map,
+    nielsen,
     random_element,
     random_finite_order_morphism,
     random_free_aut,
@@ -14,7 +17,7 @@ from conftest import (
 from fatf import Ambient, FreeMap, GroupElement, IntMatrix, Morphism
 from fatf.bounds import automorphism_order_bound
 from fatf.intlat import matrix_order
-from fatf.morphisms import apply, compose, inner, invert, order, power, power_vector_matrix
+from fatf.morphisms import apply, compose, invert, order, power, power_vector_matrix
 
 
 def worked_morphism():
@@ -39,27 +42,27 @@ class TestFreeMap:
         FreeMap([(1, 2), (2,)], [(1, -2), (2,)], 2)
 
     def test_nielsen_and_letter_constructors(self):
-        f = FreeMap.nielsen(1, 2, 1, 2)
+        f = nielsen(1, 2, 1, 2)
         assert f.apply((1,)) == (1, 2)
         assert f.compose(f.invert()).is_identity()
-        g = FreeMap.letter_map([2, -1])
+        g = letter_map([2, -1])
         assert g.apply((1, 2)) == (2, -1)
         assert g.compose(g.invert()).is_identity()
 
     def test_conjugation(self):
-        c = FreeMap.conjugation((1,), 2)
+        c = inner(Ambient(0, 2), (1,)).phi
         assert c.apply((2,)) == (-1, 2, 1)
         assert c.apply((1,)) == (1,)
 
     def test_abelianization_matrix(self):
-        f = FreeMap.nielsen(1, 2, -1, 2)
+        f = nielsen(1, 2, -1, 2)
         assert f.abelianization_matrix().entries == ((1, -1), (0, 1))
 
     def test_order(self):
         assert FreeMap.identity(3).order() == 1
-        assert FreeMap.inversion(2).order() == 2
-        assert FreeMap.letter_map([2, 3, 1]).order() == 3
-        assert FreeMap.nielsen(1, 2, 1, 2).order() == math.inf
+        assert letter_map([-1, -2]).order() == 2
+        assert letter_map([2, 3, 1]).order() == 3
+        assert nielsen(1, 2, 1, 2).order() == math.inf
         # abelianizes to finite order but is not torsion
         twisted = FreeMap([(2,), (1, 2, -1)], None, 2)
         assert twisted.order() == math.inf

@@ -1,23 +1,24 @@
+import itertools
 import random
 
 import pytest
 
 from conftest import (
+    bounded_products,
     random_element,
     random_finite_order_morphism,
     random_morphism,
     reference_brute_fixed,
 )
-from fatf import Ambient, FreeMap, GroupElement, IntMatrix, Morphism, member, subgroup_basis
-from fatf.oracle import (
-    Bounds,
-    bounded_products,
-    brute_fixed,
-    closure_check,
-    enumerate_elements,
-    reduced_words,
-)
+from fatf import Ambient, FreeMap, GroupElement, IntMatrix, Morphism, SubgroupBasis, member, subgroup_basis
+from fatf.oracle import Bounds, brute_fixed, reduced_words
 from test_acceptance import finite_order_suite, spiral_morphism, worked_morphism
+
+
+def box_size(amb: Ambient, bounds: Bounds) -> int:
+    """Elements t^a w with |w| <= L and every |a_j| <= c."""
+    words = sum(1 for _ in reduced_words(amb.n, bounds.word_len_max))
+    return words * (2 * bounds.coord_abs_max + 1) ** amb.m
 
 
 class TestEnumeration:
@@ -33,16 +34,20 @@ class TestEnumeration:
                 assert by_len[ell] == 2 * n * (2 * n - 1) ** (ell - 1)
 
     def test_element_counts(self):
-        assert sum(1 for _ in enumerate_elements(Ambient(1, 1), Bounds(1, 1))) == 9
-        assert sum(1 for _ in enumerate_elements(Ambient(0, 2), Bounds(2, 0))) == 17
-        assert list(enumerate_elements(Ambient(1, 1), Bounds(0, 0))) == [
-            GroupElement.identity(Ambient(1, 1))
-        ]
+        # the identity fixes every element of the box
+        amb = Ambient(1, 1)
+        ident = [Morphism.identity(amb)]
+        assert len(brute_fixed(ident, Bounds(1, 1))) == 9
+        assert len(brute_fixed([Morphism.identity(Ambient(0, 2))], Bounds(2, 0))) == 17
+        assert brute_fixed(ident, Bounds(0, 0)) == [GroupElement.identity(amb)]
 
     def test_deterministic(self):
-        a = list(enumerate_elements(Ambient(2, 2), Bounds(2, 1)))
-        b = list(enumerate_elements(Ambient(2, 2), Bounds(2, 1)))
-        assert a == b
+        # the identity fixes the whole box, listed in the documented order:
+        # words shortlex, then vectors ascending
+        amb, bounds = Ambient(2, 2), Bounds(2, 1)
+        box = list(itertools.product(range(-1, 2), repeat=2))
+        want = [GroupElement(amb, a, w) for w in reduced_words(2, 2) for a in box]
+        assert brute_fixed([Morphism.identity(amb)], bounds) == want
 
 
 class TestBruteFixed:
@@ -50,7 +55,7 @@ class TestBruteFixed:
         amb = Ambient(1, 2)
         bounds = Bounds(2, 1)
         fixed = brute_fixed([Morphism.identity(amb)], bounds)
-        assert len(fixed) == sum(1 for _ in enumerate_elements(amb, bounds))
+        assert len(fixed) == box_size(amb, bounds)
 
     def test_spiral_fixes_nothing(self):
         amb = Ambient(1, 2)
@@ -100,7 +105,7 @@ class TestAgainstReference:
             amb = Ambient(m, n)
             bounds = Bounds(L if n < 3 else min(L, 4), c)
             fixed = self.same([Morphism.identity(amb)], bounds)
-            assert len(fixed) == sum(1 for _ in enumerate_elements(amb, bounds))
+            assert len(fixed) == box_size(amb, bounds)
 
     @pytest.mark.parametrize("L", range(6))
     def test_random_tuples(self, L):
@@ -139,23 +144,25 @@ class TestClosureCheck:
         amb = Ambient(2, 1)
         gens = [GroupElement(amb, (1, 0), (1,)), GroupElement(amb, (0, 1), (1,))]
         H = subgroup_basis(gens, amb)
-        assert closure_check(H, gens, 3)
-        assert GroupElement(amb, (1, -1), ()) in bounded_products(gens, amb, 3)
+        products = bounded_products(gens, amb, 3)
+        assert GroupElement(amb, (1, -1), ()) in products
+        assert all(member(H, g) for g in products)
 
     def test_trivial(self):
         amb = Ambient(1, 1)
         H = subgroup_basis([], amb)
-        assert closure_check(H, [], 2)
+        assert member(H, GroupElement.identity(amb))
+        gens = [GroupElement(amb, (1,), ()), GroupElement(amb, (0,), (1,))]
+        assert [g for g in bounded_products(gens, amb, 2) if member(H, g)] == [GroupElement.identity(amb)]
 
     def test_corrupted_basis_detected(self):
         amb = Ambient(2, 1)
         gens = [GroupElement(amb, (1, 0), (1,))]
         good = subgroup_basis(gens, amb)
-        from fatf import SubgroupBasis
-
         bad = SubgroupBasis.from_words(amb, [((0, 1), (1,))], good.abelian_part)
-        assert closure_check(good, gens, 3)
-        assert not closure_check(bad, gens, 3)
+        products = bounded_products(gens, amb, 3)
+        assert all(member(good, g) for g in products)
+        assert not any(member(bad, g) for g in products if g.w)
 
     def test_random_subgroups(self):
         rng = random.Random(42)

@@ -1,0 +1,120 @@
+"""Every definition in src/fatf earns its place: src/ calls it, `fatf`
+exports it, or a pinned reason below keeps it. A helper that only tests use
+belongs in tests/conftest.py.
+
+References are read from the source with `ast`: a function counts as called
+when its name is loaded, not bound as a local, or read as an attribute
+outside its own body; a method counts when its name is read as an attribute
+outside its own body. Dunder methods are called by the language and are not
+checked.
+"""
+
+import ast
+import importlib
+import importlib.util
+import pathlib
+from collections import Counter
+
+import fatf
+
+SRC = pathlib.Path(fatf.__file__).resolve().parent
+BENCH = SRC.parent.parent / "fatfbench"
+
+# definitions with no caller in src/ that stay, one reason each
+PINNED = {
+    "cli.main": "console-script entry point named in pyproject.toml",
+    "fixpoint.is_autofixed": "called by the fix-index workload in fatfbench/workloads.py",
+    "freewords.schreier_basis": "wrapped by fatfbench/tracing.py",
+    "morphisms.power_vector_matrix": "wrapped by fatfbench/tracing.py",
+    "oracle.reduced_words": "wrapped by fatfbench/tracing.py",
+}
+
+
+class _Refs(ast.NodeVisitor):
+    """Counts of loaded free names and of attribute names read."""
+
+    def __init__(self) -> None:
+        self.names: Counter = Counter()
+        self.attrs: Counter = Counter()
+        self.bound: list[set] = []
+
+    def _scope(self, node) -> None:
+        args = {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
+        stores = {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        self.bound.append(args | stores)
+        self.generic_visit(node)
+        self.bound.pop()
+
+    visit_FunctionDef = visit_Lambda = _scope
+
+    def visit_Name(self, node: ast.Name) -> None:
+        if isinstance(node.ctx, ast.Load) and not any(node.id in s for s in self.bound):
+            self.names[node.id] += 1
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        self.attrs[node.attr] += 1
+        self.generic_visit(node)
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, node, is_method) of every module-level function and
+    every non-dunder method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node, False
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    yield f"{node.name}.{item.name}", item, True
+
+
+def _modules() -> dict[str, ast.Module]:
+    return {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
+
+
+def uncalled() -> list[str]:
+    """Definitions in src/fatf that nothing in src/ calls, that fatf does not
+    export and that PINNED does not keep."""
+    modules = _modules()
+    total = _Refs()
+    for tree in modules.values():
+        total.visit(tree)
+    out = []
+    for mod, tree in modules.items():
+        for qual, node, is_method in _definitions(tree):
+            own = _Refs()
+            own.visit(node)
+            name = node.name
+            calls = total.attrs[name] - own.attrs[name]
+            if not is_method:
+                calls += total.names[name] - own.names[name]
+            key = f"{mod}.{qual}"
+            if calls == 0 and name not in fatf.__all__ and key not in PINNED:
+                out.append(key)
+    return out
+
+
+def test_every_definition_is_called_exported_or_pinned():
+    assert uncalled() == []
+
+
+def test_pins_name_existing_definitions():
+    defined = {
+        f"{mod}.{qual}" for mod, tree in _modules().items() for qual, _, _ in _definitions(tree)
+    }
+    assert set(PINNED) <= defined
+
+
+def test_names_the_benchmark_wraps_resolve():
+    # `fatfbench --trace 1` replaces these attributes; a missing one fails
+    # the traced run with AttributeError
+    spec = importlib.util.spec_from_file_location("_fatfbench_tracing", BENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for mod_name, attr, _ in tracing.SPANS + tracing.LEAVES + tracing.COUNTS:
+        obj = importlib.import_module(f"fatf.{mod_name}")
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+    # install() also replaces these two module attributes
+    assert callable(importlib.import_module("fatf.oracle").reduced_words)
+    assert callable(importlib.import_module("fatf.cli").json.loads)
