@@ -27,7 +27,7 @@ from .intlat import (
     solve_left,
     unity_exponent,
 )
-from .morphisms import Morphism
+from .morphisms import FreeMap, Morphism
 
 
 class InvalidFixInput(ValueError):
@@ -198,11 +198,13 @@ def periodic_subgroup(psi: Morphism) -> FixResult:
 
 def fix_power(psi: Morphism, e: int) -> FixResult:
     """Fix psi^e for an exponent e with phi^e = id, so that Fix phi^e = F_n."""
-    pe = morphisms.power(psi, e)
-    if not pe.phi.is_identity():
+    r1 = psi.phi.order()
+    if r1 == math.inf or e % r1:
         raise ValueError("the free part of psi^e is not the identity")
-    full_basis = [(i,) for i in range(1, psi.ambient.n + 1)]
-    return fix_single(pe, full_basis)
+    Qe, Pe = morphisms.linear_power(psi, e)
+    n = psi.ambient.n
+    pe = Morphism(psi.ambient, FreeMap.identity(n), Qe, Pe)
+    return fix_single(pe, [(i,) for i in range(1, n + 1)])
 
 
 def autofixed_closure(H: SubgroupBasis, stab_gens: FixInput) -> FixResult:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import add, mul, sub
 from typing import Iterable, Optional, Sequence
 
 
@@ -24,7 +25,26 @@ Vec = tuple[int, ...]
 
 
 def _as_vec(v: Iterable[int]) -> Vec:
-    return tuple(int(x) for x in v)
+    return tuple([int(x) for x in v])
+
+
+def _row_times(v: Sequence[int], rows: Sequence[Vec], c: int) -> Vec:
+    """v * M for M given by its rows. Zero entries of v are skipped and
+    entries +-1 add or subtract a row, so the sparse, permutation-like
+    matrices of finite-order maps cost little."""
+    out = None
+    for vi, row in zip(v, rows):
+        if not vi:
+            continue
+        if out is None:
+            out = row if vi == 1 else [vi * b for b in row]
+        elif vi == 1:
+            out = list(map(add, out, row))
+        elif vi == -1:
+            out = list(map(sub, out, row))
+        else:
+            out = [a + vi * b for a, b in zip(out, row)]
+    return (0,) * c if out is None else tuple(out)
 
 
 class IntMatrix:
@@ -33,7 +53,7 @@ class IntMatrix:
     __slots__ = ("entries", "_cols")
 
     def __init__(self, entries: Sequence[Sequence[int]], cols: Optional[int] = None):
-        rows = tuple(_as_vec(r) for r in entries)
+        rows = tuple([_as_vec(r) for r in entries])
         if rows:
             w = len(rows[0])
             if any(len(r) != w for r in rows):
@@ -47,6 +67,20 @@ class IntMatrix:
         self.entries = rows
         self._cols = w
 
+    @classmethod
+    def _trusted(cls, rows: tuple[Vec, ...], cols: int) -> "IntMatrix":
+        """A matrix on rows that are already tuples of ints of length cols;
+        for results built from checked matrices, so nothing is re-checked.
+
+        Callers build each tuple from a list: tuple() of a generator grows
+        the tuple by resizing, which bypasses CPython's per-size tuple free
+        lists on allocation but refills them on release, so a power chain of
+        (n+m)-row matrices would pin up to 2000 free tuples of each size."""
+        M = object.__new__(cls)
+        M.entries = rows
+        M._cols = cols
+        return M
+
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -57,11 +91,11 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
+        return cls._trusted(tuple([(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]), n)
 
     @classmethod
     def zeros(cls, r: int, c: int) -> "IntMatrix":
-        return cls([[0] * c for _ in range(r)], cols=c)
+        return cls._trusted(((0,) * c,) * r, c)
 
     @classmethod
     def hstack(cls, blocks: Sequence["IntMatrix"]) -> "IntMatrix":
@@ -70,61 +104,53 @@ class IntMatrix:
         r = blocks[0].rows
         if any(b.rows != r for b in blocks):
             raise DimensionError("hstack: row counts differ")
-        return cls(
-            [sum((list(b.entries[i]) for b in blocks), []) for i in range(r)],
-            cols=sum(b.cols for b in blocks),
+        return cls._trusted(
+            tuple([sum((b.entries[i] for b in blocks), ()) for i in range(r)]),
+            sum(b.cols for b in blocks),
         )
 
     def apply_row(self, v: Sequence[int]) -> Vec:
         """v * self for a row vector v of length self.rows."""
         if len(v) != self.rows:
             raise DimensionError("vector/matrix size mismatch")
-        c = self.cols
-        out = [0] * c
-        for vi, row in zip(v, self.entries):
-            if vi:
-                for j in range(c):
-                    out[j] += vi * row[j]
-        return tuple(out)
+        return _row_times(v, self.entries, self.cols)
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise DimensionError("matrix product size mismatch")
-        return IntMatrix([other.apply_row(r) for r in self.entries], cols=other.cols)
+        rows, c = other.entries, other.cols
+        return IntMatrix._trusted(tuple([_row_times(r, rows, c) for r in self.entries]), c)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionError("matrix sum size mismatch")
-        return IntMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)],
-            cols=self.cols,
+        pairs = zip(self.entries, other.entries)
+        return IntMatrix._trusted(
+            tuple([tuple([a + b for a, b in zip(ra, rb)]) for ra, rb in pairs]), self.cols
         )
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         return self + (-other)
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix([[-a for a in r] for r in self.entries], cols=self.cols)
-
-    def scale(self, k: int) -> "IntMatrix":
-        return IntMatrix([[k * a for a in r] for r in self.entries], cols=self.cols)
+        return IntMatrix._trusted(tuple([tuple([-a for a in r]) for r in self.entries]), self.cols)
 
     def __pow__(self, k: int) -> "IntMatrix":
         if self.rows != self.cols:
             raise DimensionError("power of a non-square matrix")
         if k < 0:
             raise ValueError("negative power")
-        result = IntMatrix.identity(self.rows)
+        if k == 0:
+            return IntMatrix.identity(self.rows)
+        result = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
-
-    def trace(self) -> int:
-        return sum(self.entries[i][i] for i in range(min(self.rows, self.cols)))
+            if not k:
+                return result
+            base = base * base
 
     def is_zero(self) -> bool:
         return all(a == 0 for r in self.entries for a in r)
@@ -222,7 +248,7 @@ class Lattice:
             if len(r) != ambient:
                 raise DimensionError("row width disagrees with ambient dimension")
         r = _row_echelon(mat, ambient)
-        return cls(ambient, IntMatrix(mat[:r], cols=ambient))
+        return cls(ambient, IntMatrix._trusted(tuple([tuple(row) for row in mat[:r]]), ambient))
 
     @property
     def rank(self) -> int:
@@ -296,7 +322,7 @@ def _coordinate_matrix(sub: Lattice, sup: Lattice) -> IntMatrix:
         if c is None:
             raise NotSublatticeError("first lattice is not contained in the second")
         coords.append(c)
-    return IntMatrix(coords, cols=sup.rank)
+    return IntMatrix._trusted(tuple(coords), sup.rank)
 
 
 def lattice_index(sub: Lattice, sup: Lattice):
@@ -315,8 +341,8 @@ def lattice_preimage(domain: Lattice, M: IntMatrix, target: Lattice) -> Lattice:
     """{v in domain : v*M in target}, canonical."""
     if M.rows != domain.ambient or M.cols != target.ambient:
         raise DimensionError("preimage dimensions are inconsistent")
-    mapped = IntMatrix([M.apply_row(r) for r in domain.basis.entries], cols=target.ambient)
-    stacked = IntMatrix(list(mapped.entries) + list(target.basis.entries), cols=target.ambient)
+    mapped = tuple([M.apply_row(r) for r in domain.basis.entries])
+    stacked = IntMatrix._trusted(mapped + target.basis.entries, target.ambient)
     ker = kernel_lattice(stacked)
     r = domain.rank
     rows = [domain.basis.apply_row(k[:r]) for k in ker.basis.entries]
@@ -331,10 +357,11 @@ def solve_left(M: IntMatrix, b: Sequence[int]) -> Optional[Vec]:
     if len(b) != M.cols:
         raise DimensionError("right-hand side has the wrong length")
     H, U, r = _with_transform(M)
-    y, res = Lattice(M.cols, IntMatrix(H[:r], cols=M.cols)).reduce(b)
+    pivots = IntMatrix._trusted(tuple([tuple(row) for row in H[:r]]), M.cols)
+    y, res = Lattice(M.cols, pivots).reduce(b)
     if any(res):
         return None
-    return IntMatrix(U[:r], cols=M.rows).apply_row(y)
+    return _row_times(y, U[:r], M.rows)
 
 
 def matrix_inverse(M: IntMatrix) -> IntMatrix:
@@ -344,7 +371,7 @@ def matrix_inverse(M: IntMatrix) -> IntMatrix:
     H, U, r = _with_transform(M)
     if r != M.rows or any(H[i][i] != 1 for i in range(M.rows)):
         raise ValueError("matrix is not unimodular")
-    return IntMatrix(U, cols=M.rows)
+    return IntMatrix._trusted(tuple([tuple(row) for row in U]), M.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -352,20 +379,34 @@ def matrix_inverse(M: IntMatrix) -> IntMatrix:
 
 
 def charpoly(Q: IntMatrix) -> list[int]:
-    """Coefficients of det(xI - Q), ascending degree, exact (Faddeev-LeVerrier)."""
+    """Coefficients of det(xI - Q), ascending degree, exact and division-free
+    (Berkowitz, Inf. Process. Lett. 18, 1984).
+
+    Step r borders the leading r x r block B with the column S above the
+    diagonal, the row R left of it and the corner q. The characteristic
+    polynomial of the bordered block is the lower-triangular Toeplitz matrix
+    with first column (1, -q, -R S, -R B S, ..., -R B^(r-1) S) times that of
+    B; each term costs one vector product with B.
+    """
     if Q.rows != Q.cols:
         raise DimensionError("characteristic polynomial of a non-square matrix")
-    m = Q.rows
-    coeffs_desc = [1]
-    M = IntMatrix.identity(m)
-    for k in range(1, m + 1):
-        M = Q * M
-        t = M.trace()
-        assert t % k == 0
-        c = -(t // k)
-        coeffs_desc.append(c)
-        M = M + IntMatrix.identity(m).scale(c)
-    return list(reversed(coeffs_desc))
+    a = Q.entries
+    poly = [1]  # descending degree
+    for r in range(Q.rows):
+        # map() stops at its shorter argument, v of length r, so the first
+        # r rows of Q serve as the rows of B and row r as R
+        block, R = a[:r], a[r]
+        v = [row[r] for row in block]
+        col = [1, -R[r]]
+        for j in range(r):
+            col.append(-sum(map(mul, R, v)))
+            if j + 1 < r:
+                v = [sum(map(mul, row, v)) for row in block]
+        poly = [
+            sum(col[i - j] * poly[j] for j in range(max(0, i - r - 1), min(i, r) + 1))
+            for i in range(r + 2)
+        ]
+    return poly[::-1]
 
 
 def _poly_divmod_monic(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
@@ -409,16 +450,22 @@ def totients(top: int) -> list[int]:
     return phi
 
 
-def _unity_divisors(chi: list[int], m: int) -> list[int]:
-    """All d with phi(d) <= m whose cyclotomic polynomial divides chi."""
-    out = []
-    phi = totients(2 * m * m + 1)
-    for d in range(1, len(phi)):
-        if phi[d] <= m:
-            _, rem = _poly_divmod_monic(chi, list(cyclotomic(d)))
-            if rem == [0]:
-                out.append(d)
-    return out
+def _totient_at_most(m: int) -> list[int]:
+    """All d with phi(d) <= m, built as products of prime powers p^k with
+    p <= m + 1 (as p - 1 divides phi(d)); each d arises once, from its
+    factorization, so no sieve up to 2m^2 is needed."""
+    out = [(1, 1)]  # (d, phi(d))
+    for p in range(2, m + 2):
+        if any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+            continue
+        grown = []
+        for d, f in out:
+            q, fq = p, p - 1
+            while f * fq <= m:
+                grown.append((d * q, f * fq))
+                q, fq = q * p, fq * p
+        out += grown
+    return [d for d, _ in out]
 
 
 def unity_exponent(Q: IntMatrix) -> int:
@@ -426,8 +473,9 @@ def unity_exponent(Q: IntMatrix) -> int:
     eigenvalues of Q (1 when there are none)."""
     chi = charpoly(Q)
     s = 1
-    for d in _unity_divisors(chi, Q.rows):
-        s = math.lcm(s, d)
+    for d in _totient_at_most(Q.rows):
+        if _poly_divmod_monic(chi, list(cyclotomic(d)))[1] == [0]:
+            s = math.lcm(s, d)
     return s
 
 

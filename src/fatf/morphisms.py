@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 from . import freewords
 from .fatfcore import Ambient, GroupElement, _check_same
 from .freewords import Word, reduce_word
-from .intlat import IntMatrix, matrix_inverse, matrix_order
+from .intlat import IntMatrix, matrix_inverse, matrix_order, unity_exponent
 
 
 class FreeMap:
@@ -86,8 +86,8 @@ class FreeMap:
         return all(w == (i,) for i, w in enumerate(self.images, start=1))
 
     def abelianization_matrix(self) -> IntMatrix:
-        return IntMatrix(
-            [freewords.abelianize(w, self.n) for w in self.images], cols=self.n
+        return IntMatrix._trusted(
+            tuple([freewords.abelianize(w, self.n) for w in self.images]), self.n
         )
 
     def power(self, k: int) -> "FreeMap":
@@ -219,17 +219,34 @@ def power_vector_matrix(psi: Morphism, k: int) -> IntMatrix:
     return total
 
 
+def linear_power(psi: Morphism, k: int) -> tuple[IntMatrix, IntMatrix]:
+    """(Q^k, P_k) of psi^k, with no free word powered.
+
+    psi acts on the pair (u_ab, a) as the (n+m)-square block matrix
+    [[A, P], [0, Q]], A the abelianization of phi; its k-th power is
+    [[A^k, P_k], [0, Q^k]].
+    """
+    n, m = psi.ambient.n, psi.ambient.m
+    A = psi.phi.abelianization_matrix()
+    zero = (0,) * n
+    rows = [a + p for a, p in zip(A.entries, psi.P.entries)] + [zero + q for q in psi.Q.entries]
+    block = IntMatrix._trusted(tuple(rows), n + m) ** k
+    rows = [r[n:] for r in block.entries]
+    return IntMatrix._trusted(tuple(rows[n:]), m), IntMatrix._trusted(tuple(rows[:n]), m)
+
+
 def order(psi: Morphism):
     """Exact order, or math.inf.
 
-    A finite order k is a multiple of s = lcm(ord A, ord Q), A the
-    abelianization of phi. Then phi^s lies in the torsion-free kernel of
-    the abelianization map, so phi^s = id, and psi^s = (id, I, P_s) has
-    finite order only when P_s = 0: k = s exactly when psi^s = id.
+    A finite order k is a multiple of r1 = ord phi and of ord Q, which is
+    unity_exponent(Q) when finite, so of s = lcm(r1, unity_exponent(Q)).
+    Then phi^s = id and A^s = I, so psi^s = (id, Q^s, P_s) and
+    psi^(js) = (id, I, j P_s) once Q^s = I: k = s exactly when Q^s = I and
+    P_s = 0. phi.order() powers free words only after its matrix check.
     """
-    r1 = matrix_order(psi.phi.abelianization_matrix())
-    r2 = matrix_order(psi.Q)
-    if r1 == math.inf or r2 == math.inf:
+    r1 = psi.phi.order()
+    if r1 == math.inf:
         return math.inf
-    s = math.lcm(int(r1), int(r2))
-    return s if power(psi, s).is_identity() else math.inf
+    s = math.lcm(r1, unity_exponent(psi.Q))
+    Qs, Ps = linear_power(psi, s)
+    return s if Qs.is_identity() and Ps.is_zero() else math.inf

@@ -49,6 +49,17 @@ def nielsen(i: int, j: int, sign: int, n: int) -> FreeMap:
     return FreeMap(fwd, bwd, n)
 
 
+def ia_map() -> FreeMap:
+    """K12 K23 K31 on F_3, K_ij: z_i -> z_j z_i z_j^-1 (the rest fixed): its
+    abelianization is the identity, yet it has infinite order."""
+    def K(i: int, j: int) -> FreeMap:
+        fwd = [(k,) if k != i else (j, i, -j) for k in range(1, 4)]
+        bwd = [(k,) if k != i else (-j, i, j) for k in range(1, 4)]
+        return FreeMap(fwd, bwd, 3)
+
+    return K(1, 2).compose(K(2, 3)).compose(K(3, 1))
+
+
 def inner(ambient: Ambient, u: Word) -> Morphism:
     """Conjugation w -> u^-1 w u; the abelian part is central and unmoved."""
     ui = invert(u)
@@ -313,6 +324,27 @@ def reference_from_words(ambient, free_part, abelian_part) -> SubgroupBasis:
     T = IntMatrix([freewords.abelianize(graph.trace(u), r) for u in words], cols=r)
     A = IntMatrix([a for a, _ in free_part], cols=ambient.m)
     return SubgroupBasis(ambient, graph, (matrix_inverse(T) * A).entries, abelian_part)
+
+
+# -- reference characteristic polynomial --------------------------------------
+# Faddeev-LeVerrier, the method `intlat.charpoly` used before the
+# division-free one, kept as the reference it is tested against.
+
+
+def reference_charpoly(Q: IntMatrix) -> list[int]:
+    """Coefficients of det(xI - Q), ascending degree: M_1 = Q and
+    c_k = -tr(M_k) / k, M_(k+1) = Q (M_k + c_k I); each division is exact."""
+    m = Q.rows
+    coeffs = [1]  # descending degree
+    M = IntMatrix.identity(m)
+    for k in range(1, m + 1):
+        M = Q * M
+        t = sum(M.entries[i][i] for i in range(m))
+        assert t % k == 0
+        c = -(t // k)
+        coeffs.append(c)
+        M = M + IntMatrix([[c if i == j else 0 for j in range(m)] for i in range(m)], cols=m)
+    return coeffs[::-1]
 
 
 # -- reference lattice algebra ------------------------------------------------

@@ -14,25 +14,21 @@ from conftest import (
     random_finite_order_morphism,
     random_free_aut,
     random_matrix,
-    random_morphism,
-    random_unimodular,
     random_word,
 )
 from fatf import (
     Ambient,
     FreeMap,
-    GroupElement,
     IntMatrix,
     Lattice,
     Morphism,
     SubgroupBasis,
     fix_single,
     member,
-    mul,
     subgroup_equal,
 )
 from fatf.bounds import automorphism_order_bound, constants, periodic_exponent_bound
-from fatf.fixpoint import FixInput, autofixed_closure, fix_tuple, is_autofixed, periodic_subgroup
+from fatf.fixpoint import FixInput, autofixed_closure, is_autofixed, periodic_subgroup
 from fatf.freewords import abelianize, invert, multiply, pullback, schreier_basis, stallings
 from fatf.intlat import (
     hnf,

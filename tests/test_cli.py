@@ -10,8 +10,11 @@ import time
 import pytest
 
 import fatf
+from conftest import ia_map
+from fatf import FreeMap
 from fatf.bounds import MAX_M, MAX_N
 from fatf.cli import EXIT_BAD_JSON, EXIT_OK, EXIT_UNKNOWN, EXIT_VALIDATION, run
+from fatf.freewords import format_word
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 PYPROJECT = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -254,6 +257,42 @@ class TestBudgets:
         body = json.loads((FIXTURES / "fix.in.json").read_text())
         body["morphisms"][0]["Q"] = [["1", "0"], ["0", str(-10**30)]]
         assert "budget" in _rejected(["fix"], body)
+
+    @staticmethod
+    def _order_105_q() -> list[list[str]]:
+        # block diagonal of the companion matrices of Phi_3, Phi_5 and Phi_7
+        # (all coefficients 1 for a prime p): m = 12, order lcm(3, 5, 7) = 105
+        Q = [["0"] * 12 for _ in range(12)]
+        at = 0
+        for p in (3, 5, 7):
+            d = p - 1
+            for r in range(d - 1):
+                Q[at + r][at + r + 1] = "1"
+            for c in range(d):
+                Q[at + d - 1][at + c] = "-1"
+            at += d
+        return Q
+
+    def _infinite_order(self, phi: FreeMap) -> None:
+        body = {"m": 12, "n": phi.n, "morphism": {
+            "phi": [format_word(w) for w in phi.images],
+            "phi_inv": [format_word(w) for w in phi.inverse_images],
+            "Q": self._order_105_q(),
+            "P": [["0"] * 12 for _ in range(phi.n)],
+        }}
+        t0 = time.perf_counter()
+        code, out = run(["order"], json.dumps(body))
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (EXIT_OK, '{"ok":true,"order":"inf"}\n')
+
+    def test_order_of_ia_map(self):
+        # A = I, but phi = K12 K23 K31 has infinite order and its images grow
+        # about 4.2x per power, so a free power to s = 105 would not finish
+        self._infinite_order(ia_map())
+
+    def test_order_of_fibonacci_map(self):
+        # A = [[1, 1], [1, 0]] has infinite order; no free word is powered
+        self._infinite_order(FreeMap([(1, 2), (1,)], [(2,), (-2, 1)], 2))
 
     def test_answer_digits(self):
         # the HNF of these generators holds 10^8000 - 1, past the 4,300 digits

@@ -1,13 +1,13 @@
-import math
 import os
 import pathlib
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
-from conftest import inner, letter_map, nielsen, random_finite_order_morphism, random_matrix
+from conftest import ia_map, inner, letter_map, nielsen, random_finite_order_morphism, random_matrix
 from fatf import fixpoint
 from fatf import (
     Ambient,
@@ -252,6 +252,32 @@ class TestPeriodic:
         assert res.finitely_generated
         for g in res.basis.basis_elements():
             assert apply(power(psi, 2), g) == g
+
+    def test_fix_power_rejects_infinite_free_order_at_once(self):
+        # phi = K12 K23 K31 with K_ij: z_i -> z_j z_i z_j^-1 has A = I but
+        # infinite order; its image lengths grow about 4.2x per power, so a
+        # free power to e would not finish
+        amb = Ambient(1, 3)
+        phi = ia_map()
+        assert phi.abelianization_matrix().is_identity()
+        psi = Morphism(amb, phi, IntMatrix([[-1]]), IntMatrix.zeros(3, 1))
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError):
+            fix_power(psi, 2 * 10**6)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_fix_power_matches_the_free_power(self):
+        # fix_power reads psi^e off the block matrix; the composed power
+        # gives the same fixed subgroup and diagnostics
+        rng = random.Random(41)
+        for _ in range(25):
+            amb = Ambient(rng.randint(0, 3), rng.randint(1, 3))
+            psi, _, k = random_finite_order_morphism(rng, amb)
+            if rng.random() < 0.5:
+                psi = Morphism(amb, psi.phi, psi.Q, random_matrix(rng, amb.n, amb.m, bound=1))
+            e = k * rng.randint(1, 3)
+            full = [(i,) for i in range(1, amb.n + 1)]
+            assert fix_power(psi, e) == fix_single(power(psi, e), full)
 
     def test_periodic_captures_low_periods(self):
         psi = worked_morphism()

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import as_reference, random_word, reference_finish, reference_stallings
-from fatf import freewords
 from fatf.freewords import (
     MAX_WORD_LETTERS,
     IndexBoundExceeded,

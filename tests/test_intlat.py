@@ -1,11 +1,13 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_unimodular, reference_row_echelon
+from conftest import random_unimodular, reference_charpoly, reference_row_echelon
 from fatf.intlat import (
+    DimensionError,
     IntMatrix,
     Lattice,
     NotSublatticeError,
@@ -228,6 +230,137 @@ class TestCharpolyAndCyclotomic:
         assert cyclotomic(4) == (1, 0, 1)
         assert cyclotomic(6) == (1, -1, 1)
         assert cyclotomic(12) == (1, 0, -1, 0, 1)
+
+
+def _det(M: IntMatrix) -> int:
+    """Determinant by Gaussian elimination over the rationals."""
+    a = [[Fraction(x) for x in r] for r in M.entries]
+    m, det = len(a), Fraction(1)
+    for j in range(m):
+        p = next((i for i in range(j, m) if a[i][j]), None)
+        if p is None:
+            return 0
+        if p != j:
+            a[j], a[p] = a[p], a[j]
+            det = -det
+        det *= a[j][j]
+        for i in range(j + 1, m):
+            f = a[i][j] / a[j][j]
+            a[i] = [x - f * y for x, y in zip(a[i], a[j])]
+    assert det.denominator == 1
+    return int(det)
+
+
+def _poly_mul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def _companion(f) -> list[list[int]]:
+    """Companion matrix (acting on rows) of the monic polynomial f, ascending."""
+    d = len(f) - 1
+    rows = [[1 if j == i + 1 else 0 for j in range(d)] for i in range(d - 1)]
+    return rows + [[-c for c in f[:d]]]
+
+
+def _block_diagonal(blocks) -> IntMatrix:
+    m = sum(len(b) for b in blocks)
+    rows, at = [], 0
+    for b in blocks:
+        for r in b:
+            rows.append([0] * at + list(r) + [0] * (m - at - len(r)))
+        at += len(b)
+    return IntMatrix(rows, cols=m)
+
+
+def _random_entries(rng: random.Random, m: int) -> IntMatrix:
+    return IntMatrix([[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)], cols=m)
+
+
+class TestCharpolyReference:
+    """charpoly (Berkowitz) against Faddeev-LeVerrier (conftest.reference_charpoly)."""
+
+    def _check(self, Q: IntMatrix) -> list[int]:
+        chi = charpoly(Q)
+        assert chi == reference_charpoly(Q)
+        assert len(chi) == Q.rows + 1 and chi[-1] == 1
+        assert chi[0] == (-1) ** Q.rows * _det(Q)
+        return chi
+
+    def test_random_up_to_12(self):
+        rng = random.Random(20240612)
+        for m in range(13):
+            for _ in range(8):
+                self._check(_random_entries(rng, m))
+
+    def test_random_24(self):
+        rng = random.Random(24)
+        for _ in range(3):
+            self._check(_random_entries(rng, 24))
+
+    def test_cyclotomic_block_companions(self):
+        rng = random.Random(5)
+        for _ in range(25):
+            blocks, expected = [], [1]
+            while len(expected) < 8:
+                f = [1]
+                for d in rng.sample([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12], rng.randint(1, 2)):
+                    f = _poly_mul(f, list(cyclotomic(d)))
+                blocks.append(_companion(f))
+                expected = _poly_mul(expected, f)
+            C = _block_diagonal(blocks)
+            U = random_unimodular(rng, C.rows, steps=6)
+            assert self._check(matrix_inverse(U) * C * U) == expected
+
+    def test_empty_and_non_square(self):
+        assert charpoly(IntMatrix.identity(0)) == [1]
+        with pytest.raises(DimensionError):
+            charpoly(IntMatrix([[1, 2]]))
+
+
+class TestTrustedConstructor:
+    """Results built without re-checking equal the same matrices rebuilt
+    through the public constructor, and hold plain ints only."""
+
+    @staticmethod
+    def _public_equal(M: IntMatrix) -> None:
+        rebuilt = IntMatrix([list(r) for r in M.entries], cols=M.cols)
+        assert M == rebuilt and hash(M) == hash(rebuilt)
+        assert type(M.entries) is tuple
+        assert all(type(r) is tuple and len(r) == M.cols for r in M.entries)
+        assert all(type(x) is int for r in M.entries for x in r)
+
+    def test_operations_match_public_constructor(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            r, k, c = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 5)
+            # bools and decimal strings enter through the public constructor
+            pick = lambda: rng.choice([rng.randint(-4, 4), True, False, str(rng.randint(-4, 4))])
+            A = IntMatrix([[pick() for _ in range(k)] for _ in range(r)], cols=k)
+            B = IntMatrix([[pick() for _ in range(c)] for _ in range(k)], cols=c)
+            A2 = IntMatrix([[pick() for _ in range(k)] for _ in range(r)], cols=k)
+            S = IntMatrix([[pick() for _ in range(k)] for _ in range(k)], cols=k)
+            for M in (A, B, A * B, A + A2, A - A2, -A, S ** rng.randint(0, 6),
+                      IntMatrix.identity(k), IntMatrix.zeros(r, c), IntMatrix.hstack([A, A2])):
+                self._public_equal(M)
+            U = random_unimodular(rng, k, steps=5)
+            self._public_equal(matrix_inverse(U))
+            self._public_equal(hnf(A).basis)
+            self._public_equal(kernel_lattice(A).basis)
+
+    def test_public_constructor_keeps_its_checks(self):
+        with pytest.raises(DimensionError):
+            IntMatrix([[1, 2], [3]])
+        with pytest.raises(DimensionError):
+            IntMatrix([[1, 2]], cols=3)
+        with pytest.raises(DimensionError):
+            IntMatrix([])
+        with pytest.raises(ValueError):
+            IntMatrix([["x"]])
+        assert IntMatrix([[True, "2"]]).entries == ((1, 2),)
 
 
 class TestMatrixOrder:

@@ -12,12 +12,11 @@ from conftest import (
     random_free_aut,
     random_matrix,
     random_morphism,
-    random_word,
 )
 from fatf import Ambient, FreeMap, GroupElement, IntMatrix, Morphism
 from fatf.bounds import automorphism_order_bound
 from fatf.intlat import matrix_order
-from fatf.morphisms import apply, compose, invert, order, power, power_vector_matrix
+from fatf.morphisms import apply, compose, invert, linear_power, order, power, power_vector_matrix
 
 
 def worked_morphism():
@@ -155,6 +154,33 @@ class TestPowers:
         psi = worked_morphism()
         assert power(psi, 0).is_identity()
         assert power(psi, 1) == psi
+
+
+class TestLinearPower:
+    def test_matches_power_on_finite_order(self):
+        rng = random.Random(28)
+        for _ in range(30):
+            amb = Ambient(rng.randint(0, 4), rng.randint(1, 3))
+            psi, _, _ = random_finite_order_morphism(rng, amb)
+            if rng.random() < 0.5:
+                psi = Morphism(amb, psi.phi, psi.Q, random_matrix(rng, amb.n, amb.m, bound=1))
+            for k in range(13):
+                pk = power(psi, k)
+                assert linear_power(psi, k) == (pk.Q, pk.P)
+
+    def test_matches_power_on_any_morphism(self):
+        rng = random.Random(29)
+        for _ in range(30):
+            amb = Ambient(rng.randint(0, 3), rng.randint(1, 3))
+            a = random_morphism(rng, amb, invertible=False)
+            a = Morphism(amb, random_free_aut(rng, amb.n, steps=1), a.Q, a.P)
+            k = rng.randint(0, 6)
+            pk = power(a, k)
+            assert linear_power(a, k) == (pk.Q, pk.P)
+
+    def test_negative_exponent(self):
+        with pytest.raises(ValueError):
+            linear_power(worked_morphism(), -1)
 
 
 class TestOrder:

@@ -25,6 +25,7 @@ PINNED = {
     "cli.main": "console-script entry point named in pyproject.toml",
     "fixpoint.is_autofixed": "called by the fix-index workload in fatfbench/workloads.py",
     "freewords.schreier_basis": "wrapped by fatfbench/tracing.py",
+    "morphisms.power": "wrapped by fatfbench/tracing.py; order and fix_power use linear_power",
     "morphisms.power_vector_matrix": "wrapped by fatfbench/tracing.py",
     "oracle.reduced_words": "wrapped by fatfbench/tracing.py",
 }
