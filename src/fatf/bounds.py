@@ -7,9 +7,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
-from .intlat import totients
+from .intlat import totient_at_most
 
 
 # Largest ranks `constants` accepts. At (MAX_M, MAX_N) the longest constant,
@@ -19,37 +18,25 @@ MAX_M = 100
 MAX_N = 250
 
 
-# Every bound below takes an optional totient table `phi`, sieved once by
-# `constants` for all the thresholds of a report; alone, each sieves its own.
-Totients = Optional[list[int]]
-
-
-def phi_threshold(m: int, phi: Totients = None) -> int:
-    """Largest d whose Euler totient phi(d) is at most m.
-
-    phi(d) >= sqrt(d/2), so scanning d <= 2*m^2 + 1 is exhaustive; `phi`
-    must reach that far.
-    """
+def phi_threshold(m: int) -> int:
+    """Largest d whose Euler totient phi(d) is at most m."""
     if m < 1:
         raise ValueError("threshold needs m >= 1")
-    top = 2 * m * m + 1
-    if phi is None:
-        phi = totients(top)
-    return max(d for d in range(1, top + 1) if phi[d] <= m)
+    return max(totient_at_most(m))
 
 
-def order_bound(m: int, phi: Totients = None) -> int:
+def order_bound(m: int) -> int:
     """Upper bound L1(m) on the order of any finite-order matrix in GL_m(Z)."""
     if m < 0:
         raise ValueError("negative rank")
     if m == 0:
         return 1
-    return phi_threshold(m, phi) ** m
+    return phi_threshold(m) ** m
 
 
-def periodic_exponent_bound(m: int, phi: Totients = None) -> int:
+def periodic_exponent_bound(m: int) -> int:
     """Uniform exponent L3(m) with Per Q = Fix Q^{L3} for all m x m integer Q."""
-    return math.factorial(phi_threshold(max(m, 1), phi))
+    return math.factorial(phi_threshold(max(m, 1)))
 
 
 def free_periodic_exponent(n: int) -> int:
@@ -59,20 +46,20 @@ def free_periodic_exponent(n: int) -> int:
     return math.factorial(6 * n - 6)
 
 
-def automorphism_order_bound(m: int, n: int, phi: Totients = None) -> int:
+def automorphism_order_bound(m: int, n: int) -> int:
     """Upper bound C1(m,n) on the order of any finite-order automorphism of Z^m x F_n."""
     if n <= 1:
-        return order_bound(m + n, phi)
+        return order_bound(m + n)
     if m == 0:
-        return order_bound(n, phi)
-    return order_bound(n, phi) * order_bound(m, phi)
+        return order_bound(n)
+    return order_bound(n) * order_bound(m)
 
 
-def group_periodic_exponent(m: int, n: int, phi: Totients = None) -> int:
+def group_periodic_exponent(m: int, n: int) -> int:
     """Uniform exponent C3(m,n) with Per Psi = Fix Psi^{C3} on Z^m x F_n."""
     return math.lcm(
-        periodic_exponent_bound(m, phi),
-        periodic_exponent_bound(m + 1, phi),
+        periodic_exponent_bound(m),
+        periodic_exponent_bound(m + 1),
         free_periodic_exponent(n),
     )
 
@@ -94,16 +81,13 @@ def constants(m: int, n: int) -> ConstantsReport:
         raise ValueError("negative rank")
     if m > MAX_M or n > MAX_N:
         raise ValueError(f"constants are reported for m <= {MAX_M} and n <= {MAX_N}")
-    # the largest threshold read is at m + 1 or n (m + n <= m + 1 when n <= 1)
-    top = max(m + 1, n)
-    phi = totients(2 * top * top + 1)
     return ConstantsReport(
         m=m,
         n=n,
-        C=phi_threshold(max(m, 1), phi),
-        L1=order_bound(m, phi),
-        L3=periodic_exponent_bound(m, phi),
+        C=phi_threshold(max(m, 1)),
+        L1=order_bound(m),
+        L3=periodic_exponent_bound(m),
         free_per=free_periodic_exponent(n),
-        C1=automorphism_order_bound(m, n, phi),
-        C3=group_periodic_exponent(m, n, phi),
+        C1=automorphism_order_bound(m, n),
+        C3=group_periodic_exponent(m, n),
     )

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import sys
 from typing import Any
 
@@ -91,8 +90,7 @@ def _cmd_order(payload: dict) -> dict:
     psi = jsonio.morphism_from_json(payload.get("morphism"), ambient)
     if psi.phi.inverse_images is None:
         raise FormatError("order needs a morphism with inverse images")
-    k = morphisms.order(psi)
-    return {"ok": True, "order": "inf" if k == math.inf else str(k)}
+    return {"ok": True, "order": jsonio._count_to_json(morphisms.order(psi))}
 
 
 def _cmd_closure(payload: dict) -> dict:

@@ -49,13 +49,6 @@ class GroupElement:
         object.__setattr__(self, "t", tuple(int(x) for x in self.t))
         object.__setattr__(self, "w", reduce_word(self.w, self.ambient.n))
 
-    @classmethod
-    def identity(cls, ambient: Ambient) -> "GroupElement":
-        return cls(ambient, (0,) * ambient.m, ())
-
-    def is_identity(self) -> bool:
-        return not self.w and not any(self.t)
-
     def __repr__(self) -> str:
         return f"GroupElement(t={self.t}, w={freewords.format_word(self.w)!r})"
 

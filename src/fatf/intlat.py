@@ -439,21 +439,13 @@ def cyclotomic(d: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def totients(top: int) -> list[int]:
-    """Euler's totient of 0, 1, ..., top by a sieve (entry 0 is 0):
-    phi(d) = d * prod (1 - 1/p) over the primes p dividing d."""
-    phi = list(range(top + 1))
-    for p in range(2, top + 1):
-        if phi[p] == p:
-            for k in range(p, top + 1, p):
-                phi[k] -= phi[k] // p
-    return phi
+def totient_at_most(m: int) -> list[int]:
+    """All d with Euler's phi(d) <= m, the possible orders of a root-of-unity
+    eigenvalue of an m x m integer matrix; empty at m = 0.
 
-
-def _totient_at_most(m: int) -> list[int]:
-    """All d with phi(d) <= m, built as products of prime powers p^k with
-    p <= m + 1 (as p - 1 divides phi(d)); each d arises once, from its
-    factorization, so no sieve up to 2m^2 is needed."""
+    Each d is built once, from its factorization, as a product of prime
+    powers p^k with p <= m + 1 (as p - 1 divides phi(d)).
+    """
     out = [(1, 1)]  # (d, phi(d))
     for p in range(2, m + 2):
         if any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
@@ -465,32 +457,40 @@ def _totient_at_most(m: int) -> list[int]:
                 grown.append((d * q, f * fq))
                 q, fq = q * p, fq * p
         out += grown
-    return [d for d, _ in out]
+    return [d for d, f in out if f <= m]  # drops d = 1 at m = 0
+
+
+def cyclotomic_part(Q: IntMatrix) -> tuple[int, bool]:
+    """(s, full) from the cyclotomic factors Phi_d of chi(Q), divided out
+    with multiplicity: s is the lcm of their orders d (1 when there are
+    none), and full says whether they make up all of chi(Q), i.e. whether
+    every eigenvalue of Q is a root of unity."""
+    chi = charpoly(Q)
+    s = 1
+    for d in totient_at_most(Q.rows):
+        phi_d = list(cyclotomic(d))
+        quotient, rem = _poly_divmod_monic(chi, phi_d)
+        while rem == [0]:
+            chi, s = quotient, math.lcm(s, d)
+            quotient, rem = _poly_divmod_monic(chi, phi_d)
+    return s, len(chi) == 1
 
 
 def unity_exponent(Q: IntMatrix) -> int:
     """Least s with Per Q = Fix Q^s: lcm of the orders of the root-of-unity
     eigenvalues of Q (1 when there are none)."""
-    chi = charpoly(Q)
-    s = 1
-    for d in _totient_at_most(Q.rows):
-        if _poly_divmod_monic(chi, list(cyclotomic(d)))[1] == [0]:
-            s = math.lcm(s, d)
-    return s
+    return cyclotomic_part(Q)[0]
 
 
 def matrix_order(Q: IntMatrix):
     """Least k >= 1 with Q^k = I, or math.inf.
 
     A finite-order integer matrix is diagonalizable with root-of-unity
-    eigenvalues, so its order equals the lcm of their orders; a single
-    power check settles finiteness.
+    eigenvalues, so its order equals the lcm s of their orders. An eigenvalue
+    off the unit roots (chi(Q) not all cyclotomic) settles infiniteness with
+    no power; otherwise the one power Q^s settles it.
     """
     if Q.rows != Q.cols:
         raise DimensionError("order of a non-square matrix")
-    if Q.rows == 0:
-        return 1
-    s = unity_exponent(Q)
-    if (Q ** s).is_identity():
-        return s
-    return math.inf
+    s, full = cyclotomic_part(Q)
+    return s if full and (Q ** s).is_identity() else math.inf

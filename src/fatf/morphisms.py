@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 from . import freewords
 from .fatfcore import Ambient, GroupElement, _check_same
 from .freewords import Word, reduce_word
-from .intlat import IntMatrix, matrix_inverse, matrix_order, unity_exponent
+from .intlat import IntMatrix, cyclotomic_part, matrix_inverse, matrix_order
 
 
 class FreeMap:
@@ -238,15 +238,20 @@ def linear_power(psi: Morphism, k: int) -> tuple[IntMatrix, IntMatrix]:
 def order(psi: Morphism):
     """Exact order, or math.inf.
 
-    A finite order k is a multiple of r1 = ord phi and of ord Q, which is
-    unity_exponent(Q) when finite, so of s = lcm(r1, unity_exponent(Q)).
+    A finite order k is a multiple of r1 = ord phi and of ord Q. A finite
+    ord Q needs chi(Q) all cyclotomic and is then the lcm q of the
+    cyclotomic orders, so k is a multiple of s = lcm(r1, q).
     Then phi^s = id and A^s = I, so psi^s = (id, Q^s, P_s) and
     psi^(js) = (id, I, j P_s) once Q^s = I: k = s exactly when Q^s = I and
-    P_s = 0. phi.order() powers free words only after its matrix check.
+    P_s = 0. phi.order() powers free words only after its matrix check, and
+    nothing is powered when chi(A) or chi(Q) is not all cyclotomic.
     """
     r1 = psi.phi.order()
     if r1 == math.inf:
         return math.inf
-    s = math.lcm(r1, unity_exponent(psi.Q))
+    q, full = cyclotomic_part(psi.Q)
+    if not full:
+        return math.inf
+    s = math.lcm(r1, q)
     Qs, Ps = linear_power(psi, s)
     return s if Qs.is_identity() and Ps.is_zero() else math.inf

@@ -6,6 +6,7 @@ keeps exact fixed bases and exact orders available for checking.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from typing import Sequence
@@ -14,7 +15,7 @@ from fatf import Ambient, FreeMap, GroupElement, IntMatrix, Morphism, SubgroupBa
 from fatf import freewords
 from fatf import morphisms as morphisms_mod
 from fatf.freewords import Word, _alphabet, check_letters, invert, reduce_word
-from fatf.intlat import matrix_inverse
+from fatf.intlat import cyclotomic, matrix_inverse
 from fatf.oracle import MAX_ENUMERATION, Bounds, reduced_words
 
 
@@ -74,7 +75,7 @@ def inner(ambient: Ambient, u: Word) -> Morphism:
 
 def bounded_products(gens: Sequence[GroupElement], ambient: Ambient, depth: int) -> set[GroupElement]:
     """Products of at most `depth` generators and their inverses."""
-    seen = {GroupElement.identity(ambient)}
+    seen = {GroupElement(ambient, (0,) * ambient.m, ())}
     for _ in range(depth):
         seen |= {mul(g, s) for g in seen for t in gens for s in (t, inv(t))}
     return seen
@@ -324,6 +325,65 @@ def reference_from_words(ambient, free_part, abelian_part) -> SubgroupBasis:
     T = IntMatrix([freewords.abelianize(graph.trace(u), r) for u in words], cols=r)
     A = IntMatrix([a for a, _ in free_part], cols=ambient.m)
     return SubgroupBasis(ambient, graph, (matrix_inverse(T) * A).entries, abelian_part)
+
+
+# -- reference totients --------------------------------------------------------
+# The sieve and the scan up to 2m^2 + 1 that `intlat.totient_at_most` and
+# `bounds.phi_threshold` replaced, kept as the reference they are tested
+# against.
+
+
+def reference_totients(top: int) -> list[int]:
+    """Euler's totient of 0, 1, ..., top by a sieve (entry 0 is 0):
+    phi(d) = d * prod (1 - 1/p) over the primes p dividing d."""
+    phi = list(range(top + 1))
+    for p in range(2, top + 1):
+        if phi[p] == p:
+            for k in range(p, top + 1, p):
+                phi[k] -= phi[k] // p
+    return phi
+
+
+@functools.lru_cache(maxsize=None)
+def reference_thresholds(top_m: int) -> tuple[int, ...]:
+    """Entry m, for 1 <= m <= top_m, is the largest d with phi(d) <= m, by a
+    scan of d <= 2m^2 + 1 (exhaustive, as phi(d) >= sqrt(d/2)); entry 0 is 0."""
+    phi = reference_totients(2 * top_m * top_m + 1)
+    return (0,) + tuple(
+        max(d for d in range(1, 2 * m * m + 2) if phi[d] <= m) for m in range(1, top_m + 1)
+    )
+
+
+# -- companion matrices --------------------------------------------------------
+
+
+def companion(f) -> list[list[int]]:
+    """Companion matrix (acting on rows) of the monic polynomial f, ascending."""
+    d = len(f) - 1
+    rows = [[1 if j == i + 1 else 0 for j in range(d)] for i in range(d - 1)]
+    return rows + [[-c for c in f[:d]]]
+
+
+def block_diagonal(blocks) -> IntMatrix:
+    m = sum(len(b) for b in blocks)
+    rows, at = [], 0
+    for b in blocks:
+        for r in b:
+            rows.append([0] * at + list(r) + [0] * (m - at - len(r)))
+        at += len(b)
+    return IntMatrix(rows, cols=m)
+
+
+def slow_infinite_order_matrix() -> IntMatrix:
+    """m = 38: a unimodular conjugate of the companions of Phi_4, Phi_3,
+    Phi_5, Phi_7, Phi_11 and Phi_13, whose orders have lcm s = 60,060, and of
+    [[2, 1], [1, 1]], whose eigenvalues (3 +- sqrt 5)/2 are no roots of
+    unity. Q^s has entries of about 83,000 bits, so deciding ord Q = inf by
+    that power takes seconds."""
+    blocks = [companion(list(cyclotomic(d))) for d in (4, 3, 5, 7, 11, 13)] + [[[2, 1], [1, 1]]]
+    C = block_diagonal(blocks)
+    U = random_unimodular(random.Random(38), C.rows, steps=160)
+    return matrix_inverse(U) * C * U
 
 
 # -- reference characteristic polynomial --------------------------------------

@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from conftest import random_finite_order_matrix
-from fatf import bounds
+from conftest import random_finite_order_matrix, reference_thresholds
 from fatf.bounds import (
+    MAX_M,
+    MAX_N,
     automorphism_order_bound,
     constants,
     free_periodic_exponent,
@@ -38,6 +39,9 @@ class TestThreshold:
         )
         assert [phi_threshold(m) for m in range(1, 101)] == expected
 
+    def test_matches_the_sieve_scan(self):
+        assert [phi_threshold(m) for m in range(1, 301)] == list(reference_thresholds(300)[1:])
+
 
 class TestConstants:
     def test_report_1_2(self):
@@ -62,20 +66,28 @@ class TestConstants:
         assert constants(0, 2).L1 == 1
 
     @pytest.mark.parametrize("m, n", [(0, 0), (0, 1), (0, 3), (1, 0), (1, 1), (1, 2), (3, 5), (100, 250)])
-    def test_one_sieve_per_report(self, monkeypatch, m, n):
-        calls = []
-
-        def counted(top):
-            calls.append(top)
-            return sieve(top)
-
-        sieve = bounds.totients
-        monkeypatch.setattr(bounds, "totients", counted)
+    def test_report_fields_equal_bounds_alone(self, m, n):
         r = constants(m, n)
-        assert len(calls) == 1
-        # each bound alone sieves its own table and gives the same value
         assert (r.C, r.L1, r.L3) == (phi_threshold(max(m, 1)), order_bound(m), periodic_exponent_bound(m))
         assert (r.C1, r.C3) == (automorphism_order_bound(m, n), group_periodic_exponent(m, n))
+
+    def test_matches_the_sieve_scan(self):
+        T = reference_thresholds(300)
+
+        def L1(k):
+            return 1 if k == 0 else T[k] ** k
+
+        def L3(k):
+            return math.factorial(T[max(k, 1)])
+
+        for m, n in [(m, n) for m in range(13) for n in range(13)] + [(MAX_M, MAX_N)]:
+            free_per = 1 if n <= 1 else math.factorial(6 * n - 6)
+            C1 = L1(m + n) if n <= 1 else L1(n) if m == 0 else L1(n) * L1(m)
+            C3 = math.lcm(L3(m), L3(m + 1), free_per)
+            r = constants(m, n)
+            assert (r.m, r.n, r.C, r.L1, r.L3, r.free_per, r.C1, r.C3) == (
+                m, n, T[max(m, 1)], L1(m), L3(m), free_per, C1, C3
+            )
 
     def test_exponent_is_factorial_of_threshold(self):
         assert periodic_exponent_bound(2) == math.factorial(6)

@@ -10,11 +10,12 @@ import time
 import pytest
 
 import fatf
-from conftest import ia_map
-from fatf import FreeMap
+from conftest import block_diagonal, companion, ia_map, slow_infinite_order_matrix
+from fatf import FreeMap, IntMatrix
 from fatf.bounds import MAX_M, MAX_N
 from fatf.cli import EXIT_BAD_JSON, EXIT_OK, EXIT_UNKNOWN, EXIT_VALIDATION, run
 from fatf.freewords import format_word
+from fatf.intlat import cyclotomic
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 PYPROJECT = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -259,26 +260,18 @@ class TestBudgets:
         assert "budget" in _rejected(["fix"], body)
 
     @staticmethod
-    def _order_105_q() -> list[list[str]]:
-        # block diagonal of the companion matrices of Phi_3, Phi_5 and Phi_7
-        # (all coefficients 1 for a prime p): m = 12, order lcm(3, 5, 7) = 105
-        Q = [["0"] * 12 for _ in range(12)]
-        at = 0
-        for p in (3, 5, 7):
-            d = p - 1
-            for r in range(d - 1):
-                Q[at + r][at + r + 1] = "1"
-            for c in range(d):
-                Q[at + d - 1][at + c] = "-1"
-            at += d
-        return Q
+    def _order_105_q() -> IntMatrix:
+        # block diagonal of the companion matrices of Phi_3, Phi_5 and Phi_7:
+        # m = 12, order lcm(3, 5, 7) = 105
+        return block_diagonal([companion(list(cyclotomic(p))) for p in (3, 5, 7)])
 
-    def _infinite_order(self, phi: FreeMap) -> None:
-        body = {"m": 12, "n": phi.n, "morphism": {
+    def _infinite_order(self, phi: FreeMap, Q: IntMatrix) -> None:
+        m = Q.rows
+        body = {"m": m, "n": phi.n, "morphism": {
             "phi": [format_word(w) for w in phi.images],
             "phi_inv": [format_word(w) for w in phi.inverse_images],
-            "Q": self._order_105_q(),
-            "P": [["0"] * 12 for _ in range(phi.n)],
+            "Q": [[str(x) for x in r] for r in Q.entries],
+            "P": [["0"] * m for _ in range(phi.n)],
         }}
         t0 = time.perf_counter()
         code, out = run(["order"], json.dumps(body))
@@ -288,11 +281,16 @@ class TestBudgets:
     def test_order_of_ia_map(self):
         # A = I, but phi = K12 K23 K31 has infinite order and its images grow
         # about 4.2x per power, so a free power to s = 105 would not finish
-        self._infinite_order(ia_map())
+        self._infinite_order(ia_map(), self._order_105_q())
 
     def test_order_of_fibonacci_map(self):
         # A = [[1, 1], [1, 0]] has infinite order; no free word is powered
-        self._infinite_order(FreeMap([(1, 2), (1,)], [(2,), (-2, 1)], 2))
+        self._infinite_order(FreeMap([(1, 2), (1,)], [(2,), (-2, 1)], 2), self._order_105_q())
+
+    def test_order_of_q_with_a_non_cyclotomic_factor(self):
+        # m = 38 and s = 60,060: chi(Q) is not all cyclotomic, so no power
+        # of Q is taken; the power Q^s alone takes seconds
+        self._infinite_order(FreeMap.identity(1), slow_infinite_order_matrix())
 
     def test_answer_digits(self):
         # the HNF of these generators holds 10^8000 - 1, past the 4,300 digits

@@ -1,11 +1,20 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_unimodular, reference_charpoly, reference_row_echelon
+from conftest import (
+    block_diagonal,
+    companion,
+    random_unimodular,
+    reference_charpoly,
+    reference_row_echelon,
+    reference_totients,
+    slow_infinite_order_matrix,
+)
 from fatf.intlat import (
     DimensionError,
     IntMatrix,
@@ -14,6 +23,7 @@ from fatf.intlat import (
     _with_transform,
     charpoly,
     cyclotomic,
+    cyclotomic_part,
     hnf,
     kernel_lattice,
     lattice_index,
@@ -22,7 +32,7 @@ from fatf.intlat import (
     matrix_inverse,
     matrix_order,
     solve_left,
-    totients,
+    totient_at_most,
     unity_exponent,
 )
 
@@ -216,13 +226,24 @@ class TestCharpolyAndCyclotomic:
         assert charpoly(IntMatrix([[0, 1], [1, 1]])) == [-1, -1, 1]
 
     def test_euler_phi(self):
-        assert totients(12)[1:] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
+        assert reference_totients(12)[1:] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
 
     def test_totients_count_coprime_residues(self):
-        phi = totients(300)
+        phi = reference_totients(300)
         assert phi[0] == 0
         for d in range(1, 301):
             assert phi[d] == sum(1 for k in range(1, d + 1) if math.gcd(k, d) == 1)
+
+    def test_totient_at_most_matches_the_sieve(self):
+        # phi(d) >= sqrt(d/2), so every d with phi(d) <= 150 is at most 45,001
+        phi = reference_totients(2 * 150 * 150 + 1)
+        by_totient: dict[int, list[int]] = {}
+        for d in range(1, len(phi)):
+            by_totient.setdefault(phi[d], []).append(d)
+        expected: list[int] = []
+        for m in range(151):
+            expected += by_totient.get(m, [])
+            assert sorted(totient_at_most(m)) == sorted(expected)
 
     def test_cyclotomic(self):
         assert cyclotomic(1) == (-1, 1)
@@ -259,23 +280,6 @@ def _poly_mul(f, g):
     return out
 
 
-def _companion(f) -> list[list[int]]:
-    """Companion matrix (acting on rows) of the monic polynomial f, ascending."""
-    d = len(f) - 1
-    rows = [[1 if j == i + 1 else 0 for j in range(d)] for i in range(d - 1)]
-    return rows + [[-c for c in f[:d]]]
-
-
-def _block_diagonal(blocks) -> IntMatrix:
-    m = sum(len(b) for b in blocks)
-    rows, at = [], 0
-    for b in blocks:
-        for r in b:
-            rows.append([0] * at + list(r) + [0] * (m - at - len(r)))
-        at += len(b)
-    return IntMatrix(rows, cols=m)
-
-
 def _random_entries(rng: random.Random, m: int) -> IntMatrix:
     return IntMatrix([[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)], cols=m)
 
@@ -309,9 +313,9 @@ class TestCharpolyReference:
                 f = [1]
                 for d in rng.sample([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12], rng.randint(1, 2)):
                     f = _poly_mul(f, list(cyclotomic(d)))
-                blocks.append(_companion(f))
+                blocks.append(companion(f))
                 expected = _poly_mul(expected, f)
-            C = _block_diagonal(blocks)
+            C = block_diagonal(blocks)
             U = random_unimodular(rng, C.rows, steps=6)
             assert self._check(matrix_inverse(U) * C * U) == expected
 
@@ -370,6 +374,7 @@ class TestMatrixOrder:
         assert matrix_order(IntMatrix([[0, -1], [1, -1]])) == 3
         assert matrix_order(IntMatrix([[1, 1], [0, 1]])) == math.inf
         assert matrix_order(IntMatrix([[2]])) == math.inf
+        assert matrix_order(IntMatrix.identity(0)) == 1
 
     def test_order_is_minimal(self):
         Q = IntMatrix([[0, -1], [1, 0]])
@@ -377,6 +382,32 @@ class TestMatrixOrder:
         assert (Q ** k).is_identity()
         for j in range(1, k):
             assert not (Q ** j).is_identity()
+
+    def test_infinite_order_needs_no_power(self):
+        # chi(Q) keeps the factor x^2 - 3x + 1; the power Q^60060 that would
+        # show the same takes seconds
+        Q = slow_infinite_order_matrix()
+        t0 = time.perf_counter()
+        assert matrix_order(Q) == math.inf
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_cyclotomic_but_not_diagonalizable(self):
+        # two coupled companions of Phi_3: chi(Q) = Phi_3^2, yet Q^3 != I, so
+        # only the power check answers inf
+        C3 = companion(list(cyclotomic(3)))
+        rows = [r + [1 if i == j else 0 for j in range(2)] for i, r in enumerate(C3)]
+        rows += [[0, 0] + r for r in C3]
+        U = random_unimodular(random.Random(3), 4, steps=6)
+        Q = matrix_inverse(U) * IntMatrix(rows) * U
+        assert cyclotomic_part(Q) == (3, True)
+        assert matrix_order(Q) == math.inf
+
+    def test_cyclotomic_part_counts_multiplicity(self):
+        # Phi_1^2 Phi_2 fills all three degrees; Phi_1 Phi_2 and a factor
+        # x - 2 leave one over
+        assert cyclotomic_part(IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, -1]])) == (2, True)
+        assert cyclotomic_part(IntMatrix([[1, 0, 0], [0, 2, 0], [0, 0, -1]])) == (2, False)
+        assert cyclotomic_part(IntMatrix.identity(0)) == (1, True)
 
     def test_unity_exponent(self):
         assert unity_exponent(IntMatrix([[2]])) == 1

@@ -189,6 +189,13 @@ class TestOrder:
         assert order(Morphism.identity(Ambient(2, 2))) == 1
         assert order(spiral_morphism()) == math.inf
 
+    def test_cyclotomic_q_of_infinite_order(self):
+        # chi(Q) = Phi_1^2 is all cyclotomic, so the power check on Q^s, not
+        # the factorization, finds that Q = [[1, 1], [0, 1]] has infinite order
+        amb = Ambient(2, 1)
+        psi = Morphism(amb, FreeMap.identity(1), IntMatrix([[1, 1], [0, 1]]), IntMatrix.zeros(1, 2))
+        assert order(psi) == math.inf
+
     def test_minimality_and_bound(self):
         rng = random.Random(26)
         for _ in range(25):

@@ -3,10 +3,11 @@ exports it, or a pinned reason below keeps it. A helper that only tests use
 belongs in tests/conftest.py.
 
 References are read from the source with `ast`: a function counts as called
-when its name is loaded, not bound as a local, or read as an attribute
-outside its own body; a method counts when its name is read as an attribute
+when, outside its own body, its name is loaded and not bound as a local, or
+read as an attribute of an imported module (`morphisms.order`, not
+`psi.phi.order`); a method counts when its name is read as an attribute
 outside its own body. Dunder methods are called by the language and are not
-checked.
+checked. A pin whose name src/ calls is stale and fails too.
 """
 
 import ast
@@ -31,13 +32,29 @@ PINNED = {
 }
 
 
-class _Refs(ast.NodeVisitor):
-    """Counts of loaded free names and of attribute names read."""
+def _module_aliases(tree: ast.Module) -> set[str]:
+    """Names that `import x [as y]` and `from . import x [as y]` bind."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module is None):
+            out |= {a.asname or a.name.split(".")[0] for a in node.names}
+    return out
 
-    def __init__(self) -> None:
+
+class _Refs(ast.NodeVisitor):
+    """Counts of loaded free names, of attribute names read, and of attribute
+    names read off a module alias."""
+
+    def __init__(self, modules: set[str] = frozenset()) -> None:
         self.names: Counter = Counter()
         self.attrs: Counter = Counter()
+        self.module_attrs: Counter = Counter()
+        self.modules = modules
         self.bound: list[set] = []
+
+    def visit_Module(self, node: ast.Module) -> None:
+        self.modules = _module_aliases(node)
+        self.generic_visit(node)
 
     def _scope(self, node) -> None:
         args = {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
@@ -54,6 +71,8 @@ class _Refs(ast.NodeVisitor):
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
         self.attrs[node.attr] += 1
+        if isinstance(node.value, ast.Name) and node.value.id in self.modules:
+            self.module_attrs[node.attr] += 1
         self.generic_visit(node)
 
 
@@ -73,26 +92,37 @@ def _modules() -> dict[str, ast.Module]:
     return {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
 
 
-def uncalled() -> list[str]:
-    """Definitions in src/fatf that nothing in src/ calls, that fatf does not
-    export and that PINNED does not keep."""
+def src_calls() -> dict[str, int]:
+    """Number of references from src/ to each definition in src/fatf, by
+    qualified name, its own body excluded."""
     modules = _modules()
     total = _Refs()
     for tree in modules.values():
         total.visit(tree)
-    out = []
+    out = {}
     for mod, tree in modules.items():
+        aliases = _module_aliases(tree)
         for qual, node, is_method in _definitions(tree):
-            own = _Refs()
+            own = _Refs(aliases)
             own.visit(node)
             name = node.name
-            calls = total.attrs[name] - own.attrs[name]
-            if not is_method:
-                calls += total.names[name] - own.names[name]
-            key = f"{mod}.{qual}"
-            if calls == 0 and name not in fatf.__all__ and key not in PINNED:
-                out.append(key)
+            if is_method:
+                calls = total.attrs[name] - own.attrs[name]
+            else:
+                calls = total.names[name] - own.names[name]
+                calls += total.module_attrs[name] - own.module_attrs[name]
+            out[f"{mod}.{qual}"] = calls
     return out
+
+
+def uncalled() -> list[str]:
+    """Definitions in src/fatf that nothing in src/ calls, that fatf does not
+    export and that PINNED does not keep."""
+    return [
+        key
+        for key, calls in src_calls().items()
+        if calls == 0 and key.rsplit(".", 1)[-1] not in fatf.__all__ and key not in PINNED
+    ]
 
 
 def test_every_definition_is_called_exported_or_pinned():
@@ -100,10 +130,12 @@ def test_every_definition_is_called_exported_or_pinned():
 
 
 def test_pins_name_existing_definitions():
-    defined = {
-        f"{mod}.{qual}" for mod, tree in _modules().items() for qual, _, _ in _definitions(tree)
-    }
-    assert set(PINNED) <= defined
+    assert set(PINNED) <= set(src_calls())
+
+
+def test_pins_have_no_caller_in_src():
+    calls = src_calls()
+    assert [key for key in PINNED if calls[key]] == []
 
 
 def test_names_the_benchmark_wraps_resolve():
