@@ -178,3 +178,7 @@ def main() -> None:
     code, out = run(sys.argv[1:], sys.stdin.read() if not sys.stdin.isatty() else "")
     sys.stdout.write(out)
     sys.exit(code)
+
+
+if __name__ == "__main__":
+    main()

@@ -79,8 +79,12 @@ class FixInput:
                     raise InvalidFixInput(
                         f"word {freewords.format_word(w)!r} is not fixed by its map"
                     )
-            if freewords.stallings(words, n).rank != len(words):
+            fold = freewords.stallings(words, n)
+            if fold.rank != len(words):
                 raise InvalidFixInput("a fixed free-basis is not a free basis")
+            # the identity fixes all of F_n, so its basis must fold to the rose
+            if psi.phi.is_identity() and (fold.num_vertices != 1 or fold.rank != n):
+                raise InvalidFixInput("the fixed free-basis of an identity map does not generate F_n")
             bases.append(words)
         object.__setattr__(self, "fixed_free_bases", tuple(bases))
 
@@ -116,9 +120,9 @@ def fix_tuple(inp: FixInput) -> FixResult:
 
     graph = freewords.stallings(inp.fixed_free_bases[0], n)
     for basis in inp.fixed_free_bases[1:]:
-        graph = freewords.pullback(graph, freewords.stallings(basis, n))
+        other = freewords.stallings(basis, n)
+        graph = freewords.pullback(graph, lambda v, a: other.delta.get((v, a)), 0)
     v_words = graph.basis_words
-    p = len(v_words)
 
     eye = IntMatrix.identity(m)
     Qt = IntMatrix.hstack([eye - psi.Q for psi in inp.morphisms])
@@ -143,15 +147,23 @@ def fix_tuple(inp: FixInput) -> FixResult:
                 f"the budget of {MAX_COVER_VERTICES} vertices"
             )
 
-        # an abstract word's coset is the residue modulo preimage of its
-        # abelianization, which R maps into im_rho
-        def coset(x: Word) -> Vec:
-            return preimage.reduce(R.apply_row(freewords.abelianize(x, p)))[1]
+        # the answer's free part is the words of <v_words> whose
+        # abelianization lies in preimage: the cover of the v_words graph by
+        # the residues of Z^n modulo preimage, so no word of it is folded
+        def step(r: Vec, a: int) -> Vec:
+            v = list(r)
+            v[abs(a) - 1] += 1 if a > 0 else -1
+            return preimage.reduce(v)[1]
 
-        # the answer's free part is the ell-sheeted cover of the v_words graph
-        # that the coset graph defines, so no word of it is folded again
-        sheets = freewords.coset_graph(p, coset, int(ell))
-        answer = freewords.cover(graph, sheets)
+        answer = freewords.pullback(graph, step, (0,) * n)
+        # the residues reached at a vertex form one coset of im_rho, ell of
+        # them modulo preimage, so a larger cover means the lattices above
+        # disagree with the graph
+        if answer.num_vertices > ell * graph.num_vertices:
+            raise CertificateError(
+                f"cover of {answer.num_vertices} vertices exceeds index {ell} "
+                f"over a {graph.num_vertices}-vertex graph"
+            )
         # an answer word abelianizes into preimage and e is linear in it, so
         # one solve per preimage row covers every word
         solutions = [solve_left(Qt, Pt.apply_row(b)) for b in preimage.basis.entries]
@@ -163,7 +175,7 @@ def fix_tuple(inp: FixInput) -> FixResult:
         ]
         basis = SubgroupBasis(ambient, answer, vectors, kernel)
         result = FixResult(basis, FixDiagnostics(im_rho, im_P, M, N, preimage, ell))
-    elif p == 1:
+    elif graph.rank == 1:
         # cyclic free intersection whose generator picks up a nonzero abelian
         # defect: no power of it extends to a fixed element, so only the
         # abelian kernel survives

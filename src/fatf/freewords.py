@@ -267,48 +267,58 @@ def stallings(generators: Sequence[Word], n: int) -> StallingsGraph:
     return StallingsGraph._finish(n, find(0), delta)
 
 
-def pullback(g1: StallingsGraph, g2: StallingsGraph) -> StallingsGraph:
-    """Core of the basepoint component of the product graph; recognizes the
-    intersection of the two subgroups."""
-    if g1.n != g2.n:
-        raise ValueError("pullback over different alphabets")
-    n = g1.n
+def pullback(
+    g1: StallingsGraph, step: Callable[[Hashable, int], Optional[Hashable]], base: Hashable
+) -> StallingsGraph:
+    """Core of the basepoint component of the product of g1 with the automaton
+    whose transitions are step(state, letter) (None where there is none),
+    started at base.
+
+    With the transitions of a second graph it recognizes the intersection of
+    the two subgroups. With a group acting on the states it is the cover of
+    g1 that recognizes the words of g1's subgroup carrying base back to base.
+    """
     labels = _labels(g1.delta)
-    ids = {(0, 0): 0}
-    queue = deque([(0, 0)])
+    ids = {(0, base): 0}
+    queue = deque(ids)
     delta: dict[tuple[int, int], int] = {}
     while queue:
         p = queue.popleft()
-        v1, v2 = p
+        v1, s = p
         for a in labels:
             w1 = g1.delta.get((v1, a))
-            w2 = g2.delta.get((v2, a))
-            if w1 is None or w2 is None:
+            if w1 is None:
                 continue
-            q = (w1, w2)
+            t = step(s, a)
+            if t is None:
+                continue
+            q = (w1, t)
             if q not in ids:
                 ids[q] = len(ids)
                 queue.append(q)
             delta[(ids[p], a)] = ids[q]
-    return StallingsGraph._finish(n, 0, delta)
+    return StallingsGraph._finish(g1.n, 0, delta)
 
 
 class IndexBoundExceeded(RuntimeError):
     """Coset enumeration found more cosets than the promised index."""
 
 
-def coset_graph(
-    p: int,
+def schreier_basis(
+    ambient_basis: Sequence[Word],
     coset_key: Callable[[Word], Hashable],
     index_bound: int,
-) -> StallingsGraph:
-    """Coset graph over F_p of a finite-index subgroup H given by its coset keys.
+) -> list[Word]:
+    """Free basis of a finite-index subgroup H given by its coset keys.
 
-    coset_key takes equal values on abstract words u and v exactly when
-    H u = H v. Cosets are discovered breadth-first with the label order of
-    `_alphabet`, which is already the canonical numbering, so the graph's
-    `basis_words` are the Schreier basis of H.
+    coset_key speaks about abstract words over p = len(ambient_basis) letters
+    and takes equal values on u and v exactly when H u = H v. Cosets are
+    discovered breadth-first with the label order of `_alphabet`, which is
+    already the canonical numbering, so the coset graph's `basis_words` are
+    the Schreier basis of H; they are substituted back into the actual
+    ambient words.
     """
+    p = len(ambient_basis)
     reps: list[Word] = [()]
     coset_of = {coset_key(()): 0}
     table: dict[tuple[int, int], int] = {}
@@ -328,40 +338,9 @@ def coset_graph(
             table[(i, a)] = target
             table[(target, -a)] = i
         i += 1
-    return StallingsGraph(p, len(reps), table)
-
-
-def cover(graph: StallingsGraph, sheets: StallingsGraph) -> StallingsGraph:
-    """Graph of the subgroup of <graph.basis_words> whose words, spelled over
-    that basis, lie in the subgroup of F_rank that `sheets` recognizes.
-
-    It is the cover with vertices (coset, vertex): crossing basis edge j
-    moves the coset along letter j of `sheets`, and a tree edge keeps it. A
-    cover of a folded graph is folded, so `_finish` only trims and renumbers.
-    """
-    delta: dict[tuple[Hashable, int], Hashable] = {}
-    for c in range(sheets.num_vertices):
-        for (v, a), w in graph.delta.items():
-            hit = graph._edge_index.get((v, a))
-            d = c if hit is None else sheets.delta[(c, hit[0])]
-            delta[((c, v), a)] = (d, w)
-    return StallingsGraph._finish(graph.n, (0, 0), delta)
-
-
-def schreier_basis(
-    ambient_basis: Sequence[Word],
-    coset_key: Callable[[Word], Hashable],
-    index_bound: int,
-) -> list[Word]:
-    """Free basis of a finite-index subgroup H given by its coset keys.
-
-    coset_key speaks about abstract words over len(ambient_basis) letters and
-    takes equal values on u and v exactly when H u = H v; the returned basis
-    is substituted back into the actual ambient words.
-    """
     # spell[a] is the ambient word of letter a; a < 0 counts from the end
     spell = [()] + list(ambient_basis) + [invert(g) for g in reversed(ambient_basis)]
     return [
         reduce_word([b for a in u for b in spell[a]])
-        for u in coset_graph(len(ambient_basis), coset_key, index_bound).basis_words
+        for u in StallingsGraph(p, len(reps), table).basis_words
     ]

@@ -19,7 +19,7 @@ from .intlat import IntMatrix, cyclotomic_part, matrix_inverse, matrix_order
 class FreeMap:
     """Endomorphism of F_n given by generator images."""
 
-    __slots__ = ("n", "images", "inverse_images")
+    __slots__ = ("n", "images", "inverse_images", "_order")
 
     def __init__(
         self,
@@ -44,6 +44,7 @@ class FreeMap:
                 if self.apply(back.images[i - 1]) != (i,):
                     raise ValueError("claimed inverse is not undone by the map")
         self.inverse_images = inverse_images
+        self._order = None
 
     @classmethod
     def identity(cls, n: int) -> "FreeMap":
@@ -75,6 +76,7 @@ class FreeMap:
         out.n = self.n
         out.images = images
         out.inverse_images = inverse
+        out._order = None
         return out
 
     def invert(self) -> "FreeMap":
@@ -108,11 +110,12 @@ class FreeMap:
         The torsion of Aut(F_n) embeds in GL_n(Z) (the kernel of the
         abelianization map is torsion-free), so the order equals the order
         of the abelianization matrix whenever that power is the identity.
+        The map is immutable, so the order is computed once and kept.
         """
-        s = matrix_order(self.abelianization_matrix())
-        if s == math.inf:
-            return math.inf
-        return s if self.power(s).is_identity() else math.inf
+        if self._order is None:
+            s = matrix_order(self.abelianization_matrix())
+            self._order = s if s == math.inf or self.power(s).is_identity() else math.inf
+        return self._order
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -150,9 +153,6 @@ class Morphism:
             IntMatrix.identity(ambient.m),
             IntMatrix.zeros(ambient.n, ambient.m),
         )
-
-    def is_identity(self) -> bool:
-        return self.phi.is_identity() and self.Q.is_identity() and self.P.is_zero()
 
     def __eq__(self, other: object) -> bool:
         return (

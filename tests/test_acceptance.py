@@ -94,7 +94,7 @@ def test_criterion_01_worked_fixed_subgroup_end_to_end():
 
 def test_criterion_02_worked_morphism_order():
     psi = worked_morphism()
-    ok = order(psi) == 2 and compose(psi, psi).is_identity()
+    ok = order(psi) == 2 and compose(psi, psi) == Morphism.identity(psi.ambient)
     report(2, ok, "order 2 and involution confirmed exactly")
 
 
@@ -304,7 +304,7 @@ def test_criterion_10_free_machinery_suite():
     for _ in range(30):
         g1 = stallings([random_word(rng, 2, 4) for _ in range(2)], 2)
         g2 = stallings([random_word(rng, 2, 4) for _ in range(2)], 2)
-        pb = pullback(g1, g2)
+        pb = pullback(g1, lambda v, a: g2.delta.get((v, a)), 0)
         for _ in range(8):
             w = random_word(rng, 2, 8)
             both = g1.trace(w) is not None and g2.trace(w) is not None

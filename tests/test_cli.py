@@ -119,10 +119,29 @@ def test_per_computes_exponent_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_per_computes_free_order_once(monkeypatch):
+    # periodic_exponent and fix_power's guard both need ord phi; the second
+    # reads the value the first computed
+    calls = []
+    real = fatf.morphisms.matrix_order
+
+    def counted(A):
+        calls.append(A)
+        return real(A)
+
+    monkeypatch.setattr(fatf.morphisms, "matrix_order", counted)
+    stdin = (FIXTURES / "per.in.json").read_text()
+    code, out = run(["per"], stdin)
+    assert code == EXIT_OK
+    assert out == (FIXTURES / "per.out.json").read_text()
+    assert len(calls) == 1
+
+
 def test_basis_of_fix_elements_gives_fix_bytes():
     # Fix of (psi, id) on Z^2 x F_2, with psi = (id, [[6,1],[-1,0]], I) and
-    # the fixed basis {z2 z1, z1 z1 z2} for id: the subgroup generated by
-    # the elements fix reports serializes to the same bytes
+    # the fixed basis {z2 z1, z1} of F_2 for id, so the free parts meet by a
+    # pullback of two different bases: the subgroup generated by the
+    # elements fix reports serializes to the same bytes
     payload = {
         "m": 2,
         "n": 2,
@@ -132,7 +151,7 @@ def test_basis_of_fix_elements_gives_fix_bytes():
             {"phi": ["z1", "z2"], "phi_inv": ["z1", "z2"], "Q": [["1", "0"], ["0", "1"]],
              "P": [["0", "0"], ["0", "0"]]},
         ],
-        "fixed_bases": [["z1", "z2"], ["z2 z1", "z1 z1 z2"]],
+        "fixed_bases": [["z1", "z2"], ["z2 z1", "z1"]],
     }
     code, out = run(["fix"], json.dumps(payload))
     assert code == EXIT_OK
@@ -203,6 +222,19 @@ class TestTrustBoundary:
         # a rank-3 free basis of the even-z1 subgroup, fixed by phi = id on F_2
         body = _fix_payload(["z1", "z2"], ["z1 z1", "z2", "z1 z2 z1^-1"], 2)
         assert "more than n = 2" in _rejected(["fix"], body)
+
+    @pytest.mark.parametrize("basis", [["z1"], ["z2 z1", "z1 z1 z2"]])
+    def test_identity_basis_must_generate_f_n(self, basis):
+        # phi = id fixes all of F_2, so a basis of <z1> (rank 1) or of the
+        # infinite-index <z2 z1, z1 z1 z2> (rank 2) would report a proper
+        # subgroup of Z x F_2 as Fix
+        body = {
+            "m": 1,
+            "n": 2,
+            "morphisms": [{"phi": ["z1", "z2"], "phi_inv": ["z1", "z2"], "Q": [["1"]], "P": [["0"], ["0"]]}],
+            "fixed_bases": [basis],
+        }
+        assert "does not generate F_n" in _rejected(["fix"], body)
 
     def test_incomplete_fixed_basis_caught_by_closure_certificate(self):
         body = json.loads((FIXTURES / "closure.in.json").read_text())
@@ -390,6 +422,8 @@ class TestInstalledEntryPoint:
             [str(import_root)] + ([inherited] if inherited else [])
         )
         _run_order([sys.executable, "-c", _console_script_wrapper("fatf")], env)
+        # python -m fatf.cli, the route from a checkout with no install
+        _run_order([sys.executable, "-m", "fatf.cli"], env)
 
     @pytest.mark.skipif(
         shutil.which("fatf") is None, reason="fatf console script not installed"

@@ -349,6 +349,15 @@ class TestCertificates:
         with pytest.raises(CertificateError, match="must contain"):
             autofixed_closure(WORKED_BASIS, inp)
 
+    def test_cover_larger_than_the_index_is_caught(self, monkeypatch):
+        # an index that undercounts the residues: the cover of the ell-16
+        # family has 16 vertices over the one-vertex rose, more than 8 x 1
+        monkeypatch.setattr(fixpoint, "lattice_index", lambda sub, sup: 8)
+        amb = Ambient(2, 2)
+        psi = Morphism(amb, FreeMap.identity(2), IntMatrix([[18, 1], [-1, 0]]), IntMatrix.identity(2))
+        with pytest.raises(CertificateError, match="exceeds index 8"):
+            fix_single(psi, [(1,), (2,)])
+
     def test_checked_under_optimization(self):
         # the certificates are explicit checks, so python -O keeps them
         script = (

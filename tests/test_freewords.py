@@ -10,8 +10,6 @@ from fatf.freewords import (
     StallingsGraph,
     LetterError,
     abelianize,
-    coset_graph,
-    cover,
     format_word,
     invert,
     multiply,
@@ -21,6 +19,7 @@ from fatf.freewords import (
     schreier_basis,
     stallings,
 )
+from fatf.intlat import IntMatrix, Lattice
 
 words3 = st.lists(
     st.integers(min_value=-3, max_value=3).filter(bool), min_size=0, max_size=8
@@ -199,15 +198,17 @@ class TestReferenceFold:
 
 class TestPullback:
     def test_cyclic_powers(self):
-        g = pullback(stallings([(1, 1)], 2), stallings([(1, 1, 1)], 2))
+        cube = stallings([(1, 1, 1)], 2)
+        g = pullback(stallings([(1, 1)], 2), lambda v, a: cube.delta.get((v, a)), 0)
         assert g.basis_words == [(1,) * 6]
 
     def test_self_intersection(self):
         h = stallings([(1, 2), (2, 2)], 2)
-        assert pullback(h, h) == h
+        assert pullback(h, lambda v, a: h.delta.get((v, a)), 0) == h
 
     def test_disjoint(self):
-        g = pullback(stallings([(1,)], 2), stallings([(2,)], 2))
+        other = stallings([(2,)], 2)
+        g = pullback(stallings([(1,)], 2), lambda v, a: other.delta.get((v, a)), 0)
         assert g.rank == 0
 
     def test_soundness_random(self):
@@ -215,7 +216,7 @@ class TestPullback:
         for _ in range(25):
             g1 = stallings([random_word(rng, 2, 4) for _ in range(2)], 2)
             g2 = stallings([random_word(rng, 2, 4) for _ in range(2)], 2)
-            pb = pullback(g1, g2)
+            pb = pullback(g1, lambda v, a: g2.delta.get((v, a)), 0)
             for _ in range(10):
                 w = random_word(rng, 2, 8)
                 both = g1.trace(w) is not None and g2.trace(w) is not None
@@ -270,42 +271,66 @@ class TestIndexAndSchreier:
         with pytest.raises(IndexBoundExceeded):
             schreier_basis([(1,)], key, 2)
 
-    SCHREIER_KEYS = [
-        ([(2,), (3,)], 3, lambda w: abelianize(w, 2)[0] % 2, 2),
-        ([(1,), (2,)], 2, lambda w: 0, 1),
-        ([(1,)], 1, lambda w: abelianize(w, 1)[0] % 3, 3),
-    ] + [
-        ([(i,) for i in range(1, r + 1)], r, lambda w, mod=mod, r=r: abelianize(w, r)[0] % mod, mod)
-        for mod, r in [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3)]
-    ]
+    @staticmethod
+    def residue_step(L: Lattice):
+        """Z^n acting on its residues modulo L: letter a adds +-e_|a|."""
 
-    @pytest.mark.parametrize("case", range(len(SCHREIER_KEYS)))
+        def step(r, a):
+            v = list(r)
+            v[abs(a) - 1] += 1 if a > 0 else -1
+            return L.reduce(v)[1]
+
+        return step
+
+    @staticmethod
+    def schreier_graph(ambient, n, L, bound):
+        """The refolded Schreier basis of the words of <ambient> whose
+        abelianization lies in L; an abstract word's coset is the residue of
+        the abelianization of the ambient word it spells."""
+        R = IntMatrix([abelianize(w, n) for w in ambient], cols=n)
+        key = lambda x: L.reduce(R.apply_row(abelianize(x, len(ambient))))[1]
+        return stallings(schreier_basis(ambient, key, bound), n)
+
+    @staticmethod
+    def congruence(n, j, mod):
+        """{v in Z^n : v[j] = 0 mod mod}, the lattice whose residues are the
+        keys abelianize(w, n)[j] % mod."""
+        rows = [[mod if i == j else 0 for i in range(n)]]
+        rows += [[int(i == k) for i in range(n)] for k in range(n) if k != j]
+        return Lattice.from_rows(rows, n)
+
+    # (ambient basis, n, coordinate j, mod): the words of <ambient> whose
+    # exponent sum in z_(j+1) is 0 mod mod
+    ROSE_CASES = [
+        ([(2,), (3,)], 3, 1, 2),
+        ([(1,), (2,)], 2, 0, 1),
+        ([(1,)], 1, 0, 3),
+    ] + [([(i,) for i in range(1, r + 1)], r, 0, mod) for mod, r in [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3)]]
+
+    @pytest.mark.parametrize("case", range(len(ROSE_CASES)))
     def test_cover_of_rose_is_schreier_graph(self, case):
-        ambient, n, key, bound = self.SCHREIER_KEYS[case]
+        ambient, n, j, mod = self.ROSE_CASES[case]
         rose = stallings(ambient, n)
         assert rose.basis_words == ambient
-        sheets = coset_graph(len(ambient), key, bound)
-        assert self.complete(sheets) and sheets.num_vertices == bound
-        # discovery order is the canonical numbering
-        assert sheets == stallings(sheets.basis_words, len(ambient))
-        assert cover(rose, sheets) == stallings(schreier_basis(ambient, key, bound), n)
+        L = self.congruence(n, j, mod)
+        got = pullback(rose, self.residue_step(L), (0,) * n)
+        # every vertex carries all labels of the sub-alphabet: index mod
+        assert got.num_vertices == mod and len(got.delta) == 2 * len(ambient) * mod
+        assert got == self.schreier_graph(ambient, n, L, mod)
 
     def test_cover_of_folded_graph_matches_refold(self):
-        # over any folded graph, the cover recognizes the same subgroup as the
-        # folded substituted Schreier basis
+        # over any folded graph, the residue pullback recognizes the same
+        # subgroup as the folded substituted Schreier basis
         rng = random.Random(17)
         checked = 0
         for _ in range(40):
             g = stallings([random_word(rng, 2, 5) for _ in range(rng.randint(1, 3))], 2)
-            p = g.rank
-            if p == 0:
+            if g.rank == 0:
                 continue
             mod = rng.randint(2, 4)
-            j = rng.randrange(p)
-            key = lambda w, mod=mod, j=j, p=p: abelianize(w, p)[j] % mod
-            sheets = coset_graph(p, key, mod)
-            assert sheets == stallings(sheets.basis_words, p)
-            want = stallings(schreier_basis(g.basis_words, key, mod), 2)
-            assert cover(g, sheets) == want
+            L = self.congruence(2, rng.randrange(2), mod)
+            got = pullback(g, self.residue_step(L), (0, 0))
+            assert got.num_vertices <= mod * g.num_vertices
+            assert got == self.schreier_graph(g.basis_words, 2, L, mod)
             checked += 1
         assert checked >= 30

@@ -23,9 +23,8 @@ BENCH = SRC.parent.parent / "fatfbench"
 
 # definitions with no caller in src/ that stay, one reason each
 PINNED = {
-    "cli.main": "console-script entry point named in pyproject.toml",
     "fixpoint.is_autofixed": "called by the fix-index workload in fatfbench/workloads.py",
-    "freewords.schreier_basis": "wrapped by fatfbench/tracing.py",
+    "freewords.schreier_basis": "wrapped by fatfbench/tracing.py; the reference for the residue cover in test_freewords.py",
     "morphisms.power": "wrapped by fatfbench/tracing.py; order and fix_power use linear_power",
     "morphisms.power_vector_matrix": "wrapped by fatfbench/tracing.py",
     "oracle.reduced_words": "wrapped by fatfbench/tracing.py",
