@@ -17,7 +17,7 @@ from typing import Any
 
 from . import bounds as bounds_mod
 from . import fixpoint, jsonio, morphisms, oracle
-from .fatfcore import Ambient, member, subgroup_basis
+from .fatfcore import Ambient, member, members, subgroup_basis
 from .jsonio import FormatError
 
 EXIT_OK = 0
@@ -138,7 +138,7 @@ def _cmd_oracle_check(payload: dict) -> dict:
         "ok": True,
         "fixed": [jsonio.element_to_json(g) for g in fixed],
         "fg": res.finitely_generated,
-        "contained": None if res.basis is None else all(member(res.basis, g) for g in fixed),
+        "contained": None if res.basis is None else all(members(res.basis, fixed)),
     }
 
 
@@ -169,7 +169,8 @@ def run(argv: list[str], stdin: str) -> tuple[int, str]:
             return EXIT_BAD_JSON, _dump({"ok": False, "error": "payload must be an object"})
     # the library raises ValueError only for inputs it rejects; other faults propagate
     try:
-        return EXIT_OK, _dump(handler(arg))
+        with jsonio.request():
+            return EXIT_OK, _dump(handler(arg))
     except (ValueError, fixpoint.CertificateError) as e:
         return EXIT_VALIDATION, _dump({"ok": False, "error": str(e)})
 

@@ -8,8 +8,9 @@ part H intersect Z^m.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import freewords
 from .freewords import Word, reduce_word
@@ -121,11 +122,12 @@ class SubgroupBasis:
         return len(self.free_part)
 
     def projection_word_vector(self, w: Word) -> Optional[Vec]:
-        """Vector v with t^v w in the subgroup, unique mod the abelian part.
+        """Vector v with t^v w in the subgroup, unique mod the abelian part,
+        for a reduced word w.
 
         None when w is outside the projection subgroup.
         """
-        expr = self.graph.trace(reduce_word(w, self.ambient.n))
+        expr = self.graph.trace(w)
         if expr is None:
             return None
         exps = freewords.abelianize(expr, self.rank)
@@ -154,12 +156,20 @@ class SubgroupBasis:
         )
 
 
+def members(H: SubgroupBasis, gs: Iterable[GroupElement]) -> Iterator[bool]:
+    """Whether each g lies in H, in order.
+
+    A maximal run of elements with equal words traces that word once; each
+    element then checks its own t - v against the abelian part."""
+    for w, run in itertools.groupby(gs, key=project):
+        v = H.projection_word_vector(w)
+        for g in run:
+            _check_same(H.ambient, g.ambient)
+            yield v is not None and H.abelian_part.contains(tuple(x - y for x, y in zip(g.t, v)))
+
+
 def member(H: SubgroupBasis, g: GroupElement) -> bool:
-    _check_same(H.ambient, g.ambient)
-    v = H.projection_word_vector(g.w)
-    if v is None:
-        return False
-    return H.abelian_part.contains(tuple(x - y for x, y in zip(g.t, v)))
+    return next(members(H, (g,)))
 
 
 def subgroup_basis(gens: Sequence[GroupElement], ambient: Ambient) -> SubgroupBasis:

@@ -14,9 +14,13 @@ from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 Word = tuple[int, ...]
 
-# Most letters `parse_word` spells out for one word before reducing it, so a
-# short text such as "z1^100000000" cannot make it allocate without bound.
-# Folding one word of this length takes about 1 s and 140 MiB on Python 3.11.
+# Most letters `spell_word` spells out for one word, and most letters the words
+# of one CLI request spell out in all (`jsonio.word_from_json`), before they are
+# reduced: a short text such as "z1^100000000", or many words just under the
+# cap, cannot make a request allocate without bound. Folding one word of this
+# length takes about 1 s and 140 MiB on Python 3.11. The largest request of
+# the tests under it, `test_oracle_tables_long_image`, spells 20,006 letters
+# (images of 10,000 letters).
 MAX_WORD_LETTERS = 100_000
 
 
@@ -59,11 +63,12 @@ def abelianize(w: Word, n: int) -> tuple[int, ...]:
     return tuple(v)
 
 
-def parse_word(text: str, n: Optional[int] = None) -> Word:
-    """Parse "z1 z2^-1" (caret exponents allowed); "" is the identity.
+def spell_word(text: str) -> list[int]:
+    """The letters "z1 z2^-1" spells out (caret exponents allowed), before
+    reduction; "" spells none.
 
     Raises ValueError when the word spells out more than MAX_WORD_LETTERS
-    letters before reduction."""
+    letters."""
     letters: list[int] = []
     for tok in text.split():
         if not tok.startswith("z"):
@@ -80,7 +85,7 @@ def parse_word(text: str, n: Optional[int] = None) -> Word:
         if len(letters) + abs(exp) > MAX_WORD_LETTERS:
             raise ValueError(f"word longer than {MAX_WORD_LETTERS} letters")
         letters.extend([idx if exp > 0 else -idx] * abs(exp))
-    return reduce_word(letters, n)
+    return letters
 
 
 def format_word(w: Word) -> str:

@@ -6,9 +6,11 @@ JSON implementation. Words use the text form "z1 z2^-1"; the identity is "".
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
-from typing import Any, Optional, Sequence
+from contextvars import ContextVar
+from typing import Any, Iterator, Optional, Sequence
 
 from . import freewords
 from .fatfcore import Ambient, GroupElement, SubgroupBasis
@@ -70,10 +72,35 @@ def lattice_from_json(obj: Any, ambient: int) -> Lattice:
     return Lattice.from_rows(rows, ambient)
 
 
+# letters the words parsed so far in the current request spelled out; None
+# outside a request, where only the per-word cap holds
+_spelled: ContextVar[Optional[int]] = ContextVar("spelled", default=None)
+
+
+@contextlib.contextmanager
+def request() -> Iterator[None]:
+    """Count the letters of every word parsed inside against
+    freewords.MAX_WORD_LETTERS, in all."""
+    token = _spelled.set(0)
+    try:
+        yield
+    finally:
+        _spelled.reset(token)
+
+
 def word_from_json(obj: Any, n: int) -> freewords.Word:
+    """The reduced word of the text obj. Inside `request`, raises ValueError
+    once the words of the request spell out more than MAX_WORD_LETTERS."""
     if not isinstance(obj, str):
         raise FormatError("expected a word string")
-    return freewords.parse_word(obj, n)
+    letters = freewords.spell_word(obj)
+    spelled = _spelled.get()
+    if spelled is not None:
+        spelled += len(letters)
+        if spelled > freewords.MAX_WORD_LETTERS:
+            raise ValueError(f"the words of one request are longer than {freewords.MAX_WORD_LETTERS} letters in all")
+        _spelled.set(spelled)
+    return freewords.reduce_word(letters, n)
 
 
 def element_to_json(g: GroupElement) -> dict:

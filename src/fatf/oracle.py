@@ -10,25 +10,37 @@ for w = u v reduced,
     phi(w) = w   iff   u^-1 phi(u) = v phi(v)^-1   as reduced words,
 
 and v phi(v)^-1 = F(v^-1) with F(x) = x^-1 phi(x). So it walks the reduced
-words x of length <= H = ceil(L/2) once, carrying F(x a) = a^-1 F(x) phi(a),
-keys each by (F_1(x), ..., F_k(x)) over the k maps, and joins the words u of length ceil(l/2) with the words
-y = v^-1 of length floor(l/2) on equal keys, for each l <= L. It applies no
-map to a word longer than H: it reads the maps' images and matrices, calls
-no `FreeMap` method and uses none of the Stallings or lattice code it checks.
+words x of length <= H = ceil(L/2) once, level by level, carrying
+F(x a) = a^-1 F(x) phi(a), keys each by (F_1(x), ..., F_k(x)) over the k
+maps, and joins the words u of length ceil(l/2) with the words y = v^-1 of
+length floor(l/2) on equal keys, for each l <= L. It applies no map to a word
+longer than H: it reads the maps' images and matrices, calls no `FreeMap`
+method and uses none of the Stallings or lattice code it checks.
+
+The vectors of a fixed word w are the a of the box |a_j| <= c with
+a - aQ_i = w_ab P_i for every map. The box is split in the middle too: for
+a = (a1, a2), a - aQ = a1 R1 + a2 R2, R1 the first ceil(m/2) rows of I - Q
+and R2 the last floor(m/2). One dict from a2 R2 to a2 and, for each distinct
+shift s, a scan of the a1 that looks up s - a1 R1 list the solutions, with
+plain integer arithmetic; no call builds the (2c+1)^m vectors of the box.
 
 Two budgets bound a call up front, both at MAX_ENUMERATION: the elements
 (words of length <= L times the (2c+1)^m vectors of the box), which bound
 the output, and the letters the half-word tables store, at most
 (half-words) * H * (1 + sum_i (1 + K_i)), K_i the longest image of phi_i.
+The split box visits fewer vectors than the box holds: (2c+1)^ceil(m/2) per
+distinct shift, at most one shift per fixed word. But the output can hold
+every element of the box (phi = id, Q = I), so the element budget still
+counts the full box.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import freewords
-from .fatfcore import GroupElement
+from .fatfcore import GroupElement, Vec
 from .freewords import Word
 from .morphisms import Morphism
 
@@ -80,6 +92,8 @@ def _word_count(n: int, max_len: int) -> int:
 def _check_budget(maps: Sequence[Morphism], bounds: Bounds) -> None:
     m, n = maps[0].ambient.m, maps[0].ambient.n
     L, c = bounds.word_len_max, bounds.coord_abs_max
+    # the full box, although the split lookup never builds it: the output
+    # can hold every element of it
     if _word_count(n, L) * (2 * c + 1) ** min(m, 64) > MAX_ENUMERATION:
         raise ValueError(f"bounds enumerate more than {MAX_ENUMERATION} elements")
     H = (L + 1) // 2
@@ -94,7 +108,10 @@ def _extend(f: Word, a: int, image: Word) -> Word:
     """F(x a) = a^-1 F(x) phi(a), reduced, from F(x) reduced and the image
     phi(a)."""
     f = f[1:] if f and f[0] == a else (-a,) + f
-    k = 0
+    if not (f and image and f[-1] == -image[0]):
+        # most steps cancel nothing
+        return f + image
+    k = 1
     top = min(len(f), len(image))
     while k < top and f[-1 - k] == -image[k]:
         k += 1
@@ -103,46 +120,77 @@ def _extend(f: Word, a: int, image: Word) -> Word:
 
 def _half_word_tables(maps: Sequence[Morphism], n: int, H: int) -> list[dict[tuple[Word, ...], list[Word]]]:
     """Entry h maps each key (F_1(x), ..., F_k(x)) to the reduced words x of
-    length h with that key, F_i(x) = x^-1 phi_i(x) reduced."""
-    alphabet = [a for i in range(1, n + 1) for a in (i, -i)]
-    images = []
-    for psi in maps:
-        img = {}
-        for i, u in enumerate(psi.phi.images, start=1):
-            img[i] = u
-            img[-i] = freewords.invert(u)
-        images.append(img)
-    tables = [{tuple(() for _ in maps): [()]}]
+    length h with that key, F_i(x) = x^-1 phi_i(x) reduced.
+
+    Level h + 1 extends the flat list of the (x, key) of level h."""
+    # (a, [a] * k, [phi_1(a), ..., phi_k(a)]) per letter a
+    steps = []
+    for i in range(1, n + 1):
+        imgs = [psi.phi.images[i - 1] for psi in maps]
+        steps.append((i, [i] * len(maps), imgs))
+        steps.append((-i, [-i] * len(maps), [freewords.invert(u) for u in imgs]))
+    root: tuple[Word, ...] = tuple(() for _ in maps)
+    tables = [{root: [()]}]
+    level: list[tuple[Word, tuple[Word, ...]]] = [((), root)]
     for _ in range(H):
         table: dict[tuple[Word, ...], list[Word]] = {}
-        for key, xs in tables[-1].items():
-            for x in xs:
-                for a in alphabet:
-                    if x and x[-1] == -a:
-                        continue
-                    child = tuple(_extend(f, a, img[a]) for f, img in zip(key, images))
-                    table.setdefault(child, []).append(x + (a,))
+        nxt: list[tuple[Word, tuple[Word, ...]]] = []
+        for x, key in level:
+            last = -x[-1] if x else 0
+            for a, letter, imgs in steps:
+                if a == last:
+                    continue
+                child = tuple(map(_extend, key, letter, imgs))
+                xa = x + (a,)
+                table.setdefault(child, []).append(xa)
+                nxt.append((xa, child))
         tables.append(table)
+        level = nxt
     return tables
 
 
-def _shift_table(psi: Morphism, c: int) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
-    """a - aQ -> the ascending list of the a in the box |a_j| <= c, with
-    a - aQ summed row by row of I - Q."""
+def _shift_solver(psi: Morphism, c: int) -> Callable[[Vec], list[Vec]]:
+    """s -> the ascending list of the a in the box |a_j| <= c with
+    a - aQ = s, memoized per s.
+
+    a - aQ = a1 R1 + a2 R2 for the split a = (a1, a2) of the coordinates,
+    R1 the first ceil(m/2) rows of I - Q and R2 the last floor(m/2): one
+    dict from a2 R2 to the ascending a2, and for each s a scan of a1
+    ascending that looks up s - a1 R1. So a1 outer and a2 inner list the
+    vectors ascending, and no call visits the whole box."""
     m = psi.ambient.m
     Q = psi.Q.entries
-    cur: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), (0,) * m)]
-    for i in range(m):
-        r = [(i == j) - Q[i][j] for j in range(m)]
-        cur = [
-            (a + (x,), tuple(s_j + x * r_j for s_j, r_j in zip(s, r)))
-            for a, s in cur
-            for x in range(-c, c + 1)
-        ]
-    table: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for a, s in cur:
-        table.setdefault(s, []).append(a)
-    return table
+    rows = [[(i == j) - Q[i][j] for j in range(m)] for i in range(m)]
+    half = (m + 1) // 2
+
+    def half_box(rs: list[list[int]]) -> list[tuple[Vec, Vec]]:
+        """(a, a R) for a ascending over the box of len(rs) coordinates."""
+        cur: list[tuple[Vec, Vec]] = [((), (0,) * m)]
+        for r in rs:
+            cur = [
+                (a + (x,), tuple([s_j + x * r_j for s_j, r_j in zip(s, r)]))
+                for a, s in cur
+                for x in range(-c, c + 1)
+            ]
+        return cur
+
+    left = half_box(rows[:half])
+    right: dict[Vec, list[Vec]] = {}
+    for a2, s2 in half_box(rows[half:]):
+        right.setdefault(s2, []).append(a2)
+    memo: dict[Vec, list[Vec]] = {}
+
+    def solve(s: Vec) -> list[Vec]:
+        found = memo.get(s)
+        if found is None:
+            found = memo[s] = [
+                a1 + a2
+                for a1, s1 in left
+                for a2 in right.get(tuple([x - y for x, y in zip(s, s1)]), ())
+            ]
+        return found
+
+    return solve
 
 
 def brute_fixed(maps: Sequence[Morphism], bounds: Bounds) -> list[GroupElement]:
@@ -154,8 +202,8 @@ def brute_fixed(maps: Sequence[Morphism], bounds: Bounds) -> list[GroupElement]:
     w = u y^-1 with |u| = ceil(l/2), |y| = floor(l/2) and equal keys, where
     u y^-1 is reduced unless u and y end in the same letter (u is not empty
     when y is not, as |u| >= |y|). A fixed word w takes the a with
-    a - aQ_i = w_ab P_i for every map, looked up in one dict per map from
-    a - aQ_i to the ascending list of the a of the box.
+    a - aQ_i = w_ab P_i for every map, from the split box of each map
+    (`_shift_solver`), solved once per distinct shift.
 
     Raises ValueError when the bounds exceed either budget of the module
     docstring."""
@@ -167,6 +215,7 @@ def brute_fixed(maps: Sequence[Morphism], bounds: Bounds) -> list[GroupElement]:
     L = bounds.word_len_max
     tables = _half_word_tables(maps, n, (L + 1) // 2)
     rank = freewords.letter_order()
+    order = {a: rank(a) for i in range(1, n + 1) for a in (i, -i)}
     words: list[Word] = []
     for ell in range(L + 1):
         found: list[Word] = []
@@ -175,15 +224,15 @@ def brute_fixed(maps: Sequence[Morphism], bounds: Bounds) -> list[GroupElement]:
             for y in right.get(key, ()):
                 v = freewords.invert(y)
                 found.extend(u + v for u in us if not (y and u[-1] == y[-1]))
-        found.sort(key=lambda w: [rank(a) for a in w])
+        found.sort(key=lambda w: tuple(map(order.__getitem__, w)))
         words.extend(found)
-    by_shift = [_shift_table(psi, bounds.coord_abs_max) for psi in maps]
+    solvers = [_shift_solver(psi, bounds.coord_abs_max) for psi in maps]
     out: list[GroupElement] = []
     for w in words:
         ab = freewords.abelianize(w, n)
-        solutions = by_shift[0].get(maps[0].P.apply_row(ab), [])
-        for psi, d in zip(maps[1:], by_shift[1:]):
-            allowed = set(d.get(psi.P.apply_row(ab), ()))
+        solutions = solvers[0](maps[0].P.apply_row(ab))
+        for psi, solve in zip(maps[1:], solvers[1:]):
+            allowed = set(solve(psi.P.apply_row(ab)))
             solutions = [a for a in solutions if a in allowed]
         out.extend(GroupElement(ambient, a, w) for a in solutions)
     return out

@@ -11,7 +11,7 @@ import pytest
 
 import fatf
 from conftest import block_diagonal, companion, ia_map, slow_infinite_order_matrix
-from fatf import FreeMap, IntMatrix
+from fatf import FreeMap, IntMatrix, jsonio
 from fatf.bounds import MAX_M, MAX_N
 from fatf.cli import EXIT_BAD_JSON, EXIT_OK, EXIT_UNKNOWN, EXIT_VALIDATION, run
 from fatf.freewords import format_word
@@ -21,14 +21,16 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 PYPROJECT = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 STDIN_CASES = ["basis", "member", "fix", "per", "order", "closure", "oracle-check"]
+# golden pairs replayed through the subcommand before the first "-rich"
+GOLDEN_CASES = STDIN_CASES + ["oracle-check-rich"]
 
 
 class TestGoldenFixtures:
-    @pytest.mark.parametrize("name", STDIN_CASES)
+    @pytest.mark.parametrize("name", GOLDEN_CASES)
     def test_byte_identical_replay(self, name):
         stdin = (FIXTURES / f"{name}.in.json").read_text()
         expected = (FIXTURES / f"{name}.out.json").read_text()
-        code, out = run([name], stdin)
+        code, out = run([name.removesuffix("-rich")], stdin)
         assert code == EXIT_OK
         assert out == expected
 
@@ -38,9 +40,9 @@ class TestGoldenFixtures:
         assert code == EXIT_OK
         assert out == expected
 
-    @pytest.mark.parametrize("name", STDIN_CASES)
+    @pytest.mark.parametrize("name", GOLDEN_CASES)
     def test_output_parses_and_reports_ok(self, name):
-        code, out = run([name], (FIXTURES / f"{name}.in.json").read_text())
+        code, out = run([name.removesuffix("-rich")], (FIXTURES / f"{name}.in.json").read_text())
         payload = json.loads(out)
         assert payload["ok"] is True
 
@@ -135,6 +137,24 @@ def test_per_computes_free_order_once(monkeypatch):
     assert code == EXIT_OK
     assert out == (FIXTURES / "per.out.json").read_text()
     assert len(calls) == 1
+
+
+def test_oracle_check_reports_an_element_outside_the_subgroup():
+    # phi fixes z1 and inverts z2; the empty fixed basis is a sub-basis of
+    # Fix(phi) = <z1>, accepted on purpose for a map other than the identity,
+    # so fix answers <t> and the listed t^a z1^k with k != 0 lie outside it
+    body = {
+        "m": 1,
+        "n": 2,
+        "morphisms": [{"phi": ["z1", "z2^-1"], "phi_inv": ["z1", "z2^-1"], "Q": [["1"]], "P": [["0"], ["0"]]}],
+        "fixed_bases": [[]],
+        "bounds": {"word_len_max": "3", "coord_abs_max": "1"},
+    }
+    code, out = run(["oracle-check"], json.dumps(body))
+    payload = json.loads(out)
+    assert code == EXIT_OK and payload["fg"] is True and payload["contained"] is False
+    words = ["", "z1", "z1^-1", "z1 z1", "z1^-1 z1^-1", "z1 z1 z1", "z1^-1 z1^-1 z1^-1"]
+    assert payload["fixed"] == [{"t": [str(a)], "w": w} for w in words for a in (-1, 0, 1)]
 
 
 def test_basis_of_fix_elements_gives_fix_bytes():
@@ -247,6 +267,24 @@ class TestBudgets:
         body = {"m": 0, "n": 1, "subgroup": {"free": [], "abelian": []},
                 "element": {"t": [], "w": "z1^100000000"}}
         assert "longer than" in _rejected(["member"], body)
+
+    def test_letters_per_request(self):
+        # ten words of 99,991 letters, each under the word cap: the fold of
+        # all ten took 4.5 s and 220 MiB before the request cap refused them
+        free = [{"t": [], "w": f"z1^99990 z2^{k}"} for k in range(1, 11)]
+        body = {"m": 0, "n": 2, "subgroup": {"free": free, "abelian": []}, "element": {"t": [], "w": ""}}
+        t0 = time.perf_counter()
+        assert "in all" in _rejected(["member"], body)
+        assert time.perf_counter() - t0 < 0.5
+
+    def test_letters_counted_per_request(self):
+        # two requests of 60,000 letters each pass; so does the library
+        # parsing the same words outside a request
+        body = {"m": 0, "n": 1, "subgroup": {"free": [], "abelian": []}, "element": {"t": [], "w": "z1^60000"}}
+        for _ in range(2):
+            assert run(["member"], json.dumps(body)) == (EXIT_OK, '{"member":false,"ok":true}\n')
+        for _ in range(2):
+            assert len(jsonio.word_from_json("z1^60000", 1)) == 60_000
 
     def test_oracle_enumeration(self):
         body = json.loads((FIXTURES / "oracle-check.in.json").read_text())

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import bounded_products, equal_by_membership, random_element, random_word, reference_from_words
 from fatf import cli, jsonio
+from fatf.fatfcore import members
 from fatf import (
     Ambient,
     GroupElement,
@@ -145,6 +146,20 @@ class TestMembership:
 
     def test_word_outside_projection(self):
         assert not member(self.H, GroupElement(self.amb, (0, 1), (2,)))
+
+    def test_runs_of_one_word(self, monkeypatch):
+        # t^(5,1) z3 lies in H and t^(0,0) z3 does not: a maximal run of one
+        # word is traced once, and each element gets its own lattice check
+        cases = [((5, 1), (3,), True), ((0, 0), (3,), False), ((0, 1), (2,), False),
+                 ((0, 1), (2,), False), ((0, 0), (), True), ((0, 1), (3,), True)]
+        gs = [GroupElement(self.amb, t, w) for t, w, _ in cases]
+        want = [inside for _, _, inside in cases]
+        traced = []
+        trace = self.H.graph.trace
+        monkeypatch.setattr(self.H.graph, "trace", lambda w: traced.append(w) or trace(w))
+        assert list(members(self.H, gs)) == want
+        assert traced == [(3,), (2,), (), (3,)]
+        assert [member(self.H, g) for g in gs] == want
 
 
 class TestSubgroupEqual:

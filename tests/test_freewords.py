@@ -13,10 +13,10 @@ from fatf.freewords import (
     format_word,
     invert,
     multiply,
-    parse_word,
     pullback,
     reduce_word,
     schreier_basis,
+    spell_word,
     stallings,
 )
 from fatf.intlat import IntMatrix, Lattice
@@ -61,19 +61,19 @@ class TestWords:
         assert abelianize((1, 1, -2, -2, -2), 3) == (2, -3, 0)
 
     def test_parse_format_roundtrip(self):
-        w = parse_word("z1 z2^-1 z1")
+        w = reduce_word(spell_word("z1 z2^-1 z1"))
         assert w == (1, -2, 1)
         assert format_word(w) == "z1 z2^-1 z1"
-        assert parse_word("") == ()
-        assert parse_word("z2^3") == (2, 2, 2)
+        assert spell_word("") == []
+        assert spell_word("z2^3 z2^-1") == [2, 2, 2, -2]
         with pytest.raises(ValueError):
-            parse_word("x1")
+            spell_word("x1")
 
     def test_parse_word_budget(self):
-        assert len(parse_word(f"z1^{MAX_WORD_LETTERS}")) == MAX_WORD_LETTERS
+        assert len(spell_word(f"z1^{MAX_WORD_LETTERS}")) == MAX_WORD_LETTERS
         for text in (f"z1^{MAX_WORD_LETTERS + 1}", "z1^-100000000", f"z2 z1^{MAX_WORD_LETTERS}"):
             with pytest.raises(ValueError, match="longer than"):
-                parse_word(text)
+                spell_word(text)
 
 
 class TestStallings:

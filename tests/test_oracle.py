@@ -5,9 +5,13 @@ import pytest
 
 from conftest import (
     bounded_products,
+    letter_map,
     random_element,
     random_finite_order_morphism,
+    random_free_aut,
+    random_matrix,
     random_morphism,
+    random_signed_targets,
     reference_brute_fixed,
 )
 from fatf import Ambient, FreeMap, GroupElement, IntMatrix, Morphism, SubgroupBasis, member, subgroup_basis
@@ -122,6 +126,36 @@ class TestAgainstReference:
                 else:
                     maps.append(random_morphism(rng, amb, invertible=kind == "unimodular"))
             self.same(maps, Bounds(L if amb.n < 3 else min(L, 4), rng.randint(0, 2)))
+
+    @pytest.mark.parametrize("m", [0, 3, 4, 5])
+    def test_split_box(self, m):
+        # brute_fixed splits the box into the first ceil(m/2) and the last
+        # floor(m/2) coordinates: odd and even halves, the one-vector boxes
+        # of m = 0 and of c = 0, with one and two maps. Q = I + N, N strictly
+        # upper triangular, ties the halves together, and a - aQ = -aN
+        # leaves the last coordinate free; P = -BN makes the shift of w
+        # that of a = w_ab B, so most words take 2c + 1 vectors or more. The
+        # first map fixes every word
+        rng = random.Random(300 + m)
+
+        def unitriangular() -> IntMatrix:
+            return IntMatrix([[int(i == j) if j <= i else rng.randint(-1, 1) for j in range(m)] for i in range(m)], cols=m)
+
+        several = 0
+        for k in (1, 2):
+            for c in (0, 1) if m == 5 else (0, 1, 2):
+                amb = Ambient(m, 2)
+                Q = unitriangular()
+                B = random_matrix(rng, 2, m, bound=1)
+                maps = [Morphism(amb, FreeMap.identity(2), Q, B - B * Q)]
+                if k == 2:
+                    phi = random_free_aut(rng, 2) if c else letter_map(random_signed_targets(rng, 2))
+                    Q = IntMatrix.identity(m) if c == 1 else unitriangular()
+                    maps.append(Morphism(amb, phi, Q, IntMatrix.zeros(2, m)))
+                fixed = self.same(maps, Bounds(2 if c == 2 else 3, c))
+                words = [g.w for g in fixed]
+                several += len(set(words)) > 1 and len(words) > len(set(words))
+        assert several >= (0 if m == 0 else 1)
 
     def test_non_finite_order_maps(self):
         rng = random.Random(7)
