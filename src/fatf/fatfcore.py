@@ -50,6 +50,14 @@ class GroupElement:
         object.__setattr__(self, "t", tuple(int(x) for x in self.t))
         object.__setattr__(self, "w", reduce_word(self.w, self.ambient.n))
 
+    @classmethod
+    def _trusted(cls, ambient: Ambient, t: Vec, w: Word) -> "GroupElement":
+        """t^a w for t a tuple of m ints and w a reduced word over n letters,
+        as internal builders make them; nothing is re-checked."""
+        g = object.__new__(cls)
+        g.__dict__.update(ambient=ambient, t=t, w=w)
+        return g
+
     def __repr__(self) -> str:
         return f"GroupElement(t={self.t}, w={freewords.format_word(self.w)!r})"
 
@@ -57,11 +65,11 @@ class GroupElement:
 def mul(g: GroupElement, h: GroupElement) -> GroupElement:
     _check_same(g.ambient, h.ambient)
     t = tuple(x + y for x, y in zip(g.t, h.t))
-    return GroupElement(g.ambient, t, freewords.multiply(g.w, h.w))
+    return GroupElement._trusted(g.ambient, t, freewords.multiply(g.w, h.w))
 
 
 def inv(g: GroupElement) -> GroupElement:
-    return GroupElement(g.ambient, tuple(-x for x in g.t), freewords.invert(g.w))
+    return GroupElement._trusted(g.ambient, tuple(-x for x in g.t), freewords.invert(g.w))
 
 
 def project(g: GroupElement) -> Word:
@@ -135,9 +143,9 @@ class SubgroupBasis:
         return tuple(sum(c * a[i] for c, a in pairs) for i in range(self.ambient.m))
 
     def basis_elements(self) -> list[GroupElement]:
-        out = [GroupElement(self.ambient, a, u) for a, u in self.free_part]
+        out = [GroupElement._trusted(self.ambient, a, u) for a, u in self.free_part]
         for b in self.abelian_part.basis.entries:
-            out.append(GroupElement(self.ambient, b, ()))
+            out.append(GroupElement._trusted(self.ambient, b, ()))
         return out
 
     def _key(self) -> tuple:

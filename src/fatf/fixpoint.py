@@ -9,7 +9,7 @@ generation, bases, periodic subgroups and auto-fixed closures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import freewords, morphisms
@@ -53,6 +53,8 @@ MAX_COVER_VERTICES = 1024
 class FixInput:
     morphisms: tuple[Morphism, ...]
     fixed_free_bases: tuple[tuple[Word, ...], ...]
+    # the Stallings graph of each basis, from the rank check; fix_tuple reuses it
+    folds: tuple[freewords.StallingsGraph, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.morphisms:
@@ -61,7 +63,7 @@ class FixInput:
             raise InvalidFixInput("need one fixed free-basis per morphism")
         ambient = self.morphisms[0].ambient
         object.__setattr__(self, "morphisms", tuple(self.morphisms))
-        bases = []
+        bases, folds = [], []
         n = ambient.n
         for psi, basis in zip(self.morphisms, self.fixed_free_bases):
             _check_same(ambient, psi.ambient)
@@ -86,7 +88,9 @@ class FixInput:
             if psi.phi.is_identity() and (fold.num_vertices != 1 or fold.rank != n):
                 raise InvalidFixInput("the fixed free-basis of an identity map does not generate F_n")
             bases.append(words)
+            folds.append(fold)
         object.__setattr__(self, "fixed_free_bases", tuple(bases))
+        object.__setattr__(self, "folds", tuple(folds))
 
     @property
     def ambient(self) -> Ambient:
@@ -118,9 +122,8 @@ def fix_tuple(inp: FixInput) -> FixResult:
     m, n = ambient.m, ambient.n
     k = len(inp.morphisms)
 
-    graph = freewords.stallings(inp.fixed_free_bases[0], n)
-    for basis in inp.fixed_free_bases[1:]:
-        other = freewords.stallings(basis, n)
+    graph = inp.folds[0]
+    for other in inp.folds[1:]:
         graph = freewords.pullback(graph, lambda v, a: other.delta.get((v, a)), 0)
     v_words = graph.basis_words
 
@@ -140,7 +143,8 @@ def fix_tuple(inp: FixInput) -> FixResult:
     if N.rank == im_P.rank:
         preimage = lattice_preimage(im_rho, Pt, N)
         ell = lattice_index(preimage, im_rho)
-        assert ell != math.inf
+        if ell == math.inf:
+            raise CertificateError("the preimage has lower rank than the image of rho")
         if ell * graph.num_vertices > MAX_COVER_VERTICES:
             raise BudgetExceeded(
                 f"index {ell} over a {graph.num_vertices}-vertex graph exceeds "

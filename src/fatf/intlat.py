@@ -313,28 +313,20 @@ def lattice_intersect(L1: Lattice, L2: Lattice) -> Lattice:
     return lattice_preimage(L1, IntMatrix.identity(L1.ambient), L2)
 
 
-def _coordinate_matrix(sub: Lattice, sup: Lattice) -> IntMatrix:
+def lattice_index(sub: Lattice, sup: Lattice):
+    """[sup : sub]; math.inf when the ranks differ.
+
+    Nested lattices of equal rank span the same rational space, so their
+    HNFs have the same pivot columns; on those columns both bases are
+    triangular, and the index is the ratio of their pivot products."""
     if sub.ambient != sup.ambient:
         raise DimensionError("lattices of different ambient dimension")
-    coords = []
-    for row in sub.basis.entries:
-        c = sup.coords(row)
-        if c is None:
-            raise NotSublatticeError("first lattice is not contained in the second")
-        coords.append(c)
-    return IntMatrix._trusted(tuple(coords), sup.rank)
-
-
-def lattice_index(sub: Lattice, sup: Lattice):
-    """[sup : sub]; math.inf when the ranks differ."""
-    C = _coordinate_matrix(sub, sup)
+    if not all(map(sup.contains, sub.basis.entries)):
+        raise NotSublatticeError("first lattice is not contained in the second")
     if sub.rank != sup.rank:
         return math.inf
-    H = Lattice.from_rows(C.entries, C.cols)
-    idx = 1
-    for i, row in enumerate(H.basis.entries):
-        idx *= row[i]
-    return idx
+    num, den = (math.prod(next(a for a in r if a) for r in L.basis.entries) for L in (sub, sup))
+    return num // den
 
 
 def lattice_preimage(domain: Lattice, M: IntMatrix, target: Lattice) -> Lattice:
@@ -411,7 +403,8 @@ def charpoly(Q: IntMatrix) -> list[int]:
 
 def _poly_divmod_monic(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
     """Divide a by monic b over Z; returns (quotient, remainder)."""
-    assert b[-1] == 1
+    if b[-1] != 1:
+        raise ValueError("the divisor is not monic")
     a = list(a)
     db = len(b) - 1
     q = [0] * max(len(a) - db, 1)
@@ -435,7 +428,8 @@ def cyclotomic(d: int) -> tuple[int, ...]:
     for e in range(1, d):
         if d % e == 0:
             poly, rem = _poly_divmod_monic(poly, list(cyclotomic(e)))
-            assert rem == [0]
+            if rem != [0]:
+                raise ArithmeticError(f"Phi_{e} does not divide x^{d} - 1")
     return tuple(poly)
 
 

@@ -19,7 +19,7 @@ from .intlat import IntMatrix, cyclotomic_part, matrix_inverse, matrix_order
 class FreeMap:
     """Endomorphism of F_n given by generator images."""
 
-    __slots__ = ("n", "images", "inverse_images", "_order")
+    __slots__ = ("n", "images", "inverse_images", "_order", "_spell")
 
     def __init__(
         self,
@@ -31,8 +31,7 @@ class FreeMap:
             n = len(images)
         if len(images) != n:
             raise ValueError("need one image per generator")
-        self.n = n
-        self.images = tuple(reduce_word(w, n) for w in images)
+        self._set(n, tuple(reduce_word(w, n) for w in images), None)
         if inverse_images is not None:
             inverse_images = tuple(reduce_word(w, n) for w in inverse_images)
             if len(inverse_images) != n:
@@ -43,8 +42,14 @@ class FreeMap:
                     raise ValueError("claimed inverse does not undo the map")
                 if self.apply(back.images[i - 1]) != (i,):
                     raise ValueError("claimed inverse is not undone by the map")
-        self.inverse_images = inverse_images
-        self._order = None
+            self.inverse_images = inverse_images
+
+    def _set(self, n: int, images: tuple[Word, ...], inverse_images: Optional[tuple[Word, ...]]) -> None:
+        """Fill the slots from images that are reduced words over n letters,
+        re-checking nothing. spell[a] is the image of letter a, for a in
+        +-1..+-n; a < 0 counts from the end."""
+        self.n, self.images, self.inverse_images, self._order = n, images, inverse_images, None
+        self._spell = ((),) + images + tuple([freewords.invert(w) for w in reversed(images)])
 
     @classmethod
     def identity(cls, n: int) -> "FreeMap":
@@ -52,16 +57,9 @@ class FreeMap:
         return cls(gens, gens, n)
 
     def apply(self, w: Word) -> Word:
-        # one list for the whole product, reduced as the letters arrive
-        out: list[int] = []
-        for a in w:
-            img = self.images[a - 1] if a > 0 else [-b for b in reversed(self.images[-a - 1])]
-            for b in img:
-                if out and out[-1] == -b:
-                    out.pop()
-                else:
-                    out.append(b)
-        return tuple(out)
+        """phi(w), reduced, for a word w over the n letters."""
+        spell = self._spell
+        return reduce_word([b for a in w for b in spell[a]])
 
     def compose(self, other: "FreeMap") -> "FreeMap":
         """self followed by other."""
@@ -73,10 +71,7 @@ class FreeMap:
             back = FreeMap(self.inverse_images, None, self.n)
             inverse = tuple(back.apply(w) for w in other.inverse_images)
         out = FreeMap.__new__(FreeMap)
-        out.n = self.n
-        out.images = images
-        out.inverse_images = inverse
-        out._order = None
+        out._set(self.n, images, inverse)
         return out
 
     def invert(self) -> "FreeMap":
@@ -173,7 +168,7 @@ def apply(psi: Morphism, g: GroupElement) -> GroupElement:
     aq = psi.Q.apply_row(g.t)
     up = psi.P.apply_row(ab)
     t = tuple(x + y for x, y in zip(aq, up))
-    return GroupElement(psi.ambient, t, psi.phi.apply(g.w))
+    return GroupElement._trusted(psi.ambient, t, psi.phi.apply(g.w))
 
 
 def compose(psi: Morphism, other: Morphism) -> Morphism:

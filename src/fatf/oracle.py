@@ -234,5 +234,5 @@ def brute_fixed(maps: Sequence[Morphism], bounds: Bounds) -> list[GroupElement]:
         for psi, solve in zip(maps[1:], solvers[1:]):
             allowed = set(solve(psi.P.apply_row(ab)))
             solutions = [a for a in solutions if a in allowed]
-        out.extend(GroupElement(ambient, a, w) for a in solutions)
+        out.extend([GroupElement._trusted(ambient, a, w) for a in solutions])
     return out

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from typing import Sequence
 
@@ -15,7 +16,7 @@ from fatf import Ambient, FreeMap, GroupElement, IntMatrix, Morphism, SubgroupBa
 from fatf import freewords
 from fatf import morphisms as morphisms_mod
 from fatf.freewords import Word, _alphabet, check_letters, invert, reduce_word
-from fatf.intlat import cyclotomic, matrix_inverse
+from fatf.intlat import DimensionError, Lattice, NotSublatticeError, cyclotomic, matrix_inverse
 from fatf.oracle import MAX_ENUMERATION, Bounds, reduced_words
 
 
@@ -158,6 +159,15 @@ def random_finite_order_morphism(
     basis = [theta.phi.apply(w) for w in base]
     order0 = morphisms_mod.order(psi0)
     return psi, basis, int(order0)
+
+
+def reference_apply(f: FreeMap, w: Word) -> Word:
+    """phi(w) by substituting the image of each letter, inverted for a
+    negative letter, then reducing: the reference for `FreeMap.apply`."""
+    letters: list[int] = []
+    for a in w:
+        letters += f.images[a - 1] if a > 0 else invert(f.images[-a - 1])
+    return reduce_word(letters)
 
 
 def random_element(rng: random.Random, ambient: Ambient, max_len: int = 4, bound: int = 3) -> GroupElement:
@@ -462,6 +472,31 @@ def reference_row_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[
             if r == m:
                 break
     return rows, U, pivot_cols
+
+
+# -- reference lattice index --------------------------------------------------
+# The coordinate-matrix route that `intlat.lattice_index` replaced by the ratio
+# of the pivot products, kept unchanged as the reference it is tested against.
+
+
+def reference_lattice_index(sub: Lattice, sup: Lattice):
+    """[sup : sub] as the product of the diagonal of the HNF of the
+    coordinates of sub's basis over sup's; math.inf when the ranks differ."""
+    if sub.ambient != sup.ambient:
+        raise DimensionError("lattices of different ambient dimension")
+    coords = []
+    for row in sub.basis.entries:
+        c = sup.coords(row)
+        if c is None:
+            raise NotSublatticeError("first lattice is not contained in the second")
+        coords.append(c)
+    if sub.rank != sup.rank:
+        return math.inf
+    H = Lattice.from_rows(coords, sup.rank)
+    idx = 1
+    for i, row in enumerate(H.basis.entries):
+        idx *= row[i]
+    return idx
 
 
 # -- reference oracle ---------------------------------------------------------

@@ -121,6 +121,26 @@ def test_per_computes_exponent_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("name", ["fix", "oracle-check"])
+def test_fixed_basis_folded_once(monkeypatch, name):
+    # one fold checks that the map is onto, one checks the fixed basis, and
+    # fix_tuple reuses the second
+    calls = []
+    real = fatf.freewords.stallings
+
+    def counted(generators, n):
+        calls.append(generators)
+        return real(generators, n)
+
+    monkeypatch.setattr(fatf.freewords, "stallings", counted)
+    stdin = (FIXTURES / f"{name}.in.json").read_text()
+    code, out = run([name], stdin)
+    assert code == EXIT_OK
+    assert out == (FIXTURES / f"{name}.out.json").read_text()
+    assert len(json.loads(stdin)["morphisms"]) == 1
+    assert len(calls) == 2
+
+
 def test_per_computes_free_order_once(monkeypatch):
     # periodic_exponent and fix_power's guard both need ord phi; the second
     # reads the value the first computed

@@ -1,5 +1,7 @@
 import json
 import random
+import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +22,10 @@ from fatf import (
     subgroup_equal,
 )
 from fatf.fatfcore import AmbientMismatch
+from fatf.fixpoint import FixInput, autofixed_closure, fix_single
+from fatf.freewords import LetterError
+from fatf.morphisms import apply
+from fatf.oracle import Bounds, brute_fixed
 
 AMB = Ambient(2, 2)
 
@@ -277,3 +283,61 @@ class TestFromWordsReference:
             assert results[0] == results[1]
             outcomes.add(results[0].startswith("{"))
         assert outcomes == {True, False}
+
+
+class TestTrustedConstructor:
+    """Internal builders make elements with GroupElement._trusted, which
+    checks nothing; what they make must equal what the public constructor
+    makes of the same t and w."""
+
+    @staticmethod
+    def _public_equal(g: GroupElement) -> None:
+        rebuilt = GroupElement(g.ambient, g.t, g.w)
+        assert g == rebuilt and hash(g) == hash(rebuilt)
+        assert type(g.t) is tuple and len(g.t) == g.ambient.m
+        assert all(type(x) is int for x in g.t)
+        assert type(g.w) is tuple and all(type(a) is int for a in g.w)
+
+    def test_builders_match_public_constructor(self, monkeypatch):
+        from test_acceptance import finite_order_suite
+
+        # every _trusted call checks its element and counts its builder, the
+        # nearest enclosing function that is not a comprehension
+        builders = Counter()
+        real = GroupElement._trusted
+
+        def checked(cls, ambient, t, w):
+            frame = sys._getframe(1)
+            while frame.f_code.co_name.startswith("<"):
+                frame = frame.f_back
+            builders[frame.f_code.co_name] += 1
+            g = real(ambient, t, w)
+            self._public_equal(g)
+            return g
+
+        monkeypatch.setattr(GroupElement, "_trusted", classmethod(checked))
+        rng = random.Random(16)
+        for psi, basis, _ in finite_order_suite():
+            amb = psi.ambient
+            res = fix_single(psi, basis)
+            fixed = brute_fixed([psi], Bounds(3, 1))
+            if res.basis is not None:
+                gens = res.basis.basis_elements()
+                H = autofixed_closure(res.basis, FixInput((psi,), (tuple(basis),))).basis
+                fixed += H.basis_elements()
+                fixed += [mul(g, inv(h)) for g in gens for h in gens]
+            fixed += [apply(psi, random_element(rng, amb)) for _ in range(3)]
+            for g in fixed:
+                self._public_equal(g)
+        assert set(builders) == {"mul", "inv", "basis_elements", "apply", "brute_fixed"}
+
+    def test_public_constructor_keeps_its_checks(self):
+        amb = Ambient(1, 2)
+        assert GroupElement(amb, (0,), (1, -1)).w == ()
+        assert GroupElement(amb, ["2"], [2, 1, -1]) == GroupElement(amb, (2,), (2,))
+        for letter in (0, 3, -3):
+            with pytest.raises(LetterError):
+                GroupElement(amb, (0,), (1, letter))
+        for t in ((), (0, 0)):
+            with pytest.raises(ValueError, match="wrong length"):
+                GroupElement(amb, t, (1,))

@@ -1,3 +1,4 @@
+import math
 import os
 import pathlib
 import random
@@ -357,6 +358,12 @@ class TestCertificates:
         psi = Morphism(amb, FreeMap.identity(2), IntMatrix([[18, 1], [-1, 0]]), IntMatrix.identity(2))
         with pytest.raises(CertificateError, match="exceeds index 8"):
             fix_single(psi, [(1,), (2,)])
+
+    def test_preimage_of_lower_rank_is_caught(self, monkeypatch):
+        # an explicit check where an assert stood, so python -O keeps it
+        monkeypatch.setattr(fixpoint, "lattice_index", lambda sub, sup: math.inf)
+        with pytest.raises(CertificateError, match="lower rank"):
+            fix_single(worked_morphism(), [(2,), (3,)])
 
     def test_checked_under_optimization(self):
         # the certificates are explicit checks, so python -O keeps them

@@ -11,10 +11,12 @@ from conftest import (
     companion,
     random_unimodular,
     reference_charpoly,
+    reference_lattice_index,
     reference_row_echelon,
     reference_totients,
     slow_infinite_order_matrix,
 )
+from fatf import intlat
 from fatf.intlat import (
     DimensionError,
     IntMatrix,
@@ -154,6 +156,64 @@ class TestLattice:
             assert target.contains(M.apply_row(r))
 
 
+def _outcome(f, *args):
+    """f(*args), or the type of the exception it raises."""
+    try:
+        return f(*args)
+    except (DimensionError, NotSublatticeError) as e:
+        return type(e)
+
+
+def _random_lattice(rng: random.Random, d: int, rows: int) -> Lattice:
+    return Lattice.from_rows([[rng.randint(-3, 3) for _ in range(d)] for _ in range(rows)], d)
+
+
+class TestLatticeIndexReference:
+    """lattice_index (pivot products) against the coordinate-matrix route
+    (conftest.reference_lattice_index)."""
+
+    def test_nested_pairs(self):
+        rng = random.Random(16)
+        seen = {"unequal": 0, "rank 0": 0, "ambient 0": 0, "finite > 1": 0}
+        for _ in range(600):
+            d = rng.randint(0, 4)
+            sup = _random_lattice(rng, d, rng.randint(0, d + 1))
+            # integer combinations of sup's rows, fewer than its rank at times
+            combos = [[rng.randint(-3, 3) for _ in range(sup.rank)] for _ in range(rng.randint(0, sup.rank + 1))]
+            sub = Lattice.from_rows([sup.basis.apply_row(c) for c in combos], d)
+            got = lattice_index(sub, sup)
+            assert got == reference_lattice_index(sub, sup)
+            seen["unequal"] += got == math.inf
+            seen["rank 0"] += sub.rank == 0
+            seen["ambient 0"] += d == 0
+            seen["finite > 1"] += got != math.inf and got > 1
+        assert all(seen.values()), seen
+        E = Lattice.from_rows([], 0)
+        assert lattice_index(E, E) == 1
+
+    def test_pairs_that_are_not_nested(self):
+        rng = random.Random(61)
+        refused = 0
+        for _ in range(400):
+            d = rng.randint(1, 4)
+            sub = _random_lattice(rng, d, rng.randint(1, d))
+            sup = _random_lattice(rng, d, rng.randint(0, d + 1))
+            expected = _outcome(reference_lattice_index, sub, sup)
+            assert _outcome(lattice_index, sub, sup) == expected
+            refused += expected is NotSublatticeError
+        assert refused > 100
+
+    def test_mismatched_ambients(self):
+        rng = random.Random(5)
+        for _ in range(50):
+            d = rng.randint(0, 3)
+            sub, sup = _random_lattice(rng, d, 2), _random_lattice(rng, d + 1, 2)
+            for a, b in ((sub, sup), (sup, sub)):
+                assert _outcome(reference_lattice_index, a, b) is DimensionError
+                with pytest.raises(DimensionError):
+                    lattice_index(a, b)
+
+
 class TestReduce:
     @settings(max_examples=80, deadline=None)
     @given(
@@ -251,6 +311,16 @@ class TestCharpolyAndCyclotomic:
         assert cyclotomic(4) == (1, 0, 1)
         assert cyclotomic(6) == (1, -1, 1)
         assert cyclotomic(12) == (1, 0, -1, 0, 1)
+
+    def test_divisor_must_be_monic(self):
+        # explicit checks, kept under python -O
+        with pytest.raises(ValueError, match="not monic"):
+            intlat._poly_divmod_monic([1, 0, 1], [1, 2])
+
+    def test_cyclotomic_checks_its_remainder(self, monkeypatch):
+        monkeypatch.setattr(intlat, "_poly_divmod_monic", lambda a, b: ([0], [1]))
+        with pytest.raises(ArithmeticError, match="does not divide"):
+            cyclotomic.__wrapped__(6)
 
 
 def _det(M: IntMatrix) -> int:

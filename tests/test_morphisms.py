@@ -12,6 +12,8 @@ from conftest import (
     random_free_aut,
     random_matrix,
     random_morphism,
+    random_word,
+    reference_apply,
 )
 from fatf import Ambient, FreeMap, GroupElement, IntMatrix, Morphism
 from fatf.bounds import automorphism_order_bound
@@ -39,6 +41,30 @@ class TestFreeMap:
         with pytest.raises(ValueError):
             FreeMap([(1, 2), (2,)], [(1,), (2,)], 2)
         FreeMap([(1, 2), (2,)], [(1, -2), (2,)], 2)
+
+    def test_apply_matches_substitution_on_every_construction_path(self):
+        # __init__ and compose build the signed image table; identity, power
+        # and invert reach it through them
+        rng = random.Random(26)
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            f = random_free_aut(rng, n)
+            # images that are not reduced, with no inverse
+            g = FreeMap([random_word(rng, n, 3) + (1, -1) + random_word(rng, n, 3) for _ in range(n)], None, n)
+            maps = {
+                "init": FreeMap(list(f.images), list(f.inverse_images), n),
+                "init without inverse": g,
+                "identity": FreeMap.identity(n),
+                "compose": f.compose(nielsen(1, n, 1, n) if n > 1 else f),
+                "compose without inverse": f.compose(g),
+                "power": f.power(rng.randint(2, 4)),
+                "negative power": f.power(-rng.randint(1, 3)),
+                "invert": f.invert(),
+            }
+            words = [(), tuple(range(-n, 0)), *(random_word(rng, n, 10) for _ in range(6))]
+            for name, h in maps.items():
+                for w in words:
+                    assert h.apply(w) == reference_apply(h, w), name
 
     def test_nielsen_and_letter_constructors(self):
         f = nielsen(1, 2, 1, 2)

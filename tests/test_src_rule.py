@@ -137,6 +137,26 @@ def test_pins_have_no_caller_in_src():
     assert [key for key in PINNED if calls[key]] == []
 
 
+def test_no_assert_in_src():
+    # checks are explicit raises, so python -O keeps them
+    found = [
+        f"{mod}.py:{node.lineno}"
+        for mod, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_wire_formats_never_build_trusted_objects():
+    # everything jsonio reads goes through the checking public constructors
+    tree = _modules()["jsonio"]
+    names = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    names |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert "_trusted" not in names
+
+
 def test_names_the_benchmark_wraps_resolve():
     # `fatfbench --trace 1` replaces these attributes; a missing one fails
     # the traced run with AttributeError
