@@ -14,9 +14,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from . import freewords
 from .freewords import Word, reduce_word
-from .intlat import Lattice
-
-Vec = tuple[int, ...]
+from .intlat import Lattice, Vec
 
 
 class AmbientMismatch(ValueError):

@@ -1,9 +1,9 @@
 """Reduced words in F_n and Stallings automata.
 
 A word is a tuple of nonzero ints: letter i stands for z_i, -i for z_i^{-1}.
-Graphs are folded core automata with basepoint 0; after construction they are
-renumbered breadth-first with label order z1 < z1^-1 < z2 < ..., which makes
-equality of graphs meaningful for equal subgroups.
+Graphs are folded core automata with basepoint 0, numbered breadth-first with
+label order z1 < z1^-1 < z2 < ... as they are built, which makes equality of
+graphs meaningful for equal subgroups.
 """
 
 from __future__ import annotations
@@ -110,38 +110,14 @@ def _labels(delta: dict[tuple[Hashable, int], Hashable]) -> list[int]:
 class StallingsGraph:
     """Folded core automaton of a finitely generated subgroup of F_n.
 
-    `delta` must be canonically numbered (see `_finish`): then the spanning
-    tree edge into each vertex is the first edge into it in (vertex, label)
-    order, which is the edge a breadth-first search would take.
+    Built from any symmetric transition dict `delta` and its basepoint: hanging
+    trees are peeled, and the basepoint component is numbered breadth-first
+    with label order z1 < z1^-1 < z2 < ..., so equal subgroups give equal
+    graphs. The edge along which that search first reaches a vertex is the
+    vertex's spanning-tree edge; every other edge is a basis edge.
     """
 
-    def __init__(self, n: int, num_vertices: int, delta: dict[tuple[int, int], int]):
-        self.n = n
-        self.num_vertices = num_vertices
-        self.delta = delta
-        self._tree_parent: dict[int, tuple[int, int]] = {}
-        labels = _labels(delta)
-        for v in range(num_vertices):
-            for a in labels:
-                w = delta.get((v, a))
-                if w is not None and w and w not in self._tree_parent:
-                    self._tree_parent[w] = (v, a)
-        self._basis_edges = [
-            (v, a, w)
-            for (v, a), w in sorted(delta.items())
-            if a > 0 and self._tree_parent.get(w) != (v, a) and self._tree_parent.get(v) != (w, -a)
-        ]
-        # folded graphs have at most one transition per (vertex, label), so
-        # each key below identifies a unique edge crossing
-        self._edge_index: dict[tuple[int, int], tuple[int, int]] = {}
-        for idx, (v, a, w) in enumerate(self._basis_edges, start=1):
-            self._edge_index[(v, a)] = (idx, w)
-            self._edge_index[(w, -a)] = (-idx, v)
-
-    @classmethod
-    def _finish(cls, n: int, base: Hashable, delta: dict[tuple[Hashable, int], Hashable]) -> "StallingsGraph":
-        """Peel hanging trees, then number the basepoint component by BFS
-        with label order z1 < z1^-1 < z2 < ...; `delta` must be symmetric."""
+    def __init__(self, n: int, base: Hashable, delta: dict[tuple[Hashable, int], Hashable]):
         labels = _labels(delta)
         deg = Counter(v for v, _ in delta)
         dead: set[Hashable] = set()
@@ -157,19 +133,35 @@ class StallingsGraph:
                     deg[w] -= 1
                     if deg[w] <= 1 and w != base:
                         stack.append(w)
+        self.n = n
+        self.delta: dict[tuple[int, int], int] = {}
+        self._tree_parent: dict[int, tuple[int, int]] = {}
+        # in (vertex, label) order, as vertices leave the queue in number order
+        self._basis_edges: list[tuple[int, int, int]] = []
         order = {base: 0}
         queue = deque([base])
         while queue:
             v = queue.popleft()
+            i = order[v]
             for a in labels:
                 w = delta.get((v, a))
-                if w is not None and w not in dead and w not in order:
-                    order[w] = len(order)
+                if w is None or w in dead:
+                    continue
+                j = order.get(w)
+                if j is None:
+                    j = order[w] = len(order)
+                    self._tree_parent[j] = (i, a)
                     queue.append(w)
-        new_delta = {
-            (order[v], a): order[w] for (v, a), w in delta.items() if v in order and w in order
-        }
-        return cls(n, len(order), new_delta)
+                elif a > 0 and self._tree_parent.get(i) != (j, -a):
+                    self._basis_edges.append((i, a, j))
+                self.delta[(i, a)] = j
+        self.num_vertices = len(order)
+        # folded graphs have at most one transition per (vertex, label), so
+        # each key below identifies a unique edge crossing
+        self._edge_index: dict[tuple[int, int], tuple[int, int]] = {}
+        for idx, (v, a, w) in enumerate(self._basis_edges, start=1):
+            self._edge_index[(v, a)] = (idx, w)
+            self._edge_index[(w, -a)] = (-idx, v)
 
     # -- queries -----------------------------------------------------------
 
@@ -269,7 +261,7 @@ def stallings(generators: Sequence[Word], n: int) -> StallingsGraph:
     delta = {
         (v, a): find(z) for v in range(len(out)) if parent[v] == v for a, z in out[v].items()
     }
-    return StallingsGraph._finish(n, find(0), delta)
+    return StallingsGraph(n, find(0), delta)
 
 
 def pullback(
@@ -302,7 +294,7 @@ def pullback(
                 ids[q] = len(ids)
                 queue.append(q)
             delta[(ids[p], a)] = ids[q]
-    return StallingsGraph._finish(g1.n, 0, delta)
+    return StallingsGraph(g1.n, 0, delta)
 
 
 class IndexBoundExceeded(RuntimeError):
@@ -317,11 +309,10 @@ def schreier_basis(
     """Free basis of a finite-index subgroup H given by its coset keys.
 
     coset_key speaks about abstract words over p = len(ambient_basis) letters
-    and takes equal values on u and v exactly when H u = H v. Cosets are
-    discovered breadth-first with the label order of `_alphabet`, which is
-    already the canonical numbering, so the coset graph's `basis_words` are
-    the Schreier basis of H; they are substituted back into the actual
-    ambient words.
+    and takes equal values on u and v exactly when H u = H v. The coset
+    graph's `basis_words`, read off its breadth-first spanning tree, are the
+    Schreier basis of H; they are substituted back into the actual ambient
+    words.
     """
     p = len(ambient_basis)
     reps: list[Word] = [()]
@@ -347,5 +338,5 @@ def schreier_basis(
     spell = [()] + list(ambient_basis) + [invert(g) for g in reversed(ambient_basis)]
     return [
         reduce_word([b for a in u for b in spell[a]])
-        for u in StallingsGraph(p, len(reps), table).basis_words
+        for u in StallingsGraph(p, 0, table).basis_words
     ]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from operator import add, mul, sub
+from operator import add, getitem, mul, sub
 from typing import Iterable, Optional, Sequence
 
 
@@ -231,15 +231,17 @@ def _with_transform(M: IntMatrix) -> tuple[list[list[int]], list[list[int]], int
 
 
 class Lattice:
-    """Sublattice of Z^d given by a canonical HNF basis (rows)."""
+    """Sublattice of Z^d given by a canonical HNF basis (rows); `pivots` holds
+    the column of each row's leading entry."""
 
-    __slots__ = ("ambient", "basis")
+    __slots__ = ("ambient", "basis", "pivots")
 
     def __init__(self, ambient: int, basis: IntMatrix):
         if basis.cols != ambient:
             raise DimensionError("basis width disagrees with ambient dimension")
         self.ambient = ambient
         self.basis = basis
+        self.pivots = tuple([next(j for j, a in enumerate(row) if a) for row in basis.entries])
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], ambient: int) -> "Lattice":
@@ -265,8 +267,7 @@ class Lattice:
             raise DimensionError("vector dimension mismatch")
         res = list(map(int, v))
         xs = []
-        for row in self.basis.entries:
-            j = next(t for t, a in enumerate(row) if a != 0)
+        for row, j in zip(self.basis.entries, self.pivots):
             q = res[j] // row[j]
             xs.append(q)
             if q:
@@ -325,7 +326,7 @@ def lattice_index(sub: Lattice, sup: Lattice):
         raise NotSublatticeError("first lattice is not contained in the second")
     if sub.rank != sup.rank:
         return math.inf
-    num, den = (math.prod(next(a for a in r if a) for r in L.basis.entries) for L in (sub, sup))
+    num, den = (math.prod(map(getitem, L.basis.entries, L.pivots)) for L in (sub, sup))
     return num // den
 
 
@@ -349,8 +350,8 @@ def solve_left(M: IntMatrix, b: Sequence[int]) -> Optional[Vec]:
     if len(b) != M.cols:
         raise DimensionError("right-hand side has the wrong length")
     H, U, r = _with_transform(M)
-    pivots = IntMatrix._trusted(tuple([tuple(row) for row in H[:r]]), M.cols)
-    y, res = Lattice(M.cols, pivots).reduce(b)
+    image = IntMatrix._trusted(tuple([tuple(row) for row in H[:r]]), M.cols)
+    y, res = Lattice(M.cols, image).reduce(b)
     if any(res):
         return None
     return _row_times(y, U[:r], M.rows)

@@ -47,9 +47,10 @@ class FreeMap:
     def _set(self, n: int, images: tuple[Word, ...], inverse_images: Optional[tuple[Word, ...]]) -> None:
         """Fill the slots from images that are reduced words over n letters,
         re-checking nothing. spell[a] is the image of letter a, for a in
-        +-1..+-n; a < 0 counts from the end."""
+        +-1..+-n and no other key."""
         self.n, self.images, self.inverse_images, self._order = n, images, inverse_images, None
-        self._spell = ((),) + images + tuple([freewords.invert(w) for w in reversed(images)])
+        self._spell = {i: w for i, w in enumerate(images, start=1)}
+        self._spell.update({-i: freewords.invert(w) for i, w in enumerate(images, start=1)})
 
     @classmethod
     def identity(cls, n: int) -> "FreeMap":
@@ -57,9 +58,13 @@ class FreeMap:
         return cls(gens, gens, n)
 
     def apply(self, w: Word) -> Word:
-        """phi(w), reduced, for a word w over the n letters."""
+        """phi(w), reduced, for a word w over the n letters (LetterError otherwise)."""
         spell = self._spell
-        return reduce_word([b for a in w for b in spell[a]])
+        try:
+            return reduce_word([b for a in w for b in spell[a]])
+        except KeyError:
+            freewords.check_letters(w, self.n)
+            raise
 
     def compose(self, other: "FreeMap") -> "FreeMap":
         """self followed by other."""

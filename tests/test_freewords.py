@@ -140,7 +140,7 @@ class TestStallings:
 
 
 class TestReferenceFold:
-    """The worklist fold and the one-pass `_finish` against the fixpoint fold,
+    """The worklist fold and the one-pass constructor against the fixpoint fold,
     trim loop and BFS tree they replaced (conftest.reference_stallings)."""
 
     def test_random_generator_sets(self):
@@ -161,8 +161,8 @@ class TestReferenceFold:
 
     def test_finish_peels_hanging_trees(self):
         # a folded graph with trees hung on it and a second component, on
-        # shuffled vertex names: _finish keeps only the core of the basepoint
-        # component, numbered canonically
+        # shuffled vertex names: the constructor keeps only the core of the
+        # basepoint component, numbered canonically
         rng = random.Random(2002)
         peeled = 0
         for _ in range(400):
@@ -182,10 +182,22 @@ class TestReferenceFold:
             names = list(range(total))
             rng.shuffle(names)
             named = {(names[v], a): names[w] for (v, a), w in delta.items()}
-            got = as_reference(StallingsGraph._finish(n, names[0], named))
+            got = as_reference(StallingsGraph(n, names[0], named))
             assert got == reference_finish(n, names[0], named)
             peeled += total > got[0] + other.num_vertices
         assert peeled >= 200
+
+    def test_numbered_graph_is_kept(self):
+        # an already-numbered table, such as schreier_basis passes, comes back
+        # as the same graph with the same spanning tree
+        rng = random.Random(1983)
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            g = stallings([random_word(rng, n, 8) for _ in range(rng.randint(1, 4))], n)
+            h = stallings([random_word(rng, n, 8) for _ in range(rng.randint(1, 4))], n)
+            for graph in (g, pullback(g, lambda v, a: h.delta.get((v, a)), 0)):
+                again = StallingsGraph(graph.n, 0, graph.delta)
+                assert again == graph and again.basis_words == graph.basis_words
 
     def test_refold_of_basis_words(self):
         rng = random.Random(7)

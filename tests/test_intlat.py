@@ -168,6 +168,44 @@ def _random_lattice(rng: random.Random, d: int, rows: int) -> Lattice:
     return Lattice.from_rows([[rng.randint(-3, 3) for _ in range(d)] for _ in range(rows)], d)
 
 
+def _reference_pivots(L: Lattice) -> tuple[int, ...]:
+    return tuple(reference_row_echelon([list(r) for r in L.basis.entries])[2])
+
+
+class TestPivots:
+    """`Lattice.pivots`, recorded when the lattice is built, against the pivot
+    columns of the reference elimination."""
+
+    def test_random_row_sets(self):
+        rng = random.Random(1983)
+        seen = {"deficient": 0, "zero row": 0, "ambient 0": 0}
+        for _ in range(600):
+            d = rng.randint(0, 5)
+            rows = [
+                [rng.randint(-3, 3) * (rng.random() < 0.7) for _ in range(d)]
+                for _ in range(rng.randint(0, d + 2))
+            ]
+            if rows and rng.random() < 0.3:
+                rows[rng.randrange(len(rows))] = [0] * d
+            L = Lattice.from_rows(rows, d)
+            assert L.pivots == tuple(reference_row_echelon([list(r) for r in rows])[2])
+            seen["deficient"] += L.rank < min(len(rows), d)
+            seen["zero row"] += [0] * d in rows
+            seen["ambient 0"] += d == 0
+        assert all(seen.values()), seen
+
+    def test_derived_lattices(self):
+        rng = random.Random(2002)
+        for _ in range(200):
+            d = rng.randint(1, 4)
+            A, B = (_random_lattice(rng, d, rng.randint(0, d + 1)) for _ in range(2))
+            M = _random_matrix(rng)
+            T = _random_lattice(rng, M.cols, rng.randint(0, M.cols))
+            domain = hnf(IntMatrix.identity(M.rows))
+            for L in (kernel_lattice(M), lattice_preimage(domain, M, T), lattice_intersect(A, B)):
+                assert L.pivots == _reference_pivots(L)
+
+
 class TestLatticeIndexReference:
     """lattice_index (pivot products) against the coordinate-matrix route
     (conftest.reference_lattice_index)."""

@@ -17,6 +17,7 @@ from conftest import (
 )
 from fatf import Ambient, FreeMap, GroupElement, IntMatrix, Morphism
 from fatf.bounds import automorphism_order_bound
+from fatf.freewords import LetterError
 from fatf.intlat import matrix_order
 from fatf.morphisms import apply, compose, invert, linear_power, order, power, power_vector_matrix
 
@@ -65,6 +66,12 @@ class TestFreeMap:
             for name, h in maps.items():
                 for w in words:
                     assert h.apply(w) == reference_apply(h, w), name
+
+    def test_apply_rejects_letters_outside_the_alphabet(self):
+        f = FreeMap([(1,), (2,)], [(1,), (2,)], 2)
+        for a in (3, -3, 0, 4):
+            with pytest.raises(LetterError):
+                f.apply((1, a))
 
     def test_nielsen_and_letter_constructors(self):
         f = nielsen(1, 2, 1, 2)

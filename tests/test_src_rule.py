@@ -2,11 +2,12 @@
 exports it, or a pinned reason below keeps it. A helper that only tests use
 belongs in tests/conftest.py.
 
-References are read from the source with `ast`: a function counts as called
-when, outside its own body, its name is loaded and not bound as a local, or
-read as an attribute of an imported module (`morphisms.order`, not
-`psi.phi.order`); a method counts when its name is read as an attribute
-outside its own body. Dunder methods are called by the language and are not
+References are read from the source with `ast`: a function, class or
+module-level constant counts as called when, outside its own body, its name
+is loaded and not bound as a local, or read as an attribute of an imported
+module (`morphisms.order`, not `psi.phi.order`); a method counts when its
+name is read as an attribute outside its own body. Dunder methods and dunder
+names such as `__version__` are read by the language and tools and are not
 checked. A pin whose name src/ calls is stale and fails too.
 """
 
@@ -76,15 +77,20 @@ class _Refs(ast.NodeVisitor):
 
 
 def _definitions(tree: ast.Module):
-    """(qualified name, node, is_method) of every module-level function and
-    every non-dunder method of a module-level class."""
+    """(qualified name, node, is_method) of every module-level function,
+    class and non-dunder constant, and of every non-dunder method of a
+    module-level class."""
     for node in tree.body:
-        if isinstance(node, ast.FunctionDef):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node, False
-        elif isinstance(node, ast.ClassDef):
+        if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
                     yield f"{node.name}.{item.name}", item, True
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name) and not target.id.startswith("__"):
+                    yield target.id, node, False
 
 
 def _modules() -> dict[str, ast.Module]:
@@ -104,7 +110,7 @@ def src_calls() -> dict[str, int]:
         for qual, node, is_method in _definitions(tree):
             own = _Refs(aliases)
             own.visit(node)
-            name = node.name
+            name = qual.rsplit(".", 1)[-1]
             if is_method:
                 calls = total.attrs[name] - own.attrs[name]
             else:
@@ -126,6 +132,14 @@ def uncalled() -> list[str]:
 
 def test_every_definition_is_called_exported_or_pinned():
     assert uncalled() == []
+
+
+def test_definitions_include_classes_and_constants():
+    tree = ast.parse(
+        "A = 1\n__version__ = '1'\nB: int = 2\n"
+        "class C:\n    def f(self): ...\n    def __eq__(self, o): ...\ndef g(): ...\n"
+    )
+    assert [qual for qual, _, _ in _definitions(tree)] == ["A", "B", "C", "C.f", "g"]
 
 
 def test_pins_name_existing_definitions():
