@@ -80,7 +80,9 @@ class SubgroupBasis:
     The subgroup is the triple (graph, vectors, abelian lattice): the free
     part pairs each basis word u_i of the Stallings graph of the projection
     with the vector a_i, reduced modulo the HNF abelian part, for which
-    t^a_i u_i lies in the subgroup. Equal subgroups give equal triples.
+    t^a_i u_i lies in the subgroup. Equal subgroups give equal triples. The
+    words are spelled only when `free_part` or `basis_elements` asks for
+    them.
     """
 
     def __init__(
@@ -94,15 +96,12 @@ class SubgroupBasis:
             raise ValueError("abelian lattice lives in the wrong ambient")
         if graph.n != ambient.n:
             raise ValueError("graph lives in the wrong ambient")
-        words = graph.basis_words
-        if len(vectors) != len(words):
+        if len(vectors) != graph.rank:
             raise ValueError("need one vector per basis word of the graph")
         self.ambient = ambient
         self.graph = graph
         # canonical: a_i is only defined modulo the abelian part
-        self.free_part: tuple[tuple[Vec, Word], ...] = tuple(
-            (abelian_part.reduce(a)[1], u) for a, u in zip(vectors, words)
-        )
+        self.vectors: tuple[Vec, ...] = tuple([abelian_part.reduce(a)[1] for a in vectors])
         self.abelian_part = abelian_part
 
     @classmethod
@@ -124,8 +123,13 @@ class SubgroupBasis:
         return H
 
     @property
+    def free_part(self) -> tuple[tuple[Vec, Word], ...]:
+        """The pairs (a_i, u_i), spelling each basis word u_i of the graph."""
+        return tuple(zip(self.vectors, self.graph.basis_words))
+
+    @property
     def rank(self) -> int:
-        return len(self.free_part)
+        return self.graph.rank
 
     def projection_word_vector(self, w: Word) -> Optional[Vec]:
         """Vector v with t^v w in the subgroup, unique mod the abelian part,
@@ -137,7 +141,7 @@ class SubgroupBasis:
         if expr is None:
             return None
         exps = freewords.abelianize(expr, self.rank)
-        pairs = [(c, a) for c, (a, _) in zip(exps, self.free_part) if c]
+        pairs = [(c, a) for c, a in zip(exps, self.vectors) if c]
         return tuple(sum(c * a[i] for c, a in pairs) for i in range(self.ambient.m))
 
     def basis_elements(self) -> list[GroupElement]:
@@ -147,13 +151,14 @@ class SubgroupBasis:
         return out
 
     def _key(self) -> tuple:
-        return (self.ambient, self.free_part, self.abelian_part)
+        return (self.ambient, self.graph, self.vectors, self.abelian_part)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SubgroupBasis) and self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        # StallingsGraph is unhashable; equal graphs have equal vertex counts
+        return hash((self.ambient, self.graph.num_vertices, self.vectors, self.abelian_part))
 
     def __repr__(self) -> str:
         return (

@@ -182,9 +182,44 @@ class StallingsGraph:
             for (v, a, w) in self._basis_edges
         ]
 
+    @functools.cached_property
+    def basis_abelianized(self) -> list[tuple[int, ...]]:
+        """abelianize(u) for each u of `basis_words`, with no word spelled.
+
+        Each vertex gets the abelianization of its spanning-tree path, its
+        potential, from that of its tree parent (numbered before it); the
+        basis word of the edge (v, a, w) then abelianizes to
+        pot(v) + e_a - pot(w)."""
+        pot = [[0] * self.n] * self.num_vertices
+        for j, (i, a) in self._tree_parent.items():
+            p = pot[i][:]
+            p[abs(a) - 1] += 1 if a > 0 else -1
+            pot[j] = p
+        out = []
+        for v, a, w in self._basis_edges:
+            u = [x - y for x, y in zip(pot[v], pot[w])]
+            u[a - 1] += 1  # basis edges carry positive labels
+            out.append(tuple(u))
+        return out
+
     @property
     def rank(self) -> int:
         return len(self._basis_edges)
+
+    def maps_into(self, other: "StallingsGraph") -> bool:
+        """Whether a label-preserving map of vertices, base to base, carries
+        every edge of self onto an edge of other, so that the subgroup of
+        self lies in that of other.
+
+        The spanning tree fixes the only candidate map; each edge is then
+        checked once."""
+        image = [0] * self.num_vertices
+        for j, (i, a) in self._tree_parent.items():
+            w = other.delta.get((image[i], a))
+            if w is None:
+                return False
+            image[j] = w
+        return all(other.delta.get((image[v], a)) == image[w] for (v, a), w in self.delta.items())
 
     def trace(self, w: Word) -> Optional[list[int]]:
         """Expression of w over the spanning-tree basis, or None if w is

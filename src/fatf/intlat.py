@@ -237,11 +237,35 @@ class Lattice:
     __slots__ = ("ambient", "basis", "pivots")
 
     def __init__(self, ambient: int, basis: IntMatrix):
+        """The lattice of the rows of `basis`, which must be in HNF: nonzero
+        rows with positive leading entries (pivots) in strictly increasing
+        columns, and the entries above each pivot p in [0, p)."""
         if basis.cols != ambient:
             raise DimensionError("basis width disagrees with ambient dimension")
-        self.ambient = ambient
-        self.basis = basis
-        self.pivots = tuple([next(j for j, a in enumerate(row) if a) for row in basis.entries])
+        rows = basis.entries
+        pivots: list[int] = []
+        for i, row in enumerate(rows):
+            j = next((j for j, a in enumerate(row) if a), None)
+            if j is None:
+                raise ValueError("a lattice basis row is zero")
+            if pivots and j <= pivots[-1]:
+                raise ValueError("lattice basis pivots are not in strictly increasing columns")
+            p = row[j]
+            if p < 0:
+                raise ValueError("a lattice basis pivot is negative")
+            if not all(0 <= above[j] < p for above in rows[:i]):
+                raise ValueError("an entry above a lattice basis pivot is outside [0, pivot)")
+            pivots.append(j)
+        self.ambient, self.basis, self.pivots = ambient, basis, tuple(pivots)
+
+    @classmethod
+    def _trusted(cls, ambient: int, basis: IntMatrix) -> "Lattice":
+        """The lattice of `basis`, already in HNF with `ambient` columns, as
+        `_row_echelon` leaves it; nothing is re-checked."""
+        L = object.__new__(cls)
+        L.ambient, L.basis = ambient, basis
+        L.pivots = tuple([next(j for j, a in enumerate(row) if a) for row in basis.entries])
+        return L
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], ambient: int) -> "Lattice":
@@ -250,7 +274,7 @@ class Lattice:
             if len(r) != ambient:
                 raise DimensionError("row width disagrees with ambient dimension")
         r = _row_echelon(mat, ambient)
-        return cls(ambient, IntMatrix._trusted(tuple([tuple(row) for row in mat[:r]]), ambient))
+        return cls._trusted(ambient, IntMatrix._trusted(tuple([tuple(row) for row in mat[:r]]), ambient))
 
     @property
     def rank(self) -> int:
@@ -351,7 +375,7 @@ def solve_left(M: IntMatrix, b: Sequence[int]) -> Optional[Vec]:
         raise DimensionError("right-hand side has the wrong length")
     H, U, r = _with_transform(M)
     image = IntMatrix._trusted(tuple([tuple(row) for row in H[:r]]), M.cols)
-    y, res = Lattice(M.cols, image).reduce(b)
+    y, res = Lattice._trusted(M.cols, image).reduce(b)
     if any(res):
         return None
     return _row_times(y, U[:r], M.rows)

@@ -15,6 +15,7 @@ from typing import Sequence
 from fatf import Ambient, FreeMap, GroupElement, IntMatrix, Morphism, SubgroupBasis, inv, member, mul
 from fatf import freewords
 from fatf import morphisms as morphisms_mod
+from fatf.fixpoint import CertificateError
 from fatf.freewords import Word, _alphabet, check_letters, invert, reduce_word
 from fatf.intlat import DimensionError, Lattice, NotSublatticeError, cyclotomic, matrix_inverse
 from fatf.oracle import MAX_ENUMERATION, Bounds, reduced_words
@@ -335,6 +336,20 @@ def reference_from_words(ambient, free_part, abelian_part) -> SubgroupBasis:
     T = IntMatrix([freewords.abelianize(graph.trace(u), r) for u in words], cols=r)
     A = IntMatrix([a for a, _ in free_part], cols=ambient.m)
     return SubgroupBasis(ambient, graph, (matrix_inverse(T) * A).entries, abelian_part)
+
+
+# -- reference certificate ----------------------------------------------------
+# The word-level check that `fixpoint._certify` replaced by a check on the
+# answer graph: every map is applied to every basis element, kept unchanged as
+# the reference it is tested against.
+
+
+def reference_certify(maps: Sequence[Morphism], basis: SubgroupBasis) -> None:
+    """Raise CertificateError unless every map fixes every basis element."""
+    for g in basis.basis_elements():
+        for psi in maps:
+            if morphisms_mod.apply(psi, g) != g:
+                raise CertificateError("computed basis element not fixed")
 
 
 # -- reference totients --------------------------------------------------------

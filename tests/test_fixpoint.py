@@ -1,15 +1,27 @@
+import hashlib
+import json
 import math
+import operator
 import os
 import pathlib
 import random
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 
-from conftest import ia_map, inner, letter_map, nielsen, random_finite_order_morphism, random_matrix
-from fatf import fixpoint
+from conftest import (
+    ia_map,
+    inner,
+    letter_map,
+    nielsen,
+    random_finite_order_morphism,
+    random_matrix,
+    reference_certify,
+)
+from fatf import cli, fixpoint, freewords, jsonio
 from fatf import (
     Ambient,
     FreeMap,
@@ -23,6 +35,7 @@ from fatf import (
     member,
     periodic_exponent,
     periodic_subgroup,
+    subgroup_basis,
     subgroup_equal,
 )
 from fatf.fixpoint import (
@@ -33,10 +46,12 @@ from fatf.fixpoint import (
     fix_power,
     is_autofixed,
 )
-from fatf.freewords import stallings
+from fatf.freewords import StallingsGraph, abelianize, stallings
 from fatf.intlat import kernel_lattice
 from fatf.morphisms import apply, power
 from fatf.oracle import Bounds, brute_fixed
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 def worked_morphism():
@@ -336,11 +351,124 @@ def _corrupt_first_solution(monkeypatch):
     monkeypatch.setattr(fixpoint, "solve_left", corrupted)
 
 
+def conjugated_flip():
+    """z1 -> z1^-1, z2 fixed, conjugated by z1, so Fix phi = <z1 z2 z1^-1>,
+    whose graph has two vertices. With Q = -1 and P = (0, 1) the element
+    t^a (z1 z2 z1^-1)^k is fixed when 2a = k: Fix psi is generated by
+    t z1 z2^2 z1^-1, read off a three-vertex cover."""
+    images = [(-1,), (1, 1, 2, -1, -1)]
+    return Morphism(Ambient(1, 2), FreeMap(images, images, 2), IntMatrix([[-1]]), IntMatrix([[0], [1]]))
+
+
+def _redirect(graph, v, a, w):
+    """graph with its edge (v, a) moved to end at w, which has no edge -a."""
+    delta = dict(graph.delta)
+    del delta[(delta[(v, a)], -a)]
+    delta[(v, a)], delta[(w, -a)] = w, v
+    return StallingsGraph(graph.n, 0, delta)
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except CertificateError:
+        return "caught"
+    return "accepted"
+
+
+def _fix_suites():
+    """(input, answer) of the randomized fix suites: the acceptance suite of
+    finite-order maps, and random Q, P with one map or two."""
+    from test_acceptance import finite_order_suite
+
+    for psi, basis, _ in finite_order_suite():
+        inp = FixInput((psi,), (tuple(basis),))
+        yield inp, fix_tuple(inp).basis
+    rng = random.Random(43)
+    for trial in range(40):
+        amb = Ambient(rng.randint(1, 2), rng.randint(1, 3))
+        psi, basis, _ = random_finite_order_morphism(rng, amb)
+        psi = Morphism(amb, psi.phi, random_matrix(rng, amb.m, amb.m, 3), random_matrix(rng, amb.n, amb.m, 3))
+        maps, bases = [psi], [tuple(basis)]
+        if trial % 2:
+            other, other_basis, _ = random_finite_order_morphism(rng, amb)
+            maps.append(other)
+            bases.append(tuple(other_basis))
+        inp = FixInput(tuple(maps), tuple(bases))
+        yield inp, fix_tuple(inp).basis
+
+
 class TestCertificates:
+    def test_graph_certificate_and_reference_accept(self):
+        checked = 0
+        for inp, B in _fix_suites():
+            if B is None:
+                continue
+            fixpoint._certify(inp, B)
+            reference_certify(inp.morphisms, B)
+            checked += B.rank > 0
+        assert checked >= 80
+
+    def test_both_catch_the_same_corrupted_vectors_and_rows(self):
+        # a vector or abelian row moved by a unit vector; the graph is the
+        # answer's own, so the two certificates must agree
+        rng = random.Random(18)
+        outcomes = Counter()
+        for inp, B in _fix_suites():
+            if B is None or not B.ambient.m:
+                continue
+            m = B.ambient.m
+            e = tuple(int(i == rng.randrange(m)) for i in range(m))
+            vectors, rows = list(B.vectors), list(B.abelian_part.basis.entries)
+            if vectors and rng.random() < 0.5:
+                i = rng.randrange(len(vectors))
+                vectors[i] = tuple(map(operator.add, vectors[i], e))
+            else:
+                rows.append(e)
+            bad = SubgroupBasis(B.ambient, B.graph, vectors, Lattice.from_rows(rows, m))
+            got = _outcome(fixpoint._certify, inp, bad)
+            assert got == _outcome(reference_certify, inp.morphisms, bad)
+            outcomes[got] += 1
+        assert outcomes["caught"] >= 50 and outcomes["accepted"] >= 5, outcomes
+
     def test_corrupted_vector_is_caught(self, monkeypatch):
         _corrupt_first_solution(monkeypatch)
         with pytest.raises(CertificateError, match="not fixed"):
             fix_single(worked_morphism(), [(2,), (3,)])
+
+    def test_redirected_edge_is_caught(self, monkeypatch):
+        psi = conjugated_flip()
+        inp = FixInput((psi,), (((1, 2, -1),),))
+        B = fix_tuple(inp).basis
+        assert B.graph.basis_words == [(1, 2, 2, -1)] and B.vectors == ((1,),)
+        # 0 -z1-> 1 -z2-> 2 -z2-> 1 becomes the loop z1 z2 z2 at 0, whose
+        # second z2 has no edge to follow in the fixed-basis graph
+        bad = SubgroupBasis(B.ambient, _redirect(B.graph, 2, 2, 0), B.vectors, B.abelian_part)
+        assert bad.graph.basis_words == [(1, 2, 2)]
+        with pytest.raises(CertificateError, match="does not map"):
+            fixpoint._certify(inp, bad)
+        with pytest.raises(CertificateError):
+            reference_certify(inp.morphisms, bad)
+        # inside fix_tuple the moved edge is caught as well
+        real = freewords.pullback
+        monkeypatch.setattr(freewords, "pullback", lambda *args: _redirect(real(*args), 2, 2, 0))
+        with pytest.raises(CertificateError):
+            fix_tuple(inp)
+
+    def test_wrong_kernel_row_is_caught(self, monkeypatch):
+        # Q = diag(1, -1) fixes (1, 0) only; (0, 1) goes to (0, -1)
+        psi = worked_morphism()
+        inp = FixInput((psi,), (((2,), (3,)),))
+        B = fix_tuple(inp).basis
+        wrong = Lattice.from_rows([[0, 1]], 2)
+        bad = SubgroupBasis(B.ambient, B.graph, B.vectors, wrong)
+        with pytest.raises(CertificateError, match="abelian basis row not fixed"):
+            fixpoint._certify(inp, bad)
+        with pytest.raises(CertificateError):
+            reference_certify(inp.morphisms, bad)
+        monkeypatch.setattr(fixpoint, "kernel_lattice", lambda M: wrong)
+        with pytest.raises(CertificateError, match="abelian basis row not fixed"):
+            fix_tuple(inp)
 
     def test_closure_missing_the_subgroup_is_caught(self, monkeypatch):
         psi = worked_morphism()
@@ -386,6 +514,42 @@ class TestCertificates:
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "caught"
+
+
+# sha256 of the ell-256 answer's JSON (sorted keys, no spaces), as fix_tuple
+# gave it when it still spelled and applied every answer word
+ELL_256_DIGEST = "a3f14bd8e28d9e4c0dc2d1f18f07e7f10ff760b1a9f576c98a8a61869c2a68eb"
+
+
+class TestAnswerBasis:
+    def test_answer_words_are_spelled_only_when_read(self):
+        ell = 256
+        amb = Ambient(2, 2)
+        psi = Morphism(amb, FreeMap.identity(2), IntMatrix([[ell + 2, 1], [-1, 0]]), IntMatrix.identity(2))
+        B = fix_single(psi, [(1,), (2,)]).basis
+        assert "basis_words" not in B.graph.__dict__
+        text = json.dumps(jsonio.subgroup_to_json(B), sort_keys=True, separators=(",", ":"))
+        assert "basis_words" in B.graph.__dict__
+        assert hashlib.sha256(text.encode()).hexdigest() == ELL_256_DIGEST
+        assert [abelianize(u, 2) for _, u in B.free_part] == B.graph.basis_abelianized
+
+    def test_four_constructions_are_one_key(self):
+        psi = worked_morphism()
+        amb = psi.ambient
+        free = [((0, 1), (2, 2)), ((0, 1), (3,)), ((0, 1), (-2, 3, 2))]
+        gens = [GroupElement(amb, a, u) for a, u in free] + [GroupElement(amb, (1, 0), ())]
+        code, out = cli.run(["fix"], (FIXTURES / "fix.in.json").read_text())
+        assert code == cli.EXIT_OK
+        built = [
+            subgroup_basis(gens[::-1], amb),
+            SubgroupBasis.from_words(amb, free, Lattice.from_rows([[1, 0]], 2)),
+            fix_tuple(FixInput((psi,), (((2,), (3,)),))).basis,
+            jsonio.subgroup_from_json(json.loads(out)["result"]["basis"], amb),
+        ]
+        for H in built:
+            assert H == built[0] and hash(H) == hash(built[0])
+        assert len(set(built)) == 1
+        assert built[2].graph is not built[3].graph
 
 
 class TestConjugationInvariance:

@@ -235,6 +235,43 @@ class TestPullback:
                 assert (pb.trace(w) is not None) == both
 
 
+class TestGraphQueries:
+    """`basis_abelianized` and `maps_into` read the graph only; the words
+    they stand for are the reference."""
+
+    @staticmethod
+    def graphs(rng: random.Random, n: int):
+        """A fold of random words, its intersection with another and its
+        cover by the residues of a full-rank lattice in Z^n."""
+        g = stallings([random_word(rng, n, 6) for _ in range(rng.randint(1, 4))], n)
+        h = stallings([random_word(rng, n, 6) for _ in range(rng.randint(1, 4))], n)
+        rows = [[rng.randint(1, 3) if i == j else rng.randint(0, 2) * (i < j) for j in range(n)] for i in range(n)]
+        L = Lattice.from_rows(rows, n)
+        cover = pullback(g, TestIndexAndSchreier.residue_step(L), (0,) * n)
+        return g, h, pullback(g, lambda v, a: h.delta.get((v, a)), 0), cover
+
+    def test_basis_abelianized_matches_words(self):
+        rng = random.Random(1902)
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            for graph in self.graphs(rng, n):
+                got = graph.basis_abelianized
+                assert "basis_words" not in graph.__dict__
+                assert got == [abelianize(u, n) for u in graph.basis_words]
+
+    def test_maps_into_is_containment(self):
+        rng = random.Random(1983)
+        outcomes = set()
+        for _ in range(200):
+            n = rng.randint(1, 3)
+            g, h, meet, cover = self.graphs(rng, n)
+            contained = all(h.trace(u) is not None for u in g.basis_words)
+            assert g.maps_into(h) == contained
+            assert meet.maps_into(g) and meet.maps_into(h) and cover.maps_into(g)
+            outcomes.add(contained)
+        assert outcomes == {True, False}
+
+
 class TestIndexAndSchreier:
     @staticmethod
     def complete(g: StallingsGraph) -> bool:

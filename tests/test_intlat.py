@@ -206,6 +206,53 @@ class TestPivots:
                 assert L.pivots == _reference_pivots(L)
 
 
+class TestPublicConstructor:
+    """`Lattice(ambient, basis)` checks that its basis is in HNF; `from_rows`
+    and `solve_left` build through `Lattice._trusted`, which checks nothing."""
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1, 1], [1, 0]],  # spans Z^2, two pivots in one column
+            [[0, 1], [1, 0]],  # pivot columns decrease
+            [[0, 0]],  # zero row
+            [[1, 0], [0, 0]],
+            [[-1, 0]],  # negative pivot
+            [[1, 2], [0, 2]],  # entry above a pivot past it
+            [[1, -1], [0, 2]],  # entry above a pivot below 0
+        ],
+        ids=["one-column", "decreasing", "zero", "zero-last", "negative", "above-past", "above-negative"],
+    )
+    def test_rejects_rows_that_are_no_hnf(self, rows):
+        with pytest.raises(ValueError):
+            Lattice(2, IntMatrix(rows, cols=2))
+        L = Lattice.from_rows(rows, 2)
+        assert Lattice(2, L.basis) == L
+
+    def test_spanning_rows_are_refused_not_misread(self):
+        # the rows span Z^2; taken as they are, reduce would leave (0, 1) a
+        # nonzero residue and contains would answer False
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Lattice(2, IntMatrix([[1, 1], [1, 0]]))
+        assert Lattice.from_rows([[1, 1], [1, 0]], 2).contains((0, 1))
+        with pytest.raises(ValueError, match="zero"):
+            Lattice(2, IntMatrix([[0, 0]]))
+        with pytest.raises(DimensionError):
+            Lattice(3, IntMatrix([[1, 0]]))
+
+    def test_accepts_every_built_lattice(self):
+        rng = random.Random(1892)
+        for _ in range(200):
+            d = rng.randint(0, 4)
+            A, B = (_random_lattice(rng, d, rng.randint(0, d + 2)) for _ in range(2))
+            M = _random_matrix(rng)
+            T = _random_lattice(rng, M.cols, rng.randint(0, M.cols))
+            domain = hnf(IntMatrix.identity(M.rows))
+            for L in (A, lattice_intersect(A, B), kernel_lattice(M), lattice_preimage(domain, M, T)):
+                again = Lattice(L.ambient, L.basis)
+                assert again == L and again.pivots == L.pivots
+
+
 class TestLatticeIndexReference:
     """lattice_index (pivot products) against the coordinate-matrix route
     (conftest.reference_lattice_index)."""
