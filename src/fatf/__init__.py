@@ -24,7 +24,7 @@ from .fixpoint import (
     periodic_subgroup,
 )
 from .intlat import IntMatrix, Lattice
-from .morphisms import FreeMap, Morphism
+from .morphisms import FreeMap, Morphism, apply
 
 __all__ = [
     "Ambient",
@@ -36,6 +36,7 @@ __all__ = [
     "Morphism",
     "FixInput",
     "FixResult",
+    "apply",
     "inv",
     "member",
     "mul",

@@ -9,7 +9,9 @@ part H intersect Z^m.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
+from operator import sub
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import freewords
@@ -140,9 +142,11 @@ class SubgroupBasis:
         expr = self.graph.trace(w)
         if expr is None:
             return None
-        exps = freewords.abelianize(expr, self.rank)
-        pairs = [(c, a) for c, a in zip(exps, self.vectors) if c]
-        return tuple(sum(c * a[i] for c, a in pairs) for i in range(self.ambient.m))
+        v = (0,) * self.ambient.m
+        for k, c in Counter(expr).items():
+            c = c if k > 0 else -c
+            v = tuple([x + c * y for x, y in zip(v, self.vectors[abs(k) - 1])])
+        return v
 
     def basis_elements(self) -> list[GroupElement]:
         out = [GroupElement._trusted(self.ambient, a, u) for a, u in self.free_part]
@@ -181,6 +185,28 @@ def members(H: SubgroupBasis, gs: Iterable[GroupElement]) -> Iterator[bool]:
 
 def member(H: SubgroupBasis, g: GroupElement) -> bool:
     return next(members(H, (g,)))
+
+
+def subgroup_contains(H: SubgroupBasis, K: SubgroupBasis) -> bool:
+    """Whether K is a subgroup of H, on the graphs with no word spelled.
+
+    K's graph must map into H's (Kapovich-Myasnikov 2002), carrying each
+    basis word u of K onto a closed walk in H's graph; t^a u lies in H
+    exactly when a minus the sum of H's vectors along that walk (+-a_i at
+    each crossing of basis edge i) lies in H's abelian part, as K's abelian
+    rows must. signed[i] is that term, for i < 0 counted from the end.
+    """
+    _check_same(H.ambient, K.ambient)
+    image = K.graph.maps_into(H.graph)
+    if image is None:
+        return False
+    signed = [(0,) * H.ambient.m, *H.vectors, *[tuple(-x for x in a) for a in reversed(H.vectors)]]
+    crossings = H.graph.crossings
+    sums = K.graph.basis_sums(lambda v, a: signed[crossings.get((image[v], a), 0)], H.ambient.m)
+    L = H.abelian_part
+    return all(map(L.contains, K.abelian_part.basis.entries)) and all(
+        L.contains(tuple(map(sub, a, s))) for a, s in zip(K.vectors, sums)
+    )
 
 
 def subgroup_basis(gens: Sequence[GroupElement], ambient: Ambient) -> SubgroupBasis:

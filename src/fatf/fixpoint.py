@@ -10,16 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import add
 from typing import Optional, Sequence
 
 from . import freewords, morphisms
-from .fatfcore import Ambient, SubgroupBasis, _check_same, member
+from .fatfcore import Ambient, SubgroupBasis, _check_same, subgroup_contains
 from .freewords import Word, reduce_word
 from .intlat import (
     IntMatrix,
     Lattice,
-    Vec,
     hnf,
     kernel_lattice,
     lattice_index,
@@ -45,10 +43,11 @@ class BudgetExceeded(ValueError):
 
 # Most vertices fix_tuple gives its answer's graph, the cover with ell vertices
 # over each vertex of the fixed-basis graph. At the budget the F_2 family
-# phi = id, Q = [[ell+2, 1], [-1, 0]], P = I (ell = 1024) takes about 30 ms on
-# Python 3.11 (best of 3, shared 2-core machine). Its basis has 526,336
-# letters, spelled only when the answer is read: the JSON of `fix` takes
-# about 0.2 s more.
+# phi = id, Q = [[ell+2, 1], [-1, 0]], P = I (ell = 1024) takes 16-28 ms on
+# Python 3.11 (best of 3, shared 2-core machine), and is_autofixed of that
+# answer 24-44 ms, as it checks and contains H on the graphs. Its basis has
+# 526,336 letters, spelled only when the answer is read: the JSON of `fix`
+# takes about 0.2 s more.
 MAX_COVER_VERTICES = 1024
 
 
@@ -158,12 +157,7 @@ def fix_tuple(inp: FixInput) -> FixResult:
         # the answer's free part is the words of <graph> whose abelianization
         # lies in preimage: the cover of graph by the residues of Z^n modulo
         # preimage, so no word of it is folded
-        def step(r: Vec, a: int) -> Vec:
-            v = list(r)
-            v[abs(a) - 1] += 1 if a > 0 else -1
-            return preimage.reduce(v)[1]
-
-        answer = freewords.pullback(graph, step, (0,) * n)
+        answer = freewords.pullback(graph, preimage.shift, (0,) * n)
         # the residues reached at a vertex form one coset of im_rho, ell of
         # them modulo preimage, so a larger cover means the lattices above
         # disagree with the graph
@@ -197,25 +191,31 @@ def fix_tuple(inp: FixInput) -> FixResult:
     return result
 
 
-def _certify(inp: FixInput, basis: SubgroupBasis) -> None:
-    """Raise CertificateError unless every map of inp fixes every basis
-    element of `basis`, checked on its graph with no word spelled.
+def _certify(inp: FixInput, H: SubgroupBasis, error: type[Exception] = CertificateError) -> None:
+    """Raise `error` unless every map of inp fixes every basis element of H:
+    CertificateError for an answer of fix_tuple, ValueError for a subgroup
+    given to autofixed_closure.
 
     psi fixes t^a u exactly when phi fixes u and a - aQ = u_ab P. The first
     holds for each word of a graph that maps into inp.graph, as FixInput has
-    checked every fixed-basis word against its map. The second is one row
-    product per element and map, with u_ab read off the graph's vertex
-    potentials; a row b of the abelian part needs bQ = b.
+    checked every fixed-basis word against its map; FixInput accepts a
+    proper sub-basis of Fix phi for maps other than the identity, so the
+    words of a graph off inp.graph are spelled and applied. The second is
+    one product (u_ab, a) [[P], [Q]] per element and map, with u_ab read off
+    the graph's vertex potentials; a row b of the abelian part needs bQ = b.
     """
-    if not basis.graph.maps_into(inp.graph):
-        raise CertificateError("the answer graph does not map into the fixed-basis graph")
+    if H.graph.maps_into(inp.graph) is None:
+        for psi in inp.morphisms:
+            if any(psi.phi.apply(u) != u for u in H.graph.basis_words):
+                raise error("the graph does not map into the fixed-basis graph and a basis word is not fixed")
     for psi in inp.morphisms:
-        for b in basis.abelian_part.basis.entries:
+        for b in H.abelian_part.basis.entries:
             if psi.Q.apply_row(b) != b:
-                raise CertificateError("computed abelian basis row not fixed")
-        for a, u in zip(basis.vectors, basis.graph.basis_abelianized):
-            if tuple(map(add, psi.Q.apply_row(a), psi.P.apply_row(u))) != a:
-                raise CertificateError("computed basis element not fixed")
+                raise error("abelian basis row not fixed")
+        block = IntMatrix._trusted(psi.P.entries + psi.Q.entries, psi.ambient.m)
+        for a, u in zip(H.vectors, H.graph.basis_abelianized):
+            if block.apply_row(u + a) != a:
+                raise error("basis element not fixed")
 
 
 def fix_single(psi: Morphism, fix_phi_basis: Sequence[Word]) -> FixResult:
@@ -246,16 +246,12 @@ def fix_power(psi: Morphism, e: int) -> FixResult:
 
 
 def autofixed_closure(H: SubgroupBasis, stab_gens: FixInput) -> FixResult:
+    """Fix of stab_gens, which must fix H (else ValueError) and contain it."""
     _check_same(H.ambient, stab_gens.ambient)
-    for psi in stab_gens.morphisms:
-        for g in H.basis_elements():
-            if morphisms.apply(psi, g) != g:
-                raise ValueError("a stabilizer generator does not fix the subgroup")
+    _certify(stab_gens, H, ValueError)
     result = fix_tuple(stab_gens)
-    if result.basis is not None:
-        for g in H.basis_elements():
-            if not member(result.basis, g):
-                raise CertificateError("closure must contain the subgroup")
+    if result.basis is not None and not subgroup_contains(result.basis, H):
+        raise CertificateError("closure must contain the subgroup")
     return result
 
 

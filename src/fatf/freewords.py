@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 from collections import Counter, deque
+from operator import add, sub
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 Word = tuple[int, ...]
@@ -156,12 +157,12 @@ class StallingsGraph:
                     self._basis_edges.append((i, a, j))
                 self.delta[(i, a)] = j
         self.num_vertices = len(order)
-        # folded graphs have at most one transition per (vertex, label), so
-        # each key below identifies a unique edge crossing
-        self._edge_index: dict[tuple[int, int], tuple[int, int]] = {}
+        # the signed 1-based index of each crossing of a basis edge; folded
+        # graphs have one transition per (vertex, label), so one per key
+        self.crossings: dict[tuple[int, int], int] = {}
         for idx, (v, a, w) in enumerate(self._basis_edges, start=1):
-            self._edge_index[(v, a)] = (idx, w)
-            self._edge_index[(w, -a)] = (-idx, v)
+            self.crossings[(v, a)] = idx
+            self.crossings[(w, -a)] = -idx
 
     # -- queries -----------------------------------------------------------
 
@@ -184,32 +185,31 @@ class StallingsGraph:
 
     @functools.cached_property
     def basis_abelianized(self) -> list[tuple[int, ...]]:
-        """abelianize(u) for each u of `basis_words`, with no word spelled.
+        """abelianize(u) for each u of `basis_words`, with no word spelled."""
+        units = {a: abelianize((a,), self.n) for a in _alphabet(self.n)}
+        return self.basis_sums(lambda v, a: units[a], self.n)
 
-        Each vertex gets the abelianization of its spanning-tree path, its
-        potential, from that of its tree parent (numbered before it); the
-        basis word of the edge (v, a, w) then abelianizes to
-        pot(v) + e_a - pot(w)."""
-        pot = [[0] * self.n] * self.num_vertices
+    def basis_sums(self, weight: Callable[[int, int], Sequence[int]], dim: int) -> list[tuple[int, ...]]:
+        """For each basis word, in `basis_words` order, the sum of the
+        length-dim vectors weight(v, a) over the edges (v, a) it crosses
+        (weight(w, -a) = -weight(v, a)), with no word spelled: each vertex's
+        potential, the sum along its spanning-tree path, comes from its tree
+        parent's, and the word of the basis edge (v, a, w) sums to
+        pot(v) + weight(v, a) - pot(w)."""
+        pot = [(0,) * dim] * self.num_vertices
         for j, (i, a) in self._tree_parent.items():
-            p = pot[i][:]
-            p[abs(a) - 1] += 1 if a > 0 else -1
-            pot[j] = p
-        out = []
-        for v, a, w in self._basis_edges:
-            u = [x - y for x, y in zip(pot[v], pot[w])]
-            u[a - 1] += 1  # basis edges carry positive labels
-            out.append(tuple(u))
-        return out
+            pot[j] = tuple(map(add, pot[i], weight(i, a)))
+        return [tuple(map(sub, map(add, pot[v], weight(v, a)), pot[w])) for v, a, w in self._basis_edges]
 
     @property
     def rank(self) -> int:
         return len(self._basis_edges)
 
-    def maps_into(self, other: "StallingsGraph") -> bool:
-        """Whether a label-preserving map of vertices, base to base, carries
-        every edge of self onto an edge of other, so that the subgroup of
-        self lies in that of other.
+    def maps_into(self, other: "StallingsGraph") -> Optional[list[int]]:
+        """The label-preserving map of vertices, base to base, that carries
+        every edge of self onto an edge of other, as a list of images; None
+        when there is none. It exists exactly when the subgroup of self lies
+        in that of other.
 
         The spanning tree fixes the only candidate map; each edge is then
         checked once."""
@@ -217,9 +217,10 @@ class StallingsGraph:
         for j, (i, a) in self._tree_parent.items():
             w = other.delta.get((image[i], a))
             if w is None:
-                return False
+                return None
             image[j] = w
-        return all(other.delta.get((image[v], a)) == image[w] for (v, a), w in self.delta.items())
+        ok = all(other.delta.get((image[v], a)) == image[w] for (v, a), w in self.delta.items())
+        return image if ok else None
 
     def trace(self, w: Word) -> Optional[list[int]]:
         """Expression of w over the spanning-tree basis, or None if w is
@@ -230,10 +231,10 @@ class StallingsGraph:
             nxt = self.delta.get((cur, a))
             if nxt is None:
                 return None
-            hit = self._edge_index.get((cur, a))
+            hit = self.crossings.get((cur, a))
             if hit is not None:
                 # non-tree edge crossing; tree crossings contribute nothing
-                expr.append(hit[0])
+                expr.append(hit)
             cur = nxt
         if cur != 0:
             return None

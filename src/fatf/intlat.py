@@ -8,6 +8,7 @@ Matrices act on row vectors from the right (v -> v*M).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from functools import lru_cache
 from operator import add, getitem, mul, sub
 from typing import Iterable, Optional, Sequence
@@ -298,6 +299,30 @@ class Lattice:
                 for t in range(j, self.ambient):
                     res[t] -= q * row[t]
         return tuple(xs), tuple(res)
+
+    def shift(self, r: Vec, a: int) -> Vec:
+        """The residue of r + e_a, for r a residue of `reduce` and a a signed
+        1-based column index, with e_-j = -e_j as a letter abelianizes.
+
+        Rows with pivots before column |a| keep r's entries in range, and
+        until a row moves the vector only column |a| has changed, so the
+        first zero quotient ends the reduction: a free column, or an entry
+        that stays in [0, pivot), costs none."""
+        j = abs(a) - 1
+        res = list(r)
+        res[j] += 1 if a > 0 else -1
+        rows, pivots = self.basis.entries, self.pivots
+        moved = False
+        for i in range(bisect_left(pivots, j), len(pivots)):
+            row, p = rows[i], pivots[i]
+            q = res[p] // row[p]
+            if q:
+                moved = True
+                for t in range(p, self.ambient):
+                    res[t] -= q * row[t]
+            elif not moved:
+                break
+        return tuple(res)
 
     def coords(self, v: Sequence[int]) -> Optional[Vec]:
         """Integer coordinates of v in the HNF basis, or None if v is outside."""

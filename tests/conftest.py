@@ -12,7 +12,7 @@ import math
 import random
 from typing import Sequence
 
-from fatf import Ambient, FreeMap, GroupElement, IntMatrix, Morphism, SubgroupBasis, inv, member, mul
+from fatf import Ambient, FreeMap, GroupElement, IntMatrix, Morphism, SubgroupBasis, fix_tuple, inv, member, mul
 from fatf import freewords
 from fatf import morphisms as morphisms_mod
 from fatf.fixpoint import CertificateError
@@ -344,12 +344,47 @@ def reference_from_words(ambient, free_part, abelian_part) -> SubgroupBasis:
 # the reference it is tested against.
 
 
-def reference_certify(maps: Sequence[Morphism], basis: SubgroupBasis) -> None:
-    """Raise CertificateError unless every map fixes every basis element."""
+def reference_certify(maps: Sequence[Morphism], basis: SubgroupBasis, error: type = CertificateError) -> None:
+    """Raise `error` unless every map fixes every basis element."""
     for g in basis.basis_elements():
         for psi in maps:
             if morphisms_mod.apply(psi, g) != g:
-                raise CertificateError("computed basis element not fixed")
+                raise error("computed basis element not fixed")
+
+
+# -- reference closure --------------------------------------------------------
+# The word-level `fixpoint.autofixed_closure` that the graph checks replaced:
+# the input check applies every stabilizer generator to every basis element
+# of H, and containment traces every basis element of H through the answer.
+
+
+def reference_contains(H: SubgroupBasis, K: SubgroupBasis) -> bool:
+    """Whether K is a subgroup of H, by membership of K's basis elements."""
+    return all(member(H, g) for g in K.basis_elements())
+
+
+def reference_autofixed_closure(H: SubgroupBasis, stab_gens):
+    """ValueError unless every generator fixes H; CertificateError unless
+    the fixed subgroup contains H."""
+    reference_certify(stab_gens.morphisms, H, ValueError)
+    result = fix_tuple(stab_gens)
+    if result.basis is not None and not reference_contains(result.basis, H):
+        raise CertificateError("closure must contain the subgroup")
+    return result
+
+
+# -- reference projection vector ----------------------------------------------
+# `SubgroupBasis.projection_word_vector` as it was: the rank-length
+# abelianization of the trace, zipped with every vector.
+
+
+def reference_projection_word_vector(H: SubgroupBasis, w: Word):
+    expr = H.graph.trace(w)
+    if expr is None:
+        return None
+    exps = freewords.abelianize(expr, H.rank)
+    pairs = [(c, a) for c, a in zip(exps, H.vectors) if c]
+    return tuple(sum(c * a[i] for c, a in pairs) for i in range(H.ambient.m))
 
 
 # -- reference totients --------------------------------------------------------

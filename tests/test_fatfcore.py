@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 import sys
@@ -6,9 +7,17 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import bounded_products, equal_by_membership, random_element, random_word, reference_from_words
+from conftest import (
+    bounded_products,
+    equal_by_membership,
+    random_element,
+    random_word,
+    reference_contains,
+    reference_from_words,
+    reference_projection_word_vector,
+)
 from fatf import cli, jsonio
-from fatf.fatfcore import members
+from fatf.fatfcore import members, subgroup_contains
 from fatf import (
     Ambient,
     GroupElement,
@@ -23,7 +32,7 @@ from fatf import (
 )
 from fatf.fatfcore import AmbientMismatch
 from fatf.fixpoint import FixInput, autofixed_closure, fix_single
-from fatf.freewords import LetterError
+from fatf.freewords import LetterError, invert, reduce_word
 from fatf.morphisms import apply
 from fatf.oracle import Bounds, brute_fixed
 
@@ -247,6 +256,63 @@ class TestCanonicalEquality:
         assert H != K
         with pytest.raises(AmbientMismatch):
             subgroup_equal(H, K)
+
+
+class TestProjectionWordVector:
+    def test_matches_the_rank_length_reference(self):
+        # words inside the projection are products of basis words; random
+        # words mostly fall outside it
+        rng = random.Random(44)
+        seen = Counter()
+        for _ in range(150):
+            amb = Ambient(rng.randint(0, 3), rng.randint(1, 3))
+            H = subgroup_basis([random_element(rng, amb, 4, 3) for _ in range(rng.randint(0, 4))], amb)
+            words = [random_word(rng, amb.n, 6) for _ in range(3)]
+            pool = [u for _, u in H.free_part] + [invert(u) for _, u in H.free_part]
+            for _ in range(3 if pool else 0):
+                words.append(reduce_word([a for u in rng.choices(pool, k=rng.randint(1, 5)) for a in u]))
+            for w in words:
+                got = H.projection_word_vector(w)
+                assert got == reference_projection_word_vector(H, w)
+                seen["inside" if got is not None else "outside"] += 1
+        assert seen["inside"] >= 100 and seen["outside"] >= 100, seen
+
+
+class TestContainment:
+    """`subgroup_contains` decides K <= H on the graphs; the reference
+    traces every basis element of K through H."""
+
+    def test_matches_the_membership_reference(self):
+        rng = random.Random(19)
+        outcomes = Counter()
+        for trial in range(300):
+            amb = Ambient(rng.randint(0, 2), rng.randint(1, 3))
+            gens = [random_element(rng, amb, 3, 2) for _ in range(rng.randint(1, 3))]
+            gens += [random_element(rng, amb, 0, 2) for _ in range(rng.randint(0, amb.m))]
+            H = subgroup_basis(gens, amb)
+            # products of H's generators lie in H
+            pool = gens + [inv(g) for g in gens]
+            inside = [functools.reduce(mul, rng.choices(pool, k=rng.randint(1, 3))) for _ in range(rng.randint(0, 3))]
+            kind = trial % 3
+            if kind == 1 or not amb.m:
+                inside.append(random_element(rng, amb, 3, 2))
+            elif kind == 2:
+                # the same word with its vector moved by a unit vector, in H
+                # exactly when the unit vector lies in H's abelian part
+                g = rng.choice(inside + gens)
+                e = [int(i == rng.randrange(amb.m)) for i in range(amb.m)]
+                inside.append(GroupElement(amb, [x + y for x, y in zip(g.t, e)], g.w))
+            K = subgroup_basis(inside, amb)
+            got = subgroup_contains(H, K)
+            assert got == reference_contains(H, K)
+            outcomes[got] += 1
+            outcomes["graph maps, vector outside"] += not got and K.graph.maps_into(H.graph) is not None
+        assert outcomes[True] >= 50 and outcomes[False] >= 50, outcomes
+        assert outcomes["graph maps, vector outside"] >= 20, outcomes
+
+    def test_ambient_mismatch(self):
+        with pytest.raises(AmbientMismatch):
+            subgroup_contains(subgroup_basis([], Ambient(1, 2)), subgroup_basis([], Ambient(2, 2)))
 
 
 class TestValidation:

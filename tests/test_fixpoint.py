@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -19,6 +20,7 @@ from conftest import (
     nielsen,
     random_finite_order_morphism,
     random_matrix,
+    reference_autofixed_closure,
     reference_certify,
 )
 from fatf import cli, fixpoint, freewords, jsonio
@@ -32,7 +34,9 @@ from fatf import (
     SubgroupBasis,
     fix_single,
     fix_tuple,
+    inv,
     member,
+    mul,
     periodic_exponent,
     periodic_subgroup,
     subgroup_basis,
@@ -337,6 +341,93 @@ class TestClosure:
         psi = worked_morphism()
         with pytest.raises(ValueError):
             autofixed_closure(H, FixInput((psi,), (((2,), (3,)),)))
+
+
+def ell_family(ell):
+    """phi = id, Q = [[ell+2, 1], [-1, 0]], P = I on Z^2 x F_2: Fix has
+    coset index ell, and its graph ell vertices."""
+    amb = Ambient(2, 2)
+    return Morphism(amb, FreeMap.identity(2), IntMatrix([[ell + 2, 1], [-1, 0]]), IntMatrix.identity(2))
+
+
+def _closure_outcome(closure, H, inp):
+    try:
+        return "closure", closure(H, inp).basis
+    except CertificateError:
+        return "must contain", None
+    except ValueError:
+        return "does not fix", None
+
+
+class TestClosureOnTheGraph:
+    def test_same_outcome_as_the_word_reference(self):
+        # H is the answer, a subgroup of it, the answer with a vector or row
+        # moved by a unit vector, or the full answer against a fixed basis
+        # with one word dropped (fixed, but off the fixed-basis graph)
+        rng = random.Random(19)
+        outcomes = Counter()
+        for inp, B in _fix_suites():
+            if B is None:
+                continue
+            amb = B.ambient
+            gens = B.basis_elements()
+            pool = gens + [inv(g) for g in gens]
+            sub = [functools.reduce(mul, rng.choices(pool, k=2)) for _ in range(rng.randint(0, 2))] if pool else []
+            cases = [(B, inp), (subgroup_basis(sub, amb), inp)]
+            if amb.m:
+                e = tuple(int(i == rng.randrange(amb.m)) for i in range(amb.m))
+                vectors, rows = list(B.vectors), list(B.abelian_part.basis.entries)
+                if vectors and rng.random() < 0.5:
+                    vectors[0] = tuple(map(operator.add, vectors[0], e))
+                else:
+                    rows.append(e)
+                cases.append((SubgroupBasis(amb, B.graph, vectors, Lattice.from_rows(rows, amb.m)), inp))
+            bases = inp.fixed_free_bases
+            if len(inp.morphisms) == 1 and bases[0] and not inp.morphisms[0].phi.is_identity():
+                cases.append((B, FixInput(inp.morphisms, (bases[0][1:],))))
+            for H, stab in cases:
+                got = _closure_outcome(autofixed_closure, H, stab)
+                assert got == _closure_outcome(reference_autofixed_closure, H, stab)
+                outcomes[got[0]] += 1
+        assert min(outcomes[k] for k in ("closure", "must contain", "does not fix")) >= 50, outcomes
+
+    def test_fixed_subgroup_spells_no_word(self, monkeypatch):
+        # H = Fix psi at ell 256 is checked and found in the closure on the
+        # graphs: no word is traced, applied or spelled
+        psi = ell_family(256)
+        inp = FixInput((psi,), (((1,), (2,)),))
+        H = fix_tuple(inp).basis
+        calls = Counter()
+        for cls, name in ((StallingsGraph, "trace"), (FreeMap, "apply")):
+            real = getattr(cls, name)
+            monkeypatch.setattr(cls, name, lambda self, w, real=real, name=name: calls.update([name]) or real(self, w))
+        res = autofixed_closure(H, inp)
+        assert is_autofixed(H, inp)
+        assert calls == Counter()
+        for graph in (H.graph, inp.graph, res.basis.graph):
+            assert "basis_words" not in graph.__dict__
+
+    def test_cover_steps_call_no_reduce(self, monkeypatch):
+        # the cover steps once per transition of its graph (len(delta)), by
+        # Lattice.shift; reduce is left for the answer's vectors and
+        # coordinates, one call each per basis word
+        psi = ell_family(256)
+        calls, in_cover = [], []
+        real_reduce, real_pullback = Lattice.reduce, freewords.pullback
+        monkeypatch.setattr(Lattice, "reduce", lambda self, v: calls.append(bool(in_cover)) or real_reduce(self, v))
+
+        def pullback(*args):
+            in_cover.append(True)
+            try:
+                return real_pullback(*args)
+            finally:
+                in_cover.pop()
+
+        monkeypatch.setattr(freewords, "pullback", pullback)
+        B = fix_single(psi, [(1,), (2,)]).basis
+        assert B.graph.num_vertices == 256
+        assert not any(calls)
+        assert len(calls) < len(B.graph.delta)
 
 
 def _corrupt_first_solution(monkeypatch):

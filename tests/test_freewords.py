@@ -266,8 +266,13 @@ class TestGraphQueries:
             n = rng.randint(1, 3)
             g, h, meet, cover = self.graphs(rng, n)
             contained = all(h.trace(u) is not None for u in g.basis_words)
-            assert g.maps_into(h) == contained
-            assert meet.maps_into(g) and meet.maps_into(h) and cover.maps_into(g)
+            image = g.maps_into(h)
+            assert (image is not None) == contained
+            if contained:
+                # the vertex map sends base to base and each edge onto an edge
+                assert image[0] == 0 and len(image) == g.num_vertices
+                assert all(h.delta.get((image[v], a)) == image[w] for (v, a), w in g.delta.items())
+            assert all(x.maps_into(y) is not None for x, y in ((meet, g), (meet, h), (cover, g)))
             outcomes.add(contained)
         assert outcomes == {True, False}
 

@@ -206,6 +206,38 @@ class TestPivots:
                 assert L.pivots == _reference_pivots(L)
 
 
+class TestShift:
+    """`Lattice.shift(r, a)` against `reduce(r +- e_|a|)[1]`, the reduction
+    it skips wherever nothing wraps."""
+
+    def test_random_lattices(self):
+        rng = random.Random(1920)
+        seen = {"deficient": 0, "zero row": 0, "pivot 1": 0, "ambient 0": 0, "free column": 0, "wrap": 0}
+        for _ in range(400):
+            d = rng.randint(0, 5)
+            rows = [
+                [rng.randint(-4, 4) * (rng.random() < 0.7) for _ in range(d)]
+                for _ in range(rng.randint(0, d + 2))
+            ]
+            if rows and rng.random() < 0.3:
+                rows[rng.randrange(len(rows))] = [0] * d
+            L = Lattice.from_rows(rows, d)
+            seen["deficient"] += L.rank < min(len(rows), d)
+            seen["zero row"] += [0] * d in rows
+            seen["pivot 1"] += any(row[j] == 1 for row, j in zip(L.basis.entries, L.pivots))
+            seen["ambient 0"] += d == 0
+            # a walk of shifts from a residue, as the residue cover takes it
+            r = L.reduce([rng.randint(-9, 9) for _ in range(d)])[1]
+            for _ in range(30 if d else 0):
+                j, s = rng.randrange(d), rng.choice([1, -1])
+                want = L.reduce([x + s * (i == j) for i, x in enumerate(r)])[1]
+                assert L.shift(r, s * (j + 1)) == want
+                seen["free column"] += j not in L.pivots
+                seen["wrap"] += want != tuple(x + s * (i == j) for i, x in enumerate(r))
+                r = want
+        assert all(seen.values()), seen
+
+
 class TestPublicConstructor:
     """`Lattice(ambient, basis)` checks that its basis is in HNF; `from_rows`
     and `solve_left` build through `Lattice._trusted`, which checks nothing."""

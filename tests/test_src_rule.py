@@ -24,6 +24,7 @@ BENCH = SRC.parent.parent / "fatfbench"
 
 # definitions with no caller in src/ that stay, one reason each
 PINNED = {
+    "fatfcore.SubgroupBasis.basis_elements": "the basis as elements, public API; the word-level references in tests/conftest.py read it",
     "fixpoint.is_autofixed": "called by the fix-index workload in fatfbench/workloads.py",
     "freewords.schreier_basis": "wrapped by fatfbench/tracing.py; the reference for the residue cover in test_freewords.py",
     "morphisms.power": "wrapped by fatfbench/tracing.py; order and fix_power use linear_power",
