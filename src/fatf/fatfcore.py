@@ -176,11 +176,13 @@ def members(H: SubgroupBasis, gs: Iterable[GroupElement]) -> Iterator[bool]:
 
     A maximal run of elements with equal words traces that word once; each
     element then checks its own t - v against the abelian part."""
+    L = H.abelian_part
     for w, run in itertools.groupby(gs, key=project):
         v = H.projection_word_vector(w)
         for g in run:
-            _check_same(H.ambient, g.ambient)
-            yield v is not None and H.abelian_part.contains(tuple(x - y for x, y in zip(g.t, v)))
+            if g.ambient is not H.ambient:
+                _check_same(H.ambient, g.ambient)
+            yield v is not None and L.contains(tuple(map(sub, g.t, v)))
 
 
 def member(H: SubgroupBasis, g: GroupElement) -> bool:

@@ -71,11 +71,14 @@ class FixInput:
         n = ambient.n
         for psi, basis in zip(self.morphisms, self.fixed_free_bases):
             _check_same(ambient, psi.ambient)
-            # a map of F_n is onto, hence an automorphism (F_n is Hopfian),
-            # exactly when its images fold to the one-vertex rose of rank n
-            rose = freewords.stallings(psi.phi.images, n)
-            if rose.num_vertices != 1 or rose.rank != n:
-                raise InvalidFixInput("a free map is not an automorphism: its images do not generate F_n")
+            # inverse images are checked both ways when a FreeMap is built, so
+            # they prove an automorphism; otherwise a map of F_n is onto, hence
+            # an automorphism (F_n is Hopfian), exactly when its images fold
+            # to the one-vertex rose of rank n
+            if psi.phi.inverse_images is None:
+                rose = freewords.stallings(psi.phi.images, n)
+                if rose.num_vertices != 1 or rose.rank != n:
+                    raise InvalidFixInput("a free map is not an automorphism: its images do not generate F_n")
             # rank Fix(phi) <= n for every automorphism (Bestvina-Handel 1992)
             if len(basis) > n:
                 raise InvalidFixInput(f"a fixed free-basis has more than n = {n} words")

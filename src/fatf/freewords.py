@@ -54,7 +54,7 @@ def multiply(u: Word, v: Word) -> Word:
 
 
 def invert(w: Word) -> Word:
-    return tuple(-a for a in reversed(w))
+    return tuple([-a for a in reversed(w)])
 
 
 def abelianize(w: Word, n: int) -> tuple[int, ...]:
@@ -90,7 +90,7 @@ def spell_word(text: str) -> list[int]:
 
 
 def format_word(w: Word) -> str:
-    return " ".join(f"z{a}" if a > 0 else f"z{-a}^-1" for a in w)
+    return " ".join([f"z{a}" if a > 0 else f"z{-a}^-1" for a in w])
 
 
 def letter_order() -> Callable[[int], int]:

@@ -330,7 +330,17 @@ class Lattice:
         return None if any(res) else xs
 
     def contains(self, v: Sequence[int]) -> bool:
-        return self.coords(v) is not None
+        """Whether v lies in the lattice: `reduce`'s residue is zero, with no
+        coordinate kept."""
+        if len(v) != self.ambient:
+            raise DimensionError("vector dimension mismatch")
+        res = list(map(int, v))
+        for row, j in zip(self.basis.entries, self.pivots):
+            q = res[j] // row[j]
+            if q:
+                for t in range(j, self.ambient):
+                    res[t] -= q * row[t]
+        return not any(res)
 
     def __eq__(self, other: object) -> bool:
         return (

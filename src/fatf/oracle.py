@@ -11,9 +11,11 @@ for w = u v reduced,
 
 and v phi(v)^-1 = F(v^-1) with F(x) = x^-1 phi(x). So it walks the reduced
 words x of length <= H = ceil(L/2) once, level by level, carrying
-F(x a) = a^-1 F(x) phi(a), keys each by (F_1(x), ..., F_k(x)) over the k
-maps, and joins the words u of length ceil(l/2) with the words y = v^-1 of
-length floor(l/2) on equal keys, for each l <= L. It applies no map to a word
+F(x a) = a^-1 F(x) phi(a) for each of the k maps. It keys each x by F_1(x)
+alone and stores rest = (F_2(x), ..., F_k(x)) beside it. For each l <= L it
+walks the words y = v^-1 of length floor(l/2), looks each key up among the
+words u of length ceil(l/2), and keeps a pair only when the rests are equal
+too. It applies no map to a word
 longer than H: it reads the maps' images and matrices, calls no `FreeMap`
 method and uses none of the Stallings or lattice code it checks.
 
@@ -118,34 +120,32 @@ def _extend(f: Word, a: int, image: Word) -> Word:
     return f[: len(f) - k] + image[k:]
 
 
-def _half_word_tables(maps: Sequence[Morphism], n: int, H: int) -> list[dict[tuple[Word, ...], list[Word]]]:
-    """Entry h maps each key (F_1(x), ..., F_k(x)) to the reduced words x of
-    length h with that key, F_i(x) = x^-1 phi_i(x) reduced.
+def _half_word_tables(maps: Sequence[Morphism], n: int, H: int) -> list[dict[Word, list[tuple[Word, tuple[Word, ...]]]]]:
+    """Entry h maps each key F_1(x) to the (x, rest) of the reduced words x
+    of length h with that key, rest = (F_2(x), ..., F_k(x)) and
+    F_i(x) = x^-1 phi_i(x) reduced; rest is () for one map.
 
-    Level h + 1 extends the flat list of the (x, key) of level h."""
-    # (a, [a] * k, [phi_1(a), ..., phi_k(a)]) per letter a
+    Level h + 1 extends the entries of level h, key by key."""
+    # (a, phi_1(a), [a] * (k - 1), [phi_2(a), ..., phi_k(a)]) per letter a
     steps = []
     for i in range(1, n + 1):
         imgs = [psi.phi.images[i - 1] for psi in maps]
-        steps.append((i, [i] * len(maps), imgs))
-        steps.append((-i, [-i] * len(maps), [freewords.invert(u) for u in imgs]))
-    root: tuple[Word, ...] = tuple(() for _ in maps)
-    tables = [{root: [()]}]
-    level: list[tuple[Word, tuple[Word, ...]]] = [((), root)]
+        invs = [freewords.invert(u) for u in imgs]
+        steps.append((i, imgs[0], [i] * (len(maps) - 1), imgs[1:]))
+        steps.append((-i, invs[0], [-i] * (len(maps) - 1), invs[1:]))
+    root: tuple[Word, tuple[Word, ...]] = ((), tuple(() for _ in maps[1:]))
+    tables = [{(): [root]}]
     for _ in range(H):
-        table: dict[tuple[Word, ...], list[Word]] = {}
-        nxt: list[tuple[Word, tuple[Word, ...]]] = []
-        for x, key in level:
-            last = -x[-1] if x else 0
-            for a, letter, imgs in steps:
-                if a == last:
-                    continue
-                child = tuple(map(_extend, key, letter, imgs))
-                xa = x + (a,)
-                table.setdefault(child, []).append(xa)
-                nxt.append((xa, child))
+        table: dict[Word, list[tuple[Word, tuple[Word, ...]]]] = {}
+        for f, entries in tables[-1].items():
+            for x, rest in entries:
+                last = -x[-1] if x else 0
+                for a, image, letters, images in steps:
+                    if a != last:
+                        table.setdefault(_extend(f, a, image), []).append(
+                            (x + (a,), rest and tuple(map(_extend, rest, letters, images)))
+                        )
         tables.append(table)
-        level = nxt
     return tables
 
 
@@ -199,10 +199,10 @@ def brute_fixed(maps: Sequence[Morphism], bounds: Bounds) -> list[GroupElement]:
     vectors ascending.
 
     The words come from the meet-in-the-middle join of the module docstring:
-    w = u y^-1 with |u| = ceil(l/2), |y| = floor(l/2) and equal keys, where
-    u y^-1 is reduced unless u and y end in the same letter (u is not empty
-    when y is not, as |u| >= |y|). A fixed word w takes the a with
-    a - aQ_i = w_ab P_i for every map, from the split box of each map
+    w = u y^-1 with |u| = ceil(l/2), |y| = floor(l/2), equal keys and equal
+    rests, where u y^-1 is reduced unless u and y end in the same letter (u
+    is not empty when y is not, as |u| >= |y|). A fixed word w takes the a
+    with a - aQ_i = w_ab P_i for every map, from the split box of each map
     (`_shift_solver`), solved once per distinct shift.
 
     Raises ValueError when the bounds exceed either budget of the module
@@ -219,11 +219,14 @@ def brute_fixed(maps: Sequence[Morphism], bounds: Bounds) -> list[GroupElement]:
     words: list[Word] = []
     for ell in range(L + 1):
         found: list[Word] = []
-        right = tables[ell // 2]
-        for key, us in tables[(ell + 1) // 2].items():
-            for y in right.get(key, ()):
+        left = tables[(ell + 1) // 2]
+        for key, ys in tables[ell // 2].items():
+            us = left.get(key)
+            if us is None:
+                continue
+            for y, yrest in ys:
                 v = freewords.invert(y)
-                found.extend(u + v for u in us if not (y and u[-1] == y[-1]))
+                found.extend([u + v for u, urest in us if urest == yrest and not (y and u[-1] == y[-1])])
         found.sort(key=lambda w: tuple(map(order.__getitem__, w)))
         words.extend(found)
     solvers = [_shift_solver(psi, bounds.coord_abs_max) for psi in maps]

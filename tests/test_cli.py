@@ -123,8 +123,8 @@ def test_per_computes_exponent_once(monkeypatch):
 
 @pytest.mark.parametrize("name", ["fix", "oracle-check"])
 def test_fixed_basis_folded_once(monkeypatch, name):
-    # one fold checks that the map is onto, one checks the fixed basis, and
-    # fix_tuple reuses the second
+    # the map's checked inverse images prove it an automorphism, so the one
+    # fold checks the fixed basis, and fix_tuple reuses it
     calls = []
     real = fatf.freewords.stallings
 
@@ -138,7 +138,7 @@ def test_fixed_basis_folded_once(monkeypatch, name):
     assert code == EXIT_OK
     assert out == (FIXTURES / f"{name}.out.json").read_text()
     assert len(json.loads(stdin)["morphisms"]) == 1
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_per_computes_free_order_once(monkeypatch):
@@ -257,6 +257,11 @@ class TestTrustBoundary:
     def test_non_automorphism_rejected(self):
         # z1 -> z1^2 is not onto: its image folds to a 2-vertex graph
         assert "not an automorphism" in _rejected(["fix"], _fix_payload(["z1 z1"], [], 1))
+        # with inverse images no rose is folded: the claimed inverse is
+        # checked both ways when the map is built
+        body = _fix_payload(["z1 z1", "z2"], [], 2)
+        body["morphisms"][0]["phi_inv"] = ["z1", "z2"]
+        assert "claimed inverse" in _rejected(["fix"], body)
 
     def test_fixed_basis_above_rank_n_rejected(self):
         # a rank-3 free basis of the even-z1 subgroup, fixed by phi = id on F_2

@@ -176,6 +176,21 @@ class TestMembership:
         assert traced == [(3,), (2,), (), (3,)]
         assert [member(self.H, g) for g in gs] == want
 
+    def test_equal_ambient_object(self):
+        twin = Ambient(2, 3)
+        assert twin == self.amb and twin is not self.amb
+        gs = [GroupElement(twin, (5, 1), (3,)), GroupElement(twin, (0, 0), (3,)), GroupElement(twin, (0, 1), (2,))]
+        assert list(members(self.H, gs)) == [True, False, False]
+
+    @pytest.mark.parametrize("word", [(3,), (2,)])
+    def test_other_ambient(self, word):
+        # raised whether or not the word lies in the projection
+        g = GroupElement(Ambient(2, 4), (0, 1), word)
+        with pytest.raises(AmbientMismatch):
+            list(members(self.H, [g]))
+        with pytest.raises(AmbientMismatch):
+            member(self.H, g)
+
 
 class TestSubgroupEqual:
     def test_permuted_generators(self):

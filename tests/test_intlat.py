@@ -206,6 +206,38 @@ class TestPivots:
                 assert L.pivots == _reference_pivots(L)
 
 
+class TestContains:
+    """`Lattice.contains`, a residue-only loop, against `coords(v) is not None`
+    from the full `reduce`."""
+
+    def test_random_lattices(self):
+        rng = random.Random(1974)
+        seen = {"rank 0": 0, "full rank": 0, "negative basis entry": 0, "negative vector": 0, True: 0, False: 0}
+        for _ in range(400):
+            d = rng.randint(0, 5)
+            L = _random_lattice(rng, d, rng.randint(0, d + 1))
+            seen["rank 0"] += L.rank == 0
+            seen["full rank"] += L.rank == d > 0
+            seen["negative basis entry"] += any(x < 0 for row in L.basis.entries for x in row)
+            for _ in range(10):
+                # a lattice point, moved by a unit vector half the time
+                v = [sum(rng.randint(-3, 3) * row[j] for row in L.basis.entries) for j in range(d)]
+                if d and rng.random() < 0.5:
+                    v[rng.randrange(d)] += rng.choice([1, -1])
+                inside = L.contains(v)
+                assert inside == (L.coords(v) is not None)
+                seen[inside] += 1
+                seen["negative vector"] += any(x < 0 for x in v)
+        assert all(seen.values()), seen
+
+    def test_wrong_length(self):
+        for L in (Lattice.from_rows([[2, 1], [0, 3]], 2), Lattice.from_rows([], 2), Lattice.from_rows([], 0)):
+            for v in ((), (1,), (0, 0, 0)):
+                if len(v) != L.ambient:
+                    with pytest.raises(DimensionError):
+                        L.contains(v)
+
+
 class TestShift:
     """`Lattice.shift(r, a)` against `reduce(r +- e_|a|)[1]`, the reduction
     it skips wherever nothing wraps."""

@@ -1,5 +1,7 @@
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +16,8 @@ from conftest import (
     random_signed_targets,
     reference_brute_fixed,
 )
-from fatf import Ambient, FreeMap, GroupElement, IntMatrix, Morphism, SubgroupBasis, member, subgroup_basis
+from fatf import Ambient, FreeMap, GroupElement, IntMatrix, Morphism, SubgroupBasis, member, oracle, subgroup_basis
+from fatf.morphisms import power
 from fatf.oracle import Bounds, brute_fixed, reduced_words
 from test_acceptance import finite_order_suite, spiral_morphism, worked_morphism
 
@@ -157,6 +160,24 @@ class TestAgainstReference:
                 several += len(set(words)) > 1 and len(words) > len(set(words))
         assert several >= (0 if m == 0 else 1)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_rest_filter(self, n):
+        # the half-word tables are keyed by F_1 alone, so where the first map
+        # fixes more words than the tuple, the join must drop the pairs whose
+        # F_2, ..., F_k differ
+        rng = random.Random(400 + n)
+        dropped = 0
+        for m in (0, 1):
+            amb = Ambient(m, n)
+            identity = Morphism.identity(amb)
+            for _ in range(2):
+                psi = random_finite_order_morphism(rng, amb)[0]
+                square = power(psi, 2)
+                for maps in ([identity, psi], [psi, identity], [psi, square], [square, psi]):
+                    words = {g.w for g in self.same(maps, Bounds(5, 2))}
+                    dropped += len(words) < len({g.w for g in brute_fixed(maps[:1], Bounds(5, 2))})
+        assert dropped >= 1
+
     def test_non_finite_order_maps(self):
         rng = random.Random(7)
         for _ in range(20):
@@ -171,6 +192,32 @@ class TestAgainstReference:
             assert self.same([inversion], Bounds(L, 1)) == [
                 GroupElement(amb, (a,), ()) for a in (-1, 0, 1)
             ]
+
+
+class TestIndependence:
+    """The oracle shares no code with the algorithms it checks: no lattice
+    code, no Stallings graph, no membership test and no `FreeMap.apply`."""
+
+    BANNED = {"stallings", "pullback", "StallingsGraph", "Lattice", "member", "members"}
+
+    def test_source(self):
+        tree = ast.parse(Path(oracle.__file__).read_text())
+        modules, names, attrs = set(), set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                modules.add(node.module or "")
+                names |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+        assert {"freewords", "GroupElement", "_extend"} <= names
+        assert "apply_row" in attrs
+        assert not any("intlat" in mod.split(".") for mod in modules), modules
+        assert not (names | attrs) & self.BANNED
+        assert "apply" not in attrs
 
 
 class TestClosureCheck:
