@@ -23,7 +23,7 @@ from .fixpoint import (
     periodic_exponent,
     periodic_subgroup,
 )
-from .intlat import IntMatrix, Lattice
+from .intlat import IntMatrix, Lattice, hnf
 from .morphisms import FreeMap, Morphism, apply
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
     "SubgroupBasis",
     "IntMatrix",
     "Lattice",
+    "hnf",
     "FreeMap",
     "Morphism",
     "FixInput",

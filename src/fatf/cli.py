@@ -1,11 +1,11 @@
 """Command-line front end: JSON in on stdin, JSON out on stdout.
 
 Exit codes: 0 success; 2 for a rejected input, with one JSON error object
-on stdout; 64 unknown subcommand; 65 malformed JSON, nesting too deep to
-parse included. `run` is the one boundary: every ValueError a library call
-raises for an input it rejects (payload shape, validation, budget overrun)
-and every failed certificate (CertificateError) exits 2. Any other
-exception is an internal fault and propagates.
+on stdout; 64 unknown subcommand; 65 malformed JSON, nesting too deep and
+numbers too long to parse included. `run` is the one boundary: every
+ValueError a library call raises for an input it rejects (payload shape,
+validation, budget overrun) and every failed certificate (CertificateError)
+exits 2. Any other exception is an internal fault and propagates.
 """
 
 from __future__ import annotations
@@ -163,7 +163,9 @@ def run(argv: list[str], stdin: str) -> tuple[int, str]:
     else:
         try:
             arg = json.loads(stdin) if stdin.strip() else {}
-        except (json.JSONDecodeError, RecursionError) as e:
+        except (ValueError, RecursionError) as e:
+            # JSONDecodeError is a ValueError, as is a number past the
+            # interpreter's digit limit
             return EXIT_BAD_JSON, _dump({"ok": False, "error": f"malformed JSON: {e}"})
         if not isinstance(arg, dict):
             return EXIT_BAD_JSON, _dump({"ok": False, "error": "payload must be an object"})

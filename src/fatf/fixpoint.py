@@ -18,12 +18,11 @@ from .freewords import Word, reduce_word
 from .intlat import (
     IntMatrix,
     Lattice,
-    hnf,
-    kernel_lattice,
     lattice_index,
     lattice_intersect,
     lattice_preimage,
-    solve_left,
+    left_solver,
+    power_bits,
     unity_exponent,
 )
 from .morphisms import FreeMap, Morphism
@@ -38,17 +37,29 @@ class CertificateError(RuntimeError):
 
 
 class BudgetExceeded(ValueError):
-    """The answer's graph would have more than MAX_COVER_VERTICES vertices."""
+    """The answer's graph would have more than MAX_COVER_VERTICES vertices, or
+    Q^e would outgrow Q by more than MAX_POWER_BITS bits."""
 
 
 # Most vertices fix_tuple gives its answer's graph, the cover with ell vertices
 # over each vertex of the fixed-basis graph. At the budget the F_2 family
-# phi = id, Q = [[ell+2, 1], [-1, 0]], P = I (ell = 1024) takes 16-28 ms on
+# phi = id, Q = [[ell+2, 1], [-1, 0]], P = I (ell = 1024) takes 11-22 ms on
 # Python 3.11 (best of 3, shared 2-core machine), and is_autofixed of that
-# answer 24-44 ms, as it checks and contains H on the graphs. Its basis has
+# answer 17-33 ms, as it checks and contains H on the graphs. Its basis has
 # 526,336 letters, spelled only when the answer is read: the JSON of `fix`
 # takes about 0.2 s more.
 MAX_COVER_VERTICES = 1024
+
+# Most bits by which fix_power lets Q^e outgrow Q, as estimated from bounds on
+# the eigenvalues of Q (`intlat.power_bits`): the 4,300 decimal digits past
+# which the CLI refuses to write an integer. The largest `per` case under it, the m = 32 conjugate of the
+# companions of Phi_4, Phi_3, Phi_5, Phi_7, Phi_17 and x^2 - 3x + 1 (e = 7,140,
+# 14,280 bits), takes 3.0 s end to end on Python 3.11. The estimate is made
+# before any power: `per` on the m = 38 payload of
+# tests/conftest.py::slow_infinite_order_matrix (e = 60,060, 120,120 bits)
+# exits 2 in 0.14 s, where the power alone took 106 s. With P = 0 that
+# payload's answer is small, so the budget refuses a computable answer.
+MAX_POWER_BITS = 14_284
 
 
 @dataclass(frozen=True)
@@ -142,9 +153,9 @@ def fix_tuple(inp: FixInput) -> FixResult:
     im_P = Lattice.from_rows(
         [Pt.apply_row(r) for r in im_rho.basis.entries], k * m
     )
-    M = hnf(Qt)
+    # one row reduction of Qt gives its image, its kernel and every solve
+    M, kernel, solve = left_solver(Qt)
     N = lattice_intersect(M, im_P)
-    kernel = kernel_lattice(Qt)
 
     if N.rank == im_P.rank:
         preimage = lattice_preimage(im_rho, Pt, N)
@@ -171,7 +182,7 @@ def fix_tuple(inp: FixInput) -> FixResult:
             )
         # an answer word abelianizes into preimage and e is linear in it, so
         # one solve per preimage row covers every word
-        solutions = [solve_left(Qt, Pt.apply_row(b)) for b in preimage.basis.entries]
+        solutions = [solve(Pt.apply_row(b)) for b in preimage.basis.entries]
         if None in solutions:
             raise InvalidFixInput("inconsistent fixed free-bases: unsolvable system")
         E = IntMatrix(solutions, cols=m)
@@ -238,10 +249,19 @@ def periodic_subgroup(psi: Morphism) -> FixResult:
 
 
 def fix_power(psi: Morphism, e: int) -> FixResult:
-    """Fix psi^e for an exponent e with phi^e = id, so that Fix phi^e = F_n."""
+    """Fix psi^e for an exponent e with phi^e = id, so that Fix phi^e = F_n.
+
+    Raises BudgetExceeded, before any power, when Q^e would outgrow Q by
+    more than MAX_POWER_BITS bits."""
     r1 = psi.phi.order()
     if r1 == math.inf or e % r1:
         raise ValueError("the free part of psi^e is not the identity")
+    # two bounds on |lambda| for the eigenvalues lambda of Q: the largest row
+    # sum of |Q|, which needs no charpoly, and the Cauchy bound power_bits
+    # reads off chi(Q); refused only when both pass the budget
+    norm = max((sum(map(abs, row)) for row in psi.Q.entries), default=0)
+    if e * norm.bit_length() > MAX_POWER_BITS and (bits := power_bits(psi.Q, e)) > MAX_POWER_BITS:
+        raise BudgetExceeded(f"Q^{e} would outgrow Q by about {bits} bits, past the budget of {MAX_POWER_BITS}")
     Qe, Pe = morphisms.linear_power(psi, e)
     n = psi.ambient.n
     pe = Morphism(psi.ambient, FreeMap.identity(n), Qe, Pe)

@@ -9,7 +9,6 @@ graphs meaningful for equal subgroups.
 from __future__ import annotations
 
 import functools
-from collections import Counter, deque
 from operator import add, sub
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
@@ -111,42 +110,42 @@ def _labels(delta: dict[tuple[Hashable, int], Hashable]) -> list[int]:
 class StallingsGraph:
     """Folded core automaton of a finitely generated subgroup of F_n.
 
-    Built from any symmetric transition dict `delta` and its basepoint: hanging
-    trees are peeled, and the basepoint component is numbered breadth-first
-    with label order z1 < z1^-1 < z2 < ..., so equal subgroups give equal
-    graphs. The edge along which that search first reaches a vertex is the
-    vertex's spanning-tree edge; every other edge is a basis edge.
+    Built by one breadth-first search of the basepoint component of a
+    symmetric automaton: a transition dict `delta`, or a transition function
+    delta(v, a) (None where there is no edge) with the `labels` its edges can
+    carry. The search numbers vertices with label order z1 < z1^-1 < z2 < ...,
+    so equal subgroups give equal graphs; the edge along which it first
+    reaches a vertex is the vertex's spanning-tree edge, and every other edge
+    is a basis edge. Hanging trees are peeled only when a vertex other than
+    the base has degree <= 1. No shortest path from the base to a survivor
+    enters a hanging tree and no basis edge touches one, so the survivors
+    keep their tree edges and their order, and are renumbered in it.
     """
 
-    def __init__(self, n: int, base: Hashable, delta: dict[tuple[Hashable, int], Hashable]):
-        labels = _labels(delta)
-        deg = Counter(v for v, _ in delta)
-        dead: set[Hashable] = set()
-        stack = [v for v, d in deg.items() if d <= 1 and v != base]
-        while stack:
-            v = stack.pop()
-            if v in dead:
-                continue
-            dead.add(v)
-            for a in labels:
-                w = delta.get((v, a))
-                if w is not None and w not in dead:
-                    deg[w] -= 1
-                    if deg[w] <= 1 and w != base:
-                        stack.append(w)
+    def __init__(
+        self,
+        n: int,
+        base: Hashable,
+        delta: dict[tuple[Hashable, int], Hashable] | Callable[[Hashable, int], Optional[Hashable]],
+        labels: Optional[Sequence[int]] = None,
+    ):
+        if labels is None:
+            labels, step = _labels(delta), lambda v, a: delta.get((v, a))
+        else:
+            step = delta
         self.n = n
         self.delta: dict[tuple[int, int], int] = {}
         self._tree_parent: dict[int, tuple[int, int]] = {}
         # in (vertex, label) order, as vertices leave the queue in number order
         self._basis_edges: list[tuple[int, int, int]] = []
         order = {base: 0}
-        queue = deque([base])
-        while queue:
-            v = queue.popleft()
-            i = order[v]
+        queue = [base]  # read while it grows: vertex i is queue[i]
+        deg: list[int] = []
+        for i, v in enumerate(queue):
+            edges = len(self.delta)
             for a in labels:
-                w = delta.get((v, a))
-                if w is None or w in dead:
+                w = step(v, a)
+                if w is None:
                     continue
                 j = order.get(w)
                 if j is None:
@@ -156,7 +155,26 @@ class StallingsGraph:
                 elif a > 0 and self._tree_parent.get(i) != (j, -a):
                     self._basis_edges.append((i, a, j))
                 self.delta[(i, a)] = j
-        self.num_vertices = len(order)
+            deg.append(len(self.delta) - edges)
+        dead: set[int] = set()
+        stack = [j for j, d in enumerate(deg) if d <= 1 and j]
+        while stack:
+            v = stack.pop()
+            if v in dead:
+                continue
+            dead.add(v)
+            for a in labels:
+                w = self.delta.get((v, a))
+                if w is not None and w not in dead:
+                    deg[w] -= 1
+                    if deg[w] <= 1 and w:
+                        stack.append(w)
+        if dead:
+            new = {j: k for k, j in enumerate(j for j in range(len(deg)) if j not in dead)}
+            self.delta = {(new[v], a): new[w] for (v, a), w in self.delta.items() if v in new and w in new}
+            self._tree_parent = {new[j]: (new[i], a) for j, (i, a) in self._tree_parent.items() if j in new}
+            self._basis_edges = [(new[v], a, new[w]) for v, a, w in self._basis_edges]
+        self.num_vertices = len(deg) - len(dead)
         # the signed 1-based index of each crossing of a basis edge; folded
         # graphs have one transition per (vertex, label), so one per key
         self.crossings: dict[tuple[int, int], int] = {}
@@ -311,26 +329,14 @@ def pullback(
     the two subgroups. With a group acting on the states it is the cover of
     g1 that recognizes the words of g1's subgroup carrying base back to base.
     """
-    labels = _labels(g1.delta)
-    ids = {(0, base): 0}
-    queue = deque(ids)
-    delta: dict[tuple[int, int], int] = {}
-    while queue:
-        p = queue.popleft()
-        v1, s = p
-        for a in labels:
-            w1 = g1.delta.get((v1, a))
-            if w1 is None:
-                continue
-            t = step(s, a)
-            if t is None:
-                continue
-            q = (w1, t)
-            if q not in ids:
-                ids[q] = len(ids)
-                queue.append(q)
-            delta[(ids[p], a)] = ids[q]
-    return StallingsGraph(g1.n, 0, delta)
+    edge = g1.delta.get
+
+    def product(p: tuple[int, Hashable], a: int) -> Optional[tuple[int, Hashable]]:
+        w1 = edge((p[0], a))
+        t = None if w1 is None else step(p[1], a)
+        return None if t is None else (w1, t)
+
+    return StallingsGraph(g1.n, (0, base), product, _labels(g1.delta))
 
 
 class IndexBoundExceeded(RuntimeError):

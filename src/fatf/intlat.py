@@ -11,7 +11,7 @@ import math
 from bisect import bisect_left
 from functools import lru_cache
 from operator import add, getitem, mul, sub
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 
 class DimensionError(ValueError):
@@ -361,10 +361,24 @@ def hnf(M: IntMatrix) -> Lattice:
     return Lattice.from_rows(M.entries, M.cols)
 
 
+def left_solver(M: IntMatrix) -> tuple[Lattice, Lattice, Callable[[Sequence[int]], Optional[Vec]]]:
+    """(image, kernel, solve) from one row reduction of M: image = hnf(M),
+    kernel = {v in Z^rows : v*M = 0}, and solve(b) the deterministic x with
+    x*M = b over Z, or None. Free coordinates (rows of the HNF with no pivot)
+    are set to zero."""
+    H, U, r = _with_transform(M)
+    image = Lattice._trusted(M.cols, IntMatrix._trusted(tuple([tuple(row) for row in H[:r]]), M.cols))
+
+    def solve(b: Sequence[int]) -> Optional[Vec]:
+        y, res = image.reduce(b)
+        return None if any(res) else _row_times(y, U[:r], M.rows)
+
+    return image, Lattice.from_rows(U[r:], M.rows), solve
+
+
 def kernel_lattice(M: IntMatrix) -> Lattice:
     """{v in Z^rows : v*M = 0} as a lattice in Z^rows."""
-    _, U, r = _with_transform(M)
-    return Lattice.from_rows(U[r:], M.rows)
+    return left_solver(M)[1]
 
 
 def lattice_intersect(L1: Lattice, L2: Lattice) -> Lattice:
@@ -402,18 +416,10 @@ def lattice_preimage(domain: Lattice, M: IntMatrix, target: Lattice) -> Lattice:
 
 
 def solve_left(M: IntMatrix, b: Sequence[int]) -> Optional[Vec]:
-    """Deterministic x with x*M = b over Z, or None.
-
-    Free coordinates (rows of the HNF with no pivot) are set to zero.
-    """
+    """Deterministic x with x*M = b over Z, or None: `left_solver`'s solve."""
     if len(b) != M.cols:
         raise DimensionError("right-hand side has the wrong length")
-    H, U, r = _with_transform(M)
-    image = IntMatrix._trusted(tuple([tuple(row) for row in H[:r]]), M.cols)
-    y, res = Lattice._trusted(M.cols, image).reduce(b)
-    if any(res):
-        return None
-    return _row_times(y, U[:r], M.rows)
+    return left_solver(M)[2](b)
 
 
 def matrix_inverse(M: IntMatrix) -> IntMatrix:
@@ -514,11 +520,10 @@ def totient_at_most(m: int) -> list[int]:
     return [d for d, f in out if f <= m]  # drops d = 1 at m = 0
 
 
-def cyclotomic_part(Q: IntMatrix) -> tuple[int, bool]:
-    """(s, full) from the cyclotomic factors Phi_d of chi(Q), divided out
-    with multiplicity: s is the lcm of their orders d (1 when there are
-    none), and full says whether they make up all of chi(Q), i.e. whether
-    every eigenvalue of Q is a root of unity."""
+def _cyclotomic_split(Q: IntMatrix) -> tuple[int, list[int]]:
+    """(s, rest): the cyclotomic factors Phi_d of chi(Q) divided out with
+    multiplicity, s the lcm of their orders d (1 when there are none) and
+    rest the factor left, ascending degree ([1] when none is left)."""
     chi = charpoly(Q)
     s = 1
     for d in totient_at_most(Q.rows):
@@ -527,7 +532,25 @@ def cyclotomic_part(Q: IntMatrix) -> tuple[int, bool]:
         while rem == [0]:
             chi, s = quotient, math.lcm(s, d)
             quotient, rem = _poly_divmod_monic(chi, phi_d)
-    return s, len(chi) == 1
+    return s, chi
+
+
+def cyclotomic_part(Q: IntMatrix) -> tuple[int, bool]:
+    """(s, full): s as in `_cyclotomic_split`, and full says whether the
+    cyclotomic factors make up all of chi(Q), i.e. whether every eigenvalue
+    of Q is a root of unity."""
+    s, rest = _cyclotomic_split(Q)
+    return s, len(rest) == 1
+
+
+def power_bits(Q: IntMatrix, e: int) -> int:
+    """An estimate of the bits by which entries of Q^e outgrow those of Q:
+    e log2 B, with B = 1 + max |c_i| the Cauchy bound on the roots of the
+    factor of chi(Q) that `_cyclotomic_split` leaves, rounded up to a power
+    of 2. It is 0 when chi(Q) is all cyclotomic: every eigenvalue is then a
+    root of unity and entries grow at most polynomially in e."""
+    rest = _cyclotomic_split(Q)[1]
+    return e * max(map(abs, rest[:-1]), default=0).bit_length()
 
 
 def unity_exponent(Q: IntMatrix) -> int:

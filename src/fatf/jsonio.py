@@ -23,10 +23,19 @@ class FormatError(ValueError):
     """The JSON payload does not match the expected shape."""
 
 
+def _ints(obj: list) -> tuple[int, ...]:
+    """The integers of a list of decimal strings or JSON numbers. Inside
+    `request`, raises ValueError once the integers of the request have more
+    than MAX_INPUT_DIGITS digits."""
+    for s in obj:
+        if isinstance(s, bool) or not isinstance(s, (str, int)):
+            raise FormatError(f"expected a decimal string, got {s!r}")
+    _spend(_digits, sum(map(len, map(str, obj))), MAX_INPUT_DIGITS, "the integers of one request have more than {} digits in all")
+    return tuple(map(int, obj))
+
+
 def _int(s: Any) -> int:
-    if isinstance(s, bool) or not isinstance(s, (str, int)):
-        raise FormatError(f"expected a decimal string, got {s!r}")
-    return int(s)
+    return _ints([s])[0]
 
 
 def vec_to_json(v: Sequence[int]) -> list[str]:
@@ -42,7 +51,7 @@ def vec_to_json(v: Sequence[int]) -> list[str]:
 def vec_from_json(obj: Any, length: Optional[int] = None) -> tuple[int, ...]:
     if not isinstance(obj, list):
         raise FormatError("expected a list of decimal strings")
-    v = tuple(_int(x) for x in obj)
+    v = _ints(obj)
     if length is not None and len(v) != length:
         raise FormatError(f"expected a vector of length {length}")
     return v
@@ -72,20 +81,44 @@ def lattice_from_json(obj: Any, ambient: int) -> Lattice:
     return Lattice.from_rows(rows, ambient)
 
 
-# letters the words parsed so far in the current request spelled out; None
-# outside a request, where only the per-word cap holds
+# Most digits, signs included, the integers of one CLI request may have in
+# all, as freewords.MAX_WORD_LETTERS caps its letters: `basis` on two
+# generators with entries of 10^4000 is refused before any HNF. With a digit
+# or more per entry an m x m matrix passes only for m <= 70; at m = 66 (the
+# companion of Phi_67, 4,422 digits) `order` takes 0.24 s and `per` 0.22 s on
+# Python 3.11. The largest request of the tests under it, the m = 38 payload
+# of `order` and `per` in test_cli.py, has about 2,700 digits.
+MAX_INPUT_DIGITS = 5_000
+
+# letters the words, and digits the integers, parsed so far in the current
+# request spelled out; None outside a request, where only the per-word cap
+# holds
 _spelled: ContextVar[Optional[int]] = ContextVar("spelled", default=None)
+_digits: ContextVar[Optional[int]] = ContextVar("digits", default=None)
 
 
 @contextlib.contextmanager
 def request() -> Iterator[None]:
     """Count the letters of every word parsed inside against
-    freewords.MAX_WORD_LETTERS, in all."""
-    token = _spelled.set(0)
+    freewords.MAX_WORD_LETTERS, and the digits of every integer against
+    MAX_INPUT_DIGITS, in all."""
+    tokens = _spelled.set(0), _digits.set(0)
     try:
         yield
     finally:
-        _spelled.reset(token)
+        _spelled.reset(tokens[0])
+        _digits.reset(tokens[1])
+
+
+def _spend(counter: ContextVar, amount: int, cap: int, error: str) -> None:
+    """Add amount to the request's counter; ValueError(error with the cap)
+    once it passes cap. Outside a request nothing is counted."""
+    spent = counter.get()
+    if spent is not None:
+        spent += amount
+        if spent > cap:
+            raise ValueError(error.format(cap))
+        counter.set(spent)
 
 
 def word_from_json(obj: Any, n: int) -> freewords.Word:
@@ -94,12 +127,7 @@ def word_from_json(obj: Any, n: int) -> freewords.Word:
     if not isinstance(obj, str):
         raise FormatError("expected a word string")
     letters = freewords.spell_word(obj)
-    spelled = _spelled.get()
-    if spelled is not None:
-        spelled += len(letters)
-        if spelled > freewords.MAX_WORD_LETTERS:
-            raise ValueError(f"the words of one request are longer than {freewords.MAX_WORD_LETTERS} letters in all")
-        _spelled.set(spelled)
+    _spend(_spelled, len(letters), freewords.MAX_WORD_LETTERS, "the words of one request are longer than {} letters in all")
     return freewords.reduce_word(letters, n)
 
 

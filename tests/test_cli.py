@@ -55,8 +55,13 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize(
         "stdin",
-        ["{not json", "[" * 100000 + "]" * 100000, '{"m": ' + "[" * 100000 + "]" * 100000 + "}"],
-        ids=["syntax", "deep-array", "deep-field"],
+        [
+            "{not json",
+            "[" * 100000 + "]" * 100000,
+            '{"m": ' + "[" * 100000 + "]" * 100000 + "}",
+            '{"m": ' + "1" * 5000 + "}",
+        ],
+        ids=["syntax", "deep-array", "deep-field", "long-number"],
     )
     def test_malformed_json(self, stdin):
         code, out = run(["fix"], stdin)
@@ -360,14 +365,18 @@ class TestBudgets:
         # m = 12, order lcm(3, 5, 7) = 105
         return block_diagonal([companion(list(cyclotomic(p))) for p in (3, 5, 7)])
 
-    def _infinite_order(self, phi: FreeMap, Q: IntMatrix) -> None:
+    @staticmethod
+    def _morphism_body(phi: FreeMap, Q: IntMatrix) -> dict:
         m = Q.rows
-        body = {"m": m, "n": phi.n, "morphism": {
+        return {"m": m, "n": phi.n, "morphism": {
             "phi": [format_word(w) for w in phi.images],
             "phi_inv": [format_word(w) for w in phi.inverse_images],
             "Q": [[str(x) for x in r] for r in Q.entries],
             "P": [["0"] * m for _ in range(phi.n)],
         }}
+
+    def _infinite_order(self, phi: FreeMap, Q: IntMatrix) -> None:
+        body = self._morphism_body(phi, Q)
         t0 = time.perf_counter()
         code, out = run(["order"], json.dumps(body))
         assert time.perf_counter() - t0 < 1.0
@@ -387,13 +396,34 @@ class TestBudgets:
         # of Q is taken; the power Q^s alone takes seconds
         self._infinite_order(FreeMap.identity(1), slow_infinite_order_matrix())
 
+    @staticmethod
+    def _big_basis(digits: int) -> dict:
+        big = "1" + "0" * digits
+        return {"m": 2, "n": 1, "generators": [{"t": [big, "1"], "w": ""}, {"t": ["1", big], "w": ""}]}
+
     def test_answer_digits(self):
-        # the HNF of these generators holds 10^8000 - 1, past the 4,300 digits
-        # str() writes; the error is fatf's own, not the interpreter's remedy
-        big = "1" + "0" * 4000
-        body = {"m": 2, "n": 1, "generators": [{"t": [big, "1"], "w": ""}, {"t": ["1", big], "w": ""}]}
-        error = _rejected(["basis"], body)
+        # the HNF of these generators holds 10^4400 - 1, past the 4,300 digits
+        # str() writes, from 4,406 input digits; the error is fatf's own, not
+        # the interpreter's remedy
+        error = _rejected(["basis"], self._big_basis(2200))
         assert "more than 4300 digits" in error and "set_int_max_str_digits" not in error
+
+    def test_input_digits(self, monkeypatch):
+        # entries of 10^4000 pass the interpreter's 4,300 digits each, but not
+        # the request's cap in all: no row reduction starts
+        monkeypatch.setattr(fatf.intlat, "_row_echelon", lambda rows, cols: pytest.fail("row reduction ran"))
+        error = _rejected(["basis"], self._big_basis(4000))
+        assert f"more than {jsonio.MAX_INPUT_DIGITS} digits in all" in error
+
+    def test_per_power_bits(self):
+        # e = 60,060 and chi(Q) keeps x^2 - 3x + 1, so Q^e would have about
+        # 83,000 bits: refused before any power, where without the budget the
+        # request ran 106 s to the output digit check; with P = 0 the answer
+        # itself would be small
+        body = self._morphism_body(FreeMap.identity(1), slow_infinite_order_matrix())
+        t0 = time.perf_counter()
+        assert "budget" in _rejected(["per"], body)
+        assert time.perf_counter() - t0 < 1.0
 
 
 def _paths(obj, prefix=()):
@@ -436,11 +466,16 @@ def _mutate(rng: random.Random, payload: dict) -> dict:
 
 def test_mutated_golden_inputs_never_raise():
     rng = random.Random(2026)
-    inputs = {name: json.loads((FIXTURES / f"{name}.in.json").read_text()) for name in STDIN_CASES}
+    # the golden inputs, and the two that ran long before their budgets: a
+    # `per` whose Q^e would pass the power budget and a `basis` past the
+    # input digit cap
+    seeds = [(name, json.loads((FIXTURES / f"{name}.in.json").read_text())) for name in STDIN_CASES]
+    seeds.append(("per", TestBudgets._morphism_body(FreeMap.identity(1), slow_infinite_order_matrix())))
+    seeds.append(("basis", TestBudgets._big_basis(4000)))
     codes = set()
     for i in range(300):
-        name = STDIN_CASES[i % len(STDIN_CASES)]
-        doc = _mutate(rng, inputs[name])
+        name, payload = seeds[i % len(seeds)]
+        doc = _mutate(rng, payload)
         code, out = run([name], json.dumps(doc))
         assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_UNKNOWN, EXIT_BAD_JSON), doc
         assert out.endswith("\n") and out.count("\n") == 1

@@ -23,7 +23,7 @@ from conftest import (
     reference_autofixed_closure,
     reference_certify,
 )
-from fatf import cli, fixpoint, freewords, jsonio
+from fatf import cli, fixpoint, freewords, intlat, jsonio
 from fatf import (
     Ambient,
     FreeMap,
@@ -51,7 +51,7 @@ from fatf.fixpoint import (
     is_autofixed,
 )
 from fatf.freewords import StallingsGraph, abelianize, stallings
-from fatf.intlat import kernel_lattice
+from fatf.intlat import kernel_lattice, matrix_inverse
 from fatf.morphisms import apply, power
 from fatf.oracle import Bounds, brute_fixed
 
@@ -299,6 +299,30 @@ class TestPeriodic:
             full = [(i,) for i in range(1, amb.n + 1)]
             assert fix_power(psi, e) == fix_single(power(psi, e), full)
 
+    def test_power_budget_at_its_edge(self):
+        # the eigenvalues (3 +- sqrt 5)/2 of [[2, 1], [1, 1]] grow by about 1.39
+        # bits per power, estimated at 2: e = 7,142 is the last exponent under
+        # MAX_POWER_BITS = 14,284
+        amb = Ambient(2, 1)
+        psi = Morphism(amb, FreeMap.identity(1), IntMatrix([[2, 1], [1, 1]]), IntMatrix.zeros(1, 2))
+        assert intlat.power_bits(psi.Q, 7142) == fixpoint.MAX_POWER_BITS
+        assert fix_power(psi, 7142).finitely_generated
+        with pytest.raises(fixpoint.BudgetExceeded, match="14286 bits"):
+            fix_power(psi, 7143)
+
+    def test_power_budget_reads_the_eigenvalues(self):
+        # a conjugate of the companion of Phi_3 has order 3 and row sums past
+        # 2^10, so e times the row-sum bound passes the budget; chi(Q) is all
+        # cyclotomic, so the estimate is 0 and the power is taken
+        amb = Ambient(2, 1)
+        U = IntMatrix([[1, 1000], [0, 1]])
+        Q = matrix_inverse(U) * IntMatrix([[0, 1], [-1, -1]]) * U
+        assert max(sum(map(abs, r)) for r in Q.entries).bit_length() * 3000 > fixpoint.MAX_POWER_BITS
+        assert intlat.power_bits(Q, 3000) == 0
+        psi = Morphism(amb, FreeMap.identity(1), Q, IntMatrix.zeros(1, 2))
+        res = fix_power(psi, 3000)
+        assert res.basis.abelian_part.rank == 2
+
     def test_periodic_captures_low_periods(self):
         psi = worked_morphism()
         res = periodic_subgroup(psi)
@@ -430,16 +454,39 @@ class TestClosureOnTheGraph:
         assert len(calls) < len(B.graph.delta)
 
 
+def test_qt_reduced_once(monkeypatch):
+    # M, the abelian kernel and one solve per preimage row all read the one
+    # row reduction of Qt = I - Q
+    psi = ell_family(256)
+    Qt = IntMatrix.identity(2) - psi.Q
+    reductions = []
+    real = intlat._row_echelon
+
+    def counted(rows, cols):
+        reductions.append(tuple([tuple(r[:cols]) for r in rows]) == Qt.entries)
+        return real(rows, cols)
+
+    monkeypatch.setattr(intlat, "_row_echelon", counted)
+    res = fix_single(psi, [(1,), (2,)])
+    assert res.diagnostics.preimage.rank == 2 and res.basis.graph.num_vertices == 256
+    assert sum(reductions) == 1
+
+
 def _corrupt_first_solution(monkeypatch):
-    real = fixpoint.solve_left
+    real = fixpoint.left_solver
     calls = []
 
-    def corrupted(M, b):
-        x = real(M, b)
-        calls.append(x)
-        return x if len(calls) > 1 else tuple(c + 1 for c in x)
+    def corrupted(M):
+        image, kernel, solve = real(M)
 
-    monkeypatch.setattr(fixpoint, "solve_left", corrupted)
+        def corrupted_solve(b):
+            x = solve(b)
+            calls.append(x)
+            return x if len(calls) > 1 else tuple(c + 1 for c in x)
+
+        return image, kernel, corrupted_solve
+
+    monkeypatch.setattr(fixpoint, "left_solver", corrupted)
 
 
 def conjugated_flip():
@@ -557,7 +604,13 @@ class TestCertificates:
             fixpoint._certify(inp, bad)
         with pytest.raises(CertificateError):
             reference_certify(inp.morphisms, bad)
-        monkeypatch.setattr(fixpoint, "kernel_lattice", lambda M: wrong)
+        real = fixpoint.left_solver
+
+        def wrong_kernel(M):
+            image, _, solve = real(M)
+            return image, wrong, solve
+
+        monkeypatch.setattr(fixpoint, "left_solver", wrong_kernel)
         with pytest.raises(CertificateError, match="abelian basis row not fixed"):
             fix_tuple(inp)
 

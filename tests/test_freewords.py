@@ -189,15 +189,28 @@ class TestReferenceFold:
 
     def test_numbered_graph_is_kept(self):
         # an already-numbered table, such as schreier_basis passes, comes back
-        # as the same graph with the same spanning tree
+        # as the same graph with the same spanning tree, and so does every
+        # graph the one search builds from a transition function: products of
+        # two folds, and residue covers over congruence lattices
         rng = random.Random(1983)
+        # <z1 z2^-1, z2^-1 z1^-1> meets <z2 z1, z1 z2> in <z1 z2>: the search
+        # reaches the product vertex (1, 2) by z2 and finds no other edge
+        # there, so it is peeled and the survivors are renumbered
+        g = stallings([(1, -2), (-2, -1)], 2)
+        h = stallings([(2, 1), (1, 2)], 2)
+        hanging = pullback(g, lambda v, a: h.delta.get((v, a)), 0)
+        assert (hanging.num_vertices, hanging.basis_words) == (2, [(1, 2)])
+        graphs = [hanging]
         for _ in range(300):
             n = rng.randint(1, 4)
             g = stallings([random_word(rng, n, 8) for _ in range(rng.randint(1, 4))], n)
             h = stallings([random_word(rng, n, 8) for _ in range(rng.randint(1, 4))], n)
-            for graph in (g, pullback(g, lambda v, a: h.delta.get((v, a)), 0)):
-                again = StallingsGraph(graph.n, 0, graph.delta)
-                assert again == graph and again.basis_words == graph.basis_words
+            congruence = Lattice.from_rows([[rng.randint(1, 3) * (i == j) for j in range(n)] for i in range(n)], n)
+            graphs += [g, pullback(g, lambda v, a: h.delta.get((v, a)), 0), pullback(g, congruence.shift, (0,) * n)]
+        for graph in graphs:
+            again = StallingsGraph(graph.n, 0, graph.delta)
+            assert again == graph and again.basis_words == graph.basis_words
+            assert as_reference(graph) == reference_stallings(graph.basis_words, graph.n)
 
     def test_refold_of_basis_words(self):
         rng = random.Random(7)

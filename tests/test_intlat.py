@@ -31,6 +31,7 @@ from fatf.intlat import (
     lattice_index,
     lattice_intersect,
     lattice_preimage,
+    left_solver,
     matrix_inverse,
     matrix_order,
     solve_left,
@@ -672,6 +673,7 @@ class TestTransformReference:
             assert _with_transform(M) == (H, U, r)
             assert Lattice.from_rows(M.entries, M.cols).basis.entries == tuple(map(tuple, H[:r]))
             assert kernel_lattice(M) == Lattice.from_rows(U[r:], M.rows)
+            assert left_solver(M)[0] == Lattice.from_rows(M.entries, M.cols)
 
             if rng.random() < 0.5:
                 b = M.apply_row([rng.randint(-3, 3) for _ in range(M.rows)])

@@ -26,6 +26,7 @@ BENCH = SRC.parent.parent / "fatfbench"
 PINNED = {
     "fatfcore.SubgroupBasis.basis_elements": "the basis as elements, public API; the word-level references in tests/conftest.py read it",
     "fixpoint.is_autofixed": "called by the fix-index workload in fatfbench/workloads.py",
+    "intlat.solve_left": "wrapped by fatfbench/tracing.py; fix_tuple solves through left_solver",
     "freewords.schreier_basis": "wrapped by fatfbench/tracing.py; the reference for the residue cover in test_freewords.py",
     "morphisms.power": "wrapped by fatfbench/tracing.py; order and fix_power use linear_power",
     "morphisms.power_vector_matrix": "wrapped by fatfbench/tracing.py",
