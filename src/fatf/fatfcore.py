@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from . import freewords
 from .freewords import Word, reduce_word
-from .intlat import Lattice, Vec
+from .intlat import Lattice, Vec, _as_vec
 
 
 class AmbientMismatch(ValueError):
@@ -47,7 +47,7 @@ class GroupElement:
     def __post_init__(self) -> None:
         if len(self.t) != self.ambient.m:
             raise ValueError("abelian part has the wrong length")
-        object.__setattr__(self, "t", tuple(int(x) for x in self.t))
+        object.__setattr__(self, "t", _as_vec(self.t))
         object.__setattr__(self, "w", reduce_word(self.w, self.ambient.n))
 
     @classmethod

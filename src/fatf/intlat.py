@@ -25,8 +25,27 @@ class NotSublatticeError(ValueError):
 Vec = tuple[int, ...]
 
 
+def _as_int(x) -> int:
+    """int(x), or ValueError where int() would truncate a number."""
+    i = int(x)
+    if i != x and not isinstance(x, str):
+        raise ValueError(f"{x!r} is not an integer")
+    return i
+
+
 def _as_vec(v: Iterable[int]) -> Vec:
-    return tuple([int(x) for x in v])
+    return tuple([_as_int(x) for x in v])
+
+
+def power_by_squaring(x, k: int, mul: Callable):
+    """x^k for k >= 1 and an associative mul, left to right over the bits of
+    k: k.bit_length() - 1 squarings and k.bit_count() - 1 products by x."""
+    result = x
+    for bit in bin(k)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, x)
+    return result
 
 
 def _row_times(v: Sequence[int], rows: Sequence[Vec], c: int) -> Vec:
@@ -143,15 +162,7 @@ class IntMatrix:
             raise ValueError("negative power")
         if k == 0:
             return IntMatrix.identity(self.rows)
-        result = None
-        base = self
-        while True:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if not k:
-                return result
-            base = base * base
+        return power_by_squaring(self, k, mul)
 
     def is_zero(self) -> bool:
         return all(a == 0 for r in self.entries for a in r)
@@ -270,7 +281,7 @@ class Lattice:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], ambient: int) -> "Lattice":
-        mat = [list(map(int, r)) for r in rows]
+        mat = [[_as_int(x) for x in r] for r in rows]
         for r in mat:
             if len(r) != ambient:
                 raise DimensionError("row width disagrees with ambient dimension")
@@ -330,17 +341,8 @@ class Lattice:
         return None if any(res) else xs
 
     def contains(self, v: Sequence[int]) -> bool:
-        """Whether v lies in the lattice: `reduce`'s residue is zero, with no
-        coordinate kept."""
-        if len(v) != self.ambient:
-            raise DimensionError("vector dimension mismatch")
-        res = list(map(int, v))
-        for row, j in zip(self.basis.entries, self.pivots):
-            q = res[j] // row[j]
-            if q:
-                for t in range(j, self.ambient):
-                    res[t] -= q * row[t]
-        return not any(res)
+        """Whether v lies in the lattice: `reduce`'s residue is zero."""
+        return not any(self.reduce(v)[1])
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -520,10 +522,10 @@ def totient_at_most(m: int) -> list[int]:
     return [d for d, f in out if f <= m]  # drops d = 1 at m = 0
 
 
-def _cyclotomic_split(Q: IntMatrix) -> tuple[int, list[int]]:
-    """(s, rest): the cyclotomic factors Phi_d of chi(Q) divided out with
-    multiplicity, s the lcm of their orders d (1 when there are none) and
-    rest the factor left, ascending degree ([1] when none is left)."""
+def cyclotomic_split(Q: IntMatrix) -> tuple[int, list[int]]:
+    """(s, rest): the factors Phi_d of chi(Q) divided out with multiplicity,
+    s the lcm of their orders d (1 when there are none) and rest the factor
+    left, ascending degree: [1] exactly when every eigenvalue is a root of 1."""
     chi = charpoly(Q)
     s = 1
     for d in totient_at_most(Q.rows):
@@ -535,28 +537,20 @@ def _cyclotomic_split(Q: IntMatrix) -> tuple[int, list[int]]:
     return s, chi
 
 
-def cyclotomic_part(Q: IntMatrix) -> tuple[int, bool]:
-    """(s, full): s as in `_cyclotomic_split`, and full says whether the
-    cyclotomic factors make up all of chi(Q), i.e. whether every eigenvalue
-    of Q is a root of unity."""
-    s, rest = _cyclotomic_split(Q)
-    return s, len(rest) == 1
-
-
 def power_bits(Q: IntMatrix, e: int) -> int:
     """An estimate of the bits by which entries of Q^e outgrow those of Q:
     e log2 B, with B = 1 + max |c_i| the Cauchy bound on the roots of the
-    factor of chi(Q) that `_cyclotomic_split` leaves, rounded up to a power
+    factor of chi(Q) that `cyclotomic_split` leaves, rounded up to a power
     of 2. It is 0 when chi(Q) is all cyclotomic: every eigenvalue is then a
     root of unity and entries grow at most polynomially in e."""
-    rest = _cyclotomic_split(Q)[1]
+    rest = cyclotomic_split(Q)[1]
     return e * max(map(abs, rest[:-1]), default=0).bit_length()
 
 
 def unity_exponent(Q: IntMatrix) -> int:
     """Least s with Per Q = Fix Q^s: lcm of the orders of the root-of-unity
     eigenvalues of Q (1 when there are none)."""
-    return cyclotomic_part(Q)[0]
+    return cyclotomic_split(Q)[0]
 
 
 def matrix_order(Q: IntMatrix):
@@ -569,5 +563,5 @@ def matrix_order(Q: IntMatrix):
     """
     if Q.rows != Q.cols:
         raise DimensionError("order of a non-square matrix")
-    s, full = cyclotomic_part(Q)
-    return s if full and (Q ** s).is_identity() else math.inf
+    s, rest = cyclotomic_split(Q)
+    return s if len(rest) == 1 and (Q ** s).is_identity() else math.inf

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 from . import freewords
 from .fatfcore import Ambient, GroupElement, _check_same
 from .freewords import Word, reduce_word
-from .intlat import IntMatrix, cyclotomic_part, matrix_inverse, matrix_order
+from .intlat import IntMatrix, cyclotomic_split, matrix_inverse, matrix_order, power_by_squaring
 
 
 class FreeMap:
@@ -95,14 +95,7 @@ class FreeMap:
     def power(self, k: int) -> "FreeMap":
         if k < 0:
             return self.invert().power(-k)
-        result = FreeMap.identity(self.n)
-        base = self
-        while k:
-            if k & 1:
-                result = result.compose(base)
-            base = base.compose(base)
-            k >>= 1
-        return result
+        return power_by_squaring(self, k, FreeMap.compose) if k else FreeMap.identity(self.n)
 
     def order(self):
         """Exact order in Aut(F_n), or math.inf.
@@ -198,25 +191,12 @@ def invert(psi: Morphism) -> Morphism:
 def power(psi: Morphism, k: int) -> Morphism:
     if k < 0:
         return power(invert(psi), -k)
-    result = Morphism.identity(psi.ambient)
-    base = psi
-    while k:
-        if k & 1:
-            result = compose(result, base)
-        base = compose(base, base)
-        k >>= 1
-    return result
+    return power_by_squaring(psi, k, compose) if k else Morphism.identity(psi.ambient)
 
 
 def power_vector_matrix(psi: Morphism, k: int) -> IntMatrix:
-    """P_k of psi^k in closed form: sum of A^i P Q^(k-1-i)."""
-    if k < 0:
-        raise ValueError("closed form needs k >= 0")
-    A = psi.phi.abelianization_matrix()
-    total = IntMatrix.zeros(psi.ambient.n, psi.ambient.m)
-    for i in range(k):
-        total = total + (A ** i) * psi.P * (psi.Q ** (k - 1 - i))
-    return total
+    """P_k of psi^k, the sum of A^i P Q^(k-1-i), read off `linear_power`."""
+    return linear_power(psi, k)[1]
 
 
 def linear_power(psi: Morphism, k: int) -> tuple[IntMatrix, IntMatrix]:
@@ -249,8 +229,8 @@ def order(psi: Morphism):
     r1 = psi.phi.order()
     if r1 == math.inf:
         return math.inf
-    q, full = cyclotomic_part(psi.Q)
-    if not full:
+    q, rest = cyclotomic_split(psi.Q)
+    if len(rest) != 1:
         return math.inf
     s = math.lcm(r1, q)
     Qs, Ps = linear_power(psi, s)

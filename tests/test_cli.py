@@ -77,12 +77,27 @@ class TestErrorPaths:
         assert code == EXIT_VALIDATION
         payload = json.loads(out)
         assert payload["ok"] is False and payload["error"]
+        # a subgroup whose free or abelian field is not a list
+        for subgroup, error in (
+            ({"free": "z1", "abelian": []}, "expected a list of free generators"),
+            ({"free": [], "abelian": "1"}, "expected a list of lattice rows"),
+        ):
+            body = {"m": 1, "n": 1, "subgroup": subgroup, "element": {"t": ["0"], "w": ""}}
+            code, out = run(["member"], json.dumps(body))
+            assert code == EXIT_VALIDATION
+            assert json.loads(out) == {"ok": False, "error": error}
 
     def test_bad_word_letter(self):
-        body = {"m": 0, "n": 1, "subgroup": {"free": [], "abelian": []},
-                "element": {"t": [], "w": "z5"}}
-        code, out = run(["member"], json.dumps(body))
-        assert code == EXIT_VALIDATION
+        for word, error in (
+            ("z5", "letter 5 outside alphabet of rank 1"),
+            ("z0", "bad generator index in 'z0'"),
+            ("z-1", "bad generator index in 'z-1'"),
+        ):
+            body = {"m": 0, "n": 1, "subgroup": {"free": [], "abelian": []},
+                    "element": {"t": [], "w": word}}
+            code, out = run(["member"], json.dumps(body))
+            assert code == EXIT_VALIDATION
+            assert json.loads(out) == {"ok": False, "error": error}
 
     def test_constants_missing_flags(self):
         code, out = run(["constants", "--m", "1"], "")

@@ -339,6 +339,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             SubgroupBasis.from_words(AMB, [((0, 0), (1,)), ((0, 0), (1, 1))], Lattice.from_rows([], 2))
 
+    def test_constructor_rejects_parts_that_do_not_fit(self):
+        H = subgroup_basis([GroupElement(AMB, (1, 0), (1,))], AMB)
+        assert SubgroupBasis(AMB, H.graph, H.vectors, H.abelian_part) == H
+        other = subgroup_basis([GroupElement(Ambient(2, 3), (1, 0), (1,))], Ambient(2, 3))
+        for graph, vectors, lattice, error in (
+            (H.graph, H.vectors, Lattice.from_rows([], 3), "abelian lattice lives in the wrong ambient"),
+            (other.graph, H.vectors, H.abelian_part, "graph lives in the wrong ambient"),
+            (H.graph, H.vectors * 2, H.abelian_part, "one vector per basis word"),
+            (H.graph, (), H.abelian_part, "one vector per basis word"),
+        ):
+            with pytest.raises(ValueError, match=error):
+                SubgroupBasis(AMB, graph, vectors, lattice)
+
 
 class TestFromWordsReference:
     def test_same_bytes_or_same_error_as_reference(self):
@@ -422,3 +435,11 @@ class TestTrustedConstructor:
         for t in ((), (0, 0)):
             with pytest.raises(ValueError, match="wrong length"):
                 GroupElement(amb, t, (1,))
+        # int() would truncate these silently
+        for t in ((2.7,), (-0.5,)):
+            with pytest.raises(ValueError, match="not an integer"):
+                GroupElement(Ambient(1, 1), t, (1,))
+        assert GroupElement(amb, (True,), ()).t == (1,)
+        for m, n in ((-1, 0), (0, -1)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                Ambient(m, n)

@@ -25,7 +25,7 @@ from fatf.intlat import (
     _with_transform,
     charpoly,
     cyclotomic,
-    cyclotomic_part,
+    cyclotomic_split,
     hnf,
     kernel_lattice,
     lattice_index,
@@ -208,8 +208,9 @@ class TestPivots:
 
 
 class TestContains:
-    """`Lattice.contains`, a residue-only loop, against `coords(v) is not None`
-    from the full `reduce`."""
+    """`Lattice.contains`, which reads `reduce`'s residue, on lattices and
+    vectors of either sign: v lies in L exactly when appending v to L's
+    basis leaves the canonical HNF unchanged, a test that runs no `reduce`."""
 
     def test_random_lattices(self):
         rng = random.Random(1974)
@@ -227,6 +228,7 @@ class TestContains:
                     v[rng.randrange(d)] += rng.choice([1, -1])
                 inside = L.contains(v)
                 assert inside == (L.coords(v) is not None)
+                assert inside == (Lattice.from_rows([*L.basis.entries, v], d) == L)
                 seen[inside] += 1
                 seen["negative vector"] += any(x < 0 for x in v)
         assert all(seen.values()), seen
@@ -585,6 +587,14 @@ class TestTrustedConstructor:
         with pytest.raises(ValueError):
             IntMatrix([["x"]])
         assert IntMatrix([[True, "2"]]).entries == ((1, 2),)
+        # int() would truncate these silently
+        for bad in (0.5, 1.9, -2.7, Fraction(5, 2)):
+            with pytest.raises(ValueError, match="not an integer"):
+                IntMatrix([[1, bad]])
+            with pytest.raises(ValueError, match="not an integer"):
+                Lattice.from_rows([[bad, 2]], 2)
+        assert IntMatrix([[2.0, Fraction(4, 2)]]).entries == ((2, 2),)
+        assert Lattice.from_rows([[True, "2"]], 2) == Lattice.from_rows([[1, 2]], 2)
 
 
 class TestMatrixOrder:
@@ -619,15 +629,15 @@ class TestMatrixOrder:
         rows += [[0, 0] + r for r in C3]
         U = random_unimodular(random.Random(3), 4, steps=6)
         Q = matrix_inverse(U) * IntMatrix(rows) * U
-        assert cyclotomic_part(Q) == (3, True)
+        assert cyclotomic_split(Q) == (3, [1])
         assert matrix_order(Q) == math.inf
 
     def test_cyclotomic_part_counts_multiplicity(self):
         # Phi_1^2 Phi_2 fills all three degrees; Phi_1 Phi_2 and a factor
         # x - 2 leave one over
-        assert cyclotomic_part(IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, -1]])) == (2, True)
-        assert cyclotomic_part(IntMatrix([[1, 0, 0], [0, 2, 0], [0, 0, -1]])) == (2, False)
-        assert cyclotomic_part(IntMatrix.identity(0)) == (1, True)
+        assert cyclotomic_split(IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, -1]])) == (2, [1])
+        assert cyclotomic_split(IntMatrix([[1, 0, 0], [0, 2, 0], [0, 0, -1]])) == (2, [-2, 1])
+        assert cyclotomic_split(IntMatrix.identity(0)) == (1, [1])
 
     def test_unity_exponent(self):
         assert unity_exponent(IntMatrix([[2]])) == 1

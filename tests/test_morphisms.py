@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -18,6 +19,7 @@ from conftest import (
 from fatf import Ambient, FreeMap, GroupElement, IntMatrix, Morphism
 from fatf.bounds import automorphism_order_bound
 from fatf.freewords import LetterError
+from fatf import morphisms
 from fatf.intlat import matrix_order
 from fatf.morphisms import apply, compose, invert, linear_power, order, power, power_vector_matrix
 
@@ -120,6 +122,19 @@ class TestApplication:
 
             assert apply(psi, mul(g, h)) == mul(apply(psi, g), apply(psi, h))
 
+    def test_constructor_checks_the_shapes(self):
+        psi = worked_morphism()
+        amb, phi, Q, P = psi.ambient, psi.phi, psi.Q, psi.P
+        for args, error in (
+            ((FreeMap.identity(2), Q, P), "free map rank disagrees with the ambient"),
+            ((phi, IntMatrix.identity(3), P), "Q must be m x m"),
+            ((phi, IntMatrix.zeros(2, 3), P), "Q must be m x m"),
+            ((phi, Q, IntMatrix.zeros(2, 2)), "P must be n x m"),
+            ((phi, Q, IntMatrix.zeros(3, 1)), "P must be n x m"),
+        ):
+            with pytest.raises(ValueError, match=error):
+                Morphism(amb, *args)
+
 
 class TestComposition:
     def test_worked_involution(self):
@@ -188,6 +203,31 @@ class TestPowers:
         assert power(psi, 0) == Morphism.identity(psi.ambient)
         assert power(psi, 1) == psi
 
+    def test_ladder_wastes_no_product(self, monkeypatch):
+        # k.bit_length() - 1 squarings and k.bit_count() - 1 products by the
+        # base: no product with the identity and no squaring past the last bit
+        calls = Counter()
+
+        def counted(owner, name, label):
+            f = getattr(owner, name)
+
+            def wrapper(*args):
+                calls[label] += 1
+                return f(*args)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(IntMatrix, "__mul__", "matrix")
+        counted(FreeMap, "compose", "free map")
+        counted(morphisms, "compose", "morphism")
+        psi = spiral_morphism()
+        ladders = {"matrix": lambda k: psi.Q ** k, "free map": psi.phi.power, "morphism": lambda k: power(psi, k)}
+        for k in range(1, 18):
+            for label, ladder in ladders.items():
+                calls.clear()
+                ladder(k)
+                assert calls[label] == k.bit_length() + k.bit_count() - 2, (label, k)
+
 
 class TestLinearPower:
     def test_matches_power_on_finite_order(self):
@@ -244,7 +284,7 @@ class TestOrder:
 
     def test_finite_exactly_when_closed_form_vanishes(self):
         # phi and Q have finite order, so psi has finite order exactly when
-        # the closed-form P block of psi^lcm(ord phi, ord Q) vanishes
+        # the P block of psi^lcm(ord phi, ord Q) vanishes
         rng = random.Random(27)
         seen = set()
         for i in range(40):

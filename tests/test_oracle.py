@@ -84,6 +84,9 @@ class TestBruteFixed:
     def test_requires_morphisms(self):
         with pytest.raises(ValueError):
             brute_fixed([], Bounds(1, 1))
+        for word_len_max, coord_abs_max in ((-1, 0), (0, -1)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                Bounds(word_len_max, coord_abs_max)
 
 
 class TestAgainstReference:
