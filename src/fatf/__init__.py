@@ -1,7 +1,7 @@
 """Exact algebra of free-abelian times free groups.
 
-Subgroup bases, membership, automorphisms, fixed and periodic subgroups of
-G = Z^m x F_n, all in exact integer arithmetic.
+Subgroup bases, membership, automorphisms, fixed and periodic subgroups and
+auto-fixed closures in G = Z^m x F_n, all in exact integer arithmetic.
 """
 
 from .fatfcore import (
@@ -18,8 +18,10 @@ from .fatfcore import (
 from .fixpoint import (
     FixInput,
     FixResult,
+    autofixed_closure,
     fix_single,
     fix_tuple,
+    is_autofixed,
     periodic_exponent,
     periodic_subgroup,
 )
@@ -48,6 +50,8 @@ __all__ = [
     "fix_tuple",
     "periodic_exponent",
     "periodic_subgroup",
+    "autofixed_closure",
+    "is_autofixed",
 ]
 
 __version__ = "0.1.0"

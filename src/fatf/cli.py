@@ -53,8 +53,7 @@ def _fix_input(payload: dict, ambient: Ambient) -> fixpoint.FixInput:
     return fixpoint.FixInput(maps, tuple(bases))
 
 
-def _cmd_basis(payload: dict) -> dict:
-    ambient = _ambient(payload)
+def _cmd_basis(payload: dict, ambient: Ambient) -> dict:
     gens_obj = payload.get("generators")
     if not isinstance(gens_obj, list):
         raise FormatError("payload needs a list of generators")
@@ -63,38 +62,33 @@ def _cmd_basis(payload: dict) -> dict:
     return {"ok": True, "basis": jsonio.subgroup_to_json(H)}
 
 
-def _cmd_member(payload: dict) -> dict:
-    ambient = _ambient(payload)
+def _cmd_member(payload: dict, ambient: Ambient) -> dict:
     H = jsonio.subgroup_from_json(payload.get("subgroup"), ambient)
     g = jsonio.element_from_json(payload.get("element"), ambient)
     return {"ok": True, "member": member(H, g)}
 
 
-def _cmd_fix(payload: dict) -> dict:
-    ambient = _ambient(payload)
+def _cmd_fix(payload: dict, ambient: Ambient) -> dict:
     inp = _fix_input(payload, ambient)
     res = fixpoint.fix_tuple(inp)
     return {"ok": True, "result": jsonio.fix_result_to_json(res)}
 
 
-def _cmd_per(payload: dict) -> dict:
-    ambient = _ambient(payload)
+def _cmd_per(payload: dict, ambient: Ambient) -> dict:
     psi = jsonio.morphism_from_json(payload.get("morphism"), ambient)
     e = fixpoint.periodic_exponent(psi)
     res = fixpoint.fix_power(psi, e)
     return {"ok": True, "exponent": str(e), "result": jsonio.fix_result_to_json(res)}
 
 
-def _cmd_order(payload: dict) -> dict:
-    ambient = _ambient(payload)
+def _cmd_order(payload: dict, ambient: Ambient) -> dict:
     psi = jsonio.morphism_from_json(payload.get("morphism"), ambient)
     if psi.phi.inverse_images is None:
         raise FormatError("order needs a morphism with inverse images")
     return {"ok": True, "order": jsonio._count_to_json(morphisms.order(psi))}
 
 
-def _cmd_closure(payload: dict) -> dict:
-    ambient = _ambient(payload)
+def _cmd_closure(payload: dict, ambient: Ambient) -> dict:
     H = jsonio.subgroup_from_json(payload.get("subgroup"), ambient)
     inp = _fix_input(payload, ambient)
     res = fixpoint.autofixed_closure(H, inp)
@@ -122,8 +116,7 @@ def _cmd_constants(argv: list[str]) -> dict:
     return {"ok": True, **{k: str(v) for k, v in dataclasses.asdict(report).items()}}
 
 
-def _cmd_oracle_check(payload: dict) -> dict:
-    ambient = _ambient(payload)
+def _cmd_oracle_check(payload: dict, ambient: Ambient) -> dict:
     inp = _fix_input(payload, ambient)
     b_obj = payload.get("bounds")
     if not isinstance(b_obj, dict):
@@ -158,21 +151,21 @@ def run(argv: list[str], stdin: str) -> tuple[int, str]:
     handler = COMMANDS.get(argv[0]) if argv else None
     if handler is None:
         return EXIT_UNKNOWN, _dump({"ok": False, "error": "unknown subcommand"})
-    if handler is _cmd_constants:
-        arg: Any = argv[1:]
-    else:
+    if handler is not _cmd_constants:
         try:
-            arg = json.loads(stdin) if stdin.strip() else {}
+            payload = json.loads(stdin) if stdin.strip() else {}
         except (ValueError, RecursionError) as e:
             # JSONDecodeError is a ValueError, as is a number past the
             # interpreter's digit limit
             return EXIT_BAD_JSON, _dump({"ok": False, "error": f"malformed JSON: {e}"})
-        if not isinstance(arg, dict):
+        if not isinstance(payload, dict):
             return EXIT_BAD_JSON, _dump({"ok": False, "error": "payload must be an object"})
     # the library raises ValueError only for inputs it rejects; other faults propagate
     try:
         with jsonio.request():
-            return EXIT_OK, _dump(handler(arg))
+            if handler is _cmd_constants:
+                return EXIT_OK, _dump(handler(argv[1:]))
+            return EXIT_OK, _dump(handler(payload, _ambient(payload)))
     except (ValueError, fixpoint.CertificateError) as e:
         return EXIT_VALIDATION, _dump({"ok": False, "error": str(e)})
 

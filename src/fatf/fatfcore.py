@@ -9,14 +9,13 @@ part H intersect Z^m.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from operator import sub
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import freewords
 from .freewords import Word, reduce_word
-from .intlat import Lattice, Vec, _as_vec
+from .intlat import Lattice, Vec, _as_vec, _row_times
 
 
 class AmbientMismatch(ValueError):
@@ -142,11 +141,7 @@ class SubgroupBasis:
         expr = self.graph.trace(w)
         if expr is None:
             return None
-        v = (0,) * self.ambient.m
-        for k, c in Counter(expr).items():
-            c = c if k > 0 else -c
-            v = tuple([x + c * y for x, y in zip(v, self.vectors[abs(k) - 1])])
-        return v
+        return _row_times(freewords.abelianize(expr, self.rank), self.vectors, self.ambient.m)
 
     def basis_elements(self) -> list[GroupElement]:
         out = [GroupElement._trusted(self.ambient, a, u) for a, u in self.free_part]

@@ -19,7 +19,6 @@ from .intlat import (
     IntMatrix,
     Lattice,
     lattice_index,
-    lattice_intersect,
     lattice_preimage,
     left_solver,
     power_bits,
@@ -82,10 +81,10 @@ class FixInput:
         n = ambient.n
         for psi, basis in zip(self.morphisms, self.fixed_free_bases):
             _check_same(ambient, psi.ambient)
-            # inverse images are checked both ways when a FreeMap is built, so
-            # they prove an automorphism; otherwise a map of F_n is onto, hence
-            # an automorphism (F_n is Hopfian), exactly when its images fold
-            # to the one-vertex rose of rank n
+            # a FreeMap is built only with inverse images that undo it, so they
+            # prove an automorphism; otherwise a map of F_n is onto, hence an
+            # automorphism (F_n is Hopfian), exactly when its images fold to
+            # the one-vertex rose of rank n
             if psi.phi.inverse_images is None:
                 rose = freewords.stallings(psi.phi.images, n)
                 if rose.num_vertices != 1 or rose.rank != n:
@@ -155,13 +154,14 @@ def fix_tuple(inp: FixInput) -> FixResult:
     )
     # one row reduction of Qt gives its image, its kernel and every solve
     M, kernel, solve = left_solver(Qt)
-    N = lattice_intersect(M, im_P)
+    # im_rho Pt = im_P, so preimage maps onto N = M meet im_P, and its index
+    # in im_rho is finite exactly when N has the rank of im_P
+    preimage = lattice_preimage(im_rho, Pt, M)
+    images = [Pt.apply_row(b) for b in preimage.basis.entries]
+    N = Lattice.from_rows(images, k * m)
+    ell = lattice_index(preimage, im_rho)
 
-    if N.rank == im_P.rank:
-        preimage = lattice_preimage(im_rho, Pt, N)
-        ell = lattice_index(preimage, im_rho)
-        if ell == math.inf:
-            raise CertificateError("the preimage has lower rank than the image of rho")
+    if ell != math.inf:
         if ell * graph.num_vertices > MAX_COVER_VERTICES:
             raise BudgetExceeded(
                 f"index {ell} over a {graph.num_vertices}-vertex graph exceeds "
@@ -181,28 +181,26 @@ def fix_tuple(inp: FixInput) -> FixResult:
                 f"over a {graph.num_vertices}-vertex graph"
             )
         # an answer word abelianizes into preimage and e is linear in it, so
-        # one solve per preimage row covers every word
-        solutions = [solve(Pt.apply_row(b)) for b in preimage.basis.entries]
+        # one solve per preimage row covers every word; each image lies in M
+        solutions = [solve(b) for b in images]
         if None in solutions:
-            raise InvalidFixInput("inconsistent fixed free-bases: unsolvable system")
+            raise CertificateError("a preimage row maps outside the image of I - Q")
         E = IntMatrix(solutions, cols=m)
         coords = [preimage.coords(u) for u in answer.basis_abelianized]
         if None in coords:
             raise CertificateError("an answer word abelianizes outside the preimage")
         basis = SubgroupBasis(ambient, answer, [E.apply_row(c) for c in coords], kernel)
-        result = FixResult(basis, FixDiagnostics(im_rho, im_P, M, N, preimage, ell))
     elif graph.rank == 1:
         # cyclic free intersection whose generator picks up a nonzero abelian
         # defect: no power of it extends to a fixed element, so only the
         # abelian kernel survives
         basis = SubgroupBasis(ambient, freewords.stallings([], n), [], kernel)
-        result = FixResult(basis, FixDiagnostics(im_rho, im_P, M, N, None, math.inf))
     else:
-        result = FixResult(None, FixDiagnostics(im_rho, im_P, M, N, None, math.inf))
+        basis = None
 
-    if result.basis is not None:
-        _certify(inp, result.basis)
-    return result
+    if basis is not None:
+        _certify(inp, basis)
+    return FixResult(basis, FixDiagnostics(im_rho, im_P, M, N, preimage if ell != math.inf else None, ell))
 
 
 def _certify(inp: FixInput, H: SubgroupBasis, error: type[Exception] = CertificateError) -> None:

@@ -271,22 +271,13 @@ class Lattice:
         self.ambient, self.basis, self.pivots = ambient, basis, tuple(pivots)
 
     @classmethod
-    def _trusted(cls, ambient: int, basis: IntMatrix) -> "Lattice":
-        """The lattice of `basis`, already in HNF with `ambient` columns, as
-        `_row_echelon` leaves it; nothing is re-checked."""
-        L = object.__new__(cls)
-        L.ambient, L.basis = ambient, basis
-        L.pivots = tuple([next(j for j, a in enumerate(row) if a) for row in basis.entries])
-        return L
-
-    @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], ambient: int) -> "Lattice":
         mat = [[_as_int(x) for x in r] for r in rows]
         for r in mat:
             if len(r) != ambient:
                 raise DimensionError("row width disagrees with ambient dimension")
         r = _row_echelon(mat, ambient)
-        return cls._trusted(ambient, IntMatrix._trusted(tuple([tuple(row) for row in mat[:r]]), ambient))
+        return cls(ambient, IntMatrix._trusted(tuple([tuple(row) for row in mat[:r]]), ambient))
 
     @property
     def rank(self) -> int:
@@ -369,7 +360,7 @@ def left_solver(M: IntMatrix) -> tuple[Lattice, Lattice, Callable[[Sequence[int]
     x*M = b over Z, or None. Free coordinates (rows of the HNF with no pivot)
     are set to zero."""
     H, U, r = _with_transform(M)
-    image = Lattice._trusted(M.cols, IntMatrix._trusted(tuple([tuple(row) for row in H[:r]]), M.cols))
+    image = Lattice(M.cols, IntMatrix._trusted(tuple([tuple(row) for row in H[:r]]), M.cols))
 
     def solve(b: Sequence[int]) -> Optional[Vec]:
         y, res = image.reduce(b)

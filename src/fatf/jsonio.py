@@ -30,7 +30,7 @@ def _ints(obj: list) -> tuple[int, ...]:
     for s in obj:
         if isinstance(s, bool) or not isinstance(s, (str, int)):
             raise FormatError(f"expected a decimal string, got {s!r}")
-    _spend(_digits, sum(map(len, map(str, obj))), MAX_INPUT_DIGITS, "the integers of one request have more than {} digits in all")
+    _spend("digits", sum(map(len, map(str, obj))), MAX_INPUT_DIGITS, "the integers of one request have more than {} digits in all")
     return tuple(map(int, obj))
 
 
@@ -90,11 +90,10 @@ def lattice_from_json(obj: Any, ambient: int) -> Lattice:
 # of `order` and `per` in test_cli.py, has about 2,700 digits.
 MAX_INPUT_DIGITS = 5_000
 
-# letters the words, and digits the integers, parsed so far in the current
-# request spelled out; None outside a request, where only the per-word cap
-# holds
-_spelled: ContextVar[Optional[int]] = ContextVar("spelled", default=None)
-_digits: ContextVar[Optional[int]] = ContextVar("digits", default=None)
+# the letters the words, and the digits the integers, parsed so far in the
+# current request spell out, by kind; None outside a request, where only the
+# per-word cap holds
+_spent: ContextVar[Optional[dict[str, int]]] = ContextVar("spent", default=None)
 
 
 @contextlib.contextmanager
@@ -102,23 +101,21 @@ def request() -> Iterator[None]:
     """Count the letters of every word parsed inside against
     freewords.MAX_WORD_LETTERS, and the digits of every integer against
     MAX_INPUT_DIGITS, in all."""
-    tokens = _spelled.set(0), _digits.set(0)
+    token = _spent.set({"letters": 0, "digits": 0})
     try:
         yield
     finally:
-        _spelled.reset(tokens[0])
-        _digits.reset(tokens[1])
+        _spent.reset(token)
 
 
-def _spend(counter: ContextVar, amount: int, cap: int, error: str) -> None:
-    """Add amount to the request's counter; ValueError(error with the cap)
-    once it passes cap. Outside a request nothing is counted."""
-    spent = counter.get()
+def _spend(kind: str, amount: int, cap: int, error: str) -> None:
+    """Add amount to the request's count of kind; ValueError(error with the
+    cap) once it passes cap. Outside a request nothing is counted."""
+    spent = _spent.get()
     if spent is not None:
-        spent += amount
-        if spent > cap:
+        spent[kind] += amount
+        if spent[kind] > cap:
             raise ValueError(error.format(cap))
-        counter.set(spent)
 
 
 def word_from_json(obj: Any, n: int) -> freewords.Word:
@@ -127,7 +124,7 @@ def word_from_json(obj: Any, n: int) -> freewords.Word:
     if not isinstance(obj, str):
         raise FormatError("expected a word string")
     letters = freewords.spell_word(obj)
-    _spend(_spelled, len(letters), freewords.MAX_WORD_LETTERS, "the words of one request are longer than {} letters in all")
+    _spend("letters", len(letters), freewords.MAX_WORD_LETTERS, "the words of one request are longer than {} letters in all")
     return freewords.reduce_word(letters, n)
 
 

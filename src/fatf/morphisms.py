@@ -1,5 +1,7 @@
-"""Automorphisms of Z^m x F_n of the form t^a u -> t^(aQ + u_ab P) (u phi).
+"""Endomorphisms of Z^m x F_n of the form t^a u -> t^(aQ + u_ab P) (u phi).
 
+Q may be any integer m x m matrix; the map is an automorphism only when
+det Q = +-1, which `invert` checks, and otherwise an endomorphism.
 Maps are applied on the right conceptually: compose(f, g) acts as f then g.
 Free-group inverses are never computed from scratch; constructors that know
 the inverse carry it along and composition tracks it.
@@ -36,12 +38,12 @@ class FreeMap:
             inverse_images = tuple(reduce_word(w, n) for w in inverse_images)
             if len(inverse_images) != n:
                 raise ValueError("need one inverse image per generator")
+            # back undoing the map on every generator makes back onto, hence
+            # an automorphism (F_n is Hopfian) whose inverse is the map
             back = FreeMap(inverse_images, None, n)
             for i in range(1, n + 1):
                 if back.apply(self.images[i - 1]) != (i,):
                     raise ValueError("claimed inverse does not undo the map")
-                if self.apply(back.images[i - 1]) != (i,):
-                    raise ValueError("claimed inverse is not undone by the map")
             self.inverse_images = inverse_images
 
     def _set(self, n: int, images: tuple[Word, ...], inverse_images: Optional[tuple[Word, ...]]) -> None:
@@ -82,7 +84,9 @@ class FreeMap:
     def invert(self) -> "FreeMap":
         if self.inverse_images is None:
             raise ValueError("no inverse images available")
-        return FreeMap(self.inverse_images, self.images, self.n)
+        out = FreeMap.__new__(FreeMap)
+        out._set(self.n, self.inverse_images, self.images)
+        return out
 
     def is_identity(self) -> bool:
         return all(w == (i,) for i, w in enumerate(self.images, start=1))
@@ -122,7 +126,8 @@ class FreeMap:
 
 
 class Morphism:
-    """The automorphism t^a u -> t^(aQ + u_ab P) (u phi) of Z^m x F_n."""
+    """The map t^a u -> t^(aQ + u_ab P) (u phi) of Z^m x F_n, for any
+    integer m x m matrix Q; an automorphism only when det Q = +-1."""
 
     __slots__ = ("ambient", "phi", "Q", "P")
 

@@ -63,6 +63,8 @@ class TestConstants:
 
     def test_zero_abelian_rank(self):
         assert order_bound(0) == 1
+        with pytest.raises(ValueError):
+            order_bound(-1)
         assert constants(0, 2).L1 == 1
 
     @pytest.mark.parametrize("m, n", [(0, 0), (0, 1), (0, 3), (1, 0), (1, 1), (1, 2), (3, 5), (100, 250)])

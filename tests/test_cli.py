@@ -223,6 +223,23 @@ def test_basis_of_fix_elements_gives_fix_bytes():
     assert json.dumps(json.loads(out)["basis"], sort_keys=True) == json.dumps(fixed, sort_keys=True)
 
 
+def test_periodic_points_of_an_endomorphism():
+    # Q = 2 is outside GL_1(Z), so psi is an endomorphism of infinite order.
+    # With phi inverting both letters, psi^k fixes only the identity for odd
+    # k, and t^a u for even k exactly when 3a = -x, x the z1-exponent sum of
+    # u: Per psi = Fix psi^2, of index 3 over F_2
+    body = {"m": 1, "n": 2, "morphism": {"phi": ["z1^-1", "z2^-1"], "phi_inv": ["z1^-1", "z2^-1"],
+                                         "Q": [["2"]], "P": [["1"], ["0"]]}}
+    free = [("0", "z2"), ("-1", "z1 z1 z1"), ("0", "z1 z2 z1^-1"), ("0", "z1^-1 z2 z1")]
+    diagnostics = {"M": [["3"]], "N": [["3"]], "ell": "3", "im_P": [["1"]], "im_rho": [["1", "0"], ["0", "1"]],
+                   "preimage": [["3", "0"], ["0", "1"]]}
+    result = {"basis": {"abelian": [], "free": [{"t": [t], "w": w} for t, w in free]},
+              "diagnostics": diagnostics, "fg": True}
+    want = json.dumps({"exponent": "2", "ok": True, "result": result}, sort_keys=True, separators=(",", ":"))
+    assert run(["per"], json.dumps(body)) == (EXIT_OK, want + "\n")
+    assert run(["order"], json.dumps(body)) == (EXIT_OK, '{"ok":true,"order":"inf"}\n')
+
+
 class TestBooleanFields:
     # every integer field of this payload is 1, so reading true as 1 would
     # accept it; JSON booleans must be rejected instead
@@ -277,8 +294,8 @@ class TestTrustBoundary:
     def test_non_automorphism_rejected(self):
         # z1 -> z1^2 is not onto: its image folds to a 2-vertex graph
         assert "not an automorphism" in _rejected(["fix"], _fix_payload(["z1 z1"], [], 1))
-        # with inverse images no rose is folded: the claimed inverse is
-        # checked both ways when the map is built
+        # with inverse images no rose is folded: the map is built only when
+        # the claimed inverse undoes it on every generator
         body = _fix_payload(["z1 z1", "z2"], [], 2)
         body["morphisms"][0]["phi_inv"] = ["z1", "z2"]
         assert "claimed inverse" in _rejected(["fix"], body)

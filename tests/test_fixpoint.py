@@ -51,7 +51,7 @@ from fatf.fixpoint import (
     is_autofixed,
 )
 from fatf.freewords import StallingsGraph, abelianize, stallings
-from fatf.intlat import kernel_lattice, matrix_inverse
+from fatf.intlat import kernel_lattice, lattice_intersect, matrix_inverse
 from fatf.morphisms import apply, power
 from fatf.oracle import Bounds, brute_fixed
 
@@ -135,6 +135,9 @@ class TestFixSingle:
     def test_rejects_unfixed_basis(self):
         with pytest.raises(InvalidFixInput):
             fix_single(worked_morphism(), [(1,)])
+        psi = worked_morphism()
+        with pytest.raises(InvalidFixInput, match="one fixed free-basis per morphism"):
+            FixInput((psi, psi), (((2,), (3,)),))
 
 
 class TestFixTuple:
@@ -514,14 +517,13 @@ def _outcome(check, *args):
     return "accepted"
 
 
-def _fix_suites():
-    """(input, answer) of the randomized fix suites: the acceptance suite of
+def _fix_inputs():
+    """The inputs of the randomized fix suites: the acceptance suite of
     finite-order maps, and random Q, P with one map or two."""
     from test_acceptance import finite_order_suite
 
     for psi, basis, _ in finite_order_suite():
-        inp = FixInput((psi,), (tuple(basis),))
-        yield inp, fix_tuple(inp).basis
+        yield FixInput((psi,), (tuple(basis),))
     rng = random.Random(43)
     for trial in range(40):
         amb = Ambient(rng.randint(1, 2), rng.randint(1, 3))
@@ -532,7 +534,12 @@ def _fix_suites():
             other, other_basis, _ = random_finite_order_morphism(rng, amb)
             maps.append(other)
             bases.append(tuple(other_basis))
-        inp = FixInput(tuple(maps), tuple(bases))
+        yield FixInput(tuple(maps), tuple(bases))
+
+
+def _fix_suites():
+    """(input, answer) of the randomized fix suites."""
+    for inp in _fix_inputs():
         yield inp, fix_tuple(inp).basis
 
 
@@ -631,11 +638,20 @@ class TestCertificates:
         with pytest.raises(CertificateError, match="exceeds index 8"):
             fix_single(psi, [(1,), (2,)])
 
-    def test_preimage_of_lower_rank_is_caught(self, monkeypatch):
-        # an explicit check where an assert stood, so python -O keeps it
-        monkeypatch.setattr(fixpoint, "lattice_index", lambda sub, sup: math.inf)
-        with pytest.raises(CertificateError, match="lower rank"):
-            fix_single(worked_morphism(), [(2,), (3,)])
+    def test_preimage_index_agrees_with_the_intersection(self):
+        # fix_tuple reads N off the preimage of M and decides finite
+        # generation by the preimage's index; the route it replaced took
+        # N = M meet im_P and compared ranks
+        spiral_square = FixInput((power(spiral_morphism(), 2),), (((1,), (2,)),))
+        seen = Counter()
+        for inp in [*_fix_inputs(), spiral_square]:
+            res = fix_tuple(inp)
+            d = res.diagnostics
+            assert d.N == lattice_intersect(d.M, d.im_P)
+            assert (d.ell != math.inf) == (d.N.rank == d.im_P.rank)
+            seen["finite index" if d.ell != math.inf else "infinite index"] += 1
+            seen["not fg"] += not res.finitely_generated
+        assert seen["finite index"] and seen["infinite index"] >= 3 and seen["not fg"], seen
 
     def test_checked_under_optimization(self):
         # the certificates are explicit checks, so python -O keeps them

@@ -55,20 +55,30 @@ class TestIntMatrix:
         M = IntMatrix([[1, 2], [3, 4]])
         assert M * IntMatrix.identity(2) == M
         assert IntMatrix.identity(2) * M == M
+        for bad in (lambda: M * IntMatrix.identity(3), lambda: M + IntMatrix([[1, 2]])):
+            with pytest.raises(DimensionError):
+                bad()
 
     def test_pow(self):
         M = IntMatrix([[1, 1], [0, 1]])
         assert (M ** 5).entries == ((1, 5), (0, 1))
         assert (M ** 0).is_identity()
+        with pytest.raises(DimensionError):
+            IntMatrix([[1, 2]]) ** 2
 
     def test_hstack(self):
         A = IntMatrix([[1], [2]])
         B = IntMatrix([[3], [4]])
         assert IntMatrix.hstack([A, B]).entries == ((1, 3), (2, 4))
+        for blocks in ([], [A, IntMatrix([[3]])]):
+            with pytest.raises(DimensionError):
+                IntMatrix.hstack(blocks)
 
     def test_apply_row(self):
         M = IntMatrix([[1, 2], [3, 4]])
         assert M.apply_row((1, 1)) == (4, 6)
+        with pytest.raises(DimensionError):
+            M.apply_row((1, 1, 1))
 
 
 class TestHermiteForm:
@@ -147,6 +157,9 @@ class TestLattice:
         assert pre.contains((0, 1, 0))
         assert pre.contains((0, 0, 1))
         assert not pre.contains((1, 0, 0))
+        for domain, wrong in ((Z2, target), (dom, Z3)):
+            with pytest.raises(DimensionError):
+                lattice_preimage(domain, M, wrong)
 
     @settings(max_examples=40, deadline=None)
     @given(matrices(3, 2), matrices(2, 2))
@@ -274,8 +287,8 @@ class TestShift:
 
 
 class TestPublicConstructor:
-    """`Lattice(ambient, basis)` checks that its basis is in HNF; `from_rows`
-    and `solve_left` build through `Lattice._trusted`, which checks nothing."""
+    """`Lattice(ambient, basis)` checks that its basis is in HNF, and is the
+    only constructor: `from_rows` and `left_solver` build through it too."""
 
     @pytest.mark.parametrize(
         "rows",
@@ -306,6 +319,8 @@ class TestPublicConstructor:
             Lattice(2, IntMatrix([[0, 0]]))
         with pytest.raises(DimensionError):
             Lattice(3, IntMatrix([[1, 0]]))
+        with pytest.raises(DimensionError):
+            Lattice.from_rows([[1, 0], [1]], 2)
 
     def test_accepts_every_built_lattice(self):
         rng = random.Random(1892)
@@ -364,6 +379,8 @@ class TestLatticeIndexReference:
                 assert _outcome(reference_lattice_index, a, b) is DimensionError
                 with pytest.raises(DimensionError):
                     lattice_index(a, b)
+                with pytest.raises(DimensionError):
+                    lattice_intersect(a, b)
 
 
 class TestReduce:
@@ -412,6 +429,8 @@ class TestSolveLeft:
     def test_no_solution(self):
         M = IntMatrix([[2, 0], [0, 2]])
         assert solve_left(M, (1, 0)) is None
+        with pytest.raises(DimensionError):
+            solve_left(M, (2, 0, 0))
 
     @settings(max_examples=60, deadline=None)
     @given(matrices(3, 3), st.lists(small_int, min_size=3, max_size=3))
@@ -430,6 +449,8 @@ class TestMatrixInverse:
     def test_rejects_non_unimodular(self):
         with pytest.raises(ValueError):
             matrix_inverse(IntMatrix([[2, 0], [0, 1]]))
+        with pytest.raises(DimensionError):
+            matrix_inverse(IntMatrix([[1, 0]]))
 
 
 class TestCharpolyAndCyclotomic:
@@ -605,6 +626,8 @@ class TestMatrixOrder:
         assert matrix_order(IntMatrix([[1, 1], [0, 1]])) == math.inf
         assert matrix_order(IntMatrix([[2]])) == math.inf
         assert matrix_order(IntMatrix.identity(0)) == 1
+        with pytest.raises(DimensionError):
+            matrix_order(IntMatrix([[1, 0]]))
 
     def test_order_is_minimal(self):
         Q = IntMatrix([[0, -1], [1, 0]])

@@ -44,6 +44,46 @@ class TestFreeMap:
         with pytest.raises(ValueError):
             FreeMap([(1, 2), (2,)], [(1,), (2,)], 2)
         FreeMap([(1, 2), (2,)], [(1, -2), (2,)], 2)
+        with pytest.raises(ValueError, match="no inverse images"):
+            FreeMap([(1, 2), (2,)]).invert()
+        with pytest.raises(ValueError, match="different ranks"):
+            FreeMap.identity(2).compose(FreeMap.identity(3))
+
+    def test_inverse_checked_one_way_as_both_ways(self):
+        # the constructor checks only that the claim undoes the map on every
+        # generator; that makes the claim onto, hence an automorphism (F_n is
+        # Hopfian) undone by the map, so both ways reject the same claims
+        rng = random.Random(27)
+        outcomes = Counter()
+        for _ in range(240):
+            n = rng.randint(2, 4)
+            f = FreeMap.identity(n)
+            for _ in range(rng.randint(1, 5)):
+                i, j = rng.sample(range(1, n + 1), 2)
+                f = f.compose(nielsen(i, j, rng.choice([-1, 1]), n))
+            claimed = list(f.inverse_images)
+            kind = rng.choice(["inverse", "one more move", "one changed letter"])
+            if kind == "one more move":
+                i, j = rng.sample(range(1, n + 1), 2)
+                claimed = list(f.invert().compose(nielsen(i, j, rng.choice([-1, 1]), n)).images)
+            elif kind == "one changed letter":
+                i = rng.randrange(n)
+                w = list(claimed[i])
+                k = rng.randrange(len(w))
+                w[k] = rng.choice([a for a in range(-n, n + 1) if a not in (0, w[k])])
+                claimed[i] = tuple(w)
+            back, gens = FreeMap(claimed, None, n), [(i,) for i in range(1, n + 1)]
+            both_ways = [reference_apply(back, u) for u in f.images] == gens and [
+                reference_apply(f, u) for u in back.images
+            ] == gens
+            try:
+                FreeMap(f.images, claimed, n)
+                rejected = False
+            except ValueError:
+                rejected = True
+            assert rejected == (not both_ways), kind
+            outcomes[rejected] += 1
+        assert outcomes[True] >= 50 and outcomes[False] >= 50, outcomes
 
     def test_apply_matches_substitution_on_every_construction_path(self):
         # __init__ and compose build the signed image table; identity, power
@@ -160,6 +200,9 @@ class TestComposition:
             a = random_morphism(rng, amb, invertible=True)
             assert compose(a, invert(a)) == Morphism.identity(amb)
             assert compose(invert(a), a) == Morphism.identity(amb)
+            k = rng.randint(1, 3)
+            assert power(a, -k) == power(invert(a), k)
+            assert compose(power(a, -k), power(a, k)) == Morphism.identity(amb)
 
 
 class TestPowers:

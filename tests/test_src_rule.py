@@ -25,7 +25,7 @@ BENCH = SRC.parent.parent / "fatfbench"
 # definitions with no caller in src/ that stay, one reason each
 PINNED = {
     "fatfcore.SubgroupBasis.basis_elements": "the basis as elements, public API; the word-level references in tests/conftest.py read it",
-    "fixpoint.is_autofixed": "called by the fix-index workload in fatfbench/workloads.py",
+    "intlat.lattice_intersect": "wrapped by fatfbench/tracing.py; the reference route for N in test_fixpoint.py",
     "intlat.solve_left": "wrapped by fatfbench/tracing.py; fix_tuple solves through left_solver",
     "freewords.schreier_basis": "wrapped by fatfbench/tracing.py; the reference for the residue cover in test_freewords.py",
     "morphisms.power": "wrapped by fatfbench/tracing.py; order and fix_power use linear_power",
@@ -151,6 +151,39 @@ def test_pins_name_existing_definitions():
 def test_pins_have_no_caller_in_src():
     calls = src_calls()
     assert [key for key in PINNED if calls[key]] == []
+
+
+def _unused_imports(tree: ast.Module, exported: frozenset = frozenset()) -> list[str]:
+    """Names that an import in tree binds and tree never loads, outside
+    `exported` and `from __future__ import ...`."""
+    loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    bound = [
+        a.asname or a.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+        for a in node.names
+    ]
+    return [name for name in bound if name not in loaded and name not in exported]
+
+
+def test_every_import_is_used():
+    # the re-exports of __init__.py are used by being in fatf.__all__
+    found = [
+        f"{mod}.{name}"
+        for mod, tree in _modules().items()
+        for name in _unused_imports(tree, frozenset(fatf.__all__) if mod == "__init__" else frozenset())
+    ]
+    assert found == []
+
+
+def test_unused_imports_are_found():
+    tree = ast.parse(
+        "from __future__ import annotations\nimport os.path\nimport itertools\n"
+        "from collections import Counter as C, deque\nfrom . import x\n"
+        "def f(a: deque) -> None:\n    return x.y(os.sep)\n"
+    )
+    assert _unused_imports(tree) == ["itertools", "C"]
+    assert _unused_imports(tree, frozenset({"C"})) == ["itertools"]
 
 
 def test_no_assert_in_src():
