@@ -186,10 +186,10 @@ def fix_tuple(inp: FixInput) -> FixResult:
         if None in solutions:
             raise CertificateError("a preimage row maps outside the image of I - Q")
         E = IntMatrix(solutions, cols=m)
-        coords = [preimage.coords(u) for u in answer.basis_abelianized]
-        if None in coords:
+        reduced = [preimage.reduce(u) for u in answer.basis_abelianized]
+        if any(any(res) for _, res in reduced):
             raise CertificateError("an answer word abelianizes outside the preimage")
-        basis = SubgroupBasis(ambient, answer, [E.apply_row(c) for c in coords], kernel)
+        basis = SubgroupBasis(ambient, answer, [E.apply_row(xs) for xs, _ in reduced], kernel)
     elif graph.rank == 1:
         # cyclic free intersection whose generator picks up a nonzero abelian
         # defect: no power of it extends to a fixed element, so only the

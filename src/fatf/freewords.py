@@ -92,28 +92,23 @@ def format_word(w: Word) -> str:
     return " ".join([f"z{a}" if a > 0 else f"z{-a}^-1" for a in w])
 
 
-def letter_order() -> Callable[[int], int]:
+def letter_key(a: int) -> int:
     """Sort key realizing z1 < z1^-1 < z2 < z2^-1 < ..."""
-    return lambda a: 2 * abs(a) - (1 if a > 0 else 0)
+    return 2 * abs(a) - (a > 0)
 
 
-def _alphabet(n: int) -> list[int]:
+def alphabet(n: int) -> list[int]:
+    """The 2n letters of F_n, in `letter_key` order."""
     return [a for i in range(1, n + 1) for a in (i, -i)]
-
-
-def _labels(delta: dict[tuple[Hashable, int], Hashable]) -> list[int]:
-    """The labels on edges of delta, in `_alphabet` order: no loop visits the
-    letters of a large alphabet that no edge carries."""
-    return sorted({a for _, a in delta}, key=letter_order())
 
 
 class StallingsGraph:
     """Folded core automaton of a finitely generated subgroup of F_n.
 
     Built by one breadth-first search of the basepoint component of a
-    symmetric automaton: a transition dict `delta`, or a transition function
-    delta(v, a) (None where there is no edge) with the `labels` its edges can
-    carry. The search numbers vertices with label order z1 < z1^-1 < z2 < ...,
+    symmetric automaton, given by its transition function step(v, a) (None
+    where there is no edge) and the `labels` its edges can carry, in
+    `letter_key` order. The search numbers vertices in that order of labels,
     so equal subgroups give equal graphs; the edge along which it first
     reaches a vertex is the vertex's spanning-tree edge, and every other edge
     is a basis edge. Hanging trees are peeled only when a vertex other than
@@ -126,13 +121,9 @@ class StallingsGraph:
         self,
         n: int,
         base: Hashable,
-        delta: dict[tuple[Hashable, int], Hashable] | Callable[[Hashable, int], Optional[Hashable]],
-        labels: Optional[Sequence[int]] = None,
+        step: Callable[[Hashable, int], Optional[Hashable]],
+        labels: Sequence[int],
     ):
-        if labels is None:
-            labels, step = _labels(delta), lambda v, a: delta.get((v, a))
-        else:
-            step = delta
         self.n = n
         self.delta: dict[tuple[int, int], int] = {}
         self._tree_parent: dict[int, tuple[int, int]] = {}
@@ -204,7 +195,7 @@ class StallingsGraph:
     @functools.cached_property
     def basis_abelianized(self) -> list[tuple[int, ...]]:
         """abelianize(u) for each u of `basis_words`, with no word spelled."""
-        units = {a: abelianize((a,), self.n) for a in _alphabet(self.n)}
+        units = {a: abelianize((a,), self.n) for a in alphabet(self.n)}
         return self.basis_sums(lambda v, a: units[a], self.n)
 
     def basis_sums(self, weight: Callable[[int, int], Sequence[int]], dim: int) -> list[tuple[int, ...]]:
@@ -312,10 +303,12 @@ def stallings(generators: Sequence[Word], n: int) -> StallingsGraph:
             for a, z in out[y].items():
                 link(x, a, z)
             out[y] = {}
-    delta = {
-        (v, a): find(z) for v in range(len(out)) if parent[v] == v for a, z in out[v].items()
-    }
-    return StallingsGraph(n, find(0), delta)
+
+    def step(v: int, a: int) -> Optional[int]:
+        z = out[v].get(a)
+        return None if z is None else find(z)
+
+    return StallingsGraph(n, find(0), step, sorted(set().union(*out), key=letter_key))
 
 
 def pullback(
@@ -336,7 +329,7 @@ def pullback(
         t = None if w1 is None else step(p[1], a)
         return None if t is None else (w1, t)
 
-    return StallingsGraph(g1.n, (0, base), product, _labels(g1.delta))
+    return StallingsGraph(g1.n, (0, base), product, sorted({a for _, a in g1.delta}, key=letter_key))
 
 
 class IndexBoundExceeded(RuntimeError):
@@ -362,7 +355,7 @@ def schreier_basis(
     table: dict[tuple[int, int], int] = {}
     i = 0
     while i < len(reps):
-        for a in _alphabet(p):
+        for a in alphabet(p):
             if (i, a) in table:
                 continue
             cand = multiply(reps[i], (a,))
@@ -380,5 +373,5 @@ def schreier_basis(
     spell = [()] + list(ambient_basis) + [invert(g) for g in reversed(ambient_basis)]
     return [
         reduce_word([b for a in u for b in spell[a]])
-        for u in StallingsGraph(p, 0, table).basis_words
+        for u in StallingsGraph(p, 0, lambda v, a: table.get((v, a)), alphabet(p)).basis_words
     ]

@@ -68,9 +68,9 @@ def _row_times(v: Sequence[int], rows: Sequence[Vec], c: int) -> Vec:
 
 
 class IntMatrix:
-    """Immutable integer matrix, row-major."""
+    """Immutable integer matrix, row-major, of shape rows x cols."""
 
-    __slots__ = ("entries", "_cols")
+    __slots__ = ("entries", "rows", "cols")
 
     def __init__(self, entries: Sequence[Sequence[int]], cols: Optional[int] = None):
         rows = tuple([_as_vec(r) for r in entries])
@@ -84,8 +84,7 @@ class IntMatrix:
             w = cols
         if cols is not None and rows and w != cols:
             raise DimensionError("cols argument disagrees with row length")
-        self.entries = rows
-        self._cols = w
+        self.entries, self.rows, self.cols = rows, len(rows), w
 
     @classmethod
     def _trusted(cls, rows: tuple[Vec, ...], cols: int) -> "IntMatrix":
@@ -97,17 +96,8 @@ class IntMatrix:
         lists on allocation but refills them on release, so a power chain of
         (n+m)-row matrices would pin up to 2000 free tuples of each size."""
         M = object.__new__(cls)
-        M.entries = rows
-        M._cols = cols
+        M.entries, M.rows, M.cols = rows, len(rows), cols
         return M
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return self._cols
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -325,11 +315,6 @@ class Lattice:
             elif not moved:
                 break
         return tuple(res)
-
-    def coords(self, v: Sequence[int]) -> Optional[Vec]:
-        """Integer coordinates of v in the HNF basis, or None if v is outside."""
-        xs, res = self.reduce(v)
-        return None if any(res) else xs
 
     def contains(self, v: Sequence[int]) -> bool:
         """Whether v lies in the lattice: `reduce`'s residue is zero."""

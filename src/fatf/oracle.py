@@ -19,12 +19,12 @@ too. It applies no map to a word
 longer than H: it reads the maps' images and matrices, calls no `FreeMap`
 method and uses none of the Stallings or lattice code it checks.
 
-The vectors of a fixed word w are the a of the box |a_j| <= c with
-a - aQ_i = w_ab P_i for every map. The box is split in the middle too: for
-a = (a1, a2), a - aQ = a1 R1 + a2 R2, R1 the first ceil(m/2) rows of I - Q
-and R2 the last floor(m/2). One dict from a2 R2 to a2 and, for each distinct
-shift s, a scan of the a1 that looks up s - a1 R1 list the solutions, with
-plain integer arithmetic; no call builds the (2c+1)^m vectors of the box.
+The vectors of a fixed word w are the a of the box |a_j| <= c that solve the
+stacked system a R = (w_ab P_1, ..., w_ab P_k), R = [I - Q_1 | ... | I - Q_k].
+The box is split in the middle too: a R = a1 R1 + a2 R2 for a = (a1, a2), R1
+the first ceil(m/2) rows of R and R2 the last floor(m/2). One dict from a2 R2
+to a2 and, for each distinct shift s, a scan of the a1 that looks up s - a1 R1
+list the solutions with plain integer arithmetic, never the (2c+1)^m box.
 
 Two budgets bound a call up front, both at MAX_ENUMERATION: the elements
 (words of length <= L times the (2c+1)^m vectors of the box), which bound
@@ -68,8 +68,7 @@ class Bounds:
 def reduced_words(n: int, max_len: int) -> Iterator[Word]:
     """All reduced words of length <= max_len, shortest first, letters in
     the order z1 < z1^-1 < z2 < ..."""
-    key = freewords.letter_order()
-    alphabet = sorted([i for i in range(1, n + 1)] + [-i for i in range(1, n + 1)], key=key)
+    alphabet = freewords.alphabet(n)
     layer: list[Word] = [()]
     yield ()
     for _ in range(max_len):
@@ -149,23 +148,23 @@ def _half_word_tables(maps: Sequence[Morphism], n: int, H: int) -> list[dict[Wor
     return tables
 
 
-def _shift_solver(psi: Morphism, c: int) -> Callable[[Vec], list[Vec]]:
-    """s -> the ascending list of the a in the box |a_j| <= c with
-    a - aQ = s, memoized per s.
+def _shift_solver(maps: Sequence[Morphism], c: int) -> Callable[[Vec], list[Vec]]:
+    """s -> the ascending list of the a in the box |a_j| <= c with a R = s,
+    R = [I - Q_1 | ... | I - Q_k] the stacked m x km matrix of the maps,
+    memoized per s.
 
-    a - aQ = a1 R1 + a2 R2 for the split a = (a1, a2) of the coordinates,
-    R1 the first ceil(m/2) rows of I - Q and R2 the last floor(m/2): one
+    a R = a1 R1 + a2 R2 for the split a = (a1, a2) of the coordinates,
+    R1 the first ceil(m/2) rows of R and R2 the last floor(m/2): one
     dict from a2 R2 to the ascending a2, and for each s a scan of a1
     ascending that looks up s - a1 R1. So a1 outer and a2 inner list the
     vectors ascending, and no call visits the whole box."""
-    m = psi.ambient.m
-    Q = psi.Q.entries
-    rows = [[(i == j) - Q[i][j] for j in range(m)] for i in range(m)]
+    m = maps[0].ambient.m
+    rows = [[(i == j) - psi.Q.entries[i][j] for psi in maps for j in range(m)] for i in range(m)]
     half = (m + 1) // 2
 
     def half_box(rs: list[list[int]]) -> list[tuple[Vec, Vec]]:
         """(a, a R) for a ascending over the box of len(rs) coordinates."""
-        cur: list[tuple[Vec, Vec]] = [((), (0,) * m)]
+        cur: list[tuple[Vec, Vec]] = [((), (0,) * (len(maps) * m))]
         for r in rs:
             cur = [
                 (a + (x,), tuple([s_j + x * r_j for s_j, r_j in zip(s, r)]))
@@ -202,8 +201,8 @@ def brute_fixed(maps: Sequence[Morphism], bounds: Bounds) -> list[GroupElement]:
     w = u y^-1 with |u| = ceil(l/2), |y| = floor(l/2), equal keys and equal
     rests, where u y^-1 is reduced unless u and y end in the same letter (u
     is not empty when y is not, as |u| >= |y|). A fixed word w takes the a
-    with a - aQ_i = w_ab P_i for every map, from the split box of each map
-    (`_shift_solver`), solved once per distinct shift.
+    with a - aQ_i = w_ab P_i for every map, from the split box of the
+    stacked system (`_shift_solver`), solved once per distinct shift.
 
     Raises ValueError when the bounds exceed either budget of the module
     docstring."""
@@ -214,8 +213,7 @@ def brute_fixed(maps: Sequence[Morphism], bounds: Bounds) -> list[GroupElement]:
     n = ambient.n
     L = bounds.word_len_max
     tables = _half_word_tables(maps, n, (L + 1) // 2)
-    rank = freewords.letter_order()
-    order = {a: rank(a) for i in range(1, n + 1) for a in (i, -i)}
+    order = {a: i for i, a in enumerate(freewords.alphabet(n))}
     words: list[Word] = []
     for ell in range(L + 1):
         found: list[Word] = []
@@ -229,13 +227,10 @@ def brute_fixed(maps: Sequence[Morphism], bounds: Bounds) -> list[GroupElement]:
                 found.extend([u + v for u, urest in us if urest == yrest and not (y and u[-1] == y[-1])])
         found.sort(key=lambda w: tuple(map(order.__getitem__, w)))
         words.extend(found)
-    solvers = [_shift_solver(psi, bounds.coord_abs_max) for psi in maps]
+    solve = _shift_solver(maps, bounds.coord_abs_max)
     out: list[GroupElement] = []
     for w in words:
         ab = freewords.abelianize(w, n)
-        solutions = solvers[0](maps[0].P.apply_row(ab))
-        for psi, solve in zip(maps[1:], solvers[1:]):
-            allowed = set(solve(psi.P.apply_row(ab)))
-            solutions = [a for a in solutions if a in allowed]
-        out.extend([GroupElement._trusted(ambient, a, w) for a in solutions])
+        shift = tuple([x for psi in maps for x in psi.P.apply_row(ab)])
+        out.extend([GroupElement._trusted(ambient, a, w) for a in solve(shift)])
     return out

@@ -16,7 +16,7 @@ from fatf import Ambient, FreeMap, GroupElement, IntMatrix, Morphism, SubgroupBa
 from fatf import freewords
 from fatf import morphisms as morphisms_mod
 from fatf.fixpoint import CertificateError
-from fatf.freewords import Word, _alphabet, check_letters, invert, reduce_word
+from fatf.freewords import Word, alphabet, check_letters, invert, reduce_word
 from fatf.intlat import DimensionError, Lattice, NotSublatticeError, cyclotomic, matrix_inverse
 from fatf.oracle import MAX_ENUMERATION, Bounds, reduced_words
 
@@ -252,7 +252,7 @@ def reference_finish(n, base, delta):
     queue = [base]
     while queue:
         v = queue.pop()
-        for a in _alphabet(n):
+        for a in alphabet(n):
             w = delta.get((v, a))
             if w is not None and w not in reachable:
                 reachable.add(w)
@@ -274,7 +274,7 @@ def reference_finish(n, base, delta):
     queue = [base]
     while queue:
         v = queue.pop(0)
-        for a in _alphabet(n):
+        for a in alphabet(n):
             w = delta.get((v, a))
             if w is not None and w not in order:
                 order[w] = len(order)
@@ -290,7 +290,7 @@ def _reference_basis_words(n, delta):
     queue = [0]
     while queue:
         v = queue.pop(0)
-        for a in _alphabet(n):
+        for a in alphabet(n):
             w = delta.get((v, a))
             if w is not None and w not in seen:
                 seen.add(w)
@@ -536,8 +536,8 @@ def reference_lattice_index(sub: Lattice, sup: Lattice):
         raise DimensionError("lattices of different ambient dimension")
     coords = []
     for row in sub.basis.entries:
-        c = sup.coords(row)
-        if c is None:
+        c, res = sup.reduce(row)
+        if any(res):
             raise NotSublatticeError("first lattice is not contained in the second")
         coords.append(c)
     if sub.rank != sup.rank:

@@ -392,6 +392,29 @@ class TestBudgets:
         assert "budget" in _rejected(["fix"], body)
 
     @staticmethod
+    def _identity_body(n: int) -> dict:
+        """The identity of F_n (m = 0) as morphism, tuple and subgroup payload."""
+        gens = [f"z{i}" for i in range(1, n + 1)]
+        mor = {"phi": gens, "phi_inv": gens, "Q": [], "P": [[] for _ in range(n)]}
+        return {"m": 0, "n": n, "morphism": mor, "morphisms": [mor], "fixed_bases": [gens],
+                "subgroup": {"free": [], "abelian": []}, "bounds": {"word_len_max": "1", "coord_abs_max": "0"},
+                "element": {"t": [], "w": gens[-1]}, "generators": [{"t": [], "w": gens[-1]}]}
+
+    def test_morphism_rank(self):
+        # at n = 400 `order` and `per` took 116 s in the characteristic
+        # polynomial of the 400 x 400 abelianization; `basis` and `member`
+        # read no morphism and answer
+        body = self._identity_body(400)
+        for cmd in ("order", "per", "fix", "closure", "oracle-check"):
+            t0 = time.perf_counter()
+            assert f"n <= {jsonio.MAX_MORPHISM_RANK}" in _rejected([cmd], body)
+            assert time.perf_counter() - t0 < 0.5
+        assert run(["member"], json.dumps(body)) == (EXIT_OK, '{"member":false,"ok":true}\n')
+        assert run(["basis"], json.dumps(body))[0] == EXIT_OK
+        body = self._identity_body(jsonio.MAX_MORPHISM_RANK)
+        assert run(["order"], json.dumps(body)) == (EXIT_OK, '{"ok":true,"order":"1"}\n')
+
+    @staticmethod
     def _order_105_q() -> IntMatrix:
         # block diagonal of the companion matrices of Phi_3, Phi_5 and Phi_7:
         # m = 12, order lcm(3, 5, 7) = 105

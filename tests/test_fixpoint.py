@@ -192,23 +192,13 @@ class TestFixTuple:
     def test_refolded_answer_is_the_same_triple(self):
         # folding the answer's own words again gives the graph fix_tuple
         # built as a cover, and the same reduced vectors
-        rng = random.Random(43)
         indices = set()
-        for trial in range(40):
-            amb = Ambient(rng.randint(1, 2), rng.randint(1, 3))
-            psi, basis, _ = random_finite_order_morphism(rng, amb)
-            Q = random_matrix(rng, amb.m, amb.m, 3)
-            psi = Morphism(amb, psi.phi, Q, random_matrix(rng, amb.n, amb.m, 3))
-            maps, bases = [psi], [tuple(basis)]
-            if trial % 2:
-                other, other_basis, _ = random_finite_order_morphism(rng, amb)
-                maps.append(other)
-                bases.append(tuple(other_basis))
-            res = fix_tuple(FixInput(tuple(maps), tuple(bases)))
+        for inp in _fix_inputs():
+            res = fix_tuple(inp)
             if not res.finitely_generated:
                 continue
             B = res.basis
-            assert B == SubgroupBasis.from_words(amb, B.free_part, B.abelian_part)
+            assert B == SubgroupBasis.from_words(inp.ambient, B.free_part, B.abelian_part)
             indices.add(res.diagnostics.ell)
         assert max(indices) >= 4
 
@@ -506,7 +496,7 @@ def _redirect(graph, v, a, w):
     delta = dict(graph.delta)
     del delta[(delta[(v, a)], -a)]
     delta[(v, a)], delta[(w, -a)] = w, v
-    return StallingsGraph(graph.n, 0, delta)
+    return StallingsGraph(graph.n, 0, lambda v, a: delta.get((v, a)), freewords.alphabet(graph.n))
 
 
 def _outcome(check, *args):

@@ -10,6 +10,7 @@ from fatf.freewords import (
     StallingsGraph,
     LetterError,
     abelianize,
+    alphabet,
     format_word,
     invert,
     multiply,
@@ -182,7 +183,7 @@ class TestReferenceFold:
             names = list(range(total))
             rng.shuffle(names)
             named = {(names[v], a): names[w] for (v, a), w in delta.items()}
-            got = as_reference(StallingsGraph(n, names[0], named))
+            got = as_reference(StallingsGraph(n, names[0], lambda v, a: named.get((v, a)), alphabet(n)))
             assert got == reference_finish(n, names[0], named)
             peeled += total > got[0] + other.num_vertices
         assert peeled >= 200
@@ -208,7 +209,7 @@ class TestReferenceFold:
             congruence = Lattice.from_rows([[rng.randint(1, 3) * (i == j) for j in range(n)] for i in range(n)], n)
             graphs += [g, pullback(g, lambda v, a: h.delta.get((v, a)), 0), pullback(g, congruence.shift, (0,) * n)]
         for graph in graphs:
-            again = StallingsGraph(graph.n, 0, graph.delta)
+            again = StallingsGraph(graph.n, 0, lambda v, a: graph.delta.get((v, a)), alphabet(graph.n))
             assert again == graph and again.basis_words == graph.basis_words
             assert as_reference(graph) == reference_stallings(graph.basis_words, graph.n)
 

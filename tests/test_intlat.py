@@ -116,8 +116,7 @@ class TestLattice:
         assert L.contains((2, 1))
         assert L.contains((2, 4))
         assert not L.contains((1, 0))
-        c = L.coords((2, 4))
-        assert c == (1, 1)
+        assert L.reduce((2, 4)) == ((1, 1), (0, 0))
 
     @settings(max_examples=60, deadline=None)
     @given(matrices(2, 3), matrices(2, 3), st.lists(small_int, min_size=3, max_size=3))
@@ -240,7 +239,9 @@ class TestContains:
                 if d and rng.random() < 0.5:
                     v[rng.randrange(d)] += rng.choice([1, -1])
                 inside = L.contains(v)
-                assert inside == (L.coords(v) is not None)
+                xs, res = L.reduce(v)
+                assert inside == (not any(res))
+                assert [sum(x * row[j] for x, row in zip(xs, L.basis.entries)) + res[j] for j in range(d)] == v
                 assert inside == (Lattice.from_rows([*L.basis.entries, v], d) == L)
                 seen[inside] += 1
                 seen["negative vector"] += any(x < 0 for x in v)

@@ -15,6 +15,7 @@ from conftest import (
     random_morphism,
     random_signed_targets,
     reference_brute_fixed,
+    signed_perm_matrix,
 )
 from fatf import Ambient, FreeMap, GroupElement, IntMatrix, Morphism, SubgroupBasis, member, oracle, subgroup_basis
 from fatf.morphisms import power
@@ -180,6 +181,34 @@ class TestAgainstReference:
                     words = {g.w for g in self.same(maps, Bounds(5, 2))}
                     dropped += len(words) < len({g.w for g in brute_fixed(maps[:1], Bounds(5, 2))})
         assert dropped >= 1
+
+    def test_random_triples(self):
+        # three maps with distinct Q_i solve one stacked system
+        # a [I - Q_1 | I - Q_2 | I - Q_3] = (w_ab P_1, w_ab P_2, w_ab P_3).
+        # P_i = B - B Q_i with one B per triple makes a = w_ab B a common
+        # solution, and each I - Q_i adds solutions of its own that the
+        # other maps drop: the list equals the reference and the first map's
+        # list filtered by the other two
+        rng = random.Random(500)
+        shared = narrowed = 0
+        for _ in range(40):
+            amb = Ambient(rng.randint(1, 3), rng.randint(1, 2))
+            m, n = amb.m, amb.n
+            B = random_matrix(rng, n, m, bound=1)
+            maps = []
+            while len(maps) < 3:
+                Q = signed_perm_matrix(random_signed_targets(rng, m)) if rng.random() < 0.5 else random_matrix(rng, m, m, bound=1)
+                phi = FreeMap.identity(n) if rng.random() < 0.6 else letter_map(random_signed_targets(rng, n))
+                if all(Q != psi.Q for psi in maps):
+                    maps.append(Morphism(amb, phi, Q, B - B * Q))
+            bounds = Bounds(3, 1)
+            got = self.same(maps, bounds)
+            singles = [brute_fixed([psi], bounds) for psi in maps]
+            allowed = set(singles[1]) & set(singles[2])
+            assert got == [g for g in singles[0] if g in allowed]
+            shared += len(got) > 1
+            narrowed += len(got) < len(singles[0])
+        assert shared >= 15 and narrowed >= 15
 
     def test_non_finite_order_maps(self):
         rng = random.Random(7)
