@@ -59,33 +59,33 @@ def _cmd_basis(payload: dict, ambient: Ambient) -> dict:
         raise FormatError("payload needs a list of generators")
     gens = [jsonio.element_from_json(o, ambient) for o in gens_obj]
     H = subgroup_basis(gens, ambient)
-    return {"ok": True, "basis": jsonio.subgroup_to_json(H)}
+    return {"basis": jsonio.subgroup_to_json(H)}
 
 
 def _cmd_member(payload: dict, ambient: Ambient) -> dict:
     H = jsonio.subgroup_from_json(payload.get("subgroup"), ambient)
     g = jsonio.element_from_json(payload.get("element"), ambient)
-    return {"ok": True, "member": member(H, g)}
+    return {"member": member(H, g)}
 
 
 def _cmd_fix(payload: dict, ambient: Ambient) -> dict:
     inp = _fix_input(payload, ambient)
     res = fixpoint.fix_tuple(inp)
-    return {"ok": True, "result": jsonio.fix_result_to_json(res)}
+    return {"result": jsonio.fix_result_to_json(res)}
 
 
 def _cmd_per(payload: dict, ambient: Ambient) -> dict:
     psi = jsonio.morphism_from_json(payload.get("morphism"), ambient)
     e = fixpoint.periodic_exponent(psi)
     res = fixpoint.fix_power(psi, e)
-    return {"ok": True, "exponent": str(e), "result": jsonio.fix_result_to_json(res)}
+    return {"exponent": str(e), "result": jsonio.fix_result_to_json(res)}
 
 
 def _cmd_order(payload: dict, ambient: Ambient) -> dict:
     psi = jsonio.morphism_from_json(payload.get("morphism"), ambient)
     if psi.phi.inverse_images is None:
         raise FormatError("order needs a morphism with inverse images")
-    return {"ok": True, "order": jsonio._count_to_json(morphisms.order(psi))}
+    return {"order": jsonio._count_to_json(morphisms.order(psi))}
 
 
 def _cmd_closure(payload: dict, ambient: Ambient) -> dict:
@@ -93,7 +93,6 @@ def _cmd_closure(payload: dict, ambient: Ambient) -> dict:
     inp = _fix_input(payload, ambient)
     res = fixpoint.autofixed_closure(H, inp)
     return {
-        "ok": True,
         "result": jsonio.fix_result_to_json(res),
         "autofixed": res.basis == H,
     }
@@ -113,7 +112,7 @@ def _cmd_constants(argv: list[str]) -> dict:
     if m is None or n is None:
         raise FormatError("constants needs --m and --n")
     report = bounds_mod.constants(int(m), int(n))
-    return {"ok": True, **{k: str(v) for k, v in dataclasses.asdict(report).items()}}
+    return {k: str(v) for k, v in dataclasses.asdict(report).items()}
 
 
 def _cmd_oracle_check(payload: dict, ambient: Ambient) -> dict:
@@ -128,7 +127,6 @@ def _cmd_oracle_check(payload: dict, ambient: Ambient) -> dict:
     fixed = oracle.brute_fixed(list(inp.morphisms), bnds)
     res = fixpoint.fix_tuple(inp)
     return {
-        "ok": True,
         "fixed": [jsonio.element_to_json(g) for g in fixed],
         "fg": res.finitely_generated,
         "contained": None if res.basis is None else all(members(res.basis, fixed)),
@@ -163,11 +161,10 @@ def run(argv: list[str], stdin: str) -> tuple[int, str]:
     # the library raises ValueError only for inputs it rejects; other faults propagate
     try:
         with jsonio.request():
-            if handler is _cmd_constants:
-                return EXIT_OK, _dump(handler(argv[1:]))
-            return EXIT_OK, _dump(handler(payload, _ambient(payload)))
+            reply = handler(argv[1:]) if handler is _cmd_constants else handler(payload, _ambient(payload))
     except (ValueError, fixpoint.CertificateError) as e:
         return EXIT_VALIDATION, _dump({"ok": False, "error": str(e)})
+    return EXIT_OK, _dump({"ok": True, **reply})
 
 
 def main() -> None:

@@ -30,8 +30,8 @@ class LetterError(ValueError):
 
 def check_letters(letters: Iterable[int], n: int) -> None:
     for a in letters:
-        if a == 0 or abs(a) > n:
-            raise LetterError(f"letter {a} outside alphabet of rank {n}")
+        if type(a) is not int or a == 0 or abs(a) > n:
+            raise LetterError(f"letter {a!r} outside alphabet of rank {n}")
 
 
 def reduce_word(letters: Iterable[int], n: Optional[int] = None) -> Word:
@@ -175,22 +175,15 @@ class StallingsGraph:
 
     # -- queries -----------------------------------------------------------
 
-    def path_from_base(self, v: int) -> Word:
-        letters: list[int] = []
-        while v != 0:
-            u, a = self._tree_parent[v]
-            letters.append(a)
-            v = u
-        return tuple(reversed(letters))
-
     @functools.cached_property
     def basis_words(self) -> list[Word]:
-        # tree paths are reduced and a basis edge is no tree edge, so no
-        # letter cancels at either end of the edge
-        return [
-            self.path_from_base(v) + (a,) + invert(self.path_from_base(w))
-            for (v, a, w) in self._basis_edges
-        ]
+        # each vertex's tree path is its tree parent's plus one letter, built
+        # as `basis_sums` builds potentials; tree paths are reduced and a basis
+        # edge is no tree edge, so no letter cancels at either end of the edge
+        path: list[Word] = [()] * self.num_vertices
+        for j, (i, a) in self._tree_parent.items():
+            path[j] = path[i] + (a,)
+        return [path[v] + (a,) + invert(path[w]) for v, a, w in self._basis_edges]
 
     @functools.cached_property
     def basis_abelianized(self) -> list[tuple[int, ...]]:
@@ -344,34 +337,25 @@ def schreier_basis(
     """Free basis of a finite-index subgroup H given by its coset keys.
 
     coset_key speaks about abstract words over p = len(ambient_basis) letters
-    and takes equal values on u and v exactly when H u = H v. The coset
-    graph's `basis_words`, read off its breadth-first spanning tree, are the
-    Schreier basis of H; they are substituted back into the actual ambient
-    words.
+    and takes equal values on u and v exactly when H u = H v. The search of
+    `StallingsGraph` builds the coset graph, its states the first word seen
+    in each coset; the graph's `basis_words`, read off its breadth-first
+    spanning tree, are the Schreier basis of H, and they are substituted back
+    into the actual ambient words.
     """
     p = len(ambient_basis)
-    reps: list[Word] = [()]
-    coset_of = {coset_key(()): 0}
-    table: dict[tuple[int, int], int] = {}
-    i = 0
-    while i < len(reps):
-        for a in alphabet(p):
-            if (i, a) in table:
-                continue
-            cand = multiply(reps[i], (a,))
-            target = coset_of.setdefault(coset_key(cand), len(reps))
-            if target == len(reps):
-                reps.append(cand)
-                if len(reps) > index_bound:
-                    raise IndexBoundExceeded(
-                        f"more than {index_bound} cosets found; coset keys and bound disagree"
-                    )
-            table[(i, a)] = target
-            table[(target, -a)] = i
-        i += 1
+    reps: dict[Hashable, Word] = {coset_key(()): ()}
+
+    def step(u: Word, a: int) -> Word:
+        v = multiply(u, (a,))
+        rep = reps.setdefault(coset_key(v), v)
+        if len(reps) > index_bound:
+            raise IndexBoundExceeded(f"more than {index_bound} cosets found; coset keys and bound disagree")
+        return rep
+
     # spell[a] is the ambient word of letter a; a < 0 counts from the end
     spell = [()] + list(ambient_basis) + [invert(g) for g in reversed(ambient_basis)]
     return [
         reduce_word([b for a in u for b in spell[a]])
-        for u in StallingsGraph(p, 0, lambda v, a: table.get((v, a)), alphabet(p)).basis_words
+        for u in StallingsGraph(p, (), step, alphabet(p)).basis_words
     ]

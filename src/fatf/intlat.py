@@ -282,7 +282,7 @@ class Lattice:
         """
         if len(v) != self.ambient:
             raise DimensionError("vector dimension mismatch")
-        res = list(map(int, v))
+        res = [_as_int(x) for x in v]
         xs = []
         for row, j in zip(self.basis.entries, self.pivots):
             q = res[j] // row[j]

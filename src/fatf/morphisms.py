@@ -10,6 +10,7 @@ the inverse carry it along and composition tracks it.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import freewords
@@ -125,23 +126,23 @@ class FreeMap:
         return f"FreeMap({[freewords.format_word(w) for w in self.images]})"
 
 
+@dataclass(frozen=True)
 class Morphism:
     """The map t^a u -> t^(aQ + u_ab P) (u phi) of Z^m x F_n, for any
     integer m x m matrix Q; an automorphism only when det Q = +-1."""
 
-    __slots__ = ("ambient", "phi", "Q", "P")
+    ambient: Ambient
+    phi: FreeMap
+    Q: IntMatrix
+    P: IntMatrix
 
-    def __init__(self, ambient: Ambient, phi: FreeMap, Q: IntMatrix, P: IntMatrix):
-        if phi.n != ambient.n:
+    def __post_init__(self) -> None:
+        if self.phi.n != self.ambient.n:
             raise ValueError("free map rank disagrees with the ambient")
-        if Q.rows != ambient.m or Q.cols != ambient.m:
+        if self.Q.rows != self.ambient.m or self.Q.cols != self.ambient.m:
             raise ValueError("Q must be m x m")
-        if P.rows != ambient.n or P.cols != ambient.m:
+        if self.P.rows != self.ambient.n or self.P.cols != self.ambient.m:
             raise ValueError("P must be n x m")
-        self.ambient = ambient
-        self.phi = phi
-        self.Q = Q
-        self.P = P
 
     @classmethod
     def identity(cls, ambient: Ambient) -> "Morphism":
@@ -151,18 +152,6 @@ class Morphism:
             IntMatrix.identity(ambient.m),
             IntMatrix.zeros(ambient.n, ambient.m),
         )
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Morphism)
-            and self.ambient == other.ambient
-            and self.phi == other.phi
-            and self.Q == other.Q
-            and self.P == other.P
-        )
-
-    def __repr__(self) -> str:
-        return f"Morphism(ambient={self.ambient}, phi={self.phi!r}, Q={self.Q!r}, P={self.P!r})"
 
 
 def apply(psi: Morphism, g: GroupElement) -> GroupElement:

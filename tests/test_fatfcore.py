@@ -32,7 +32,7 @@ from fatf import (
 )
 from fatf.fatfcore import AmbientMismatch
 from fatf.fixpoint import FixInput, autofixed_closure, fix_single
-from fatf.freewords import LetterError, invert, reduce_word
+from fatf.freewords import LetterError, invert, reduce_word, stallings
 from fatf.morphisms import apply
 from fatf.oracle import Bounds, brute_fixed
 
@@ -100,6 +100,11 @@ class TestSubgroupBasis:
         )
         assert H.free_part == (((2,), (1,)),)
         assert H.abelian_part == Lattice.from_rows([[3]], 1)
+
+    def test_vectors_must_be_integers(self):
+        # 0.5 would truncate to 0
+        with pytest.raises(ValueError, match="0.5 is not an integer"):
+            SubgroupBasis(Ambient(1, 1), stallings([(1,)], 1), [(0.5,)], Lattice.from_rows([], 1))
 
     def test_basis_independent_of_generator_order(self):
         # <t^(1,0) z1, t^(0,1) z1>: the free vector is reduced modulo the

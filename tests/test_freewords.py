@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import as_reference, random_word, reference_finish, reference_stallings
+from fatf import Ambient, FreeMap, GroupElement
 from fatf.freewords import (
     MAX_WORD_LETTERS,
     IndexBoundExceeded,
@@ -39,8 +40,19 @@ class TestWords:
         assert invert((1, 2)) == (-2, -1)
 
     def test_letter_range_check(self):
-        with pytest.raises(LetterError):
+        with pytest.raises(LetterError, match="letter 4 outside alphabet of rank 3"):
             reduce_word([1, 4], n=3)
+        # a float or a bool can compare equal to an in-range int, yet spells
+        # no letter: the word boundary refuses it behind every constructor
+        for build in (
+            lambda: reduce_word([1.0], n=2),
+            lambda: GroupElement(Ambient(0, 2), (), (1.5,)),
+            lambda: GroupElement(Ambient(0, 2), (), (True,)),
+            lambda: FreeMap([(1.5,), (2,)]),
+            lambda: stallings([(1.5, 2)], 2),
+        ):
+            with pytest.raises(LetterError, match="outside alphabet of rank 2"):
+                build()
 
     @settings(max_examples=80, deadline=None)
     @given(words3, words3, words3)
@@ -189,7 +201,7 @@ class TestReferenceFold:
         assert peeled >= 200
 
     def test_numbered_graph_is_kept(self):
-        # an already-numbered table, such as schreier_basis passes, comes back
+        # a graph searched again along its own numbered transitions comes back
         # as the same graph with the same spanning tree, and so does every
         # graph the one search builds from a transition function: products of
         # two folds, and residue covers over congruence lattices

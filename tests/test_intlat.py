@@ -118,6 +118,11 @@ class TestLattice:
         assert not L.contains((1, 0))
         assert L.reduce((2, 4)) == ((1, 1), (0, 0))
 
+    def test_reduce_refuses_non_integers(self):
+        # 2.5 would truncate to 2, which lies in 2Z x 0
+        with pytest.raises(ValueError, match="2.5 is not an integer"):
+            Lattice.from_rows([[2, 0]], 2).contains((2.5, 0))
+
     @settings(max_examples=60, deadline=None)
     @given(matrices(2, 3), matrices(2, 3), st.lists(small_int, min_size=3, max_size=3))
     def test_intersect_is_glb(self, A, B, v):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -174,6 +175,18 @@ class TestApplication:
         ):
             with pytest.raises(ValueError, match=error):
                 Morphism(amb, *args)
+
+    def test_frozen_with_field_repr_and_equality(self):
+        psi = Morphism(Ambient(1, 2), FreeMap.identity(2), IntMatrix([[1]]), IntMatrix([[0], [0]]))
+        assert repr(psi) == (
+            "Morphism(ambient=Ambient(m=1, n=2), phi=FreeMap(['z1', 'z2']), "
+            "Q=IntMatrix([[1]]), P=IntMatrix([[0], [0]]))"
+        )
+        assert psi == Morphism.identity(Ambient(1, 2))
+        assert psi != Morphism(Ambient(1, 2), FreeMap.identity(2), IntMatrix([[-1]]), IntMatrix([[0], [0]]))
+        assert psi != worked_morphism() and psi != psi.phi
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            psi.Q = IntMatrix([[2]])
 
 
 class TestComposition:

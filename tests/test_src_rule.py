@@ -167,11 +167,17 @@ def _unused_imports(tree: ast.Module, exported: frozenset = frozenset()) -> list
 
 
 def test_every_import_is_used():
-    # the re-exports of __init__.py are used by being in fatf.__all__
+    # the re-exports of __init__.py are used by being in fatf.__all__; the
+    # test modules are held to the same rule
     found = [
         f"{mod}.{name}"
         for mod, tree in _modules().items()
         for name in _unused_imports(tree, frozenset(fatf.__all__) if mod == "__init__" else frozenset())
+    ]
+    found += [
+        f"tests/{p.name}:{name}"
+        for p in sorted(pathlib.Path(__file__).resolve().parent.glob("*.py"))
+        for name in _unused_imports(ast.parse(p.read_text(), str(p)))
     ]
     assert found == []
 
