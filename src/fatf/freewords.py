@@ -177,13 +177,14 @@ class StallingsGraph:
 
     @functools.cached_property
     def basis_words(self) -> list[Word]:
-        # each vertex's tree path is its tree parent's plus one letter, built
-        # as `basis_sums` builds potentials; tree paths are reduced and a basis
-        # edge is no tree edge, so no letter cancels at either end of the edge
-        path: list[Word] = [()] * self.num_vertices
-        for j, (i, a) in self._tree_parent.items():
-            path[j] = path[i] + (a,)
-        return [path[v] + (a,) + invert(path[w]) for v, a, w in self._basis_edges]
+        def climb(v: int) -> Word:  # the reduced tree path from v to the base
+            up = []
+            while v != 0:
+                v, a = self._tree_parent[v]
+                up.append(-a)
+            return tuple(up)
+        # cost: the answer's length; no letter cancels, as no basis edge is a tree edge
+        return [invert(climb(v)) + (a,) + climb(w) for v, a, w in self._basis_edges]
 
     @functools.cached_property
     def basis_abelianized(self) -> list[tuple[int, ...]]:

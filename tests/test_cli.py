@@ -470,6 +470,33 @@ class TestBudgets:
         error = _rejected(["basis"], self._big_basis(4000))
         assert f"more than {jsonio.MAX_INPUT_DIGITS} digits in all" in error
 
+    def test_basis_of_a_long_cycle(self):
+        # <z1^100000> folds to a cycle of 100,000 vertices with one basis edge.
+        # Spelling it from the tree path of every vertex held about N^2 / 4
+        # letters (some 20 GB); the child runs under a 1 GiB address-space
+        # limit, so a quadratic spelling fails fast, and must answer within
+        # about the fold's own time
+        pytest.importorskip("resource")
+        child = (
+            "import json, resource, sys, time\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "soft = 2**30 if hard == resource.RLIM_INFINITY else min(2**30, hard)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (soft, hard))\n"
+            "from fatf.cli import run\n"
+            "from fatf.freewords import stallings\n"
+            "t0 = time.perf_counter(); stallings([(1,) * 100_000], 1); t1 = time.perf_counter()\n"
+            "body = {'m': 0, 'n': 1, 'generators': [{'t': [], 'w': 'z1^100000'}]}\n"
+            "code, out = run(['basis'], json.dumps(body))\n"
+            "print(json.dumps([code, out, t1 - t0, time.perf_counter() - t1]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=_child_env(),
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        code, out, fold_s, basis_s = json.loads(proc.stdout)
+        assert code == EXIT_OK
+        assert json.loads(out)["basis"]["free"] == [{"t": [], "w": format_word((1,) * 100_000)}]
+        assert basis_s < 2 * fold_s + 0.5
+
     def test_per_power_bits(self):
         # e = 60,060 and chi(Q) keeps x^2 - 3x + 1, so Q^e would have about
         # 83,000 bits: refused before any power, where without the budget the
@@ -564,16 +591,20 @@ def _run_order(argv: list[str], env: dict[str, str] | None = None) -> None:
     assert json.loads(proc.stdout)["order"] == "2"
 
 
+def _child_env() -> dict[str, str]:
+    """The environment of a child that imports the same fatf as this process:
+    the checkout's src/ or an installed copy, whichever the tests were run
+    against."""
+    import_root = pathlib.Path(fatf.__file__).resolve().parent.parent
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(import_root)] + ([inherited] if inherited else []))
+    return env
+
+
 class TestInstalledEntryPoint:
     def test_subprocess_invocation(self):
-        # The child imports the same fatf as this process: the checkout's
-        # src/ or an installed copy, whichever the tests were run against.
-        import_root = pathlib.Path(fatf.__file__).resolve().parent.parent
-        inherited = os.environ.get("PYTHONPATH")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(import_root)] + ([inherited] if inherited else [])
-        )
+        env = _child_env()
         _run_order([sys.executable, "-c", _console_script_wrapper("fatf")], env)
         # python -m fatf.cli, the route from a checkout with no install
         _run_order([sys.executable, "-m", "fatf.cli"], env)
