@@ -22,7 +22,7 @@ def phi_threshold(m: int) -> int:
     """Largest d whose Euler totient phi(d) is at most m."""
     if m < 1:
         raise ValueError("threshold needs m >= 1")
-    return max(totient_at_most(m))
+    return max(totient_at_most(m))[0]
 
 
 def order_bound(m: int) -> int:

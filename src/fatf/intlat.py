@@ -422,7 +422,11 @@ def charpoly(Q: IntMatrix) -> list[int]:
     diagonal, the row R left of it and the corner q. The characteristic
     polynomial of the bordered block is the lower-triangular Toeplitz matrix
     with first column (1, -q, -R S, -R B S, ..., -R B^(r-1) S) times that of
-    B; each term costs one vector product with B.
+    B; each term costs one vector product with B. A vector v with few
+    nonzeros (3 nnz(v) < r) is multiplied as the sum of B's columns over
+    them, any other as r row dots, and the Toeplitz product skips zero
+    coefficients. A signed permutation matrix then costs order m^3 entry
+    reads in place of the about m^4 / 4 products of row dots.
     """
     if Q.rows != Q.cols:
         raise DimensionError("characteristic polynomial of a non-square matrix")
@@ -432,16 +436,26 @@ def charpoly(Q: IntMatrix) -> list[int]:
         # map() stops at its shorter argument, v of length r, so the first
         # r rows of Q serve as the rows of B and row r as R
         block, R = a[:r], a[r]
+        columns = None  # B's, built when a sparse v first needs them
         v = [row[r] for row in block]
         col = [1, -R[r]]
         for j in range(r):
             col.append(-sum(map(mul, R, v)))
             if j + 1 < r:
-                v = [sum(map(mul, row, v)) for row in block]
-        poly = [
-            sum(col[i - j] * poly[j] for j in range(max(0, i - r - 1), min(i, r) + 1))
-            for i in range(r + 2)
-        ]
+                if 3 * (r - v.count(0)) < r:
+                    # zip() in _row_times pairs v's r entries with the
+                    # first r columns of the r rows of B
+                    columns = columns or list(zip(*block))
+                    v = _row_times(v, columns, r)
+                else:
+                    v = [sum(map(mul, row, v)) for row in block]
+        out = [0] * (r + 2)
+        for i, c in enumerate(col):
+            if c:
+                for j, p in enumerate(poly[: r + 2 - i]):
+                    if p:
+                        out[i + j] += c * p
+        poly = out
     return poly[::-1]
 
 
@@ -477,14 +491,15 @@ def cyclotomic(d: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def totient_at_most(m: int) -> list[int]:
-    """All d with Euler's phi(d) <= m, the possible orders of a root-of-unity
-    eigenvalue of an m x m integer matrix; empty at m = 0.
+def totient_at_most(m: int) -> list[tuple[int, int]]:
+    """All (d, phi(d)) with Euler's phi(d) <= m: the possible orders d of a
+    root-of-unity eigenvalue of an m x m integer matrix, with the degree of
+    Phi_d; empty at m = 0.
 
     Each d is built once, from its factorization, as a product of prime
     powers p^k with p <= m + 1 (as p - 1 divides phi(d)).
     """
-    out = [(1, 1)]  # (d, phi(d))
+    out = [(1, 1)]
     for p in range(2, m + 2):
         if any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
             continue
@@ -495,16 +510,22 @@ def totient_at_most(m: int) -> list[int]:
                 grown.append((d * q, f * fq))
                 q, fq = q * p, fq * p
         out += grown
-    return [d for d, f in out if f <= m]  # drops d = 1 at m = 0
+    return out if m else []
 
 
 def cyclotomic_split(Q: IntMatrix) -> tuple[int, list[int]]:
     """(s, rest): the factors Phi_d of chi(Q) divided out with multiplicity,
     s the lcm of their orders d (1 when there are none) and rest the factor
-    left, ascending degree: [1] exactly when every eigenvalue is a root of 1."""
+    left, ascending degree: [1] exactly when every eigenvalue is a root of 1.
+    A Phi_d of degree above what is left of chi is skipped unbuilt, and the
+    scan stops once chi is used up."""
     chi = charpoly(Q)
     s = 1
-    for d in totient_at_most(Q.rows):
+    for d, f in totient_at_most(Q.rows):
+        if len(chi) == 1:
+            break
+        if f >= len(chi):
+            continue
         phi_d = list(cyclotomic(d))
         quotient, rem = _poly_divmod_monic(chi, phi_d)
         while rem == [0]:

@@ -87,10 +87,12 @@ def lattice_from_json(obj: Any, ambient: int) -> Lattice:
 MAX_INPUT_DIGITS = 5_000
 
 # Largest free rank n at which `morphism_from_json` reads a morphism: `order`
-# and `per` take the characteristic polynomial of the n x n abelianization, at
-# about n^5. On the identity of F_n (m = 0), a permutation or z_i -> z_i z_(i+1),
-# `order` takes 0.10 s at n = 64, 0.5 s at n = 100, 1.3 s at n = 128 and 7.5 s
-# at n = 200 (Python 3.11). `basis` and `member` read no morphism.
+# and `per` take the characteristic polynomial of the n x n abelianization.
+# A signed permutation costs order n^3 there (`order` on the identity or a
+# cyclic permutation of F_100, m = 0, takes 0.02 s), but one whose Krylov
+# vectors fill up costs about n^5: `order` on z_i -> z_i z_(i+1) takes 0.41 s
+# at n = 100, and `matrix_order` of a unimodular conjugate of the 100-cycle
+# 1.7 s (Python 3.11). `basis` and `member` read no morphism.
 MAX_MORPHISM_RANK = 100
 
 # the letters the words, and the digits the integers, parsed so far in the

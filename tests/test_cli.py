@@ -10,7 +10,7 @@ import time
 import pytest
 
 import fatf
-from conftest import block_diagonal, companion, ia_map, slow_infinite_order_matrix
+from conftest import block_diagonal, companion, ia_map, letter_map, slow_infinite_order_matrix
 from fatf import FreeMap, IntMatrix, jsonio
 from fatf.bounds import MAX_M, MAX_N
 from fatf.cli import EXIT_BAD_JSON, EXIT_OK, EXIT_UNKNOWN, EXIT_VALIDATION, run
@@ -411,8 +411,16 @@ class TestBudgets:
             assert time.perf_counter() - t0 < 0.5
         assert run(["member"], json.dumps(body)) == (EXIT_OK, '{"member":false,"ok":true}\n')
         assert run(["basis"], json.dumps(body))[0] == EXIT_OK
-        body = self._identity_body(jsonio.MAX_MORPHISM_RANK)
-        assert run(["order"], json.dumps(body)) == (EXIT_OK, '{"ok":true,"order":"1"}\n')
+        # at the cap, the identity, a cyclic and a signed cyclic permutation
+        # of F_100: their abelianizations are signed permutation matrices,
+        # whose characteristic polynomial by row dots alone takes about 0.5 s
+        n = jsonio.MAX_MORPHISM_RANK
+        cyclic = [i % n + 1 for i in range(1, n + 1)]
+        for targets, order in ((range(1, n + 1), 1), (cyclic, n), (cyclic[:-1] + [-1], 2 * n)):
+            body = json.dumps(self._morphism_body(letter_map(targets), IntMatrix.identity(0)))
+            t0 = time.perf_counter()
+            assert run(["order"], body) == (EXIT_OK, f'{{"ok":true,"order":"{order}"}}\n')
+            assert time.perf_counter() - t0 < 0.15
 
     @staticmethod
     def _order_105_q() -> IntMatrix:

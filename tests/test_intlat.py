@@ -14,6 +14,7 @@ from conftest import (
     reference_lattice_index,
     reference_row_echelon,
     reference_totients,
+    signed_perm_matrix,
     slow_infinite_order_matrix,
 )
 from fatf import intlat
@@ -482,7 +483,7 @@ class TestCharpolyAndCyclotomic:
         expected: list[int] = []
         for m in range(151):
             expected += by_totient.get(m, [])
-            assert sorted(totient_at_most(m)) == sorted(expected)
+            assert sorted(totient_at_most(m)) == sorted((d, phi[d]) for d in expected)
 
     def test_cyclotomic(self):
         assert cyclotomic(1) == (-1, 1)
@@ -515,8 +516,9 @@ def _det(M: IntMatrix) -> int:
             det = -det
         det *= a[j][j]
         for i in range(j + 1, m):
-            f = a[i][j] / a[j][j]
-            a[i] = [x - f * y for x, y in zip(a[i], a[j])]
+            if a[i][j]:
+                f = a[i][j] / a[j][j]
+                a[i] = [x - f * y for x, y in zip(a[i], a[j])]
     assert det.denominator == 1
     return int(det)
 
@@ -531,6 +533,29 @@ def _poly_mul(f, g):
 
 def _random_entries(rng: random.Random, m: int) -> IntMatrix:
     return IntMatrix([[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)], cols=m)
+
+
+def _signed_cycles(rng: random.Random, lengths: list[int]) -> IntMatrix:
+    """A signed permutation matrix with cycles of the given lengths on
+    shuffled letters, each arrow signed at random."""
+    m = sum(lengths)
+    letters = list(range(1, m + 1))
+    rng.shuffle(letters)
+    targets, at = [0] * m, 0
+    for k in lengths:
+        cycle = letters[at : at + k]
+        at += k
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            targets[a - 1] = b if rng.random() < 0.5 else -b
+    return signed_perm_matrix(targets)
+
+
+def _random_partition(rng: random.Random, m: int) -> list[int]:
+    parts = []
+    while m:
+        parts.append(rng.randint(1, m))
+        m -= parts[-1]
+    return parts
 
 
 class TestCharpolyReference:
@@ -565,8 +590,47 @@ class TestCharpolyReference:
                 blocks.append(companion(f))
                 expected = _poly_mul(expected, f)
             C = block_diagonal(blocks)
+            assert self._check(C) == expected
             U = random_unimodular(rng, C.rows, steps=6)
             assert self._check(matrix_inverse(U) * C * U) == expected
+
+    def test_sparse_inputs(self):
+        # signed permutations of four cycle types; I and 0; and a block of
+        # infinite order (x^2 - 3x + 1 has no root of unity for a root)
+        # beside or after a signed permutation block
+        rng = random.Random(40)
+        for m in range(1, 41):
+            for lengths in ([m], [1] * m, [2] * (m // 2) + [1] * (m % 2), _random_partition(rng, m)):
+                self._check(_signed_cycles(rng, lengths))
+        for m in (1, 2, 7, 40):
+            assert self._check(IntMatrix.identity(m)) == [(-1) ** (m - k) * math.comb(m, k) for k in range(m + 1)]
+            assert self._check(IntMatrix.zeros(m, m)) == [0] * m + [1]
+        for _ in range(4):
+            P = _signed_cycles(rng, [5, 3, 1]).entries
+            for blocks in ([companion([1, -3, 1]), P], [P, companion([1, -3, 1])]):
+                Q = block_diagonal(blocks)
+                self._check(Q)
+                assert cyclotomic_split(Q)[1] == [1, -3, 1]
+                assert matrix_order(Q) == math.inf
+
+    def test_permutation_with_a_dense_row(self, monkeypatch):
+        # a 30-cycle whose row 20 is dense: at step r = 29 the Krylov vector
+        # starts with two nonzeros and gains about one per product, so its
+        # products go by B's columns until 3 nnz(v) >= r, by rows after
+        m, rng = 30, random.Random(30)
+        rows = [[1 if j == (i + 1) % m else 0 for j in range(m)] for i in range(m)]
+        rows[20] = [rng.choice([-2, -1, 1, 2]) for _ in range(m)]
+        by_columns = []
+        row_times = intlat._row_times
+
+        def spy(v, columns, c):
+            by_columns.append(c)
+            return row_times(v, columns, c)
+
+        monkeypatch.setattr(intlat, "_row_times", spy)
+        self._check(IntMatrix(rows, cols=m))
+        # step 29 makes 28 products, some of them by columns
+        assert 0 < by_columns.count(m - 1) < m - 2
 
     def test_empty_and_non_square(self):
         assert charpoly(IntMatrix.identity(0)) == [1]
@@ -668,12 +732,48 @@ class TestMatrixOrder:
         assert cyclotomic_split(IntMatrix([[1, 0, 0], [0, 2, 0], [0, 0, -1]])) == (2, [-2, 1])
         assert cyclotomic_split(IntMatrix.identity(0)) == (1, [1])
 
+    def test_split_matches_a_scan_without_skips(self):
+        # random cyclotomic products, factors repeated, with and without a
+        # factor that has no root of unity for a root
+        rng = random.Random(12)
+        small = [d for d, f in totient_at_most(4)]
+        for trial in range(60):
+            ds = [rng.choice(small) for _ in range(rng.randint(1, 5))]
+            rest = [1] if trial % 2 else rng.choice([[-2, 1], [1, -3, 1], [-1, -1, 0, 1]])
+            blocks = [companion(list(cyclotomic(d))) for d in ds]
+            if len(rest) > 1:
+                blocks.append(companion(rest))
+            Q = block_diagonal(blocks)
+            expected = (math.lcm(*ds), rest)
+            assert _split_without_skips(Q) == expected
+            assert cyclotomic_split(Q) == expected
+
+    def test_split_builds_only_what_it_divides(self):
+        # chi(I) = Phi_1^40 is used up after Phi_1, so no other Phi_d is built
+        cyclotomic.cache_clear()
+        assert cyclotomic_split(IntMatrix.identity(40)) == (1, [1])
+        assert cyclotomic.cache_info().currsize == 1
+
     def test_unity_exponent(self):
         assert unity_exponent(IntMatrix([[2]])) == 1
         assert unity_exponent(IntMatrix([[1, 0], [0, -1]])) == 2
         assert unity_exponent(IntMatrix([[0, -1], [1, 0]])) == 4
         # swap matrix: eigenvalues 1 and -1
         assert unity_exponent(IntMatrix([[0, 1], [1, 0]])) == 2
+
+
+def _split_without_skips(Q: IntMatrix) -> tuple[int, list[int]]:
+    """cyclotomic_split by trial division by every Phi_d with phi(d) <= m,
+    in increasing d, whatever the degree left."""
+    m, chi, s = Q.rows, charpoly(Q), 1
+    phi = reference_totients(2 * m * m + 1)
+    for d in range(1, len(phi)):
+        if phi[d] <= m:
+            quotient, rem = intlat._poly_divmod_monic(chi, list(cyclotomic(d)))
+            while rem == [0]:
+                chi, s = quotient, math.lcm(s, d)
+                quotient, rem = intlat._poly_divmod_monic(chi, list(cyclotomic(d)))
+    return s, chi
 
 
 def _random_matrix(rng: random.Random) -> IntMatrix:
