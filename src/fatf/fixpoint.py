@@ -51,13 +51,14 @@ MAX_COVER_VERTICES = 1024
 
 # Most bits by which fix_power lets Q^e outgrow Q, as estimated from bounds on
 # the eigenvalues of Q (`intlat.power_bits`): the 4,300 decimal digits past
-# which the CLI refuses to write an integer. The largest `per` case under it, the m = 32 conjugate of the
+# which the CLI refuses to write an integer. A `per` case under it, the m = 32
 # companions of Phi_4, Phi_3, Phi_5, Phi_7, Phi_17 and x^2 - 3x + 1 (e = 7,140,
-# 14,280 bits), takes 3.0 s end to end on Python 3.11. The estimate is made
-# before any power: `per` on the m = 38 payload of
-# tests/conftest.py::slow_infinite_order_matrix (e = 60,060, 120,120 bits)
-# exits 2 in 0.14 s, where the power alone took 106 s. With P = 0 that
-# payload's answer is small, so the budget refuses a computable answer.
+# 14,280 bits) conjugated by random_unimodular(Random(32), 32, steps=200) of
+# tests/conftest.py, takes 1.1 s on Python 3.11. The estimate is made before
+# any power: `per` on the m = 38 payload of slow_infinite_order_matrix there
+# (e = 60,060, 120,120 bits) exits 2 in 0.14 s, where the power alone took
+# 106 s. With P = 0 that payload's answer is small, so the budget refuses a
+# computable answer.
 MAX_POWER_BITS = 14_284
 
 

@@ -49,9 +49,9 @@ def power_by_squaring(x, k: int, mul: Callable):
 
 
 def _row_times(v: Sequence[int], rows: Sequence[Vec], c: int) -> Vec:
-    """v * M for M given by its rows. Zero entries of v are skipped and
-    entries +-1 add or subtract a row, so the sparse, permutation-like
-    matrices of finite-order maps cost little."""
+    """v * M for M given by its rows, the vector kernel (matrix products go
+    through `_sparse_product`). Zero entries of v are skipped and entries
+    +-1 add or subtract a row, so sparse, permutation-like M cost little."""
     out = None
     for vi, row in zip(v, rows):
         if not vi:
@@ -65,6 +65,36 @@ def _row_times(v: Sequence[int], rows: Sequence[Vec], c: int) -> Vec:
         else:
             out = [a + vi * b for a, b in zip(out, row)]
     return (0,) * c if out is None else tuple(out)
+
+
+def _sparse(rows: Iterable[Sequence[int]]) -> list[list[tuple[int, int]]]:
+    """Each row as the (column, entry) pairs of its nonzeros."""
+    return [[(j, a) for j, a in enumerate(r) if a] for r in rows]
+
+
+def _dense(rows: Iterable[list[tuple[int, int]]], c: int) -> tuple[Vec, ...]:
+    """The rows of c columns that `_sparse` gave as pairs, as tuples again."""
+    out = []
+    for row in rows:
+        r = [0] * c
+        for j, a in row:
+            r[j] = a
+        out.append(tuple(r))
+    return tuple(out)
+
+
+def _sparse_product(X: list, Y: list, c: int) -> list[list[tuple[int, int]]]:
+    """X * Y on sparse rows (`_sparse`), Y of c columns (Gustavson, 1978): each
+    nonzero (k, x) of an X row adds x * Y[k] in place into a fresh accumulator,
+    touching only the nonzeros of Y[k], and the row is kept as its nonzeros."""
+    out = []
+    for row in X:
+        acc = [0] * c
+        for k, x in row:
+            for j, y in Y[k]:
+                acc[j] += x * y
+        out.append(acc)
+    return _sparse(out)
 
 
 class IntMatrix:
@@ -126,10 +156,12 @@ class IntMatrix:
         return _row_times(v, self.entries, self.cols)
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
+        """self * other: both operands as sparse rows, one `_sparse_product`."""
         if self.cols != other.rows:
             raise DimensionError("matrix product size mismatch")
-        rows, c = other.entries, other.cols
-        return IntMatrix._trusted(tuple([_row_times(r, rows, c) for r in self.entries]), c)
+        c = other.cols
+        rows = _sparse_product(_sparse(self.entries), _sparse(other.entries), c)
+        return IntMatrix._trusted(_dense(rows, c), c)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -146,23 +178,22 @@ class IntMatrix:
         return IntMatrix._trusted(tuple([tuple([-a for a in r]) for r in self.entries]), self.cols)
 
     def __pow__(self, k: int) -> "IntMatrix":
+        """self^k: `power_by_squaring` of `_sparse_product` on sparse rows."""
         if self.rows != self.cols:
             raise DimensionError("power of a non-square matrix")
         if k < 0:
             raise ValueError("negative power")
         if k == 0:
             return IntMatrix.identity(self.rows)
-        return power_by_squaring(self, k, mul)
+        c = self.cols
+        rows = power_by_squaring(_sparse(self.entries), k, lambda X, Y: _sparse_product(X, Y, c))
+        return IntMatrix._trusted(_dense(rows, c), c)
 
     def is_zero(self) -> bool:
-        return all(a == 0 for r in self.entries for a in r)
+        return self.entries == ((0,) * self.cols,) * self.rows
 
     def is_identity(self) -> bool:
-        return self.rows == self.cols and all(
-            self.entries[i][j] == (1 if i == j else 0)
-            for i in range(self.rows)
-            for j in range(self.cols)
-        )
+        return self.rows == self.cols and self.entries == IntMatrix.identity(self.rows).entries
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -92,7 +92,7 @@ MAX_INPUT_DIGITS = 5_000
 # cyclic permutation of F_100, m = 0, takes 0.02 s), but one whose Krylov
 # vectors fill up costs about n^5: `order` on z_i -> z_i z_(i+1) takes 0.41 s
 # at n = 100, and `matrix_order` of a unimodular conjugate of the 100-cycle
-# 1.7 s (Python 3.11). `basis` and `member` read no morphism.
+# 1.6 s (Python 3.11). `basis` and `member` read no morphism.
 MAX_MORPHISM_RANK = 100
 
 # the letters the words, and the digits the integers, parsed so far in the

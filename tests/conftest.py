@@ -446,6 +446,31 @@ def slow_infinite_order_matrix() -> IntMatrix:
     return matrix_inverse(U) * C * U
 
 
+# -- reference matrix product ---------------------------------------------------
+
+
+def reference_product(X: IntMatrix, Y: IntMatrix) -> tuple[tuple[int, ...], ...]:
+    """The entries of X * Y by the triple loop, every entry read."""
+    assert X.cols == Y.rows
+    return tuple(
+        tuple(sum(X.entries[i][k] * Y.entries[k][j] for k in range(X.cols)) for j in range(Y.cols))
+        for i in range(X.rows)
+    )
+
+
+def reference_power(M: IntMatrix, k: int) -> tuple[tuple[int, ...], ...]:
+    """The entries of M^k by `reference_product`, right to left over the
+    bits of k, which is not the ladder `IntMatrix.__pow__` runs."""
+    result, square = IntMatrix.identity(M.rows), M
+    while k:
+        if k & 1:
+            result = IntMatrix(reference_product(result, square), cols=M.cols)
+        k >>= 1
+        if k:
+            square = IntMatrix(reference_product(square, square), cols=M.cols)
+    return result.entries
+
+
 # -- reference characteristic polynomial --------------------------------------
 # Faddeev-LeVerrier, the method `intlat.charpoly` used before the
 # division-free one, kept as the reference it is tested against.

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -9,15 +10,18 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     block_diagonal,
     companion,
+    random_finite_order_morphism,
     random_unimodular,
     reference_charpoly,
     reference_lattice_index,
+    reference_power,
+    reference_product,
     reference_row_echelon,
     reference_totients,
     signed_perm_matrix,
     slow_infinite_order_matrix,
 )
-from fatf import intlat
+from fatf import Ambient, intlat
 from fatf.intlat import (
     DimensionError,
     IntMatrix,
@@ -80,6 +84,89 @@ class TestIntMatrix:
         assert M.apply_row((1, 1)) == (4, 6)
         with pytest.raises(DimensionError):
             M.apply_row((1, 1, 1))
+
+
+class TestProductReference:
+    """`*` and `**` give the entries of the triple-loop product of
+    tests/conftest.py, entry for entry."""
+
+    @staticmethod
+    def _check(X: IntMatrix, Y: IntMatrix) -> None:
+        P = X * Y
+        assert (P.rows, P.cols) == (X.rows, Y.cols)
+        assert P.entries == reference_product(X, Y)
+
+    @staticmethod
+    def _check_powers(M: IntMatrix, ks) -> None:
+        for k in ks:
+            assert (M ** k).entries == reference_power(M, k), k
+
+    def test_random_dense(self):
+        rng = random.Random(61)
+        for m in range(1, 25):
+            X, Y = _random_entries(rng, m), _random_entries(rng, m)
+            self._check(X, Y)
+            self._check_powers(X, range(6))
+
+    def test_signed_permutations(self):
+        rng = random.Random(62)
+        for m in range(1, 21):
+            S, T = (_signed_cycles(rng, _random_partition(rng, m)) for _ in range(2))
+            self._check(S, T)
+            self._check_powers(S, (0, 1, 2, 3, m, 2 * m + 1))
+
+    def test_finite_order_blocks(self):
+        # the block [[A, P], [0, Q]] whose powers morphisms.linear_power takes
+        rng = random.Random(63)
+        for m, n in ((0, 1), (0, 3), (1, 2), (3, 2), (8, 2), (10, 3), (12, 3), (12, 7)):
+            psi, _, order = random_finite_order_morphism(rng, Ambient(m, n))
+            A = psi.phi.abelianization_matrix()
+            rows = [a + p for a, p in zip(A.entries, psi.P.entries)] + [(0,) * n + q for q in psi.Q.entries]
+            B = IntMatrix(rows, cols=n + m)
+            assert reference_power(B, order) == IntMatrix.identity(n + m).entries
+            self._check_powers(B, sorted({0, 1, 2, order - 1, order, 30, 60, 105, 210, 419, 420}))
+
+    def test_rectangular_and_empty_shapes(self):
+        rng = random.Random(64)
+        for r, s, t in itertools.product(range(4), repeat=3):
+            X = IntMatrix([[rng.randint(-3, 3) for _ in range(s)] for _ in range(r)], cols=s)
+            Y = IntMatrix([[rng.randint(-3, 3) for _ in range(t)] for _ in range(s)], cols=t)
+            self._check(X, Y)
+        self._check_powers(IntMatrix.identity(0), range(3))
+
+    def test_identity_and_zero(self):
+        rng = random.Random(65)
+        for m in range(8):
+            I, Z, X = IntMatrix.identity(m), IntMatrix.zeros(m, m), _random_entries(rng, m)
+            for A, B in ((I, X), (X, I), (Z, X), (X, Z), (I, I), (Z, Z)):
+                self._check(A, B)
+            self._check_powers(I, range(4))
+            self._check_powers(Z, range(4))
+
+    def test_entries_past_64_bits(self):
+        rng = random.Random(66)
+
+        def entry() -> int:
+            if rng.random() < 0.3:
+                return rng.randint(-3, 3)
+            return rng.choice([-1, 1]) * rng.randint(2**64, 2**80)
+
+        for m in range(1, 9):
+            X, Y = (IntMatrix([[entry() for _ in range(m)] for _ in range(m)], cols=m) for _ in range(2))
+            self._check(X, Y)
+            self._check_powers(X, range(5))
+
+    def test_identity_and_zero_predicates(self):
+        cases = [IntMatrix.identity(m) for m in range(4)]
+        cases += [IntMatrix.zeros(r, c) for r in range(3) for c in range(3)]
+        cases += [IntMatrix(e) for e in ([[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1], [0, 0]], [[1, 0], [0, -1]],
+                                         [[0, 1], [1, 0]], [[1, 0], [1, 1]], [[0, 0], [0, 1]], [[2]])]
+        for M in cases:
+            e = M.entries
+            square = M.rows == M.cols
+            assert M.is_identity() == (square and all(e[i][j] == (i == j) for i in range(M.rows) for j in range(M.cols)))
+            assert M.is_zero() == all(a == 0 for r in e for a in r)
+        assert not IntMatrix.zeros(0, 3).is_identity()
 
 
 class TestHermiteForm:

@@ -20,7 +20,7 @@ from conftest import (
 from fatf import Ambient, FreeMap, GroupElement, IntMatrix, Morphism
 from fatf.bounds import automorphism_order_bound
 from fatf.freewords import LetterError
-from fatf import morphisms
+from fatf import intlat, morphisms
 from fatf.intlat import matrix_order
 from fatf.morphisms import apply, compose, invert, linear_power, order, power, power_vector_matrix
 
@@ -261,7 +261,8 @@ class TestPowers:
 
     def test_ladder_wastes_no_product(self, monkeypatch):
         # k.bit_length() - 1 squarings and k.bit_count() - 1 products by the
-        # base: no product with the identity and no squaring past the last bit
+        # base: no product with the identity and no squaring past the last bit;
+        # a matrix power multiplies its sparse rows by intlat._sparse_product
         calls = Counter()
 
         def counted(owner, name, label):
@@ -273,7 +274,7 @@ class TestPowers:
 
             monkeypatch.setattr(owner, name, wrapper)
 
-        counted(IntMatrix, "__mul__", "matrix")
+        counted(intlat, "_sparse_product", "matrix")
         counted(FreeMap, "compose", "free map")
         counted(morphisms, "compose", "morphism")
         psi = spiral_morphism()
