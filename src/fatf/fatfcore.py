@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from . import freewords
 from .freewords import Word, reduce_word
-from .intlat import Lattice, Vec, _as_vec, _row_times
+from .intlat import IntMatrix, Lattice, Vec, _as_vec, _row_times
 
 
 class AmbientMismatch(ValueError):
@@ -223,7 +223,7 @@ def subgroup_basis(gens: Sequence[GroupElement], ambient: Ambient) -> SubgroupBa
     # every generator lies in the graph it spans, so each trace succeeds
     rows = [freewords.abelianize(graph.trace(g.w), r) + g.t for g in gens]
     H = Lattice.from_rows(rows, r + ambient.m).basis.entries
-    L = Lattice.from_rows([h[r:] for h in H[r:]], ambient.m)
+    L = Lattice(ambient.m, IntMatrix._trusted(tuple([h[r:] for h in H[r:]]), ambient.m))
     return SubgroupBasis(ambient, graph, [h[r:] for h in H[:r]], L)
 
 

@@ -123,8 +123,8 @@ class IntMatrix:
 
         Callers build each tuple from a list: tuple() of a generator grows
         the tuple by resizing, which bypasses CPython's per-size tuple free
-        lists on allocation but refills them on release, so a power chain of
-        (n+m)-row matrices would pin up to 2000 free tuples of each size."""
+        lists on allocation but refills them on release, so a product ladder
+        (`morphisms.power`) would pin up to 2000 free tuples of its row size."""
         M = object.__new__(cls)
         M.entries, M.rows, M.cols = rows, len(rows), cols
         return M
@@ -188,9 +188,6 @@ class IntMatrix:
         c = self.cols
         rows = power_by_squaring(_sparse(self.entries), k, lambda X, Y: _sparse_product(X, Y, c))
         return IntMatrix._trusted(_dense(rows, c), c)
-
-    def is_zero(self) -> bool:
-        return self.entries == ((0,) * self.cols,) * self.rows
 
     def is_identity(self) -> bool:
         return self.rows == self.cols and self.entries == IntMatrix.identity(self.rows).entries

@@ -34,18 +34,18 @@ class FreeMap:
             n = len(images)
         if len(images) != n:
             raise ValueError("need one image per generator")
-        self._set(n, tuple(reduce_word(w, n) for w in images), None)
+        images = tuple(reduce_word(w, n) for w in images)
         if inverse_images is not None:
             inverse_images = tuple(reduce_word(w, n) for w in inverse_images)
             if len(inverse_images) != n:
                 raise ValueError("need one inverse image per generator")
+        self._set(n, images, inverse_images)
+        if inverse_images is not None:
             # back undoing the map on every generator makes back onto, hence
             # an automorphism (F_n is Hopfian) whose inverse is the map
-            back = FreeMap(inverse_images, None, n)
-            for i in range(1, n + 1):
-                if back.apply(self.images[i - 1]) != (i,):
-                    raise ValueError("claimed inverse does not undo the map")
-            self.inverse_images = inverse_images
+            back = self.invert()
+            if any(back.apply(w) != (i,) for i, w in enumerate(images, start=1)):
+                raise ValueError("claimed inverse does not undo the map")
 
     def _set(self, n: int, images: tuple[Word, ...], inverse_images: Optional[tuple[Word, ...]]) -> None:
         """Fill the slots from images that are reduced words over n letters,
@@ -61,7 +61,8 @@ class FreeMap:
         return cls(gens, gens, n)
 
     def apply(self, w: Word) -> Word:
-        """phi(w), reduced, for a word w over the n letters (LetterError otherwise)."""
+        """phi(w), reduced; LetterError for a letter outside +-1..+-n, but only the
+        constructors check types, so a float or bool equal to a letter passes."""
         spell = self._spell
         try:
             return reduce_word([b for a in w for b in spell[a]])
@@ -76,7 +77,7 @@ class FreeMap:
         images = tuple(other.apply(w) for w in self.images)
         inverse = None
         if self.inverse_images is not None and other.inverse_images is not None:
-            back = FreeMap(self.inverse_images, None, self.n)
+            back = self.invert()
             inverse = tuple(back.apply(w) for w in other.inverse_images)
         out = FreeMap.__new__(FreeMap)
         out._set(self.n, images, inverse)
@@ -108,11 +109,13 @@ class FreeMap:
         The torsion of Aut(F_n) embeds in GL_n(Z) (the kernel of the
         abelianization map is torsion-free), so the order equals the order
         of the abelianization matrix whenever that power is the identity.
-        The map is immutable, so the order is computed once and kept.
+        The map is immutable, so the order is computed once and kept; the
+        ladder to phi^s carries no inverse images, so `compose` skips them.
         """
         if self._order is None:
             s = matrix_order(self.abelianization_matrix())
-            self._order = s if s == math.inf or self.power(s).is_identity() else math.inf
+            ladder = FreeMap(self.images, None, self.n)
+            self._order = s if s == math.inf or ladder.power(s).is_identity() else math.inf
         return self._order
 
     def __eq__(self, other: object) -> bool:
@@ -163,23 +166,31 @@ def apply(psi: Morphism, g: GroupElement) -> GroupElement:
     return GroupElement._trusted(psi.ambient, t, psi.phi.apply(g.w))
 
 
+def _block(psi: Morphism) -> IntMatrix:
+    """[[A, P], [0, Q]], A the abelianization of phi: psi acts on the pair
+    (u_ab, a) as this matrix, so morphisms compose, invert and power as it does."""
+    n = psi.ambient.n
+    rows = [a + p for a, p in zip(psi.phi.abelianization_matrix().entries, psi.P.entries)]
+    return IntMatrix._trusted(tuple(rows + [(0,) * n + q for q in psi.Q.entries]), n + psi.ambient.m)
+
+
+def _unblock(ambient: Ambient, block: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """(Q, P) read off the last m columns of a block [[A, P], [0, Q]]."""
+    n, m = ambient.n, ambient.m
+    rows = [r[n:] for r in block.entries]
+    return IntMatrix._trusted(tuple(rows[n:]), m), IntMatrix._trusted(tuple(rows[:n]), m)
+
+
 def compose(psi: Morphism, other: Morphism) -> Morphism:
     """psi followed by other: apply(compose(psi, other), g) = other(psi(g))."""
     _check_same(psi.ambient, other.ambient)
-    A = psi.phi.abelianization_matrix()
-    return Morphism(
-        psi.ambient,
-        psi.phi.compose(other.phi),
-        psi.Q * other.Q,
-        psi.P * other.Q + A * other.P,
-    )
+    phi = psi.phi.compose(other.phi)
+    return Morphism(psi.ambient, phi, *_unblock(psi.ambient, _block(psi) * _block(other)))
 
 
 def invert(psi: Morphism) -> Morphism:
-    phi_inv = psi.phi.invert()
-    Q_inv = matrix_inverse(psi.Q)
-    A_inv = matrix_inverse(psi.phi.abelianization_matrix())
-    return Morphism(psi.ambient, phi_inv, Q_inv, -(A_inv * psi.P * Q_inv))
+    # phi first: a map without inverse images raises before any matrix work
+    return Morphism(psi.ambient, psi.phi.invert(), *_unblock(psi.ambient, matrix_inverse(_block(psi))))
 
 
 def power(psi: Morphism, k: int) -> Morphism:
@@ -194,19 +205,9 @@ def power_vector_matrix(psi: Morphism, k: int) -> IntMatrix:
 
 
 def linear_power(psi: Morphism, k: int) -> tuple[IntMatrix, IntMatrix]:
-    """(Q^k, P_k) of psi^k, with no free word powered.
-
-    psi acts on the pair (u_ab, a) as the (n+m)-square block matrix
-    [[A, P], [0, Q]], A the abelianization of phi; its k-th power is
-    [[A^k, P_k], [0, Q^k]].
-    """
-    n, m = psi.ambient.n, psi.ambient.m
-    A = psi.phi.abelianization_matrix()
-    zero = (0,) * n
-    rows = [a + p for a, p in zip(A.entries, psi.P.entries)] + [zero + q for q in psi.Q.entries]
-    block = IntMatrix._trusted(tuple(rows), n + m) ** k
-    rows = [r[n:] for r in block.entries]
-    return IntMatrix._trusted(tuple(rows[n:]), m), IntMatrix._trusted(tuple(rows[:n]), m)
+    """(Q^k, P_k) of psi^k, with no free word powered, read off the k-th
+    power [[A^k, P_k], [0, Q^k]] of `_block(psi)`."""
+    return _unblock(psi.ambient, _block(psi) ** k)
 
 
 def order(psi: Morphism):
@@ -217,8 +218,9 @@ def order(psi: Morphism):
     cyclotomic orders, so k is a multiple of s = lcm(r1, q).
     Then phi^s = id and A^s = I, so psi^s = (id, Q^s, P_s) and
     psi^(js) = (id, I, j P_s) once Q^s = I: k = s exactly when Q^s = I and
-    P_s = 0. phi.order() powers free words only after its matrix check, and
-    nothing is powered when chi(A) or chi(Q) is not all cyclotomic.
+    P_s = 0, that is when `_block(psi) ** s` is the identity. Free words are
+    powered only after phi.order()'s matrix check, and nothing is powered
+    when chi(A) or chi(Q) is not all cyclotomic.
     """
     r1 = psi.phi.order()
     if r1 == math.inf:
@@ -227,5 +229,4 @@ def order(psi: Morphism):
     if len(rest) != 1:
         return math.inf
     s = math.lcm(r1, q)
-    Qs, Ps = linear_power(psi, s)
-    return s if Qs.is_identity() and Ps.is_zero() else math.inf
+    return s if (_block(psi) ** s).is_identity() else math.inf

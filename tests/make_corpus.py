@@ -165,10 +165,11 @@ def per_cases(rng):
 
 def closure_cases(rng):
     """H is the answer (autofixed), a subgroup of it (closure answered, not
-    autofixed), the answer with a vector or row moved by a unit vector
-    (ValueError: not fixed) or the answer against a fixed basis missing one
-    word (CertificateError: the closure must contain H)."""
+    autofixed), the answer with a unit vector added to its generators
+    (mostly ValueError: not fixed) or the answer against a fixed basis
+    missing one word (CertificateError: the closure must contain H)."""
     for label, inp in _finite_order_inputs(rng):
+        # a prefix match: the ell family at 1, 16, 100 and 128 is left out too
         if label.startswith(("infinite", "ell/1", "ell-pair")):
             continue
         B = fix_tuple(inp).basis

@@ -124,6 +124,19 @@ class TestSubgroupBasis:
         assert subgroup_equal(new, old)
         assert member(new, g1) and member(new, g2)
 
+    def test_one_elimination(self, monkeypatch):
+        # the HNF of the rows (E_j | c_j) has pivots 1 in its first r
+        # columns, so its later rows are already L's HNF
+        calls = []
+        real = Lattice.from_rows.__func__
+        monkeypatch.setattr(Lattice, "from_rows", classmethod(lambda cls, rows, d: calls.append(d) or real(cls, rows, d)))
+        rng = random.Random(6)
+        for _ in range(25):
+            gens = [random_element(rng, AMB, max_len=2) for _ in range(rng.randint(0, 4))]
+            calls.clear()
+            subgroup_basis(gens, AMB)
+            assert len(calls) == 1
+
     def test_generators_are_members(self):
         rng = random.Random(4)
         for _ in range(25):

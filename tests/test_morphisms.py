@@ -25,6 +25,20 @@ from fatf.intlat import matrix_order
 from fatf.morphisms import apply, compose, invert, linear_power, order, power, power_vector_matrix
 
 
+def _spy(monkeypatch, owner, name) -> list:
+    """Replace owner.name by a wrapper that records the arguments of each
+    call in the list returned."""
+    calls = []
+    real = getattr(owner, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
 def worked_morphism():
     amb = Ambient(2, 3)
     phi = FreeMap([(-1,), (2,), (3,)], [(-1,), (2,), (3,)], 3)
@@ -191,9 +205,17 @@ class TestApplication:
 
 class TestComposition:
     def test_worked_involution(self):
-        psi = worked_morphism()
-        assert compose(psi, psi) == Morphism.identity(psi.ambient)
-        assert compose(psi, Morphism.identity(psi.ambient)) == psi
+        # the worked map, an involution with no free part and the identity
+        # of the trivial group, whose blocks have no P or no rows at all
+        swap = Morphism(Ambient(2, 0), FreeMap.identity(0), IntMatrix([[0, 1], [1, 0]]), IntMatrix.zeros(0, 2))
+        for psi, k in ((worked_morphism(), 2), (swap, 2), (Morphism.identity(Ambient(0, 0)), 1)):
+            ident = Morphism.identity(psi.ambient)
+            assert compose(psi, psi) == ident
+            assert compose(psi, ident) == psi
+            assert invert(psi) == psi
+            assert power(psi, 3) == psi
+            assert [linear_power(psi, j) for j in range(4)] == [(power(psi, j).Q, power(psi, j).P) for j in range(4)]
+            assert order(psi) == k
 
     def test_application_order(self):
         rng = random.Random(22)
@@ -207,6 +229,13 @@ class TestComposition:
     def test_inverse(self):
         psi = worked_morphism()
         assert invert(psi) == psi
+        # det Q = 2: phi is invertible, the block [[A, P], [0, Q]] is not
+        doubled = Morphism(psi.ambient, psi.phi, IntMatrix([[2, 0], [0, 1]]), psi.P)
+        with pytest.raises(ValueError, match="matrix is not unimodular"):
+            invert(doubled)
+        # a free map without inverse images is refused before any matrix
+        with pytest.raises(ValueError, match="no inverse images available"):
+            invert(Morphism(psi.ambient, FreeMap(psi.phi.images), doubled.Q, psi.P))
         rng = random.Random(23)
         for _ in range(20):
             amb = Ambient(rng.randint(0, 3), rng.randint(1, 3))
@@ -263,27 +292,74 @@ class TestPowers:
         # k.bit_length() - 1 squarings and k.bit_count() - 1 products by the
         # base: no product with the identity and no squaring past the last bit;
         # a matrix power multiplies its sparse rows by intlat._sparse_product
-        calls = Counter()
-
-        def counted(owner, name, label):
-            f = getattr(owner, name)
-
-            def wrapper(*args):
-                calls[label] += 1
-                return f(*args)
-
-            monkeypatch.setattr(owner, name, wrapper)
-
-        counted(intlat, "_sparse_product", "matrix")
-        counted(FreeMap, "compose", "free map")
-        counted(morphisms, "compose", "morphism")
+        calls = {
+            "matrix": _spy(monkeypatch, intlat, "_sparse_product"),
+            "free map": _spy(monkeypatch, FreeMap, "compose"),
+            "morphism": _spy(monkeypatch, morphisms, "compose"),
+        }
         psi = spiral_morphism()
         ladders = {"matrix": lambda k: psi.Q ** k, "free map": psi.phi.power, "morphism": lambda k: power(psi, k)}
         for k in range(1, 18):
             for label, ladder in ladders.items():
-                calls.clear()
+                calls[label].clear()
                 ladder(k)
-                assert calls[label] == k.bit_length() + k.bit_count() - 2, (label, k)
+                assert len(calls[label]) == k.bit_length() + k.bit_count() - 2, (label, k)
+
+
+class TestWorkDoneOnce:
+    # compose and invert read the linear part off one product or inverse of
+    # blocks [[A, P], [0, Q]], and a free map is checked once, when built
+    def test_compose_makes_one_product(self, monkeypatch):
+        calls = _spy(monkeypatch, intlat, "_sparse_product")
+        rng = random.Random(30)
+        for _ in range(30):
+            amb = Ambient(rng.randint(0, 3), rng.randint(0, 3))
+            a, b = (random_morphism(rng, amb, invertible=False) for _ in range(2))
+            calls.clear()
+            compose(a, b)
+            assert len(calls) == 1
+
+    def test_invert_makes_one_inverse(self, monkeypatch):
+        calls = _spy(monkeypatch, morphisms, "matrix_inverse")
+        rng = random.Random(31)
+        for _ in range(30):
+            a = random_morphism(rng, Ambient(rng.randint(0, 3), rng.randint(0, 3)))
+            calls.clear()
+            invert(a)
+            assert len(calls) == 1
+
+    def test_free_maps_are_checked_once(self, monkeypatch):
+        # the claimed inverse is checked through the map's own inverse, and
+        # compose builds its result from the words it has just reduced
+        calls = _spy(monkeypatch, FreeMap, "__init__")
+        rng = random.Random(32)
+        for _ in range(30):
+            n = rng.randint(1, 4)
+            f, g = random_free_aut(rng, n), random_free_aut(rng, n)
+            calls.clear()
+            FreeMap(f.images, f.inverse_images, n)
+            assert len(calls) == 1
+            calls.clear()
+            assert f.compose(g).inverse_images is not None
+            assert not calls
+
+    def test_order_ladder_carries_no_inverse(self, monkeypatch):
+        seen = []
+        real = FreeMap.compose
+
+        def wrapper(f, g):
+            out = real(f, g)
+            seen.append((f.inverse_images, g.inverse_images, out.inverse_images))
+            return out
+
+        rng = random.Random(33)
+        maps = [random_finite_order_morphism(rng, Ambient(0, rng.randint(2, 4)))[0].phi for _ in range(20)]
+        monkeypatch.setattr(FreeMap, "compose", wrapper)
+        for phi in maps:
+            seen.clear()
+            k = phi.order()
+            assert len(seen) == k.bit_length() + k.bit_count() - 2
+            assert all(images == (None, None, None) for images in seen)
 
 
 class TestLinearPower:
@@ -351,7 +427,7 @@ class TestOrder:
                 psi = Morphism(amb, psi.phi, psi.Q, random_matrix(rng, amb.n, amb.m, bound=1))
             r3 = math.lcm(int(psi.phi.order()), int(matrix_order(psi.Q)))
             k = order(psi)
-            assert (k != math.inf) == power_vector_matrix(psi, r3).is_zero()
+            assert (k != math.inf) == (power_vector_matrix(psi, r3) == IntMatrix.zeros(amb.n, amb.m))
             assert k in (r3, math.inf)
             seen.add(k == math.inf)
         assert seen == {True, False}
