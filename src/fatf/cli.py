@@ -11,13 +11,14 @@ exits 2. Any other exception is an internal fault and propagates.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import sys
 from typing import Any
 
 from . import bounds as bounds_mod
 from . import fixpoint, jsonio, morphisms, oracle
-from .fatfcore import Ambient, member, members, subgroup_basis
+from .fatfcore import Ambient, Vec, member, members, project, subgroup_basis
 from .jsonio import FormatError
 
 EXIT_OK = 0
@@ -126,8 +127,20 @@ def _cmd_oracle_check(payload: dict, ambient: Ambient) -> dict:
     )
     fixed = oracle.brute_fixed(list(inp.morphisms), bnds)
     res = fixpoint.fix_tuple(inp)
+    # each word is spelled once per run of it, each distinct vector once
+    texts: dict[Vec, list[str]] = {}
+    out = []
+    for _, run in itertools.groupby(fixed, key=project):
+        g = next(run)
+        head = jsonio.element_to_json(g)
+        texts.setdefault(g.t, head["t"])
+        out.append(head)
+        for g in run:
+            if g.t not in texts:
+                texts[g.t] = jsonio.vec_to_json(g.t)
+            out.append({"t": texts[g.t], "w": head["w"]})
     return {
-        "fixed": [jsonio.element_to_json(g) for g in fixed],
+        "fixed": out,
         "fg": res.finitely_generated,
         "contained": None if res.basis is None else all(members(res.basis, fixed)),
     }

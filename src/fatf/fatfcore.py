@@ -169,15 +169,21 @@ class SubgroupBasis:
 def members(H: SubgroupBasis, gs: Iterable[GroupElement]) -> Iterator[bool]:
     """Whether each g lies in H, in order.
 
-    A maximal run of elements with equal words traces that word once; each
-    element then checks its own t - v against the abelian part."""
-    L = H.abelian_part
+    A maximal run of elements with equal words w traces w once, to the v
+    with t^v w in H. t - v lies in the abelian part exactly when t and v
+    have equal `Lattice.reduce` residues, so v is reduced once per run whose
+    word traces, and each distinct t once per call."""
+    reduce = H.abelian_part.reduce
+    residues: dict[Vec, Vec] = {}
     for w, run in itertools.groupby(gs, key=project):
         v = H.projection_word_vector(w)
+        r = None if v is None else reduce(v)[1]
         for g in run:
             if g.ambient is not H.ambient:
                 _check_same(H.ambient, g.ambient)
-            yield v is not None and L.contains(tuple(map(sub, g.t, v)))
+            if r is not None and g.t not in residues:
+                residues[g.t] = reduce(g.t)[1]
+            yield r is not None and residues[g.t] == r
 
 
 def member(H: SubgroupBasis, g: GroupElement) -> bool:

@@ -15,9 +15,12 @@ F(x a) = a^-1 F(x) phi(a) for each of the k maps. It keys each x by F_1(x)
 alone and stores rest = (F_2(x), ..., F_k(x)) beside it. For each l <= L it
 walks the words y = v^-1 of length floor(l/2), looks each key up among the
 words u of length ceil(l/2), and keeps a pair only when the rests are equal
-too. It applies no map to a word
-longer than H: it reads the maps' images and matrices, calls no `FreeMap`
-method and uses none of the Stallings or lattice code it checks.
+too. When L is odd, level H serves only the lookups of length L, made with
+the keys of level H - 1, so it keeps only those keys. At an even l a key of
+one half-word x meets only x, and x x^-1 cancels, so the join skips it.
+It applies no map to a word longer than H: it reads the maps' images and
+matrices, calls no `FreeMap` method and uses none of the Stallings or
+lattice code it checks.
 
 The vectors of a fixed word w are the a of the box |a_j| <= c that solve the
 stacked system a R = (w_ab P_1, ..., w_ab P_k), R = [I - Q_1 | ... | I - Q_k].
@@ -99,7 +102,7 @@ def _check_budget(maps: Sequence[Morphism], bounds: Bounds) -> None:
         raise ValueError(f"bounds enumerate more than {MAX_ENUMERATION} elements")
     H = (L + 1) // 2
     # a half-word x of length <= H is stored with each F_i(x), of length
-    # <= H (1 + K_i)
+    # <= H (1 + K_i); an upper bound, as a lookup-only level H keeps fewer
     per_letter = 1 + sum(1 + max(map(len, psi.phi.images), default=0) for psi in maps)
     if _word_count(n, H) * H * per_letter > MAX_ENUMERATION:
         raise ValueError(f"bounds need half-word tables of more than {MAX_ENUMERATION} letters")
@@ -119,12 +122,13 @@ def _extend(f: Word, a: int, image: Word) -> Word:
     return f[: len(f) - k] + image[k:]
 
 
-def _half_word_tables(maps: Sequence[Morphism], n: int, H: int) -> list[dict[Word, list[tuple[Word, tuple[Word, ...]]]]]:
+def _half_word_tables(maps: Sequence[Morphism], n: int, H: int, lookup_only: bool = False) -> list[dict[Word, list[tuple[Word, tuple[Word, ...]]]]]:
     """Entry h maps each key F_1(x) to the (x, rest) of the reduced words x
     of length h with that key, rest = (F_2(x), ..., F_k(x)) and
     F_i(x) = x^-1 phi_i(x) reduced; rest is () for one map.
 
-    Level h + 1 extends the entries of level h, key by key."""
+    Level h + 1 extends the entries of level h, key by key; with
+    lookup_only, level H keeps only the keys of level H - 1."""
     # (a, phi_1(a), [a] * (k - 1), [phi_2(a), ..., phi_k(a)]) per letter a
     steps = []
     for i in range(1, n + 1):
@@ -134,16 +138,19 @@ def _half_word_tables(maps: Sequence[Morphism], n: int, H: int) -> list[dict[Wor
         steps.append((-i, invs[0], [-i] * (len(maps) - 1), invs[1:]))
     root: tuple[Word, tuple[Word, ...]] = ((), tuple(() for _ in maps[1:]))
     tables = [{(): [root]}]
-    for _ in range(H):
+    for h in range(H):
+        keep = tables[-1] if lookup_only and h == H - 1 else None
         table: dict[Word, list[tuple[Word, tuple[Word, ...]]]] = {}
         for f, entries in tables[-1].items():
             for x, rest in entries:
                 last = -x[-1] if x else 0
                 for a, image, letters, images in steps:
                     if a != last:
-                        table.setdefault(_extend(f, a, image), []).append(
-                            (x + (a,), rest and tuple(map(_extend, rest, letters, images)))
-                        )
+                        key = _extend(f, a, image)
+                        if keep is None or key in keep:
+                            table.setdefault(key, []).append(
+                                (x + (a,), rest and tuple(map(_extend, rest, letters, images)))
+                            )
         tables.append(table)
     return tables
 
@@ -200,9 +207,10 @@ def brute_fixed(maps: Sequence[Morphism], bounds: Bounds) -> list[GroupElement]:
     The words come from the meet-in-the-middle join of the module docstring:
     w = u y^-1 with |u| = ceil(l/2), |y| = floor(l/2), equal keys and equal
     rests, where u y^-1 is reduced unless u and y end in the same letter (u
-    is not empty when y is not, as |u| >= |y|). A fixed word w takes the a
-    with a - aQ_i = w_ab P_i for every map, from the split box of the
-    stacked system (`_shift_solver`), solved once per distinct shift.
+    is not empty when y is not, as |u| >= |y|), with the lookup-only last
+    level and the skip of lone keys. A fixed word w takes the a with
+    a - aQ_i = w_ab P_i for every map, from the split box of the stacked
+    system (`_shift_solver`), solved once per distinct shift.
 
     Raises ValueError when the bounds exceed either budget of the module
     docstring."""
@@ -212,14 +220,16 @@ def brute_fixed(maps: Sequence[Morphism], bounds: Bounds) -> list[GroupElement]:
     ambient = maps[0].ambient
     n = ambient.n
     L = bounds.word_len_max
-    tables = _half_word_tables(maps, n, (L + 1) // 2)
+    tables = _half_word_tables(maps, n, (L + 1) // 2, lookup_only=L % 2 == 1)
     order = {a: i for i, a in enumerate(freewords.alphabet(n))}
     words: list[Word] = []
     for ell in range(L + 1):
         found: list[Word] = []
         left = tables[(ell + 1) // 2]
+        # at even ell > 0 a key needs two half-words: a lone x meets only x
+        fewest = 2 if ell and ell % 2 == 0 else 1
         for key, ys in tables[ell // 2].items():
-            us = left.get(key)
+            us = left.get(key) if len(ys) >= fewest else None
             if us is None:
                 continue
             for y, yrest in ys:

@@ -387,6 +387,13 @@ def reference_projection_word_vector(H: SubgroupBasis, w: Word):
     return tuple(sum(c * a[i] for c, a in pairs) for i in range(H.ambient.m))
 
 
+def reference_member(H: SubgroupBasis, g: GroupElement) -> bool:
+    """Membership element by element: the word traces to some v with t^v w
+    in H, and t - v lies in the abelian part."""
+    v = reference_projection_word_vector(H, g.w)
+    return v is not None and H.abelian_part.contains(tuple(x - y for x, y in zip(g.t, v)))
+
+
 # -- reference totients --------------------------------------------------------
 # The sieve and the scan up to 2m^2 + 1 that `intlat.totient_at_most` and
 # `bounds.phi_threshold` replaced, kept as the reference they are tested

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import random
 import sys
@@ -14,6 +15,7 @@ from conftest import (
     random_word,
     reference_contains,
     reference_from_words,
+    reference_member,
     reference_projection_word_vector,
 )
 from fatf import cli, jsonio
@@ -208,6 +210,73 @@ class TestMembership:
             list(members(self.H, [g]))
         with pytest.raises(AmbientMismatch):
             member(self.H, g)
+
+
+class TestMembersByResidue:
+    """`members` compares the residues of t and v under `Lattice.reduce`;
+    the reference checks each element's t - v with `Lattice.contains`."""
+
+    @staticmethod
+    def sample(rng: random.Random):
+        """A subgroup and 40 elements drawn from small pools of words and
+        vectors, so vectors recur under several words and one word recurs in
+        runs that are not adjacent."""
+        amb = Ambient(rng.randint(0, 3), rng.randint(1, 3))
+        gens = [random_element(rng, amb, 3, 2) for _ in range(rng.randint(1, 3))]
+        H = subgroup_basis(gens, amb)
+        inside = list(bounded_products(gens, amb, 2))
+        words = [g.w for g in rng.sample(inside, min(4, len(inside)))] + [random_word(rng, amb.n, 3) for _ in range(2)]
+        vectors = [g.t for g in rng.sample(inside, min(3, len(inside)))] + [random_element(rng, amb, 0, 2).t]
+        gs = [rng.choice(inside) if rng.random() < 0.3 else GroupElement(amb, rng.choice(vectors), rng.choice(words))
+              for _ in range(40)]
+        return H, gs
+
+    def test_matches_per_element_reference(self):
+        rng = random.Random(29)
+        seen = Counter()
+        for _ in range(60):
+            H, gs = self.sample(rng)
+            want = [reference_member(H, g) for g in gs]
+            assert list(members(H, gs)) == want
+            assert [member(H, g) for g in gs] == want
+            for g, inside in zip(gs, want):
+                traced = H.projection_word_vector(g.w) is not None
+                seen["inside" if inside else "wrong vector" if traced else "outside projection"] += 1
+            runs = [w for w, _ in itertools.groupby(g.w for g in gs)]
+            seen["split runs"] += len(runs) > len(set(runs))
+            seen["shared vectors"] += any(len({g.w for g in gs if g.t == t}) > 1 for t in {g.t for g in gs})
+        assert min(seen.values()) >= 20 and len(seen) == 5, seen
+
+    def test_one_reduce_per_vector_and_traced_run(self, monkeypatch):
+        # a residue per distinct vector whose word traces, and one per run
+        # whose word traces; words outside the projection reduce nothing
+        rng = random.Random(31)
+        cases = [self.sample(rng) for _ in range(20)]
+        amb = Ambient(2, 3)
+        H = subgroup_basis([GroupElement(amb, (0, 1), (3,))], amb)
+        cases.append((H, [GroupElement(amb, (7, 7), (2,)), GroupElement(amb, (5, 1), (3,))]))
+        expected = []
+        for H, gs in cases:
+            traced = [g for g in gs if H.projection_word_vector(g.w) is not None]
+            runs = [w for w, _ in itertools.groupby(g.w for g in gs) if H.projection_word_vector(w) is not None]
+            expected.append(len({g.t for g in traced}) + len(runs))
+        calls = []
+        reduce = Lattice.reduce
+        monkeypatch.setattr(Lattice, "reduce", lambda L, v: calls.append(v) or reduce(L, v))
+        for (H, gs), want in zip(cases, expected):
+            calls.clear()
+            list(members(H, gs))
+            assert len(calls) == want
+        assert sum(expected) < sum(len(gs) for _, gs in cases)
+
+    def test_other_ambient_after_a_cached_vector(self):
+        amb = Ambient(2, 3)
+        H = subgroup_basis([GroupElement(amb, (0, 1), (3,))], amb)
+        gs = [GroupElement(amb, (0, 1), (3,)), GroupElement(Ambient(2, 4), (0, 1), (3,))]
+        got = members(H, gs)
+        assert next(got) is True
+        with pytest.raises(AmbientMismatch):
+            next(got)
 
 
 class TestSubgroupEqual:

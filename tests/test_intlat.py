@@ -156,7 +156,7 @@ class TestProductReference:
             self._check(X, Y)
             self._check_powers(X, range(5))
 
-    def test_identity_and_zero_predicates(self):
+    def test_identity_predicate(self):
         cases = [IntMatrix.identity(m) for m in range(4)]
         cases += [IntMatrix.zeros(r, c) for r in range(3) for c in range(3)]
         cases += [IntMatrix(e) for e in ([[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1], [0, 0]], [[1, 0], [0, -1]],

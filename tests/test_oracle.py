@@ -1,5 +1,6 @@
 import ast
 import itertools
+import json
 import random
 from pathlib import Path
 
@@ -15,12 +16,18 @@ from conftest import (
     random_morphism,
     random_signed_targets,
     reference_brute_fixed,
+    reference_member,
     signed_perm_matrix,
 )
-from fatf import Ambient, FreeMap, GroupElement, IntMatrix, Morphism, SubgroupBasis, member, oracle, subgroup_basis
+from fatf import Ambient, FreeMap, GroupElement, IntMatrix, Morphism, SubgroupBasis, fix_tuple, jsonio, member, oracle, subgroup_basis
+from fatf.cli import EXIT_OK, _dump, run
+from fatf.fixpoint import FixInput
 from fatf.morphisms import power
 from fatf.oracle import Bounds, brute_fixed, reduced_words
+from make_corpus import _fix_body, _gens, _identity_free
 from test_acceptance import finite_order_suite, spiral_morphism, worked_morphism
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def box_size(amb: Ambient, bounds: Bounds) -> int:
@@ -224,6 +231,76 @@ class TestAgainstReference:
             assert self.same([inversion], Bounds(L, 1)) == [
                 GroupElement(amb, (a,), ()) for a in (-1, 0, 1)
             ]
+
+
+class TestHalfWordTables:
+    def test_lookup_only_last_level(self):
+        # at odd L level H serves only the lookups made with the keys of
+        # level H - 1: the lookup-only table is the full one cut to them
+        rng = random.Random(600)
+        smaller = 0
+        for _ in range(12):
+            amb = Ambient(rng.randint(0, 2), rng.randint(1, 3))
+            maps = [random_finite_order_morphism(rng, amb)[0] for _ in range(rng.randint(1, 2))]
+            flip = Morphism(amb, letter_map([-1] + list(range(2, amb.n + 1))), IntMatrix.identity(amb.m), IntMatrix.zeros(amb.n, amb.m))
+            for psis in (maps, [flip]):
+                for H in (1, 2, 3):
+                    full = oracle._half_word_tables(psis, amb.n, H)
+                    lean = oracle._half_word_tables(psis, amb.n, H, lookup_only=True)
+                    assert lean[:-1] == full[:-1]
+                    assert lean[-1] == {key: xs for key, xs in full[-1].items() if key in full[-2]}
+                    smaller += sum(map(len, lean[-1].values())) < sum(map(len, full[-1].values()))
+        assert smaller >= 24
+
+    def test_identity_keeps_every_word(self):
+        amb = Ambient(1, 2)
+        full = oracle._half_word_tables([Morphism.identity(amb)], 2, 3)
+        assert oracle._half_word_tables([Morphism.identity(amb)], 2, 3, lookup_only=True) == full
+        assert list(full[-1]) == [()]
+
+
+class TestOracleCheckReply:
+    """`oracle-check` spells each word once per run and tests membership by
+    residue; its reply equals one assembled element by element from the
+    exhaustive reference."""
+
+    @pytest.mark.parametrize("L", [4, 5])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_matches_assembled_reference(self, L, k):
+        rng = random.Random(700 + 10 * L + k)
+        shared = 0
+        for i in range(6):
+            amb = Ambient(rng.randint(0, 3), rng.randint(1, 3))
+            psi, basis, _ = random_finite_order_morphism(rng, amb)
+            maps, bases = [psi], [basis]
+            if k == 2:
+                maps.append(Morphism.identity(amb) if i % 2 else _identity_free(rng, amb))
+                bases.append(_gens(amb.n))
+            body = {**_fix_body(maps, bases), "bounds": {"word_len_max": str(L), "coord_abs_max": "2"}}
+            fixed = reference_brute_fixed(maps, Bounds(L, 2))
+            res = fix_tuple(FixInput(tuple(maps), tuple(map(tuple, bases))))
+            want = {
+                "ok": True,
+                "fixed": [jsonio.element_to_json(g) for g in fixed],
+                "fg": res.finitely_generated,
+                "contained": None if res.basis is None else all(reference_member(res.basis, g) for g in fixed),
+            }
+            assert run(["oracle-check"], json.dumps(body)) == (EXIT_OK, _dump(want))
+            shared += len({g.w for g in fixed}) < len(fixed)
+        assert shared >= 1
+
+    def test_one_spelling_per_word_run(self, monkeypatch):
+        calls = []
+        spell = jsonio.element_to_json
+        monkeypatch.setattr(jsonio, "element_to_json", lambda g: calls.append(g) or spell(g))
+        for name in ("oracle-check", "oracle-check-rich"):
+            calls.clear()
+            code, out = run(["oracle-check"], (FIXTURES / f"{name}.in.json").read_text())
+            assert (code, out) == (EXIT_OK, (FIXTURES / f"{name}.out.json").read_text())
+            fixed = json.loads(out)["fixed"]
+            heads = [next(es) for _, es in itertools.groupby(fixed, key=lambda e: e["w"])]
+            assert [spell(g) for g in calls] == heads
+        assert len(heads) < len(fixed)
 
 
 class TestIndependence:
