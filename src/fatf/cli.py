@@ -19,7 +19,6 @@ from typing import Any
 from . import bounds as bounds_mod
 from . import fixpoint, jsonio, morphisms, oracle
 from .fatfcore import Ambient, Vec, member, members, project, subgroup_basis
-from .jsonio import FormatError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -36,7 +35,7 @@ def _ambient(payload: dict) -> Ambient:
         m = jsonio._int(payload.get("m"))
         n = jsonio._int(payload.get("n"))
     except ValueError:
-        raise FormatError("payload needs integer fields m and n") from None
+        raise ValueError("payload needs integer fields m and n") from None
     return Ambient(m, n)
 
 
@@ -44,20 +43,20 @@ def _fix_input(payload: dict, ambient: Ambient) -> fixpoint.FixInput:
     morph_obj = payload.get("morphisms")
     bases_obj = payload.get("fixed_bases")
     if not isinstance(morph_obj, list) or not isinstance(bases_obj, list):
-        raise FormatError("payload needs lists morphisms and fixed_bases")
+        raise ValueError("payload needs lists morphisms and fixed_bases")
     maps = tuple(jsonio.morphism_from_json(o, ambient) for o in morph_obj)
     bases = []
     for b in bases_obj:
         if not isinstance(b, list):
-            raise FormatError("each fixed basis must be a list of words")
-        bases.append(tuple(jsonio.word_from_json(w, ambient.n) for w in b))
+            raise ValueError("each fixed basis must be a list of words")
+        bases.append(tuple(jsonio.word_from_json(w) for w in b))
     return fixpoint.FixInput(maps, tuple(bases))
 
 
 def _cmd_basis(payload: dict, ambient: Ambient) -> dict:
     gens_obj = payload.get("generators")
     if not isinstance(gens_obj, list):
-        raise FormatError("payload needs a list of generators")
+        raise ValueError("payload needs a list of generators")
     gens = [jsonio.element_from_json(o, ambient) for o in gens_obj]
     H = subgroup_basis(gens, ambient)
     return {"basis": jsonio.subgroup_to_json(H)}
@@ -85,7 +84,7 @@ def _cmd_per(payload: dict, ambient: Ambient) -> dict:
 def _cmd_order(payload: dict, ambient: Ambient) -> dict:
     psi = jsonio.morphism_from_json(payload.get("morphism"), ambient)
     if psi.phi.inverse_images is None:
-        raise FormatError("order needs a morphism with inverse images")
+        raise ValueError("order needs a morphism with inverse images")
     return {"order": jsonio._count_to_json(morphisms.order(psi))}
 
 
@@ -109,9 +108,9 @@ def _cmd_constants(argv: list[str]) -> dict:
         elif flag == "--n":
             n = next(it, None)
         else:
-            raise FormatError(f"unknown flag {flag!r}")
+            raise ValueError(f"unknown flag {flag!r}")
     if m is None or n is None:
-        raise FormatError("constants needs --m and --n")
+        raise ValueError("constants needs --m and --n")
     report = bounds_mod.constants(int(m), int(n))
     return {k: str(v) for k, v in dataclasses.asdict(report).items()}
 
@@ -120,7 +119,7 @@ def _cmd_oracle_check(payload: dict, ambient: Ambient) -> dict:
     inp = _fix_input(payload, ambient)
     b_obj = payload.get("bounds")
     if not isinstance(b_obj, dict):
-        raise FormatError("payload needs a bounds object")
+        raise ValueError("payload needs a bounds object")
     bnds = oracle.Bounds(
         jsonio._int(b_obj.get("word_len_max", 0)),
         jsonio._int(b_obj.get("coord_abs_max", 0)),

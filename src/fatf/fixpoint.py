@@ -64,6 +64,9 @@ MAX_POWER_BITS = 14_284
 
 @dataclass(frozen=True)
 class FixInput:
+    """Automorphisms with a free basis of Fix phi each; the letters of every
+    basis word are checked before the counts and the per-map checks."""
+
     morphisms: tuple[Morphism, ...]
     fixed_free_bases: tuple[tuple[Word, ...], ...]
     # the Stallings graph of the intersection of the bases' subgroups, from
@@ -74,14 +77,15 @@ class FixInput:
     def __post_init__(self) -> None:
         if not self.morphisms:
             raise InvalidFixInput("need at least one morphism")
-        if len(self.morphisms) != len(self.fixed_free_bases):
+        n = self.ambient.n
+        bases = tuple(tuple(reduce_word(w, n) for w in basis) for basis in self.fixed_free_bases)
+        if len(self.morphisms) != len(bases):
             raise InvalidFixInput("need one fixed free-basis per morphism")
-        ambient = self.morphisms[0].ambient
         object.__setattr__(self, "morphisms", tuple(self.morphisms))
-        bases, folds = [], []
-        n = ambient.n
-        for psi, basis in zip(self.morphisms, self.fixed_free_bases):
-            _check_same(ambient, psi.ambient)
+        object.__setattr__(self, "fixed_free_bases", bases)
+        folds = []
+        for psi, words in zip(self.morphisms, bases):
+            _check_same(self.ambient, psi.ambient)
             # a FreeMap is built only with inverse images that undo it, so they
             # prove an automorphism; otherwise a map of F_n is onto, hence an
             # automorphism (F_n is Hopfian), exactly when its images fold to
@@ -91,9 +95,8 @@ class FixInput:
                 if rose.num_vertices != 1 or rose.rank != n:
                     raise InvalidFixInput("a free map is not an automorphism: its images do not generate F_n")
             # rank Fix(phi) <= n for every automorphism (Bestvina-Handel 1992)
-            if len(basis) > n:
+            if len(words) > n:
                 raise InvalidFixInput(f"a fixed free-basis has more than n = {n} words")
-            words = tuple(reduce_word(w, n) for w in basis)
             for w in words:
                 if psi.phi.apply(w) != w:
                     raise InvalidFixInput(
@@ -105,9 +108,7 @@ class FixInput:
             # the identity fixes all of F_n, so its basis must fold to the rose
             if psi.phi.is_identity() and (fold.num_vertices != 1 or fold.rank != n):
                 raise InvalidFixInput("the fixed free-basis of an identity map does not generate F_n")
-            bases.append(words)
             folds.append(fold)
-        object.__setattr__(self, "fixed_free_bases", tuple(bases))
         graph = folds[0]
         for other in folds[1:]:
             graph = freewords.pullback(graph, lambda v, a: other.delta.get((v, a)), 0)

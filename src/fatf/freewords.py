@@ -147,12 +147,12 @@ class StallingsGraph:
                     self._basis_edges.append((i, a, j))
                 self.delta[(i, a)] = j
             deg.append(len(self.delta) - edges)
+        # no vertex is pushed twice: removing one of live degree <= 1 keeps
+        # the live graph connected through the base
         dead: set[int] = set()
         stack = [j for j, d in enumerate(deg) if d <= 1 and j]
         while stack:
             v = stack.pop()
-            if v in dead:
-                continue
             dead.add(v)
             for a in labels:
                 w = self.delta.get((v, a))

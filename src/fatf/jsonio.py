@@ -19,17 +19,13 @@ from .intlat import IntMatrix, Lattice
 from .morphisms import FreeMap, Morphism
 
 
-class FormatError(ValueError):
-    """The JSON payload does not match the expected shape."""
-
-
 def _ints(obj: list) -> tuple[int, ...]:
     """The integers of a list of decimal strings or JSON numbers. Inside
     `request`, raises ValueError once the integers of the request have more
     than MAX_INPUT_DIGITS digits."""
     for s in obj:
         if isinstance(s, bool) or not isinstance(s, (str, int)):
-            raise FormatError(f"expected a decimal string, got {s!r}")
+            raise ValueError(f"expected a decimal string, got {s!r}")
     _spend("digits", sum(map(len, map(str, obj))), MAX_INPUT_DIGITS, "the integers of one request have more than {} digits in all")
     return tuple(map(int, obj))
 
@@ -50,19 +46,19 @@ def vec_to_json(v: Sequence[int]) -> list[str]:
 
 def vec_from_json(obj: Any, length: Optional[int] = None) -> tuple[int, ...]:
     if not isinstance(obj, list):
-        raise FormatError("expected a list of decimal strings")
+        raise ValueError("expected a list of decimal strings")
     v = _ints(obj)
     if length is not None and len(v) != length:
-        raise FormatError(f"expected a vector of length {length}")
+        raise ValueError(f"expected a vector of length {length}")
     return v
 
 
 def matrix_from_json(obj: Any, rows: int, cols: int) -> IntMatrix:
     if not isinstance(obj, list):
-        raise FormatError("expected a list of rows")
+        raise ValueError("expected a list of rows")
     data = [vec_from_json(r) for r in obj]
     if len(data) != rows:
-        raise FormatError(f"expected {rows} rows")
+        raise ValueError(f"expected {rows} rows")
     return IntMatrix(data, cols=cols)
 
 
@@ -72,7 +68,7 @@ def lattice_to_json(L: Lattice) -> list[list[str]]:
 
 def lattice_from_json(obj: Any, ambient: int) -> Lattice:
     if not isinstance(obj, list):
-        raise FormatError("expected a list of lattice rows")
+        raise ValueError("expected a list of lattice rows")
     rows = [vec_from_json(r, ambient) for r in obj]
     return Lattice.from_rows(rows, ambient)
 
@@ -123,14 +119,14 @@ def _spend(kind: str, amount: int, cap: int, error: str) -> None:
             raise ValueError(error.format(cap))
 
 
-def word_from_json(obj: Any, n: int) -> freewords.Word:
-    """The reduced word of the text obj. Inside `request`, raises ValueError
-    once the words of the request spell out more than MAX_WORD_LETTERS."""
+def word_from_json(obj: Any) -> freewords.Word:
+    """The letters the text obj spells, unreduced and unchecked; inside
+    `request`, ValueError once the request's words pass MAX_WORD_LETTERS."""
     if not isinstance(obj, str):
-        raise FormatError("expected a word string")
+        raise ValueError("expected a word string")
     letters = freewords.spell_word(obj)
     _spend("letters", len(letters), freewords.MAX_WORD_LETTERS, "the words of one request are longer than {} letters in all")
-    return freewords.reduce_word(letters, n)
+    return tuple(letters)
 
 
 def element_to_json(g: GroupElement) -> dict:
@@ -139,9 +135,9 @@ def element_to_json(g: GroupElement) -> dict:
 
 def element_from_json(obj: Any, ambient: Ambient) -> GroupElement:
     if not isinstance(obj, dict):
-        raise FormatError("expected an element object")
+        raise ValueError("expected an element object")
     t = vec_from_json(obj.get("t"), ambient.m)
-    w = word_from_json(obj.get("w"), ambient.n)
+    w = word_from_json(obj.get("w"))
     return GroupElement(ambient, t, w)
 
 
@@ -156,10 +152,10 @@ def subgroup_to_json(H: SubgroupBasis) -> dict:
 
 def subgroup_from_json(obj: Any, ambient: Ambient) -> SubgroupBasis:
     if not isinstance(obj, dict):
-        raise FormatError("expected a subgroup object")
+        raise ValueError("expected a subgroup object")
     free_obj = obj.get("free", [])
     if not isinstance(free_obj, list):
-        raise FormatError("expected a list of free generators")
+        raise ValueError("expected a list of free generators")
     free = []
     for e in free_obj:
         g = element_from_json(e, ambient)
@@ -170,19 +166,19 @@ def subgroup_from_json(obj: Any, ambient: Ambient) -> SubgroupBasis:
 
 def morphism_from_json(obj: Any, ambient: Ambient) -> Morphism:
     if not isinstance(obj, dict):
-        raise FormatError("expected a morphism object")
+        raise ValueError("expected a morphism object")
     if ambient.n > MAX_MORPHISM_RANK:
         raise ValueError(f"morphisms are read for free rank n <= {MAX_MORPHISM_RANK}")
     phi_obj = obj.get("phi")
     if not isinstance(phi_obj, list):
-        raise FormatError("expected a list of generator images")
-    images = [word_from_json(w, ambient.n) for w in phi_obj]
+        raise ValueError("expected a list of generator images")
+    images = [word_from_json(w) for w in phi_obj]
     inv_obj = obj.get("phi_inv")
     inverse = None
     if inv_obj is not None:
         if not isinstance(inv_obj, list):
-            raise FormatError("expected a list of inverse images")
-        inverse = [word_from_json(w, ambient.n) for w in inv_obj]
+            raise ValueError("expected a list of inverse images")
+        inverse = [word_from_json(w) for w in inv_obj]
     phi = FreeMap(images, inverse, ambient.n)
     Q = matrix_from_json(obj.get("Q", []), rows=ambient.m, cols=ambient.m)
     P = matrix_from_json(obj.get("P", []), rows=ambient.n, cols=ambient.m)

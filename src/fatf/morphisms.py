@@ -30,15 +30,17 @@ class FreeMap:
         inverse_images: Optional[Sequence[Word]] = None,
         n: Optional[int] = None,
     ):
+        """Letters are checked, images first, before the counts and the
+        check that the inverse images undo the map."""
         if n is None:
             n = len(images)
-        if len(images) != n:
-            raise ValueError("need one image per generator")
         images = tuple(reduce_word(w, n) for w in images)
         if inverse_images is not None:
             inverse_images = tuple(reduce_word(w, n) for w in inverse_images)
-            if len(inverse_images) != n:
-                raise ValueError("need one inverse image per generator")
+        if len(images) != n:
+            raise ValueError("need one image per generator")
+        if inverse_images is not None and len(inverse_images) != n:
+            raise ValueError("need one inverse image per generator")
         self._set(n, images, inverse_images)
         if inverse_images is not None:
             # back undoing the map on every generator makes back onto, hence

@@ -122,13 +122,13 @@ def _extend(f: Word, a: int, image: Word) -> Word:
     return f[: len(f) - k] + image[k:]
 
 
-def _half_word_tables(maps: Sequence[Morphism], n: int, H: int, lookup_only: bool = False) -> list[dict[Word, list[tuple[Word, tuple[Word, ...]]]]]:
-    """Entry h maps each key F_1(x) to the (x, rest) of the reduced words x
-    of length h with that key, rest = (F_2(x), ..., F_k(x)) and
-    F_i(x) = x^-1 phi_i(x) reduced; rest is () for one map.
+def _half_word_tables(maps: Sequence[Morphism], n: int, L: int) -> list[dict[Word, list[tuple[Word, tuple[Word, ...]]]]]:
+    """Entry h, for h <= H = ceil(L/2), maps each key F_1(x) to the (x, rest)
+    of the reduced words x of length h with that key, rest = (F_2(x), ...,
+    F_k(x)) and F_i(x) = x^-1 phi_i(x) reduced; rest is () for one map.
 
-    Level h + 1 extends the entries of level h, key by key; with
-    lookup_only, level H keeps only the keys of level H - 1."""
+    Level h + 1 extends the entries of level h, key by key; at odd L,
+    level H serves only lookups and keeps only the keys of level H - 1."""
     # (a, phi_1(a), [a] * (k - 1), [phi_2(a), ..., phi_k(a)]) per letter a
     steps = []
     for i in range(1, n + 1):
@@ -138,8 +138,8 @@ def _half_word_tables(maps: Sequence[Morphism], n: int, H: int, lookup_only: boo
         steps.append((-i, invs[0], [-i] * (len(maps) - 1), invs[1:]))
     root: tuple[Word, tuple[Word, ...]] = ((), tuple(() for _ in maps[1:]))
     tables = [{(): [root]}]
-    for h in range(H):
-        keep = tables[-1] if lookup_only and h == H - 1 else None
+    for h in range((L + 1) // 2):
+        keep = tables[-1] if L % 2 and h == L // 2 else None
         table: dict[Word, list[tuple[Word, tuple[Word, ...]]]] = {}
         for f, entries in tables[-1].items():
             for x, rest in entries:
@@ -220,7 +220,7 @@ def brute_fixed(maps: Sequence[Morphism], bounds: Bounds) -> list[GroupElement]:
     ambient = maps[0].ambient
     n = ambient.n
     L = bounds.word_len_max
-    tables = _half_word_tables(maps, n, (L + 1) // 2, lookup_only=L % 2 == 1)
+    tables = _half_word_tables(maps, n, L)
     order = {a: i for i, a in enumerate(freewords.alphabet(n))}
     words: list[Word] = []
     for ell in range(L + 1):

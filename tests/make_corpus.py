@@ -213,9 +213,9 @@ def constants_cases(rng):
 
 def free_map_check_cases(rng):
     """One payload per FreeMap check, and payloads that fail two checks at
-    once, so the order in which they are made is pinned: image count, then
-    the letters of the images, then those of the inverse images, then their
-    count, then whether the inverse undoes the map."""
+    once, so the order in which they are made is pinned: the letters of the
+    images, then those of the inverse images, then the image count, then the
+    inverse count, then whether the inverse undoes the map."""
     good = {"phi": ["z1 z2", "z2"], "phi_inv": ["z1 z2^-1", "z2"], "Q": [["1"]], "P": [["0"], ["1"]]}
     variants = {
         "valid": {},

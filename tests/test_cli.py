@@ -99,6 +99,23 @@ class TestErrorPaths:
             assert code == EXIT_VALIDATION
             assert json.loads(out) == {"ok": False, "error": error}
 
+    GOOD_MAP = {"phi": ["z1 z2", "z2"], "phi_inv": ["z1 z2^-1", "z2"], "Q": [["1"]], "P": [["0"], ["1"]]}
+    NOT_ONTO = {"phi": ["z1 z1", "z2"], "Q": [["1"]], "P": [["0"], ["1"]]}
+
+    @pytest.mark.parametrize(
+        "argv, body, letter",
+        [
+            (["order"], {"m": 1, "n": 2, "morphism": {**GOOD_MAP, "phi": ["z1 z3", "z2"], "phi_inv": ["z1 z2^-1", "z2", "z1"]}}, 3),
+            (["fix"], {"m": 1, "n": 2, "morphisms": [NOT_ONTO, GOOD_MAP], "fixed_bases": [[], ["z5"]]}, 5),
+            (["fix"], {"m": 1, "n": 2, "morphisms": [GOOD_MAP], "fixed_bases": [["z1", "z2", "z9"]]}, 9),
+        ],
+        ids=["image letter, inverse count", "not onto, basis letter", "basis count, basis letter"],
+    )
+    def test_letter_named_before_a_second_fault(self, argv, body, letter):
+        # the constructors check letters before counts and per-map checks
+        code, out = run(argv, json.dumps(body))
+        assert (code, out) == (EXIT_VALIDATION, f'{{"error":"letter {letter} outside alphabet of rank 2","ok":false}}\n')
+
     def test_constants_missing_flags(self):
         code, out = run(["constants", "--m", "1"], "")
         assert code == EXIT_VALIDATION
@@ -159,6 +176,23 @@ def test_fixed_basis_folded_once(monkeypatch, name):
     assert out == (FIXTURES / f"{name}.out.json").read_text()
     assert len(json.loads(stdin)["morphisms"]) == 1
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name, calls", [("fix", 10), ("closure", 21)])
+def test_words_letter_checked_once(monkeypatch, name, calls):
+    # jsonio only spells the words; the constructor each goes to checks its
+    # letters, and stallings checks again the words it folds
+    checked = []
+    real = fatf.freewords.check_letters
+
+    def counted(letters, n):
+        checked.append(letters)
+        return real(letters, n)
+
+    monkeypatch.setattr(fatf.freewords, "check_letters", counted)
+    code, out = run([name], (FIXTURES / f"{name}.in.json").read_text())
+    assert out == (FIXTURES / f"{name}.out.json").read_text()
+    assert len(checked) == calls
 
 
 def test_per_computes_free_order_once(monkeypatch):
@@ -346,7 +380,14 @@ class TestBudgets:
         for _ in range(2):
             assert run(["member"], json.dumps(body)) == (EXIT_OK, '{"member":false,"ok":true}\n')
         for _ in range(2):
-            assert len(jsonio.word_from_json("z1^60000", 1)) == 60_000
+            assert len(jsonio.word_from_json("z1^60000")) == 60_000
+
+    def test_words_spelled_unreduced_and_budgeted(self):
+        assert jsonio.word_from_json("z1 z1^-1") == (1, -1)
+        with jsonio.request():
+            assert len(jsonio.word_from_json("z1^60000")) == 60_000
+            with pytest.raises(ValueError, match="in all"):
+                jsonio.word_from_json("z2^60000")
 
     def test_oracle_enumeration(self):
         body = json.loads((FIXTURES / "oracle-check.in.json").read_text())

@@ -141,6 +141,14 @@ class TestFixSingle:
 
 
 class TestFixTuple:
+    def test_basis_letters_checked_before_the_maps(self):
+        # the first map is not onto, but the letter z5 of the second basis is
+        # the fault named, as the CLI names it
+        amb = Ambient(1, 2)
+        not_onto = Morphism(amb, FreeMap([(1, 1), (2,)], None, 2), IntMatrix([[1]]), IntMatrix.zeros(2, 1))
+        with pytest.raises(freewords.LetterError, match="letter 5"):
+            FixInput((not_onto, Morphism.identity(amb)), ((), ((5,),)))
+
     def test_two_morphisms(self):
         amb = Ambient(1, 2)
         a = Morphism(

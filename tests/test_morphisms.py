@@ -64,6 +64,16 @@ class TestFreeMap:
         with pytest.raises(ValueError, match="different ranks"):
             FreeMap.identity(2).compose(FreeMap.identity(3))
 
+    def test_letters_checked_before_counts(self):
+        # the images' letters, then the inverse images', then the counts: the
+        # order in which the CLI names the faults of a payload
+        with pytest.raises(LetterError, match="letter 5"):
+            FreeMap([(1,), (5,)], None, 3)
+        with pytest.raises(LetterError, match="letter 3"):
+            FreeMap([(1,), (2,)], [(1,), (2,), (3,)], 2)
+        with pytest.raises(ValueError, match="one image per generator"):
+            FreeMap([(1,), (2,)], [(1,)], 3)
+
     def test_inverse_checked_one_way_as_both_ways(self):
         # the constructor checks only that the claim undoes the map on every
         # generator; that makes the claim onto, hence an automorphism (F_n is

@@ -235,8 +235,8 @@ class TestAgainstReference:
 
 class TestHalfWordTables:
     def test_lookup_only_last_level(self):
-        # at odd L level H serves only the lookups made with the keys of
-        # level H - 1: the lookup-only table is the full one cut to them
+        # at odd L = 2H - 1 level H serves only the lookups made with the
+        # keys of level H - 1: its table is the one of L = 2H cut to them
         rng = random.Random(600)
         smaller = 0
         for _ in range(12):
@@ -245,8 +245,8 @@ class TestHalfWordTables:
             flip = Morphism(amb, letter_map([-1] + list(range(2, amb.n + 1))), IntMatrix.identity(amb.m), IntMatrix.zeros(amb.n, amb.m))
             for psis in (maps, [flip]):
                 for H in (1, 2, 3):
-                    full = oracle._half_word_tables(psis, amb.n, H)
-                    lean = oracle._half_word_tables(psis, amb.n, H, lookup_only=True)
+                    full = oracle._half_word_tables(psis, amb.n, 2 * H)
+                    lean = oracle._half_word_tables(psis, amb.n, 2 * H - 1)
                     assert lean[:-1] == full[:-1]
                     assert lean[-1] == {key: xs for key, xs in full[-1].items() if key in full[-2]}
                     smaller += sum(map(len, lean[-1].values())) < sum(map(len, full[-1].values()))
@@ -254,8 +254,8 @@ class TestHalfWordTables:
 
     def test_identity_keeps_every_word(self):
         amb = Ambient(1, 2)
-        full = oracle._half_word_tables([Morphism.identity(amb)], 2, 3)
-        assert oracle._half_word_tables([Morphism.identity(amb)], 2, 3, lookup_only=True) == full
+        full = oracle._half_word_tables([Morphism.identity(amb)], 2, 6)
+        assert oracle._half_word_tables([Morphism.identity(amb)], 2, 5) == full
         assert list(full[-1]) == [()]
 
 

@@ -212,6 +212,24 @@ def test_wire_formats_never_build_trusted_objects():
     assert "_trusted" not in names
 
 
+def test_wire_formats_leave_words_to_the_constructors():
+    # jsonio spells and budgets words; the constructors reduce and check them
+    tree = _modules()["jsonio"]
+    names = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    names |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert not names & {"reduce_word", "check_letters"}
+
+
+def test_wire_formats_define_no_exception_class():
+    # a shape error is a plain ValueError, which cli.run turns into exit 2
+    jsonio = importlib.import_module("fatf.jsonio")
+    assert [
+        name
+        for name, obj in vars(jsonio).items()
+        if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == jsonio.__name__
+    ] == []
+
+
 def _tracing():
     spec = importlib.util.spec_from_file_location("_fatfbench_tracing", BENCH / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
