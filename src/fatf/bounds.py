@@ -50,8 +50,6 @@ def automorphism_order_bound(m: int, n: int) -> int:
     """Upper bound C1(m,n) on the order of any finite-order automorphism of Z^m x F_n."""
     if n <= 1:
         return order_bound(m + n)
-    if m == 0:
-        return order_bound(n)
     return order_bound(n) * order_bound(m)
 
 

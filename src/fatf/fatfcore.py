@@ -229,7 +229,7 @@ def subgroup_basis(gens: Sequence[GroupElement], ambient: Ambient) -> SubgroupBa
     # every generator lies in the graph it spans, so each trace succeeds
     rows = [freewords.abelianize(graph.trace(g.w), r) + g.t for g in gens]
     H = Lattice.from_rows(rows, r + ambient.m).basis.entries
-    L = Lattice(ambient.m, IntMatrix._trusted(tuple([h[r:] for h in H[r:]]), ambient.m))
+    L = Lattice(IntMatrix._trusted(tuple([h[r:] for h in H[r:]]), ambient.m))
     return SubgroupBasis(ambient, graph, [h[r:] for h in H[:r]], L)
 
 

@@ -1,9 +1,9 @@
 """Reduced words in F_n and Stallings automata.
 
 A word is a tuple of nonzero ints: letter i stands for z_i, -i for z_i^{-1}.
-Graphs are folded core automata with basepoint 0, numbered breadth-first with
-label order z1 < z1^-1 < z2 < ... as they are built, which makes equality of
-graphs meaningful for equal subgroups.
+Letters are ordered z1 < z1^-1 < z2 < ... (`alphabet`). A graph is the folded
+core automaton of a subgroup, based at 0 and numbered breadth-first in that
+letter order, so equal subgroups give equal graphs.
 """
 
 from __future__ import annotations
@@ -92,13 +92,8 @@ def format_word(w: Word) -> str:
     return " ".join([f"z{a}" if a > 0 else f"z{-a}^-1" for a in w])
 
 
-def letter_key(a: int) -> int:
-    """Sort key realizing z1 < z1^-1 < z2 < z2^-1 < ..."""
-    return 2 * abs(a) - (a > 0)
-
-
 def alphabet(n: int) -> list[int]:
-    """The 2n letters of F_n, in `letter_key` order."""
+    """The 2n letters of F_n, in the order z1 < z1^-1 < z2 < z2^-1 < ..."""
     return [a for i in range(1, n + 1) for a in (i, -i)]
 
 
@@ -106,25 +101,21 @@ class StallingsGraph:
     """Folded core automaton of a finitely generated subgroup of F_n.
 
     Built by one breadth-first search of the basepoint component of a
-    symmetric automaton, given by its transition function step(v, a) (None
-    where there is no edge) and the `labels` its edges can carry, in
-    `letter_key` order. The search numbers vertices in that order of labels,
-    so equal subgroups give equal graphs; the edge along which it first
-    reaches a vertex is the vertex's spanning-tree edge, and every other edge
-    is a basis edge. Hanging trees are peeled only when a vertex other than
-    the base has degree <= 1. No shortest path from the base to a survivor
-    enters a hanging tree and no basis edge touches one, so the survivors
-    keep their tree edges and their order, and are renumbered in it.
+    symmetric automaton over the letters of F_n, given by its transition
+    function step(v, a) (None where there is no edge). The search tries the
+    letters of each vertex in `alphabet` order and numbers vertices as it
+    reaches them, so equal subgroups give equal graphs; the edge along which
+    it first reaches a vertex is the vertex's spanning-tree edge, and every
+    other edge is a basis edge. Hanging trees are peeled only when a vertex
+    other than the base has degree <= 1. No shortest path from the base to a
+    survivor enters a hanging tree and no basis edge touches one, so the
+    survivors keep their tree edges and their order, and are renumbered in
+    it.
     """
 
-    def __init__(
-        self,
-        n: int,
-        base: Hashable,
-        step: Callable[[Hashable, int], Optional[Hashable]],
-        labels: Sequence[int],
-    ):
+    def __init__(self, n: int, base: Hashable, step: Callable[[Hashable, int], Optional[Hashable]]):
         self.n = n
+        labels = alphabet(n)
         self.delta: dict[tuple[int, int], int] = {}
         self._tree_parent: dict[int, tuple[int, int]] = {}
         # in (vertex, label) order, as vertices leave the queue in number order
@@ -226,8 +217,11 @@ class StallingsGraph:
         return image if ok else None
 
     def trace(self, w: Word) -> Optional[list[int]]:
-        """Expression of w over the spanning-tree basis, or None if w is
-        not in the subgroup. Indices are 1-based and signed."""
+        """Expression of a reduced word w over the spanning-tree basis, or
+        None if w is not in the subgroup. Indices are 1-based and signed, and
+        reduced as walked: w never crosses a basis edge and then back over it
+        with only tree edges between, as no nonempty reduced tree path is
+        closed."""
         cur = 0
         expr: list[int] = []
         for a in w:
@@ -241,7 +235,7 @@ class StallingsGraph:
             cur = nxt
         if cur != 0:
             return None
-        return list(reduce_word(expr))
+        return expr
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, StallingsGraph) and (self.n, self.num_vertices, self.delta) == (
@@ -302,28 +296,28 @@ def stallings(generators: Sequence[Word], n: int) -> StallingsGraph:
         z = out[v].get(a)
         return None if z is None else find(z)
 
-    return StallingsGraph(n, find(0), step, sorted(set().union(*out), key=letter_key))
+    return StallingsGraph(n, find(0), step)
 
 
 def pullback(
-    g1: StallingsGraph, step: Callable[[Hashable, int], Optional[Hashable]], base: Hashable
+    graph: StallingsGraph, step: Callable[[Hashable, int], Optional[Hashable]], base: Hashable
 ) -> StallingsGraph:
-    """Core of the basepoint component of the product of g1 with the automaton
-    whose transitions are step(state, letter) (None where there is none),
-    started at base.
+    """Core of the basepoint component of the product of graph with the
+    automaton whose transitions are step(state, letter) (None where there is
+    none), started at base.
 
     With the transitions of a second graph it recognizes the intersection of
     the two subgroups. With a group acting on the states it is the cover of
-    g1 that recognizes the words of g1's subgroup carrying base back to base.
+    graph that recognizes the words of its subgroup carrying base to base.
     """
-    edge = g1.delta.get
+    edge = graph.delta.get
 
     def product(p: tuple[int, Hashable], a: int) -> Optional[tuple[int, Hashable]]:
         w1 = edge((p[0], a))
         t = None if w1 is None else step(p[1], a)
         return None if t is None else (w1, t)
 
-    return StallingsGraph(g1.n, (0, base), product, sorted({a for _, a in g1.delta}, key=letter_key))
+    return StallingsGraph(graph.n, (0, base), product)
 
 
 class IndexBoundExceeded(RuntimeError):
@@ -358,5 +352,5 @@ def schreier_basis(
     spell = [()] + list(ambient_basis) + [invert(g) for g in reversed(ambient_basis)]
     return [
         reduce_word([b for a in u for b in spell[a]])
-        for u in StallingsGraph(p, (), step, alphabet(p)).basis_words
+        for u in StallingsGraph(p, (), step).basis_words
     ]

@@ -121,10 +121,11 @@ class IntMatrix:
         """A matrix on rows that are already tuples of ints of length cols;
         for results built from checked matrices, so nothing is re-checked.
 
-        Callers build each tuple from a list: tuple() of a generator grows
-        the tuple by resizing, which bypasses CPython's per-size tuple free
-        lists on allocation but refills them on release, so a product ladder
-        (`morphisms.power`) would pin up to 2000 free tuples of its row size."""
+        Callers build each tuple from a list, as `_dense` does at the end of
+        `__pow__`: tuple() of a generator grows the tuple by resizing, which
+        bypasses CPython's per-size tuple free lists on allocation but refills
+        them on release, so a run of products would pin up to 2000 free
+        tuples of its row size."""
         M = object.__new__(cls)
         M.entries, M.rows, M.cols = rows, len(rows), cols
         return M
@@ -266,12 +267,11 @@ class Lattice:
 
     __slots__ = ("ambient", "basis", "pivots")
 
-    def __init__(self, ambient: int, basis: IntMatrix):
-        """The lattice of the rows of `basis`, which must be in HNF: nonzero
-        rows with positive leading entries (pivots) in strictly increasing
-        columns, and the entries above each pivot p in [0, p)."""
-        if basis.cols != ambient:
-            raise DimensionError("basis width disagrees with ambient dimension")
+    def __init__(self, basis: IntMatrix):
+        """The lattice in Z^basis.cols of the rows of `basis`, which must be
+        in HNF: nonzero rows with positive leading entries (pivots) in
+        strictly increasing columns, and the entries above each pivot p in
+        [0, p)."""
         rows = basis.entries
         pivots: list[int] = []
         for i, row in enumerate(rows):
@@ -286,7 +286,7 @@ class Lattice:
             if not all(0 <= above[j] < p for above in rows[:i]):
                 raise ValueError("an entry above a lattice basis pivot is outside [0, pivot)")
             pivots.append(j)
-        self.ambient, self.basis, self.pivots = ambient, basis, tuple(pivots)
+        self.ambient, self.basis, self.pivots = basis.cols, basis, tuple(pivots)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], ambient: int) -> "Lattice":
@@ -295,7 +295,7 @@ class Lattice:
             if len(r) != ambient:
                 raise DimensionError("row width disagrees with ambient dimension")
         r = _row_echelon(mat, ambient)
-        return cls(ambient, IntMatrix._trusted(tuple([tuple(row) for row in mat[:r]]), ambient))
+        return cls(IntMatrix._trusted(tuple([tuple(row) for row in mat[:r]]), ambient))
 
     @property
     def rank(self) -> int:
@@ -373,7 +373,7 @@ def left_solver(M: IntMatrix) -> tuple[Lattice, Lattice, Callable[[Sequence[int]
     x*M = b over Z, or None. Free coordinates (rows of the HNF with no pivot)
     are set to zero."""
     H, U, r = _with_transform(M)
-    image = Lattice(M.cols, IntMatrix._trusted(tuple([tuple(row) for row in H[:r]]), M.cols))
+    image = Lattice(IntMatrix._trusted(tuple([tuple(row) for row in H[:r]]), M.cols))
 
     def solve(b: Sequence[int]) -> Optional[Vec]:
         y, res = image.reduce(b)

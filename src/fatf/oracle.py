@@ -122,7 +122,7 @@ def _extend(f: Word, a: int, image: Word) -> Word:
     return f[: len(f) - k] + image[k:]
 
 
-def _half_word_tables(maps: Sequence[Morphism], n: int, L: int) -> list[dict[Word, list[tuple[Word, tuple[Word, ...]]]]]:
+def _half_word_tables(maps: Sequence[Morphism], L: int) -> list[dict[Word, list[tuple[Word, tuple[Word, ...]]]]]:
     """Entry h, for h <= H = ceil(L/2), maps each key F_1(x) to the (x, rest)
     of the reduced words x of length h with that key, rest = (F_2(x), ...,
     F_k(x)) and F_i(x) = x^-1 phi_i(x) reduced; rest is () for one map.
@@ -131,7 +131,7 @@ def _half_word_tables(maps: Sequence[Morphism], n: int, L: int) -> list[dict[Wor
     level H serves only lookups and keeps only the keys of level H - 1."""
     # (a, phi_1(a), [a] * (k - 1), [phi_2(a), ..., phi_k(a)]) per letter a
     steps = []
-    for i in range(1, n + 1):
+    for i in range(1, maps[0].ambient.n + 1):
         imgs = [psi.phi.images[i - 1] for psi in maps]
         invs = [freewords.invert(u) for u in imgs]
         steps.append((i, imgs[0], [i] * (len(maps) - 1), imgs[1:]))
@@ -220,7 +220,7 @@ def brute_fixed(maps: Sequence[Morphism], bounds: Bounds) -> list[GroupElement]:
     ambient = maps[0].ambient
     n = ambient.n
     L = bounds.word_len_max
-    tables = _half_word_tables(maps, n, L)
+    tables = _half_word_tables(maps, L)
     order = {a: i for i, a in enumerate(freewords.alphabet(n))}
     words: list[Word] = []
     for ell in range(L + 1):

@@ -504,7 +504,7 @@ def _redirect(graph, v, a, w):
     delta = dict(graph.delta)
     del delta[(delta[(v, a)], -a)]
     delta[(v, a)], delta[(w, -a)] = w, v
-    return StallingsGraph(graph.n, 0, lambda v, a: delta.get((v, a)), freewords.alphabet(graph.n))
+    return StallingsGraph(graph.n, 0, lambda v, a: delta.get((v, a)))
 
 
 def _outcome(check, *args):

@@ -11,7 +11,6 @@ from fatf.freewords import (
     StallingsGraph,
     LetterError,
     abelianize,
-    alphabet,
     format_word,
     invert,
     multiply,
@@ -151,6 +150,36 @@ class TestStallings:
                     check = multiply(check, u if idx > 0 else invert(u))
                 assert check == w
 
+    def test_traces_are_reduced_as_walked(self):
+        # trace returns its crossings as walked: a reduced word never crosses
+        # a basis edge of a folded graph and then straight back over it
+        rng = random.Random(2031)
+        traced = 0
+        for _ in range(150):
+            n = rng.randint(1, 4)
+            g = stallings([random_word(rng, n, 6) for _ in range(rng.randint(1, 3))], n)
+            h = stallings([random_word(rng, n, 6) for _ in range(rng.randint(1, 3))], n)
+            congruence = Lattice.from_rows([[rng.randint(1, 3) * (i == j) for j in range(n)] for i in range(n)], n)
+            for graph in (g, pullback(g, lambda v, a: h.delta.get((v, a)), 0), pullback(g, congruence.shift, (0,) * n)):
+                basis = graph.basis_words
+                for _ in range(40):
+                    member = ()
+                    for u in rng.choices(basis, k=rng.randint(0, 5)) if basis else ():
+                        member = multiply(member, u if rng.random() < 0.5 else invert(u))
+                    for w in (member, random_word(rng, n, 8)):
+                        expr = graph.trace(w)
+                        if expr is None:
+                            assert w != member
+                            continue
+                        traced += 1
+                        assert all(x != -y for x, y in zip(expr, expr[1:])), (w, expr)
+                        check = ()
+                        for idx in expr:
+                            u = basis[abs(idx) - 1]
+                            check = multiply(check, u if idx > 0 else invert(u))
+                        assert check == w
+        assert traced >= 20000
+
 
 class TestReferenceFold:
     """The worklist fold and the one-pass constructor against the fixpoint fold,
@@ -195,7 +224,7 @@ class TestReferenceFold:
             names = list(range(total))
             rng.shuffle(names)
             named = {(names[v], a): names[w] for (v, a), w in delta.items()}
-            got = as_reference(StallingsGraph(n, names[0], lambda v, a: named.get((v, a)), alphabet(n)))
+            got = as_reference(StallingsGraph(n, names[0], lambda v, a: named.get((v, a))))
             assert got == reference_finish(n, names[0], named)
             peeled += total > got[0] + other.num_vertices
         assert peeled >= 200
@@ -221,7 +250,7 @@ class TestReferenceFold:
             congruence = Lattice.from_rows([[rng.randint(1, 3) * (i == j) for j in range(n)] for i in range(n)], n)
             graphs += [g, pullback(g, lambda v, a: h.delta.get((v, a)), 0), pullback(g, congruence.shift, (0,) * n)]
         for graph in graphs:
-            again = StallingsGraph(graph.n, 0, lambda v, a: graph.delta.get((v, a)), alphabet(graph.n))
+            again = StallingsGraph(graph.n, 0, lambda v, a: graph.delta.get((v, a)))
             assert again == graph and again.basis_words == graph.basis_words
             assert as_reference(graph) == reference_stallings(graph.basis_words, graph.n)
 

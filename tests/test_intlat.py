@@ -380,8 +380,9 @@ class TestShift:
 
 
 class TestPublicConstructor:
-    """`Lattice(ambient, basis)` checks that its basis is in HNF, and is the
-    only constructor: `from_rows` and `left_solver` build through it too."""
+    """`Lattice(basis)` checks that its basis is in HNF and takes its ambient
+    dimension from the basis width; it is the only constructor: `from_rows`
+    and `left_solver` build through it too."""
 
     @pytest.mark.parametrize(
         "rows",
@@ -398,20 +399,18 @@ class TestPublicConstructor:
     )
     def test_rejects_rows_that_are_no_hnf(self, rows):
         with pytest.raises(ValueError):
-            Lattice(2, IntMatrix(rows, cols=2))
+            Lattice(IntMatrix(rows, cols=2))
         L = Lattice.from_rows(rows, 2)
-        assert Lattice(2, L.basis) == L
+        assert Lattice(L.basis) == L
 
     def test_spanning_rows_are_refused_not_misread(self):
         # the rows span Z^2; taken as they are, reduce would leave (0, 1) a
         # nonzero residue and contains would answer False
         with pytest.raises(ValueError, match="strictly increasing"):
-            Lattice(2, IntMatrix([[1, 1], [1, 0]]))
+            Lattice(IntMatrix([[1, 1], [1, 0]]))
         assert Lattice.from_rows([[1, 1], [1, 0]], 2).contains((0, 1))
         with pytest.raises(ValueError, match="zero"):
-            Lattice(2, IntMatrix([[0, 0]]))
-        with pytest.raises(DimensionError):
-            Lattice(3, IntMatrix([[1, 0]]))
+            Lattice(IntMatrix([[0, 0]]))
         with pytest.raises(DimensionError):
             Lattice.from_rows([[1, 0], [1]], 2)
 
@@ -424,8 +423,13 @@ class TestPublicConstructor:
             T = _random_lattice(rng, M.cols, rng.randint(0, M.cols))
             domain = hnf(IntMatrix.identity(M.rows))
             for L in (A, lattice_intersect(A, B), kernel_lattice(M), lattice_preimage(domain, M, T)):
-                again = Lattice(L.ambient, L.basis)
+                again = Lattice(L.basis)
                 assert again == L and again.pivots == L.pivots
+
+    @pytest.mark.parametrize("d", range(4))
+    def test_width_of_an_empty_basis_is_the_ambient_dimension(self, d):
+        L = Lattice(IntMatrix([], cols=d))
+        assert L.ambient == d and L == Lattice.from_rows([], d)
 
 
 class TestLatticeIndexReference:
@@ -904,7 +908,7 @@ class TestTransformReference:
                 b = M.apply_row([rng.randint(-3, 3) for _ in range(M.rows)])
             else:
                 b = tuple(rng.randint(-4, 4) for _ in range(M.cols))
-            y, res = Lattice(M.cols, IntMatrix(H[:r], cols=M.cols)).reduce(b)
+            y, res = Lattice(IntMatrix(H[:r], cols=M.cols)).reduce(b)
             expected = None if any(res) else IntMatrix(U[:r], cols=M.rows).apply_row(y)
             unsolvable += expected is None
             assert solve_left(M, b) == expected

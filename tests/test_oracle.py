@@ -245,8 +245,8 @@ class TestHalfWordTables:
             flip = Morphism(amb, letter_map([-1] + list(range(2, amb.n + 1))), IntMatrix.identity(amb.m), IntMatrix.zeros(amb.n, amb.m))
             for psis in (maps, [flip]):
                 for H in (1, 2, 3):
-                    full = oracle._half_word_tables(psis, amb.n, 2 * H)
-                    lean = oracle._half_word_tables(psis, amb.n, 2 * H - 1)
+                    full = oracle._half_word_tables(psis, 2 * H)
+                    lean = oracle._half_word_tables(psis, 2 * H - 1)
                     assert lean[:-1] == full[:-1]
                     assert lean[-1] == {key: xs for key, xs in full[-1].items() if key in full[-2]}
                     smaller += sum(map(len, lean[-1].values())) < sum(map(len, full[-1].values()))
@@ -254,8 +254,8 @@ class TestHalfWordTables:
 
     def test_identity_keeps_every_word(self):
         amb = Ambient(1, 2)
-        full = oracle._half_word_tables([Morphism.identity(amb)], 2, 6)
-        assert oracle._half_word_tables([Morphism.identity(amb)], 2, 5) == full
+        full = oracle._half_word_tables([Morphism.identity(amb)], 6)
+        assert oracle._half_word_tables([Morphism.identity(amb)], 5) == full
         assert list(full[-1]) == [()]
 
 
