@@ -101,34 +101,35 @@ class StallingsGraph:
     """Folded core automaton of a finitely generated subgroup of F_n.
 
     Built by one breadth-first search of the basepoint component of a
-    symmetric automaton over the letters of F_n, given by its transition
-    function step(v, a) (None where there is no edge). The search tries the
-    letters of each vertex in `alphabet` order and numbers vertices as it
-    reaches them, so equal subgroups give equal graphs; the edge along which
-    it first reaches a vertex is the vertex's spanning-tree edge, and every
-    other edge is a basis edge. Hanging trees are peeled only when a vertex
-    other than the base has degree <= 1. No shortest path from the base to a
-    survivor enters a hanging tree and no basis edge touches one, so the
-    survivors keep their tree edges and their order, and are renumbered in
-    it.
+    symmetric automaton, step(v) mapping the letter of each edge at v to its
+    target. The search sorts each vertex's letters into `alphabet` order
+    itself, so equal subgroups give equal graphs and the work grows with the
+    edges, not with n; the edge along which it first reaches a vertex is the
+    vertex's spanning-tree edge, and every other edge is a basis edge.
+    Hanging trees are peeled only when a vertex other than the base has
+    degree <= 1. No shortest path from the base to a survivor enters a
+    hanging tree and no basis edge touches one, so the survivors keep their
+    tree edges and their order, and are renumbered in it.
     """
 
-    def __init__(self, n: int, base: Hashable, step: Callable[[Hashable, int], Optional[Hashable]]):
+    def __init__(self, n: int, base: Hashable, step: Callable[[Hashable], dict[int, Hashable]]):
         self.n = n
-        labels = alphabet(n)
         self.delta: dict[tuple[int, int], int] = {}
         self._tree_parent: dict[int, tuple[int, int]] = {}
         # in (vertex, label) order, as vertices leave the queue in number order
         self._basis_edges: list[tuple[int, int, int]] = []
         order = {base: 0}
         queue = [base]  # read while it grows: vertex i is queue[i]
-        deg: list[int] = []
+        lets: list[list[int]] = []  # the letters of vertex i, in order
+        last, ordered = (), []  # the letters of the last vertex, as given and sorted
         for i, v in enumerate(queue):
-            edges = len(self.delta)
-            for a in labels:
-                w = step(v, a)
-                if w is None:
-                    continue
+            edges = step(v)
+            letters = tuple(edges)
+            if letters != last:  # sort only where they change, into z1 < z1^-1 < z2 < ...
+                last, ordered = letters, sorted(letters, key=lambda a: 2 * abs(a) - (a > 0))
+            lets.append(ordered)
+            for a in ordered:
+                w = edges[a]
                 j = order.get(w)
                 if j is None:
                     j = order[w] = len(order)
@@ -137,7 +138,7 @@ class StallingsGraph:
                 elif a > 0 and self._tree_parent.get(i) != (j, -a):
                     self._basis_edges.append((i, a, j))
                 self.delta[(i, a)] = j
-            deg.append(len(self.delta) - edges)
+        deg = [len(e) for e in lets]
         # no vertex is pushed twice: removing one of live degree <= 1 keeps
         # the live graph connected through the base
         dead: set[int] = set()
@@ -145,9 +146,9 @@ class StallingsGraph:
         while stack:
             v = stack.pop()
             dead.add(v)
-            for a in labels:
-                w = self.delta.get((v, a))
-                if w is not None and w not in dead:
+            for a in lets[v]:
+                w = self.delta[(v, a)]
+                if w not in dead:
                     deg[w] -= 1
                     if deg[w] <= 1 and w:
                         stack.append(w)
@@ -218,10 +219,8 @@ class StallingsGraph:
 
     def trace(self, w: Word) -> Optional[list[int]]:
         """Expression of a reduced word w over the spanning-tree basis, or
-        None if w is not in the subgroup. Indices are 1-based and signed, and
-        reduced as walked: w never crosses a basis edge and then back over it
-        with only tree edges between, as no nonempty reduced tree path is
-        closed."""
+        None if w is not in the subgroup; 1-based signed indices, reduced as
+        walked, since no nonempty reduced tree path is closed."""
         cur = 0
         expr: list[int] = []
         for a in w:
@@ -292,11 +291,7 @@ def stallings(generators: Sequence[Word], n: int) -> StallingsGraph:
                 link(x, a, z)
             out[y] = {}
 
-    def step(v: int, a: int) -> Optional[int]:
-        z = out[v].get(a)
-        return None if z is None else find(z)
-
-    return StallingsGraph(n, find(0), step)
+    return StallingsGraph(n, find(0), lambda v: {a: find(z) for a, z in out[v].items()})
 
 
 def pullback(
@@ -310,12 +305,18 @@ def pullback(
     the two subgroups. With a group acting on the states it is the cover of
     graph that recognizes the words of its subgroup carrying base to base.
     """
-    edge = graph.delta.get
+    out: list[list[tuple[int, int]]] = [[] for _ in range(graph.num_vertices)]
+    for (v, a), w in graph.delta.items():
+        out[v].append((a, w))
 
-    def product(p: tuple[int, Hashable], a: int) -> Optional[tuple[int, Hashable]]:
-        w1 = edge((p[0], a))
-        t = None if w1 is None else step(p[1], a)
-        return None if t is None else (w1, t)
+    def product(p: tuple[int, Hashable]) -> dict[int, tuple[int, Hashable]]:
+        v, s = p
+        edges = {}
+        for a, w in out[v]:
+            t = step(s, a)
+            if t is not None:
+                edges[a] = (w, t)
+        return edges
 
     return StallingsGraph(graph.n, (0, base), product)
 
@@ -340,13 +341,16 @@ def schreier_basis(
     """
     p = len(ambient_basis)
     reps: dict[Hashable, Word] = {coset_key(()): ()}
+    letters = alphabet(p)
 
-    def step(u: Word, a: int) -> Word:
-        v = multiply(u, (a,))
-        rep = reps.setdefault(coset_key(v), v)
-        if len(reps) > index_bound:
-            raise IndexBoundExceeded(f"more than {index_bound} cosets found; coset keys and bound disagree")
-        return rep
+    def step(u: Word) -> dict[int, Word]:
+        edges = {}
+        for a in letters:
+            v = multiply(u, (a,))
+            edges[a] = reps.setdefault(coset_key(v), v)
+            if len(reps) > index_bound:
+                raise IndexBoundExceeded(f"more than {index_bound} cosets found; coset keys and bound disagree")
+        return edges
 
     # spell[a] is the ambient word of letter a; a < 0 counts from the end
     spell = [()] + list(ambient_basis) + [invert(g) for g in reversed(ambient_basis)]

@@ -349,17 +349,13 @@ class Lattice:
         return not any(self.reduce(v)[1])
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Lattice)
-            and self.ambient == other.ambient
-            and self.basis == other.basis
-        )
+        return isinstance(other, Lattice) and self.basis == other.basis
 
     def __hash__(self) -> int:
-        return hash((self.ambient, self.basis))
+        return hash(self.basis)
 
     def __repr__(self) -> str:
-        return f"Lattice({self.ambient}, {[list(r) for r in self.basis.entries]!r})"
+        return f"Lattice(IntMatrix({[list(r) for r in self.basis.entries]!r}, cols={self.ambient}))"
 
 
 def hnf(M: IntMatrix) -> Lattice:

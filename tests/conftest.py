@@ -323,6 +323,15 @@ def as_reference(graph: freewords.StallingsGraph):
     return graph.num_vertices, graph.delta, graph.basis_words
 
 
+def edges_of(delta):
+    """The step of `StallingsGraph` for the transitions delta[(v, a)] = w:
+    each vertex's edges, by letter, in delta's order."""
+    out: dict = {}
+    for (v, a), w in delta.items():
+        out.setdefault(v, {})[a] = w
+    return lambda v: out.get(v, {})
+
+
 def reference_from_words(ambient, free_part, abelian_part) -> SubgroupBasis:
     """`SubgroupBasis.from_words` by one fold and the vectors T^-1 A, T the
     abelianized traces of the words over the graph's basis."""

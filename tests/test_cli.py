@@ -525,26 +525,32 @@ class TestBudgets:
         # letters (some 20 GB); the child runs under a 1 GiB address-space
         # limit, so a quadratic spelling fails fast, and must answer within
         # about the fold's own time
-        pytest.importorskip("resource")
-        child = (
-            "import json, resource, sys, time\n"
-            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
-            "soft = 2**30 if hard == resource.RLIM_INFINITY else min(2**30, hard)\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (soft, hard))\n"
-            "from fatf.cli import run\n"
+        code, out, fold_s, basis_s = _in_one_gib(
             "from fatf.freewords import stallings\n"
             "t0 = time.perf_counter(); stallings([(1,) * 100_000], 1); t1 = time.perf_counter()\n"
             "body = {'m': 0, 'n': 1, 'generators': [{'t': [], 'w': 'z1^100000'}]}\n"
             "code, out = run(['basis'], json.dumps(body))\n"
             "print(json.dumps([code, out, t1 - t0, time.perf_counter() - t1]))\n"
         )
-        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=_child_env(),
-                              timeout=60)
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        code, out, fold_s, basis_s = json.loads(proc.stdout)
         assert code == EXIT_OK
         assert json.loads(out)["basis"]["free"] == [{"t": [], "w": format_word((1,) * 100_000)}]
         assert basis_s < 2 * fold_s + 0.5
+
+    def test_rank_costs_nothing(self):
+        # basis and member work on the letters their words use, never on the
+        # whole alphabet: at n = 10^9 a list of the 2n letters would need
+        # some 16 GB, which the child's limit refuses
+        basis, member, seconds = _in_one_gib(
+            "subgroup = {'free': [{'t': ['0'], 'w': 'z1 z2'}, {'t': ['1'], 'w': 'z3'}], 'abelian': []}\n"
+            "bodies = [('basis', {'m': 1, 'n': 10**9, 'generators': [{'t': ['1'], 'w': 'z1 z2'}]}),\n"
+            "          ('member', {'m': 1, 'n': 10**9, 'subgroup': subgroup,\n"
+            "                      'element': {'t': ['1'], 'w': 'z1 z2 z3'}})]\n"
+            "t0 = time.perf_counter(); answers = [run([c], json.dumps(b)) for c, b in bodies]\n"
+            "print(json.dumps(answers + [time.perf_counter() - t0]))\n"
+        )
+        assert basis == [EXIT_OK, '{"basis":{"abelian":[],"free":[{"t":["1"],"w":"z1 z2"}]},"ok":true}\n']
+        assert member == [EXIT_OK, '{"member":true,"ok":true}\n']
+        assert seconds < 1.0
 
     def test_per_power_bits(self):
         # e = 60,060 and chi(Q) keeps x^2 - 3x + 1, so Q^e would have about
@@ -638,6 +644,23 @@ def _run_order(argv: list[str], env: dict[str, str] | None = None) -> None:
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["order"] == "2"
+
+
+def _in_one_gib(code: str):
+    """Run `code` in a child process under a 1 GiB address-space limit, with
+    `json`, `time` and `fatf.cli.run` imported, and return the JSON it
+    prints."""
+    pytest.importorskip("resource")
+    child = (
+        "import json, resource, sys, time\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "soft = 2**30 if hard == resource.RLIM_INFINITY else min(2**30, hard)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (soft, hard))\n"
+        "from fatf.cli import run\n"
+    ) + code
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=_child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout)
 
 
 def _child_env() -> dict[str, str]:

@@ -14,6 +14,7 @@ from collections import Counter
 import pytest
 
 from conftest import (
+    edges_of,
     ia_map,
     inner,
     letter_map,
@@ -504,7 +505,7 @@ def _redirect(graph, v, a, w):
     delta = dict(graph.delta)
     del delta[(delta[(v, a)], -a)]
     delta[(v, a)], delta[(w, -a)] = w, v
-    return StallingsGraph(graph.n, 0, lambda v, a: delta.get((v, a)))
+    return StallingsGraph(graph.n, 0, edges_of(delta))
 
 
 def _outcome(check, *args):

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import as_reference, random_word, reference_finish, reference_stallings
+from conftest import as_reference, edges_of, random_word, reference_finish, reference_stallings
 from fatf import Ambient, FreeMap, GroupElement
 from fatf.freewords import (
     MAX_WORD_LETTERS,
@@ -144,41 +144,7 @@ class TestStallings:
             w = random_word(rng, 3, 8)
             expr = g.trace(w)
             if expr is not None:
-                check = ()
-                for idx in expr:
-                    u = basis[abs(idx) - 1]
-                    check = multiply(check, u if idx > 0 else invert(u))
-                assert check == w
-
-    def test_traces_are_reduced_as_walked(self):
-        # trace returns its crossings as walked: a reduced word never crosses
-        # a basis edge of a folded graph and then straight back over it
-        rng = random.Random(2031)
-        traced = 0
-        for _ in range(150):
-            n = rng.randint(1, 4)
-            g = stallings([random_word(rng, n, 6) for _ in range(rng.randint(1, 3))], n)
-            h = stallings([random_word(rng, n, 6) for _ in range(rng.randint(1, 3))], n)
-            congruence = Lattice.from_rows([[rng.randint(1, 3) * (i == j) for j in range(n)] for i in range(n)], n)
-            for graph in (g, pullback(g, lambda v, a: h.delta.get((v, a)), 0), pullback(g, congruence.shift, (0,) * n)):
-                basis = graph.basis_words
-                for _ in range(40):
-                    member = ()
-                    for u in rng.choices(basis, k=rng.randint(0, 5)) if basis else ():
-                        member = multiply(member, u if rng.random() < 0.5 else invert(u))
-                    for w in (member, random_word(rng, n, 8)):
-                        expr = graph.trace(w)
-                        if expr is None:
-                            assert w != member
-                            continue
-                        traced += 1
-                        assert all(x != -y for x, y in zip(expr, expr[1:])), (w, expr)
-                        check = ()
-                        for idx in expr:
-                            u = basis[abs(idx) - 1]
-                            check = multiply(check, u if idx > 0 else invert(u))
-                        assert check == w
-        assert traced >= 20000
+                assert _expand(expr, basis) == w
 
 
 class TestReferenceFold:
@@ -223,8 +189,11 @@ class TestReferenceFold:
                     total += 1
             names = list(range(total))
             rng.shuffle(names)
-            named = {(names[v], a): names[w] for (v, a), w in delta.items()}
-            got = as_reference(StallingsGraph(n, names[0], lambda v, a: named.get((v, a))))
+            # shuffled edges too: the constructor orders each vertex's letters
+            items = list(delta.items())
+            rng.shuffle(items)
+            named = {(names[v], a): names[w] for (v, a), w in items}
+            got = as_reference(StallingsGraph(n, names[0], edges_of(named)))
             assert got == reference_finish(n, names[0], named)
             peeled += total > got[0] + other.num_vertices
         assert peeled >= 200
@@ -249,10 +218,26 @@ class TestReferenceFold:
             h = stallings([random_word(rng, n, 8) for _ in range(rng.randint(1, 4))], n)
             congruence = Lattice.from_rows([[rng.randint(1, 3) * (i == j) for j in range(n)] for i in range(n)], n)
             graphs += [g, pullback(g, lambda v, a: h.delta.get((v, a)), 0), pullback(g, congruence.shift, (0,) * n)]
+        traced = 0
         for graph in graphs:
-            again = StallingsGraph(graph.n, 0, lambda v, a: graph.delta.get((v, a)))
+            again = StallingsGraph(graph.n, 0, edges_of(graph.delta))
             assert again == graph and again.basis_words == graph.basis_words
             assert as_reference(graph) == reference_stallings(graph.basis_words, graph.n)
+            # trace returns its crossings as walked: a reduced word never
+            # crosses a basis edge and then straight back over it
+            basis = graph.basis_words
+            for _ in range(10):
+                member = ()
+                for u in rng.choices(basis, k=rng.randint(0, 5)) if basis else ():
+                    member = multiply(member, u if rng.random() < 0.5 else invert(u))
+                for w in (member, random_word(rng, graph.n, 8)):
+                    expr = graph.trace(w)
+                    assert expr is not None or w != member
+                    if expr is not None:
+                        assert all(x != -y for x, y in zip(expr, expr[1:])), (w, expr)
+                        assert _expand(expr, basis) == w
+                        traced += 1
+        assert traced >= 9000
 
     def test_refold_of_basis_words(self):
         rng = random.Random(7)
@@ -443,3 +428,12 @@ class TestIndexAndSchreier:
             assert got == self.schreier_graph(g.basis_words, 2, L, mod)
             checked += 1
         assert checked >= 30
+
+
+def _expand(expr, basis):
+    """The word of a `trace` expression over `basis`."""
+    word = ()
+    for idx in expr:
+        u = basis[abs(idx) - 1]
+        word = multiply(word, u if idx > 0 else invert(u))
+    return word

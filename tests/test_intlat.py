@@ -425,11 +425,14 @@ class TestPublicConstructor:
             for L in (A, lattice_intersect(A, B), kernel_lattice(M), lattice_preimage(domain, M, T)):
                 again = Lattice(L.basis)
                 assert again == L and again.pivots == L.pivots
+                # the repr is a call of the one constructor
+                assert eval(repr(L), {"Lattice": Lattice, "IntMatrix": IntMatrix}) == L
 
     @pytest.mark.parametrize("d", range(4))
     def test_width_of_an_empty_basis_is_the_ambient_dimension(self, d):
         L = Lattice(IntMatrix([], cols=d))
         assert L.ambient == d and L == Lattice.from_rows([], d)
+        assert repr(L) == f"Lattice(IntMatrix([], cols={d}))"
 
 
 class TestLatticeIndexReference:
