@@ -205,7 +205,7 @@ def subgroup_contains(H: SubgroupBasis, K: SubgroupBasis) -> bool:
         return False
     signed = [(0,) * H.ambient.m, *H.vectors, *[tuple(-x for x in a) for a in reversed(H.vectors)]]
     crossings = H.graph.crossings
-    sums = K.graph.basis_sums(lambda v, a: signed[crossings.get((image[v], a), 0)], H.ambient.m)
+    sums = K.graph.basis_sums(lambda v, a: signed[crossings[image[v]].get(a, 0)], H.ambient.m)
     L = H.abelian_part
     return all(map(L.contains, K.abelian_part.basis.entries)) and all(
         L.contains(tuple(map(sub, a, s))) for a, s in zip(K.vectors, sums)

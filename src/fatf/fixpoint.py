@@ -41,12 +41,12 @@ class BudgetExceeded(ValueError):
 
 
 # Most vertices fix_tuple gives its answer's graph, the cover with ell vertices
-# over each vertex of the fixed-basis graph. At the budget the F_2 family
-# phi = id, Q = [[ell+2, 1], [-1, 0]], P = I (ell = 1024) takes 11-22 ms on
-# Python 3.11 (best of 3, shared 2-core machine), and is_autofixed of that
-# answer 17-33 ms, as it checks and contains H on the graphs. Its basis has
-# 526,336 letters, spelled only when the answer is read: the JSON of `fix`
-# takes about 0.2 s more.
+# over each vertex of the fixed-basis graph. At the budget (ell = 1024) the F_2
+# family phi = id, Q = U^-1 [[ell+2, 1], [-1, 0]] U, P = U takes 13.5 ms and
+# is_autofixed of its answer 20.6 ms, as it checks and contains H on the graphs
+# (BENCH_32.json's sweep: best of 5, Python 3.11.7, shared 2-core x86_64). Its
+# basis has 526,336 letters, spelled only when the answer is read: the JSON of
+# `fix` takes about 0.2 s more.
 MAX_COVER_VERTICES = 1024
 
 # Most bits by which fix_power lets Q^e outgrow Q, as estimated from bounds on
@@ -111,7 +111,7 @@ class FixInput:
             folds.append(fold)
         graph = folds[0]
         for other in folds[1:]:
-            graph = freewords.pullback(graph, lambda v, a: other.delta.get((v, a)), 0)
+            graph = freewords.pullback(graph, lambda v, a: other.edges[v].get(a), 0)
         object.__setattr__(self, "graph", graph)
 
     @property

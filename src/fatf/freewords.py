@@ -98,38 +98,39 @@ def alphabet(n: int) -> list[int]:
 
 
 class StallingsGraph:
-    """Folded core automaton of a finitely generated subgroup of F_n.
+    """Folded core automaton of a finitely generated subgroup of F_n, held as
+    its edge table: edges[v] maps each letter at vertex v to its target, in
+    `alphabet` order; crossings[v][a] is the signed 1-based index of the basis
+    edge that letter a crosses at v.
 
     Built by one breadth-first search of the basepoint component of a
     symmetric automaton, step(v) mapping the letter of each edge at v to its
-    target. The search sorts each vertex's letters into `alphabet` order
-    itself, so equal subgroups give equal graphs and the work grows with the
-    edges, not with n; the edge along which it first reaches a vertex is the
-    vertex's spanning-tree edge, and every other edge is a basis edge.
-    Hanging trees are peeled only when a vertex other than the base has
-    degree <= 1. No shortest path from the base to a survivor enters a
-    hanging tree and no basis edge touches one, so the survivors keep their
-    tree edges and their order, and are renumbered in it.
+    target. The search sorts each vertex's letters itself, so equal subgroups
+    give equal tables and the work grows with the edges, not with n. The edge
+    along which it first reaches a vertex is the vertex's spanning-tree edge;
+    every other edge is a basis edge. Hanging trees are peeled only when a
+    vertex other than the base has degree <= 1. No shortest path from the base
+    to a survivor enters a hanging tree and no basis edge touches one, so the
+    survivors keep their tree edges and their order, and are renumbered in it.
     """
 
     def __init__(self, n: int, base: Hashable, step: Callable[[Hashable], dict[int, Hashable]]):
         self.n = n
-        self.delta: dict[tuple[int, int], int] = {}
+        self.edges: list[dict[int, int]] = []
         self._tree_parent: dict[int, tuple[int, int]] = {}
         # in (vertex, label) order, as vertices leave the queue in number order
         self._basis_edges: list[tuple[int, int, int]] = []
         order = {base: 0}
         queue = [base]  # read while it grows: vertex i is queue[i]
-        lets: list[list[int]] = []  # the letters of vertex i, in order
         last, ordered = (), []  # the letters of the last vertex, as given and sorted
         for i, v in enumerate(queue):
-            edges = step(v)
-            letters = tuple(edges)
+            targets = step(v)
+            letters = tuple(targets)
             if letters != last:  # sort only where they change, into z1 < z1^-1 < z2 < ...
                 last, ordered = letters, sorted(letters, key=lambda a: 2 * abs(a) - (a > 0))
-            lets.append(ordered)
+            row = {}
             for a in ordered:
-                w = edges[a]
+                w = targets[a]
                 j = order.get(w)
                 if j is None:
                     j = order[w] = len(order)
@@ -137,8 +138,9 @@ class StallingsGraph:
                     queue.append(w)
                 elif a > 0 and self._tree_parent.get(i) != (j, -a):
                     self._basis_edges.append((i, a, j))
-                self.delta[(i, a)] = j
-        deg = [len(e) for e in lets]
+                row[a] = j
+            self.edges.append(row)
+        deg = [len(row) for row in self.edges]
         # no vertex is pushed twice: removing one of live degree <= 1 keeps
         # the live graph connected through the base
         dead: set[int] = set()
@@ -146,24 +148,22 @@ class StallingsGraph:
         while stack:
             v = stack.pop()
             dead.add(v)
-            for a in lets[v]:
-                w = self.delta[(v, a)]
+            for w in self.edges[v].values():
                 if w not in dead:
                     deg[w] -= 1
                     if deg[w] <= 1 and w:
                         stack.append(w)
         if dead:
             new = {j: k for k, j in enumerate(j for j in range(len(deg)) if j not in dead)}
-            self.delta = {(new[v], a): new[w] for (v, a), w in self.delta.items() if v in new and w in new}
+            self.edges = [{a: new[w] for a, w in self.edges[j].items() if w in new} for j in new]
             self._tree_parent = {new[j]: (new[i], a) for j, (i, a) in self._tree_parent.items() if j in new}
             self._basis_edges = [(new[v], a, new[w]) for v, a, w in self._basis_edges]
-        self.num_vertices = len(deg) - len(dead)
-        # the signed 1-based index of each crossing of a basis edge; folded
-        # graphs have one transition per (vertex, label), so one per key
-        self.crossings: dict[tuple[int, int], int] = {}
+        self.num_vertices = len(self.edges)
+        # folded graphs have one edge per (vertex, label), so one crossing
+        self.crossings: list[dict[int, int]] = [{} for _ in self.edges]
         for idx, (v, a, w) in enumerate(self._basis_edges, start=1):
-            self.crossings[(v, a)] = idx
-            self.crossings[(w, -a)] = -idx
+            self.crossings[v][a] = idx
+            self.crossings[w][-a] = -idx
 
     # -- queries -----------------------------------------------------------
 
@@ -210,24 +210,25 @@ class StallingsGraph:
         checked once."""
         image = [0] * self.num_vertices
         for j, (i, a) in self._tree_parent.items():
-            w = other.delta.get((image[i], a))
+            w = other.edges[image[i]].get(a)
             if w is None:
                 return None
             image[j] = w
-        ok = all(other.delta.get((image[v], a)) == image[w] for (v, a), w in self.delta.items())
+        ok = all(other.edges[x].get(a) == image[w] for row, x in zip(self.edges, image) for a, w in row.items())
         return image if ok else None
 
     def trace(self, w: Word) -> Optional[list[int]]:
         """Expression of a reduced word w over the spanning-tree basis, or
         None if w is not in the subgroup; 1-based signed indices, reduced as
         walked, since no nonempty reduced tree path is closed."""
+        edges, crossings = self.edges, self.crossings
         cur = 0
         expr: list[int] = []
         for a in w:
-            nxt = self.delta.get((cur, a))
+            nxt = edges[cur].get(a)
             if nxt is None:
                 return None
-            hit = self.crossings.get((cur, a))
+            hit = crossings[cur].get(a)
             if hit is not None:
                 # non-tree edge crossing; tree crossings contribute nothing
                 expr.append(hit)
@@ -237,9 +238,7 @@ class StallingsGraph:
         return expr
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, StallingsGraph) and (self.n, self.num_vertices, self.delta) == (
-            other.n, other.num_vertices, other.delta
-        )
+        return isinstance(other, StallingsGraph) and (self.n, self.edges) == (other.n, other.edges)
 
     def __repr__(self) -> str:
         return f"StallingsGraph(n={self.n}, vertices={self.num_vertices}, rank={self.rank})"
@@ -301,18 +300,17 @@ def pullback(
     automaton whose transitions are step(state, letter) (None where there is
     none), started at base.
 
-    With the transitions of a second graph it recognizes the intersection of
-    the two subgroups. With a group acting on the states it is the cover of
-    graph that recognizes the words of its subgroup carrying base to base.
+    The product's edges at (v, s) are graph.edges[v] as built, kept where
+    step(s, a) is defined. With the transitions of a second graph it
+    recognizes the intersection of the two subgroups; with a group acting on
+    the states it is the cover of graph that recognizes the words of its
+    subgroup carrying base to base.
     """
-    out: list[list[tuple[int, int]]] = [[] for _ in range(graph.num_vertices)]
-    for (v, a), w in graph.delta.items():
-        out[v].append((a, w))
 
     def product(p: tuple[int, Hashable]) -> dict[int, tuple[int, Hashable]]:
         v, s = p
         edges = {}
-        for a, w in out[v]:
+        for a, w in graph.edges[v].items():
             t = step(s, a)
             if t is not None:
                 edges[a] = (w, t)

@@ -319,13 +319,20 @@ def _reference_basis_words(n, delta):
     return out
 
 
+def delta_of(graph: freewords.StallingsGraph):
+    """The edge table of graph as the transitions delta[(v, a)] = w that the
+    reference pipeline builds."""
+    return {(v, a): w for v, row in enumerate(graph.edges) for a, w in row.items()}
+
+
 def as_reference(graph: freewords.StallingsGraph):
-    return graph.num_vertices, graph.delta, graph.basis_words
+    return graph.num_vertices, delta_of(graph), graph.basis_words
 
 
 def edges_of(delta):
     """The step of `StallingsGraph` for the transitions delta[(v, a)] = w:
-    each vertex's edges, by letter, in delta's order."""
+    each vertex's edges, by letter, in delta's order. Only the tests that
+    hand-build a delta need it; a built graph's step is graph.edges.__getitem__."""
     out: dict = {}
     for (v, a), w in delta.items():
         out.setdefault(v, {})[a] = w

@@ -304,7 +304,7 @@ def test_criterion_10_free_machinery_suite():
     for _ in range(30):
         g1 = stallings([random_word(rng, 2, 4) for _ in range(2)], 2)
         g2 = stallings([random_word(rng, 2, 4) for _ in range(2)], 2)
-        pb = pullback(g1, lambda v, a: g2.delta.get((v, a)), 0)
+        pb = pullback(g1, lambda v, a: g2.edges[v].get(a), 0)
         for _ in range(8):
             w = random_word(rng, 2, 8)
             both = g1.trace(w) is not None and g2.trace(w) is not None

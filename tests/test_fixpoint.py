@@ -14,7 +14,6 @@ from collections import Counter
 import pytest
 
 from conftest import (
-    edges_of,
     ia_map,
     inner,
     letter_map,
@@ -192,7 +191,7 @@ class TestFixTuple:
         assert res.basis.rank == ell + 1
         # every vertex of the cover carries all 2n labels: index ell in F_2
         graph = res.basis.graph
-        assert graph.num_vertices == ell and len(graph.delta) == 4 * ell
+        assert graph.num_vertices == ell and sum(map(len, graph.edges)) == 4 * ell
         # the cover fix_tuple builds is the graph its own words fold to
         assert stallings(res.basis.graph.basis_words, 2) == res.basis.graph
         for g in res.basis.basis_elements():
@@ -434,7 +433,7 @@ class TestClosureOnTheGraph:
             assert "basis_words" not in graph.__dict__
 
     def test_cover_steps_call_no_reduce(self, monkeypatch):
-        # the cover steps once per transition of its graph (len(delta)), by
+        # the cover steps once per edge of its graph, by
         # Lattice.shift; reduce is left for the answer's vectors and
         # coordinates, one call each per basis word
         psi = ell_family(256)
@@ -453,7 +452,7 @@ class TestClosureOnTheGraph:
         B = fix_single(psi, [(1,), (2,)]).basis
         assert B.graph.num_vertices == 256
         assert not any(calls)
-        assert len(calls) < len(B.graph.delta)
+        assert len(calls) < sum(map(len, B.graph.edges))
 
 
 def test_qt_reduced_once(monkeypatch):
@@ -502,10 +501,10 @@ def conjugated_flip():
 
 def _redirect(graph, v, a, w):
     """graph with its edge (v, a) moved to end at w, which has no edge -a."""
-    delta = dict(graph.delta)
-    del delta[(delta[(v, a)], -a)]
-    delta[(v, a)], delta[(w, -a)] = w, v
-    return StallingsGraph(graph.n, 0, edges_of(delta))
+    edges = [dict(row) for row in graph.edges]
+    del edges[edges[v][a]][-a]
+    edges[v][a], edges[w][-a] = w, v
+    return StallingsGraph(graph.n, 0, edges.__getitem__)
 
 
 def _outcome(check, *args):

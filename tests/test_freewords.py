@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import as_reference, edges_of, random_word, reference_finish, reference_stallings
+from conftest import as_reference, delta_of, edges_of, random_word, reference_finish, reference_stallings
 from fatf import Ambient, FreeMap, GroupElement
 from fatf.freewords import (
     MAX_WORD_LETTERS,
@@ -11,6 +11,7 @@ from fatf.freewords import (
     StallingsGraph,
     LetterError,
     abelianize,
+    alphabet,
     format_word,
     invert,
     multiply,
@@ -178,8 +179,8 @@ class TestReferenceFold:
             g = stallings([random_word(rng, n, 6) for _ in range(rng.randint(1, 3))], n)
             other = stallings([random_word(rng, n, 6)], n)
             size = g.num_vertices
-            delta = dict(g.delta)
-            delta.update({(v + size, a): w + size for (v, a), w in other.delta.items()})
+            delta = delta_of(g)
+            delta.update({(v + size, a): w + size for (v, a), w in delta_of(other).items()})
             total = size + other.num_vertices
             for _ in range(rng.randint(0, 8)):
                 v, a = rng.randrange(total), rng.choice([x for x in range(-n, n + 1) if x])
@@ -209,7 +210,7 @@ class TestReferenceFold:
         # there, so it is peeled and the survivors are renumbered
         g = stallings([(1, -2), (-2, -1)], 2)
         h = stallings([(2, 1), (1, 2)], 2)
-        hanging = pullback(g, lambda v, a: h.delta.get((v, a)), 0)
+        hanging = pullback(g, lambda v, a: h.edges[v].get(a), 0)
         assert (hanging.num_vertices, hanging.basis_words) == (2, [(1, 2)])
         graphs = [hanging]
         for _ in range(300):
@@ -217,11 +218,19 @@ class TestReferenceFold:
             g = stallings([random_word(rng, n, 8) for _ in range(rng.randint(1, 4))], n)
             h = stallings([random_word(rng, n, 8) for _ in range(rng.randint(1, 4))], n)
             congruence = Lattice.from_rows([[rng.randint(1, 3) * (i == j) for j in range(n)] for i in range(n)], n)
-            graphs += [g, pullback(g, lambda v, a: h.delta.get((v, a)), 0), pullback(g, congruence.shift, (0,) * n)]
+            graphs += [g, pullback(g, lambda v, a: h.edges[v].get(a), 0), pullback(g, congruence.shift, (0,) * n)]
         traced = 0
         for graph in graphs:
-            again = StallingsGraph(graph.n, 0, edges_of(graph.delta))
+            again = StallingsGraph(graph.n, 0, graph.edges.__getitem__)
             assert again == graph and again.basis_words == graph.basis_words
+            # the edge table is the canonical form: each vertex's letters in
+            # alphabet order, each tree and basis edge stored once each way,
+            # and each basis edge crossed once from each end, with both signs
+            assert all(list(row) == [a for a in alphabet(graph.n) if a in row] for row in graph.edges)
+            assert sum(map(len, graph.edges)) == 2 * (graph.num_vertices - 1 + graph.rank)
+            hits = [(v, a, i) for v, row in enumerate(graph.crossings) for a, i in row.items()]
+            assert sorted(i for _, _, i in hits) == [*range(-graph.rank, 0), *range(1, graph.rank + 1)]
+            assert all(graph.crossings[graph.edges[v][a]][-a] == -i for v, a, i in hits)
             assert as_reference(graph) == reference_stallings(graph.basis_words, graph.n)
             # trace returns its crossings as walked: a reduced word never
             # crosses a basis edge and then straight back over it
@@ -251,16 +260,16 @@ class TestReferenceFold:
 class TestPullback:
     def test_cyclic_powers(self):
         cube = stallings([(1, 1, 1)], 2)
-        g = pullback(stallings([(1, 1)], 2), lambda v, a: cube.delta.get((v, a)), 0)
+        g = pullback(stallings([(1, 1)], 2), lambda v, a: cube.edges[v].get(a), 0)
         assert g.basis_words == [(1,) * 6]
 
     def test_self_intersection(self):
         h = stallings([(1, 2), (2, 2)], 2)
-        assert pullback(h, lambda v, a: h.delta.get((v, a)), 0) == h
+        assert pullback(h, lambda v, a: h.edges[v].get(a), 0) == h
 
     def test_disjoint(self):
         other = stallings([(2,)], 2)
-        g = pullback(stallings([(1,)], 2), lambda v, a: other.delta.get((v, a)), 0)
+        g = pullback(stallings([(1,)], 2), lambda v, a: other.edges[v].get(a), 0)
         assert g.rank == 0
 
     def test_soundness_random(self):
@@ -268,7 +277,7 @@ class TestPullback:
         for _ in range(25):
             g1 = stallings([random_word(rng, 2, 4) for _ in range(2)], 2)
             g2 = stallings([random_word(rng, 2, 4) for _ in range(2)], 2)
-            pb = pullback(g1, lambda v, a: g2.delta.get((v, a)), 0)
+            pb = pullback(g1, lambda v, a: g2.edges[v].get(a), 0)
             for _ in range(10):
                 w = random_word(rng, 2, 8)
                 both = g1.trace(w) is not None and g2.trace(w) is not None
@@ -288,7 +297,7 @@ class TestGraphQueries:
         rows = [[rng.randint(1, 3) if i == j else rng.randint(0, 2) * (i < j) for j in range(n)] for i in range(n)]
         L = Lattice.from_rows(rows, n)
         cover = pullback(g, TestIndexAndSchreier.residue_step(L), (0,) * n)
-        return g, h, pullback(g, lambda v, a: h.delta.get((v, a)), 0), cover
+        return g, h, pullback(g, lambda v, a: h.edges[v].get(a), 0), cover
 
     def test_basis_abelianized_matches_words(self):
         rng = random.Random(1902)
@@ -311,7 +320,7 @@ class TestGraphQueries:
             if contained:
                 # the vertex map sends base to base and each edge onto an edge
                 assert image[0] == 0 and len(image) == g.num_vertices
-                assert all(h.delta.get((image[v], a)) == image[w] for (v, a), w in g.delta.items())
+                assert all(h.edges[image[v]].get(a) == image[w] for (v, a), w in delta_of(g).items())
             assert all(x.maps_into(y) is not None for x, y in ((meet, g), (meet, h), (cover, g)))
             outcomes.add(contained)
         assert outcomes == {True, False}
@@ -322,7 +331,7 @@ class TestIndexAndSchreier:
     def complete(g: StallingsGraph) -> bool:
         """Every vertex carries all 2n labels, so the subgroup's index is the
         number of vertices."""
-        return len(g.delta) == 2 * g.n * g.num_vertices
+        return sum(map(len, g.edges)) == 2 * g.n * g.num_vertices
 
     def test_worked_index(self):
         g = stallings([(2, 2), (3,), (-2, 3, 2)], 3)
@@ -409,7 +418,7 @@ class TestIndexAndSchreier:
         L = self.congruence(n, j, mod)
         got = pullback(rose, self.residue_step(L), (0,) * n)
         # every vertex carries all labels of the sub-alphabet: index mod
-        assert got.num_vertices == mod and len(got.delta) == 2 * len(ambient) * mod
+        assert got.num_vertices == mod and sum(map(len, got.edges)) == 2 * len(ambient) * mod
         assert got == self.schreier_graph(ambient, n, L, mod)
 
     def test_cover_of_folded_graph_matches_refold(self):
