@@ -25,7 +25,7 @@ from .fixpoint import (
     periodic_exponent,
     periodic_subgroup,
 )
-from .intlat import IntMatrix, Lattice, hnf
+from .intlat import IntMatrix, Lattice, hnf, kernel_lattice
 from .morphisms import FreeMap, Morphism, apply
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
     "IntMatrix",
     "Lattice",
     "hnf",
+    "kernel_lattice",
     "FreeMap",
     "Morphism",
     "FixInput",

@@ -8,6 +8,7 @@ generation, bases, periodic subgroups and auto-fixed closures.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -42,11 +43,11 @@ class BudgetExceeded(ValueError):
 
 # Most vertices fix_tuple gives its answer's graph, the cover with ell vertices
 # over each vertex of the fixed-basis graph. At the budget (ell = 1024) the F_2
-# family phi = id, Q = U^-1 [[ell+2, 1], [-1, 0]] U, P = U takes 13.5 ms and
-# is_autofixed of its answer 20.6 ms, as it checks and contains H on the graphs
-# (BENCH_32.json's sweep: best of 5, Python 3.11.7, shared 2-core x86_64). Its
-# basis has 526,336 letters, spelled only when the answer is read: the JSON of
-# `fix` takes about 0.2 s more.
+# family phi = id, Q = U^-1 [[ell+2, 1], [-1, 0]] U, P = U takes 13.7 ms and
+# is_autofixed of its answer 17.0 ms, as it checks H on the graphs and finds it
+# equal to the answer (BENCH_33.json's sweep: best of 5, Python 3.11.7, shared
+# 2-core x86_64). Its basis has 526,336 letters, spelled only when the answer
+# is read: the JSON of `fix` takes about 0.2 s more.
 MAX_COVER_VERTICES = 1024
 
 # Most bits by which fix_power lets Q^e outgrow Q, as estimated from bounds on
@@ -119,14 +120,37 @@ class FixInput:
         return self.morphisms[0].ambient
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FixDiagnostics:
+    """The lattices of a fix_tuple answer and its index ell; `preimage` is
+    None at infinite index. im_P = im_rho Pt and N = M meet im_P are
+    computed when first read, as only the JSON reply reads them: N is the
+    HNF of `_images`, the rows of the full preimage mapped by Pt, which the
+    solves map as well. `==` compares all six values."""
+
     im_rho: Lattice
-    im_P: Lattice
     M: Lattice
-    N: Lattice
     preimage: Optional[Lattice]
     ell: object  # int or math.inf
+    _Pt: IntMatrix = field(repr=False)
+    _images: list = field(repr=False)
+
+    @functools.cached_property
+    def im_P(self) -> Lattice:
+        return Lattice.from_rows([self._Pt.apply_row(r) for r in self.im_rho.basis.entries], self._Pt.cols)
+
+    @functools.cached_property
+    def N(self) -> Lattice:
+        return Lattice.from_rows(self._images, self._Pt.cols)
+
+    def _key(self) -> tuple:
+        return (self.im_rho, self.im_P, self.M, self.N, self.preimage, self.ell)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, FixDiagnostics) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 @dataclass(frozen=True)
@@ -146,21 +170,18 @@ def fix_tuple(inp: FixInput) -> FixResult:
 
     graph = inp.graph
 
-    eye = IntMatrix.identity(m)
-    Qt = IntMatrix.hstack([eye - psi.Q for psi in inp.morphisms])
+    # Qt = [I - Q_1 | ... | I - Q_k], built row by row from checked entries
+    rows = [[(i == j) - q for psi in inp.morphisms for j, q in enumerate(psi.Q.entries[i])] for i in range(m)]
+    Qt = IntMatrix._trusted(tuple([tuple(r) for r in rows]), k * m)
     Pt = IntMatrix.hstack([psi.P for psi in inp.morphisms])
 
     im_rho = Lattice.from_rows(graph.basis_abelianized, n)
-    im_P = Lattice.from_rows(
-        [Pt.apply_row(r) for r in im_rho.basis.entries], k * m
-    )
     # one row reduction of Qt gives its image, its kernel and every solve
     M, kernel, solve = left_solver(Qt)
     # im_rho Pt = im_P, so preimage maps onto N = M meet im_P, and its index
     # in im_rho is finite exactly when N has the rank of im_P
     preimage = lattice_preimage(im_rho, Pt, M)
     images = [Pt.apply_row(b) for b in preimage.basis.entries]
-    N = Lattice.from_rows(images, k * m)
     ell = lattice_index(preimage, im_rho)
 
     if ell != math.inf:
@@ -187,7 +208,7 @@ def fix_tuple(inp: FixInput) -> FixResult:
         solutions = [solve(b) for b in images]
         if None in solutions:
             raise CertificateError("a preimage row maps outside the image of I - Q")
-        E = IntMatrix(solutions, cols=m)
+        E = IntMatrix._trusted(tuple(solutions), m)
         reduced = [preimage.reduce(u) for u in answer.basis_abelianized]
         if any(any(res) for _, res in reduced):
             raise CertificateError("an answer word abelianizes outside the preimage")
@@ -202,7 +223,7 @@ def fix_tuple(inp: FixInput) -> FixResult:
 
     if basis is not None:
         _certify(inp, basis)
-    return FixResult(basis, FixDiagnostics(im_rho, im_P, M, N, preimage if ell != math.inf else None, ell))
+    return FixResult(basis, FixDiagnostics(im_rho, M, preimage if ell != math.inf else None, ell, Pt, images))
 
 
 def _certify(inp: FixInput, H: SubgroupBasis, error: type[Exception] = CertificateError) -> None:
@@ -273,7 +294,8 @@ def autofixed_closure(H: SubgroupBasis, stab_gens: FixInput) -> FixResult:
     _check_same(H.ambient, stab_gens.ambient)
     _certify(stab_gens, H, ValueError)
     result = fix_tuple(stab_gens)
-    if result.basis is not None and not subgroup_contains(result.basis, H):
+    # equal subgroups contain each other, so an answer equal to H needs no walk
+    if result.basis is not None and result.basis != H and not subgroup_contains(result.basis, H):
         raise CertificateError("closure must contain the subgroup")
     return result
 

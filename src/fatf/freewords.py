@@ -298,22 +298,31 @@ def pullback(
 ) -> StallingsGraph:
     """Core of the basepoint component of the product of graph with the
     automaton whose transitions are step(state, letter) (None where there is
-    none), started at base.
+    none), started at base. step must be symmetric: step(s, a) = t exactly
+    when step(t, -a) = s.
 
     The product's edges at (v, s) are graph.edges[v] as built, kept where
     step(s, a) is defined. With the transitions of a second graph it
     recognizes the intersection of the two subgroups; with a group acting on
     the states it is the cover of graph that recognizes the words of its
-    subgroup carrying base to base.
+    subgroup carrying base to base. Each transition step gives is kept with
+    its inverse, so an edge and its reverse cost one call of step.
     """
+    learned: dict[Hashable, dict[int, Hashable]] = {}
 
     def product(p: tuple[int, Hashable]) -> dict[int, tuple[int, Hashable]]:
         v, s = p
+        known = learned.setdefault(s, {})
         edges = {}
         for a, w in graph.edges[v].items():
-            t = step(s, a)
-            if t is not None:
-                edges[a] = (w, t)
+            t = known.get(a)
+            if t is None:
+                t = step(s, a)
+                if t is None:
+                    continue
+                known[a] = t
+                learned.setdefault(t, {})[-a] = s
+            edges[a] = (w, t)
         return edges
 
     return StallingsGraph(graph.n, (0, base), product)

@@ -411,9 +411,12 @@ def lattice_preimage(domain: Lattice, M: IntMatrix, target: Lattice) -> Lattice:
         raise DimensionError("preimage dimensions are inconsistent")
     mapped = tuple([M.apply_row(r) for r in domain.basis.entries])
     stacked = IntMatrix._trusted(mapped + target.basis.entries, target.ambient)
-    ker = kernel_lattice(stacked)
-    r = domain.rank
-    rows = [domain.basis.apply_row(k[:r]) for k in ker.basis.entries]
+    # the rows of U past the rank span the kernel of the stacked rows; their
+    # first domain.rank entries combine domain's rows, and one HNF of those
+    # combinations is the preimage, so the kernel needs no HNF of its own
+    _, U, r = _with_transform(stacked)
+    d = domain.rank
+    rows = [domain.basis.apply_row(k[:d]) for k in U[r:]]
     return Lattice.from_rows(rows, domain.ambient)
 
 

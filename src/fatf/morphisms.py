@@ -9,14 +9,35 @@ the inverse carry it along and composition tracks it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import freewords
 from .fatfcore import Ambient, GroupElement, _check_same
 from .freewords import Word, reduce_word
 from .intlat import IntMatrix, cyclotomic_split, matrix_inverse, matrix_order, power_by_squaring
+
+
+# Most letters free-map substitutions spell before they are reduced: the
+# check of claimed inverse images in `FreeMap`, and all the products of one
+# `FreeMap.power` ladder together, each length exact before it is spelled
+# (`_letters`). At about 13M letters/s (Python 3.11.7, shared 2-core x86_64)
+# the cap costs 0.3 s. `order` on the conjugate of the cycle of F_100 by
+# random_free_aut(Random(1), 100, steps=300) of tests/conftest.py (60,543
+# letters) answered after 7.6 s, its inverse check spelling 8.2M letters and
+# its ladder 69M; it now exits 2 in 0.06 s. With steps=200 the check spells
+# 0.18M letters, the ladder 1.6M, and `order` answers in 1.3 s.
+MAX_SPELLED_LETTERS = 4_000_000
+
+
+def _letters(images: Sequence[Word], words: Iterable[Word]) -> int:
+    """The letters substituting images for the letters of words spells
+    before reducing: the sum of |images[i]| over the letters +-i of words."""
+    lens = [0, *map(len, images)]
+    lens += reversed(lens[1:])  # lens[-i] = lens[i]
+    return sum(map(lens.__getitem__, itertools.chain.from_iterable(words)))
 
 
 class FreeMap:
@@ -45,6 +66,8 @@ class FreeMap:
         if inverse_images is not None:
             # back undoing the map on every generator makes back onto, hence
             # an automorphism (F_n is Hopfian) whose inverse is the map
+            if _letters(inverse_images, images) > MAX_SPELLED_LETTERS:
+                raise ValueError(f"checking the inverse images would spell more than {MAX_SPELLED_LETTERS} letters")
             back = self.invert()
             if any(back.apply(w) != (i,) for i, w in enumerate(images, start=1)):
                 raise ValueError("claimed inverse does not undo the map")
@@ -101,9 +124,25 @@ class FreeMap:
         )
 
     def power(self, k: int) -> "FreeMap":
+        """self^k along `power_by_squaring`; ValueError, before the product
+        that would pass it, once the ladder's products would spell more than
+        MAX_SPELLED_LETTERS letters in all, inverse images included."""
         if k < 0:
             return self.invert().power(-k)
-        return power_by_squaring(self, k, FreeMap.compose) if k else FreeMap.identity(self.n)
+        if not k:
+            return FreeMap.identity(self.n)
+        left = MAX_SPELLED_LETTERS
+
+        def compose(f: FreeMap, g: FreeMap) -> FreeMap:
+            nonlocal left
+            left -= _letters(g.images, f.images)
+            if f.inverse_images is not None and g.inverse_images is not None:
+                left -= _letters(f.inverse_images, g.inverse_images)
+            if left < 0:
+                raise ValueError(f"the power would spell more than {MAX_SPELLED_LETTERS} letters")
+            return f.compose(g)
+
+        return power_by_squaring(self, k, compose)
 
     def order(self):
         """Exact order in Aut(F_n), or math.inf.
@@ -112,7 +151,8 @@ class FreeMap:
         abelianization map is torsion-free), so the order equals the order
         of the abelianization matrix whenever that power is the identity.
         The map is immutable, so the order is computed once and kept; the
-        ladder to phi^s carries no inverse images, so `compose` skips them.
+        ladder to phi^s carries no inverse images, so `compose` skips them,
+        and `power` refuses it past MAX_SPELLED_LETTERS with ValueError.
         """
         if self._order is None:
             s = matrix_order(self.abelianization_matrix())

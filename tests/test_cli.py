@@ -536,6 +536,31 @@ class TestBudgets:
         assert json.loads(out)["basis"]["free"] == [{"t": [], "w": format_word((1,) * 100_000)}]
         assert basis_s < 2 * fold_s + 0.5
 
+    def test_order_of_a_long_conjugate(self):
+        # the conjugate of the cycle z_i -> z_(i+1) of F_100 by 300 random
+        # Nielsen moves, 60,543 letters with its inverse images: checking
+        # them would spell 8.2M letters and the ladder to phi^100 69M, and
+        # the request answered after about 8 s. It is refused when its map
+        # is read, in about the time its words take to spell
+        code, out, letters, order_s, read_s = _in_one_gib(
+            f"sys.path.insert(0, {str(pathlib.Path(__file__).resolve().parent)!r})\n"
+            "import random\n"
+            "from conftest import letter_map, random_free_aut\n"
+            "from fatf import jsonio\n"
+            "from fatf.freewords import format_word\n"
+            "n = 100\n"
+            "alpha = random_free_aut(random.Random(1), n, steps=300)\n"
+            "phi = alpha.invert().compose(letter_map([i % n + 1 for i in range(1, n + 1)])).compose(alpha)\n"
+            "texts = [format_word(w) for w in phi.images + phi.inverse_images]\n"
+            "body = {'m': 0, 'n': n, 'morphism': {'phi': texts[:n], 'phi_inv': texts[n:], 'Q': [], 'P': [[]] * n}}\n"
+            "t0 = time.perf_counter(); code, out = run(['order'], json.dumps(body)); t1 = time.perf_counter()\n"
+            "letters = sum(len(jsonio.word_from_json(t)) for t in texts)\n"
+            "print(json.dumps([code, out, letters, t1 - t0, time.perf_counter() - t1]))\n"
+        )
+        assert letters == 60_543 and code == EXIT_VALIDATION
+        assert f"would spell more than {fatf.morphisms.MAX_SPELLED_LETTERS} letters" in json.loads(out)["error"]
+        assert order_s < 3 * read_s + 0.1
+
     def test_rank_costs_nothing(self):
         # basis and member work on the letters their words use, never on the
         # whole alphabet: at n = 10^9 a list of the 2n letters would need

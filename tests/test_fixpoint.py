@@ -454,6 +454,44 @@ class TestClosureOnTheGraph:
         assert not any(calls)
         assert len(calls) < sum(map(len, B.graph.edges))
 
+    def test_cover_steps_each_edge_once(self, monkeypatch):
+        # the rose's cover at ell 256 has 1,024 directed edges; pullback
+        # records each shift's inverse, so it shifts once per edge pair
+        calls = Counter()
+        real = Lattice.shift
+        monkeypatch.setattr(Lattice, "shift", lambda self, r, a: calls.update([(r, a)]) or real(self, r, a))
+        B = fix_single(ell_family(256), [(1,), (2,)]).basis
+        assert sum(map(len, B.graph.edges)) == 1024
+        assert calls.total() == 512 and max(calls.values()) == 1
+
+
+def test_fix_reads_diagnostics_on_demand(monkeypatch):
+    # five row reductions: im_rho, Qt with its kernel, and the preimage's
+    # transform and HNF; im_P and N cost one more each, when first read,
+    # and equal their eager references
+    psi = ell_family(256)
+    reductions = []
+    real = intlat._row_echelon
+    monkeypatch.setattr(intlat, "_row_echelon", lambda rows, cols: reductions.append(cols) or real(rows, cols))
+    res = fix_single(psi, [(1,), (2,)])
+    assert res.basis.graph.num_vertices == 256 and len(reductions) == 5
+    d = res.diagnostics
+    im_P, N = d.im_P, d.N
+    assert d.im_P is im_P and d.N is N and len(reductions) == 7
+    assert im_P == Lattice.from_rows([psi.P.apply_row(r) for r in d.im_rho.basis.entries], 2)
+    assert N == lattice_intersect(d.M, im_P)
+    assert d == fix_single(psi, [(1,), (2,)]).diagnostics
+
+
+def test_fixed_subgroup_needs_no_containment_walk(monkeypatch):
+    # a closure equal to H contains H; a smaller one is still walked and
+    # refused (test_closure_missing_the_subgroup_is_caught)
+    psi = ell_family(64)
+    inp = FixInput((psi,), (((1,), (2,)),))
+    H = fix_tuple(inp).basis
+    monkeypatch.setattr(fixpoint, "subgroup_contains", lambda *args: pytest.fail("containment walked"))
+    assert is_autofixed(H, inp)
+
 
 def test_qt_reduced_once(monkeypatch):
     # M, the abelian kernel and one solve per preimage row all read the one

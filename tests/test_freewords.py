@@ -283,6 +283,33 @@ class TestPullback:
                 both = g1.trace(w) is not None and g2.trace(w) is not None
                 assert (pb.trace(w) is not None) == both
 
+    def test_products_equal_the_reference_intersection(self):
+        # pullback keeps each transition it steps with its inverse, so no
+        # transition is stepped twice and no edge's reverse is stepped; the
+        # product is still the one built from every pair of vertices
+        rng = random.Random(33)
+        for _ in range(150):
+            n = rng.randint(1, 3)
+            g1, g2 = (stallings([random_word(rng, n, 6) for _ in range(rng.randint(1, 3))], n) for _ in range(2))
+            calls = {}
+
+            def step(s, a):
+                t = g2.edges[s].get(a)
+                assert calls.get((s, a)) is None
+                calls[s, a] = t
+                return t
+
+            got = pullback(g1, step, 0)
+            delta = {
+                ((v, s), a): (w, t)
+                for v, row in enumerate(g1.edges)
+                for s, other in enumerate(g2.edges)
+                for a, w in row.items()
+                if (t := other.get(a)) is not None
+            }
+            assert as_reference(got) == reference_finish(n, (0, 0), delta)
+            assert not any(calls.get((t, -a)) == s for (s, a), t in calls.items() if t is not None)
+
 
 class TestGraphQueries:
     """`basis_abelianized` and `maps_into` read the graph only; the words

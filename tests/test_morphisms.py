@@ -372,6 +372,75 @@ class TestWorkDoneOnce:
             assert all(images == (None, None, None) for images in seen)
 
 
+def _spelled(f: FreeMap, g: FreeMap) -> int:
+    """The letters f.compose(g) spells before reducing, counted from the
+    spelled lists themselves: g's images substituted into f's, and f's
+    inverse images into g's when both carry them."""
+    out = len([b for w in f.images for a in w for b in g.apply((a,))])
+    if f.inverse_images is not None and g.inverse_images is not None:
+        out += len([b for w in g.inverse_images for a in w for b in f.invert().apply((a,))])
+    return out
+
+
+class TestSpelledLetters:
+    # substitutions are budgeted by their exact length before reduction,
+    # read off the image lengths before anything is spelled
+    def test_letters_are_the_unreduced_length(self):
+        rng = random.Random(34)
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            f, g = random_free_aut(rng, n, steps=6), random_free_aut(rng, n, steps=6)
+            assert morphisms._letters(g.images, f.images) == _spelled(FreeMap(f.images, None, n), g)
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_power_budget_at_its_edge(self, monkeypatch, inverse):
+        # a budget of exactly what the ladder to f^6 spells passes; one
+        # letter less is refused before the last product, which is not spelled
+        f = random_free_aut(random.Random(35), 3, steps=4)
+        if not inverse:
+            f = FreeMap(f.images, None, 3)
+        spelled = []
+        real = FreeMap.compose
+        monkeypatch.setattr(FreeMap, "compose", lambda f, g: spelled.append(_spelled(f, g)) or real(f, g))
+        want = f.power(6)
+        assert len(spelled) == 3 and all(spelled)
+        monkeypatch.setattr(morphisms, "MAX_SPELLED_LETTERS", sum(spelled))
+        spelled.clear()
+        assert f.power(6) == want
+        monkeypatch.setattr(morphisms, "MAX_SPELLED_LETTERS", sum(spelled) - 1)
+        spelled.clear()
+        with pytest.raises(ValueError, match="would spell more than"):
+            f.power(6)
+        assert len(spelled) == 2
+
+    def test_inverse_check_budget_at_its_edge(self, monkeypatch):
+        f = random_free_aut(random.Random(36), 3, steps=6)
+        cost = morphisms._letters(f.inverse_images, f.images)
+        assert cost == len([b for w in f.images for a in w for b in f.invert().apply((a,))])
+        monkeypatch.setattr(morphisms, "MAX_SPELLED_LETTERS", cost)
+        assert FreeMap(f.images, f.inverse_images, 3) == f
+        monkeypatch.setattr(morphisms, "MAX_SPELLED_LETTERS", cost - 1)
+        with pytest.raises(ValueError, match="would spell more than"):
+            FreeMap(f.images, f.inverse_images, 3)
+
+    def test_order_refuses_a_long_ladder(self, monkeypatch):
+        # the conjugate of the 8-cycle of F_8: the ladder to phi^8 is refused
+        # under a budget below what it spells, and answers under the cap
+        n = 8
+        alpha = random_free_aut(random.Random(37), n, steps=12)
+        phi = alpha.invert().compose(letter_map([i % n + 1 for i in range(1, n + 1)])).compose(alpha)
+        ladder = FreeMap(phi.images, None, n)
+        assert FreeMap(phi.images, phi.inverse_images, n).order() == 8
+        spelled = []
+        real = FreeMap.compose
+        monkeypatch.setattr(FreeMap, "compose", lambda f, g: spelled.append(_spelled(f, g)) or real(f, g))
+        ladder.power(8)
+        assert sum(spelled) > morphisms._letters(phi.inverse_images, phi.images)
+        monkeypatch.setattr(morphisms, "MAX_SPELLED_LETTERS", sum(spelled) - 1)
+        with pytest.raises(ValueError, match="the power would spell more than"):
+            FreeMap(phi.images, phi.inverse_images, n).order()
+
+
 class TestLinearPower:
     def test_matches_power_on_finite_order(self):
         rng = random.Random(28)

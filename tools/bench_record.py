@@ -4,7 +4,9 @@ the fix_tuple sweep with its fitted exponents, the tier-1 wall time and the
 
     python3 tools/bench_record.py BENCH_<pr>.json
 
-Run from anywhere; paths are taken from this file's checkout. Each workload
+Run from anywhere; paths are taken from this file's checkout. After writing
+the file it prints each end-to-end median's relative change against the
+newest other `BENCH_<pr>.json` at the repo root, by its number. Each workload
 of BENCHMARK.json runs three times as a child process,
 `fatfbench/run.py --workload W --seed 1 --seconds <run_seconds>`, and each
 end-to-end metric keeps the median of the three. The sweep builds its
@@ -112,6 +114,31 @@ def src_lines() -> dict:
     return {"files": {k: v for k, v in counts.items() if k != "total"}, "total": counts["total"]}
 
 
+def previous_record(out_path: str) -> str | None:
+    """The BENCH_<pr>.json at the repo root with the largest number, out_path
+    excluded; None when there is none."""
+    found = []
+    for name in os.listdir(ROOT):
+        match = re.fullmatch(r"BENCH_(\d+)\.json", name)
+        path = os.path.join(ROOT, name)
+        if match and os.path.abspath(path) != os.path.abspath(out_path):
+            found.append((int(match[1]), path))
+    return max(found)[1] if found else None
+
+
+def compare(record: dict, path: str) -> None:
+    """Print each end-to-end median of record with its change against the
+    record at path, for the workloads both hold."""
+    with open(path) as f:
+        before = json.load(f)["workloads"]
+    print(f"end-to-end medians against {os.path.basename(path)}:")
+    for name, now in record["workloads"].items():
+        for metric, value in now["median"].items():
+            old = before.get(name, {}).get("median", {}).get(metric)
+            if old:
+                print(f"  {name} {metric}: {old:.4g} -> {value:.4g} ({(value - old) / old:+.1%})")
+
+
 def main(out_path: str) -> None:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
@@ -135,6 +162,9 @@ def main(out_path: str) -> None:
         f.write("\n")
     for family, fit in record["sweep"].items():
         print(f"{family}: fix_tuple exponent in ell {fit['exponent']:.2f}")
+    previous = previous_record(out_path)
+    if previous is not None:
+        compare(record, previous)
 
 
 if __name__ == "__main__":
