@@ -11,14 +11,13 @@ exits 2. Any other exception is an internal fault and propagates.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import sys
 from typing import Any
 
 from . import bounds as bounds_mod
-from . import fixpoint, jsonio, morphisms, oracle
-from .fatfcore import Ambient, Vec, member, members, project, subgroup_basis
+from . import fixpoint, freewords, jsonio, morphisms, oracle
+from .fatfcore import Ambient, Vec, member, members, subgroup_basis
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -124,24 +123,21 @@ def _cmd_oracle_check(payload: dict, ambient: Ambient) -> dict:
         jsonio._int(b_obj.get("word_len_max", 0)),
         jsonio._int(b_obj.get("coord_abs_max", 0)),
     )
-    fixed = oracle.brute_fixed(list(inp.morphisms), bnds)
+    runs = oracle.brute_fixed(list(inp.morphisms), bnds)
     res = fixpoint.fix_tuple(inp)
-    # each word is spelled once per run of it, each distinct vector once
+    # each word is spelled once, each distinct vector converted once
     texts: dict[Vec, list[str]] = {}
-    out = []
-    for _, run in itertools.groupby(fixed, key=project):
-        g = next(run)
-        head = jsonio.element_to_json(g)
-        texts.setdefault(g.t, head["t"])
-        out.append(head)
-        for g in run:
-            if g.t not in texts:
-                texts[g.t] = jsonio.vec_to_json(g.t)
-            out.append({"t": texts[g.t], "w": head["w"]})
+    fixed = []
+    for w, vecs in runs:
+        word = freewords.format_word(w)
+        for a in vecs:
+            if a not in texts:
+                texts[a] = jsonio.vec_to_json(a)
+        fixed.extend([{"t": texts[a], "w": word} for a in vecs])
     return {
-        "fixed": out,
+        "fixed": fixed,
         "fg": res.finitely_generated,
-        "contained": None if res.basis is None else all(members(res.basis, fixed)),
+        "contained": None if res.basis is None else all(members(res.basis, runs)),
     }
 
 

@@ -8,7 +8,6 @@ part H intersect Z^m.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from operator import sub
 from typing import Iterable, Iterator, Optional, Sequence
@@ -166,28 +165,31 @@ class SubgroupBasis:
         )
 
 
-def members(H: SubgroupBasis, gs: Iterable[GroupElement]) -> Iterator[bool]:
-    """Whether each g lies in H, in order.
+def members(H: SubgroupBasis, runs: Iterable[tuple[Word, Sequence[Vec]]]) -> Iterator[bool]:
+    """Whether each t^a w lies in H, for the runs (w, vectors) in order and
+    each run's vectors a in order.
 
-    A maximal run of elements with equal words w traces w once, to the v
-    with t^v w in H. t - v lies in the abelian part exactly when t and v
-    have equal `Lattice.reduce` residues, so v is reduced once per run whose
-    word traces, and each distinct t once per call."""
+    A run traces its word w once, to the v with t^v w in H. t^a w lies in H
+    exactly when a and v have equal `Lattice.reduce` residues, so v is
+    reduced once per run whose word traces, and each distinct a once per
+    call. The runs carry no ambient: `member` checks it."""
     reduce = H.abelian_part.reduce
     residues: dict[Vec, Vec] = {}
-    for w, run in itertools.groupby(gs, key=project):
+    for w, vecs in runs:
         v = H.projection_word_vector(w)
-        r = None if v is None else reduce(v)[1]
-        for g in run:
-            if g.ambient is not H.ambient:
-                _check_same(H.ambient, g.ambient)
-            if r is not None and g.t not in residues:
-                residues[g.t] = reduce(g.t)[1]
-            yield r is not None and residues[g.t] == r
+        if v is None:
+            yield from [False] * len(vecs)
+            continue
+        r = reduce(v)[1]
+        for a in vecs:
+            if a not in residues:
+                residues[a] = reduce(a)[1]
+            yield residues[a] == r
 
 
 def member(H: SubgroupBasis, g: GroupElement) -> bool:
-    return next(members(H, (g,)))
+    _check_same(H.ambient, g.ambient)
+    return next(members(H, [(g.w, (g.t,))]))
 
 
 def subgroup_contains(H: SubgroupBasis, K: SubgroupBasis) -> bool:

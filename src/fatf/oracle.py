@@ -29,14 +29,19 @@ the first ceil(m/2) rows of R and R2 the last floor(m/2). One dict from a2 R2
 to a2 and, for each distinct shift s, a scan of the a1 that looks up s - a1 R1
 list the solutions with plain integer arithmetic, never the (2c+1)^m box.
 
-Two budgets bound a call up front, both at MAX_ENUMERATION: the elements
-(words of length <= L times the (2c+1)^m vectors of the box), which bound
-the output, and the letters the half-word tables store, at most
-(half-words) * H * (1 + sum_i (1 + K_i)), K_i the longest image of phi_i.
-The split box visits fewer vectors than the box holds: (2c+1)^ceil(m/2) per
-distinct shift, at most one shift per fixed word. But the output can hold
-every element of the box (phi = id, Q = I), so the element budget still
-counts the full box.
+The output is word runs: each fixed word with the ascending list of its box
+vectors, and words with equal stacked shifts share one list. Three budgets
+bound a call up front: the words of length <= L times the (2c+1)^m vectors
+of the box, and the letters the half-word tables store, at most
+(half-words) * H * (1 + sum_i (1 + K_i)), K_i the longest image of phi_i,
+both at MAX_ENUMERATION, and the larger half of the split box, at
+MAX_OUTPUT_ELEMENTS vectors. The answer is counted word by word as the join
+finds it: its elements may not pass MAX_OUTPUT_ELEMENTS, nor its word
+letters, counted once per element as a reply spells them, MAX_OUTPUT_LETTERS,
+nor the fixed words with no vector in the box, which cost the walk as much
+as the others, MAX_OUTPUT_ELEMENTS. A shift whose box alone could pass what
+is left of the element cap has its solutions counted from the split box's
+table before any is listed, so no list past the cap is built.
 """
 
 from __future__ import annotations
@@ -45,17 +50,36 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from . import freewords
-from .fatfcore import GroupElement, Vec
+from .fatfcore import Vec
 from .freewords import Word
 from .morphisms import Morphism
 
-# Most elements and most half-word-table letters `brute_fixed` may range
-# over. The largest element count of the test suites and the benchmark,
-# Bounds(5, 2) at m = n = 4, is 22,409 * 625 = 14,005,625. The letter bound
-# grows with the square of L when n = 1 and with the longest image; it is at
-# most 12,339 on the benchmark and 50,010 in the tests (a 10,000-letter
-# image at L = 2).
+# Most words and box vectors, and most half-word-table letters, a
+# `brute_fixed` call may range over. The largest count of the test suites and
+# the benchmark, Bounds(5, 2) at m = n = 4, is 22,409 * 625 = 14,005,625
+# elements. The letter bound grows with the square of L when n = 1 and with
+# the longest image; it is at most 12,339 on the benchmark and 50,010 in the
+# tests (a 10,000-letter image at L = 2). Since the output caps below bound
+# the answer, this budget bounds only the walk; it stays as it was, as the
+# tests' largest walk needs half of it. Within it, the identity of Z^2 x F_2
+# with P = I at Bounds(14, 0) finds 9.5M fixed words, of which only the
+# 154,449 with w_ab = 0 have a vector; it answered after 31 s, and is now
+# refused after 200,000 words with no vector, in 0.55 s.
 MAX_ENUMERATION = 30_000_000
+
+# Most elements, and most word letters counted once per element, the runs of
+# one answer may hold; the split box's larger half, one table built whole,
+# may hold at most MAX_OUTPUT_ELEMENTS vectors too. The largest answer of the
+# tests, golden fixtures and corpus is 23,435 elements (the identity of
+# Z x F_3 at Bounds(5, 2)), and of a benchmark operation 275. The costliest
+# element has a run of its own: `oracle-check` of the identity of F_2 at
+# Bounds(10, 0), 118,097 one-element runs of up to 10 letters, answers in
+# 1.6 s at a peak RSS of 85 MiB, and of Z x F_1 at Bounds(0, 99,999), one run
+# of 199,999 vectors, in 1.2 s at 141 MiB. Letters cost most in long words:
+# the identity of F_1 at Bounds(2,235, 0), 4,997,460 letters in 4,471 runs,
+# answers in 2.0 s at 120 MiB (Python 3.11.7, 2-core x86_64).
+MAX_OUTPUT_ELEMENTS = 200_000
+MAX_OUTPUT_LETTERS = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -96,8 +120,8 @@ def _word_count(n: int, max_len: int) -> int:
 def _check_budget(maps: Sequence[Morphism], bounds: Bounds) -> None:
     m, n = maps[0].ambient.m, maps[0].ambient.n
     L, c = bounds.word_len_max, bounds.coord_abs_max
-    # the full box, although the split lookup never builds it: the output
-    # can hold every element of it
+    # every word with the full box, although the join walks only fixed
+    # words and the split lookup never builds the box
     if _word_count(n, L) * (2 * c + 1) ** min(m, 64) > MAX_ENUMERATION:
         raise ValueError(f"bounds enumerate more than {MAX_ENUMERATION} elements")
     H = (L + 1) // 2
@@ -106,6 +130,9 @@ def _check_budget(maps: Sequence[Morphism], bounds: Bounds) -> None:
     per_letter = 1 + sum(1 + max(map(len, psi.phi.images), default=0) for psi in maps)
     if _word_count(n, H) * H * per_letter > MAX_ENUMERATION:
         raise ValueError(f"bounds need half-word tables of more than {MAX_ENUMERATION} letters")
+    # the split box's larger half is one table, built whole
+    if (2 * c + 1) ** min((m + 1) // 2, 64) > MAX_OUTPUT_ELEMENTS:
+        raise ValueError(f"bounds split the box into halves of more than {MAX_OUTPUT_ELEMENTS} vectors")
 
 
 def _extend(f: Word, a: int, image: Word) -> Word:
@@ -155,19 +182,21 @@ def _half_word_tables(maps: Sequence[Morphism], L: int) -> list[dict[Word, list[
     return tables
 
 
-def _shift_solver(maps: Sequence[Morphism], c: int) -> Callable[[Vec], list[Vec]]:
-    """s -> the ascending list of the a in the box |a_j| <= c with a R = s,
-    R = [I - Q_1 | ... | I - Q_k] the stacked m x km matrix of the maps,
-    memoized per s.
+def _shift_solver(maps: Sequence[Morphism], c: int) -> Callable[[Vec, int], list[Vec]]:
+    """(s, room) -> the ascending list of the a in the box |a_j| <= c with
+    a R = s, R = [I - Q_1 | ... | I - Q_k] the stacked m x km matrix of the
+    maps, memoized per s; ValueError when it holds more than room vectors.
 
     a R = a1 R1 + a2 R2 for the split a = (a1, a2) of the coordinates,
     R1 the first ceil(m/2) rows of R and R2 the last floor(m/2): one
     dict from a2 R2 to the ascending a2, and for each s a scan of a1
     ascending that looks up s - a1 R1. So a1 outer and a2 inner list the
-    vectors ascending, and no call visits the whole box."""
+    vectors ascending, and no call visits the whole box. When the box
+    holds more than room vectors, a first scan counts them without listing."""
     m = maps[0].ambient.m
     rows = [[(i == j) - psi.Q.entries[i][j] for psi in maps for j in range(m)] for i in range(m)]
     half = (m + 1) // 2
+    box = (2 * c + 1) ** m
 
     def half_box(rs: list[list[int]]) -> list[tuple[Vec, Vec]]:
         """(a, a R) for a ascending over the box of len(rs) coordinates."""
@@ -186,23 +215,30 @@ def _shift_solver(maps: Sequence[Morphism], c: int) -> Callable[[Vec], list[Vec]
         right.setdefault(s2, []).append(a2)
     memo: dict[Vec, list[Vec]] = {}
 
-    def solve(s: Vec) -> list[Vec]:
+    def count(s: Vec) -> int:
+        """The number of solutions for s, none of them listed."""
+        return sum(len(right.get(tuple([x - y for x, y in zip(s, s1)]), ())) for _, s1 in left)
+
+    def solve(s: Vec, room: int) -> list[Vec]:
         found = memo.get(s)
-        if found is None:
+        if found is None and (box <= room or count(s) <= room):
             found = memo[s] = [
                 a1 + a2
                 for a1, s1 in left
                 for a2 in right.get(tuple([x - y for x, y in zip(s, s1)]), ())
             ]
+        if found is None or len(found) > room:
+            raise ValueError(f"the answer would hold more than {MAX_OUTPUT_ELEMENTS} elements")
         return found
 
     return solve
 
 
-def brute_fixed(maps: Sequence[Morphism], bounds: Bounds) -> list[GroupElement]:
-    """Enumerated elements fixed by every morphism: the (a, w) with |w| <= L
-    and every |a_j| <= c, words in shortlex order (z1 < z1^-1 < z2 < ...),
-    vectors ascending.
+def brute_fixed(maps: Sequence[Morphism], bounds: Bounds) -> list[tuple[Word, list[Vec]]]:
+    """The elements t^a w fixed by every morphism with |w| <= L and every
+    |a_j| <= c, as runs (w, vectors): the fixed words in shortlex order
+    (z1 < z1^-1 < z2 < ...), each with the ascending list of its vectors,
+    words with none left out. Words with equal stacked shifts share one list.
 
     The words come from the meet-in-the-middle join of the module docstring:
     w = u y^-1 with |u| = ceil(l/2), |y| = floor(l/2), equal keys and equal
@@ -210,21 +246,23 @@ def brute_fixed(maps: Sequence[Morphism], bounds: Bounds) -> list[GroupElement]:
     is not empty when y is not, as |u| >= |y|), with the lookup-only last
     level and the skip of lone keys. A fixed word w takes the a with
     a - aQ_i = w_ab P_i for every map, from the split box of the stacked
-    system (`_shift_solver`), solved once per distinct shift.
+    system (`_shift_solver`), solved once per distinct shift as the join
+    finds w, so the answer is counted before any further word is joined.
 
-    Raises ValueError when the bounds exceed either budget of the module
-    docstring."""
+    Raises ValueError when the bounds exceed a budget of the module
+    docstring, or the answer or its words with no vector an output cap."""
     if not maps:
         raise ValueError("need at least one morphism")
     _check_budget(maps, bounds)
-    ambient = maps[0].ambient
-    n = ambient.n
+    n = maps[0].ambient.n
     L = bounds.word_len_max
     tables = _half_word_tables(maps, L)
+    solve = _shift_solver(maps, bounds.coord_abs_max)
     order = {a: i for i, a in enumerate(freewords.alphabet(n))}
-    words: list[Word] = []
+    room, letters, idle = MAX_OUTPUT_ELEMENTS, MAX_OUTPUT_LETTERS, MAX_OUTPUT_ELEMENTS
+    runs: list[tuple[Word, list[Vec]]] = []
     for ell in range(L + 1):
-        found: list[Word] = []
+        found: list[tuple[Word, list[Vec]]] = []
         left = tables[(ell + 1) // 2]
         # at even ell > 0 a key needs two half-words: a lone x meets only x
         fewest = 2 if ell and ell % 2 == 0 else 1
@@ -234,13 +272,19 @@ def brute_fixed(maps: Sequence[Morphism], bounds: Bounds) -> list[GroupElement]:
                 continue
             for y, yrest in ys:
                 v = freewords.invert(y)
-                found.extend([u + v for u, urest in us if urest == yrest and not (y and u[-1] == y[-1])])
-        found.sort(key=lambda w: tuple(map(order.__getitem__, w)))
-        words.extend(found)
-    solve = _shift_solver(maps, bounds.coord_abs_max)
-    out: list[GroupElement] = []
-    for w in words:
-        ab = freewords.abelianize(w, n)
-        shift = tuple([x for psi in maps for x in psi.P.apply_row(ab)])
-        out.extend([GroupElement._trusted(ambient, a, w) for a in solve(shift)])
-    return out
+                for w in [u + v for u, urest in us if urest == yrest and not (y and u[-1] == y[-1])]:
+                    ab = freewords.abelianize(w, n)
+                    vecs = solve(tuple([x for psi in maps for x in psi.P.apply_row(ab)]), room)
+                    if vecs:
+                        room -= len(vecs)
+                        letters -= len(w) * len(vecs)
+                        if letters < 0:
+                            raise ValueError(f"the answer would spell more than {MAX_OUTPUT_LETTERS} letters")
+                        found.append((w, vecs))
+                    else:
+                        idle -= 1
+                        if idle < 0:
+                            raise ValueError(f"the join would find more than {MAX_OUTPUT_ELEMENTS} fixed words with no vector")
+        found.sort(key=lambda run: tuple(map(order.__getitem__, run[0])))
+        runs.extend(found)
+    return runs

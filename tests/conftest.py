@@ -18,7 +18,7 @@ from fatf import morphisms as morphisms_mod
 from fatf.fixpoint import CertificateError
 from fatf.freewords import Word, alphabet, check_letters, invert, reduce_word
 from fatf.intlat import DimensionError, Lattice, NotSublatticeError, cyclotomic, matrix_inverse
-from fatf.oracle import MAX_ENUMERATION, Bounds, reduced_words
+from fatf.oracle import MAX_ENUMERATION, Bounds, brute_fixed, reduced_words
 
 
 def random_word(rng: random.Random, n: int, max_len: int) -> Word:
@@ -595,6 +595,27 @@ def reference_lattice_index(sub: Lattice, sup: Lattice):
     for i, row in enumerate(H.basis.entries):
         idx *= row[i]
     return idx
+
+
+# -- oracle word runs ---------------------------------------------------------
+# `brute_fixed` and `members` work on word runs (w, vectors); these turn runs
+# into elements and back for the tests that compare elements.
+
+
+def elements_of(ambient: Ambient, runs) -> list[GroupElement]:
+    """The elements t^a w of the runs (w, vectors), in order."""
+    return [GroupElement(ambient, a, w) for w, vecs in runs for a in vecs]
+
+
+def brute_elements(maps: Sequence[Morphism], bounds: Bounds) -> list[GroupElement]:
+    """`brute_fixed`'s runs flattened to elements, in order."""
+    return elements_of(maps[0].ambient, brute_fixed(maps, bounds))
+
+
+def runs_of(gs: Sequence[GroupElement]) -> list[tuple[Word, list[tuple[int, ...]]]]:
+    """The maximal runs of consecutive elements with equal words, as
+    (w, vectors): the input `members` takes."""
+    return [(w, [g.t for g in run]) for w, run in itertools.groupby(gs, key=lambda g: g.w)]
 
 
 # -- reference oracle ---------------------------------------------------------

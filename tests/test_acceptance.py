@@ -9,6 +9,7 @@ import random
 from functools import lru_cache
 
 from conftest import (
+    brute_elements,
     random_element,
     random_finite_order_matrix,
     random_finite_order_morphism,
@@ -38,7 +39,7 @@ from fatf.intlat import (
     unity_exponent,
 )
 from fatf.morphisms import apply, compose, order, power, power_vector_matrix
-from fatf.oracle import Bounds, brute_fixed
+from fatf.oracle import Bounds
 
 
 def worked_morphism():
@@ -212,12 +213,12 @@ def test_criterion_07_oracle_containment():
     violations = 0
     for psi, basis in named:
         res = fix_single(psi, basis)
-        for g in brute_fixed([psi], Bounds(5, 2)):
+        for g in brute_elements([psi], Bounds(5, 2)):
             if not member(res.basis, g):
                 violations += 1
     for psi, basis, _ in finite_order_suite():
         res = fix_single(psi, basis)
-        for g in brute_fixed([psi], Bounds(5, 2)):
+        for g in brute_elements([psi], Bounds(5, 2)):
             if not member(res.basis, g):
                 violations += 1
     # tuple law: fixed set of a pair is the intersection of the two sets
@@ -227,8 +228,8 @@ def test_criterion_07_oracle_containment():
         p1, _, _ = random_finite_order_morphism(rng, amb)
         p2, _, _ = random_finite_order_morphism(rng, amb)
         bounds = Bounds(4, 2)
-        both = set(brute_fixed([p1, p2], bounds))
-        inter = set(brute_fixed([p1], bounds)) & set(brute_fixed([p2], bounds))
+        both = set(brute_elements([p1, p2], bounds))
+        inter = set(brute_elements([p1], bounds)) & set(brute_elements([p2], bounds))
         if both != inter:
             violations += 1
     report(7, violations == 0, f"202 morphisms plus 10 tuples, {violations} violations")

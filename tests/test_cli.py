@@ -13,7 +13,7 @@ import fatf
 from conftest import block_diagonal, companion, ia_map, letter_map, slow_infinite_order_matrix
 from fatf import FreeMap, IntMatrix, jsonio
 from fatf.bounds import MAX_M, MAX_N
-from fatf.cli import EXIT_BAD_JSON, EXIT_OK, EXIT_UNKNOWN, EXIT_VALIDATION, run
+from fatf.cli import EXIT_BAD_JSON, EXIT_OK, EXIT_UNKNOWN, EXIT_VALIDATION, _dump, run
 from fatf.freewords import format_word
 from fatf.intlat import cyclotomic
 
@@ -417,6 +417,45 @@ class TestBudgets:
         body["bounds"]["word_len_max"] = "2"
         code, out = run(["oracle-check"], json.dumps(body))
         assert code == EXIT_OK and json.loads(out)["contained"] is True
+
+    def test_oracle_output(self):
+        # the identity of Z x F_2 at Bounds(9, 2) answers with 196,825
+        # elements, near the cap, in about ten times the 21,865 of
+        # Bounds(7, 2). The identity of Z^3 x F_1 at Bounds(1, 100) would
+        # hold 24.4M elements, and built elements one by one until it died
+        # of a MemoryError; the identity of F_2 at Bounds(12, 0) would hold
+        # 1,062,881 and answered after 32 s with 71 MB. Both are refused
+        # before any reply text is written: the first when its one shift's
+        # solutions are counted, the second once its words pass the cap,
+        # at about the cost of the answer near the cap. With P = I, the
+        # identity of Z^2 x F_2 at Bounds(14, 0) finds 9.5M fixed words but
+        # gives only the 154,449 with w_ab = 0 a vector: it answered after
+        # 31 s, and is refused once 200,000 words have none. The identity of
+        # Z x F_1 at Bounds(0, 10^7) passed every budget and died of a
+        # MemoryError building its split box's one half, 2 * 10^7 vectors
+        codes, outs, ref_s, cap_s, box_s, words_s, idle_s, half_s = _in_one_gib(
+            "def body(m, n, L, c, P=0):\n"
+            "    gens = [f'z{i}' for i in range(1, n + 1)]\n"
+            "    Q = [[str(int(i == j)) for j in range(m)] for i in range(m)]\n"
+            "    mor = {'phi': gens, 'phi_inv': gens, 'Q': Q, 'P': [[str(P * int(i == j)) for j in range(m)] for i in range(n)]}\n"
+            "    bounds = {'word_len_max': str(L), 'coord_abs_max': str(c)}\n"
+            "    return json.dumps({'m': m, 'n': n, 'morphisms': [mor], 'fixed_bases': [gens], 'bounds': bounds})\n"
+            "answers, seconds = [], []\n"
+            "for args in ((1, 2, 7, 2), (1, 2, 9, 2), (3, 1, 1, 100), (0, 2, 12, 0), (2, 2, 14, 0, 1), (1, 1, 0, 10**7)):\n"
+            "    text = body(*args)\n"
+            "    t0 = time.perf_counter(); answers.append(run(['oracle-check'], text)); seconds.append(time.perf_counter() - t0)\n"
+            "print(json.dumps([[a[0] for a in answers], [a[1] if a[0] else len(json.loads(a[1])['fixed']) for a in answers]] + seconds))\n"
+        )
+        cap = fatf.oracle.MAX_OUTPUT_ELEMENTS
+        assert codes == [EXIT_OK, EXIT_OK] + [EXIT_VALIDATION] * 4
+        assert outs[:2] == [21_865, 196_825] and 196_825 <= cap
+        for out in outs[2:4]:
+            assert out == _dump({"ok": False, "error": f"the answer would hold more than {cap} elements"})
+        assert outs[4] == _dump({"ok": False, "error": f"the join would find more than {cap} fixed words with no vector"})
+        assert outs[5] == _dump({"ok": False, "error": f"bounds split the box into halves of more than {cap} vectors"})
+        assert cap_s < 20 * ref_s + 0.5
+        assert box_s < 2 * ref_s + 0.1 and half_s < 2 * ref_s + 0.1
+        assert words_s < 2 * cap_s + 0.5 and idle_s < 2 * cap_s + 0.5
 
     @pytest.mark.parametrize("m, n", [("1", "400"), ("10000000", "1"), ("1", "100000")])
     def test_constants_ranks(self, m, n):

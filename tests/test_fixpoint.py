@@ -14,6 +14,7 @@ from collections import Counter
 import pytest
 
 from conftest import (
+    brute_elements,
     ia_map,
     inner,
     letter_map,
@@ -53,7 +54,7 @@ from fatf.fixpoint import (
 from fatf.freewords import StallingsGraph, abelianize, stallings
 from fatf.intlat import kernel_lattice, lattice_intersect, matrix_inverse
 from fatf.morphisms import apply, power
-from fatf.oracle import Bounds, brute_fixed
+from fatf.oracle import Bounds
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -129,7 +130,7 @@ class TestFixSingle:
         assert res.basis.free_part == ()
         assert res.basis.abelian_part == Lattice.from_rows([[1]], 1)
         assert res.diagnostics.N.rank == 0 and res.diagnostics.im_P.rank == 1
-        fx = brute_fixed([psi], Bounds(4, 3))
+        fx = brute_elements([psi], Bounds(4, 3))
         assert all(member(res.basis, g) for g in fx)
 
     def test_rejects_unfixed_basis(self):
@@ -164,7 +165,7 @@ class TestFixTuple:
         # only the central lattice is fixed by both
         assert res.basis.free_part == ()
         assert res.basis.abelian_part == Lattice.from_rows([[1]], 1)
-        fx = brute_fixed([a, b], Bounds(4, 2))
+        fx = brute_elements([a, b], Bounds(4, 2))
         assert all(member(res.basis, g) for g in fx)
 
     def test_intersection_contains_pairwise(self):
@@ -329,7 +330,7 @@ class TestPeriodic:
         res = periodic_subgroup(psi)
         assert res.finitely_generated
         for p in range(1, 5):
-            fx = brute_fixed([power(psi, p)], Bounds(3, 2))
+            fx = brute_elements([power(psi, p)], Bounds(3, 2))
             for g in fx:
                 assert member(res.basis, g)
 

@@ -8,6 +8,8 @@ import pytest
 
 from conftest import (
     bounded_products,
+    brute_elements,
+    elements_of,
     letter_map,
     random_element,
     random_finite_order_morphism,
@@ -19,7 +21,7 @@ from conftest import (
     reference_member,
     signed_perm_matrix,
 )
-from fatf import Ambient, FreeMap, GroupElement, IntMatrix, Morphism, SubgroupBasis, fix_tuple, jsonio, member, oracle, subgroup_basis
+from fatf import Ambient, FreeMap, GroupElement, IntMatrix, Lattice, Morphism, SubgroupBasis, cli, fix_tuple, freewords, jsonio, member, oracle, subgroup_basis
 from fatf.cli import EXIT_OK, _dump, run
 from fatf.fixpoint import FixInput
 from fatf.morphisms import power
@@ -52,9 +54,9 @@ class TestEnumeration:
         # the identity fixes every element of the box
         amb = Ambient(1, 1)
         ident = [Morphism.identity(amb)]
-        assert len(brute_fixed(ident, Bounds(1, 1))) == 9
-        assert len(brute_fixed([Morphism.identity(Ambient(0, 2))], Bounds(2, 0))) == 17
-        assert brute_fixed(ident, Bounds(0, 0)) == [GroupElement(amb, (0,) * amb.m, ())]
+        assert len(brute_elements(ident, Bounds(1, 1))) == 9
+        assert len(brute_elements([Morphism.identity(Ambient(0, 2))], Bounds(2, 0))) == 17
+        assert brute_fixed(ident, Bounds(0, 0)) == [((), [(0,) * amb.m])]
 
     def test_deterministic(self):
         # the identity fixes the whole box, listed in the documented order:
@@ -62,21 +64,21 @@ class TestEnumeration:
         amb, bounds = Ambient(2, 2), Bounds(2, 1)
         box = list(itertools.product(range(-1, 2), repeat=2))
         want = [GroupElement(amb, a, w) for w in reduced_words(2, 2) for a in box]
-        assert brute_fixed([Morphism.identity(amb)], bounds) == want
+        assert brute_elements([Morphism.identity(amb)], bounds) == want
 
 
 class TestBruteFixed:
     def test_identity_fixes_everything(self):
         amb = Ambient(1, 2)
         bounds = Bounds(2, 1)
-        fixed = brute_fixed([Morphism.identity(amb)], bounds)
+        fixed = brute_elements([Morphism.identity(amb)], bounds)
         assert len(fixed) == box_size(amb, bounds)
 
     def test_spiral_fixes_nothing(self):
         amb = Ambient(1, 2)
         phi = FreeMap([(-1,), (-2,)], [(-1,), (-2,)], 2)
         psi = Morphism(amb, phi, IntMatrix([[-1]]), IntMatrix([[1], [0]]))
-        assert brute_fixed([psi], Bounds(4, 2)) == [GroupElement(amb, (0,) * amb.m, ())]
+        assert brute_fixed([psi], Bounds(4, 2)) == [((), [(0,) * amb.m])]
 
     def test_set_intersection_law(self):
         rng = random.Random(41)
@@ -85,8 +87,8 @@ class TestBruteFixed:
             p1, _, _ = random_finite_order_morphism(rng, amb)
             p2, _, _ = random_finite_order_morphism(rng, amb)
             bounds = Bounds(3, 2)
-            both = set(brute_fixed([p1, p2], bounds))
-            inter = set(brute_fixed([p1], bounds)) & set(brute_fixed([p2], bounds))
+            both = set(brute_elements([p1, p2], bounds))
+            inter = set(brute_elements([p1], bounds)) & set(brute_elements([p2], bounds))
             assert both == inter
 
     def test_requires_morphisms(self):
@@ -97,13 +99,50 @@ class TestBruteFixed:
                 Bounds(word_len_max, coord_abs_max)
 
 
+def check_runs(maps, runs) -> int:
+    """Check the shape of `brute_fixed`'s runs: words strictly increasing in
+    shortlex order, each vector list non-empty and ascending, and one list
+    object per stacked shift (w_ab P_1, ..., w_ab P_k). Returns the number
+    of runs whose list an earlier run holds too."""
+    n = maps[0].ambient.n
+    rank = {a: i for i, a in enumerate(freewords.alphabet(n))}
+    keys = [(len(w), [rank[a] for a in w]) for w, _ in runs]
+    assert all(x < y for x, y in zip(keys, keys[1:]))
+    lists = {}
+    for w, vecs in runs:
+        assert vecs and all(a < b for a, b in zip(vecs, vecs[1:]))
+        ab = freewords.abelianize(w, n)
+        assert lists.setdefault(tuple(x for psi in maps for x in psi.P.apply_row(ab)), vecs) is vecs
+    return len(runs) - len(lists)
+
+
+def random_tuple_cases(L: int):
+    """(maps, bounds): one to three identity, finite-order, unimodular or
+    arbitrary morphisms of one ambient, twelve tuples per L."""
+    rng = random.Random(100 + L)
+    for _ in range(12):
+        amb = Ambient(rng.randint(0, 2), rng.randint(1, 3))
+        maps = []
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.choice(["identity", "finite", "unimodular", "any"])
+            if kind == "identity":
+                maps.append(Morphism.identity(amb))
+            elif kind == "finite":
+                maps.append(random_finite_order_morphism(rng, amb)[0])
+            else:
+                maps.append(random_morphism(rng, amb, invertible=kind == "unimodular"))
+        yield maps, Bounds(L if amb.n < 3 else min(L, 4), rng.randint(0, 2))
+
+
 class TestAgainstReference:
     """The meet-in-the-middle join returns exactly the list of the exhaustive
-    reference, order included."""
+    reference, order included, as word runs of the documented shape."""
 
     @staticmethod
     def same(maps, bounds):
-        got = brute_fixed(maps, bounds)
+        runs = brute_fixed(maps, bounds)
+        check_runs(maps, runs)
+        got = elements_of(maps[0].ambient, runs)
         assert got == reference_brute_fixed(maps, bounds)
         return got
 
@@ -127,19 +166,18 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("L", range(6))
     def test_random_tuples(self, L):
-        rng = random.Random(100 + L)
-        for _ in range(12):
-            amb = Ambient(rng.randint(0, 2), rng.randint(1, 3))
-            maps = []
-            for _ in range(rng.randint(1, 3)):
-                kind = rng.choice(["identity", "finite", "unimodular", "any"])
-                if kind == "identity":
-                    maps.append(Morphism.identity(amb))
-                elif kind == "finite":
-                    maps.append(random_finite_order_morphism(rng, amb)[0])
-                else:
-                    maps.append(random_morphism(rng, amb, invertible=kind == "unimodular"))
-            self.same(maps, Bounds(L if amb.n < 3 else min(L, 4), rng.randint(0, 2)))
+        for maps, bounds in random_tuple_cases(L):
+            self.same(maps, bounds)
+
+    def test_runs_share_one_list_per_shift(self):
+        # `same` checks every suite's runs against the reference and their
+        # shape; here the suites must also hold words that share a list. The
+        # identity with P = 0 gives every word the shift 0 and so one list
+        identity = [Morphism.identity(Ambient(2, 2))]
+        runs = brute_fixed(identity, Bounds(3, 1))
+        assert len(runs) == 53 and check_runs(identity, runs) == 52
+        shared = sum(check_runs(maps, brute_fixed(maps, bounds)) > 0 for L in (3, 4, 5) for maps, bounds in random_tuple_cases(L))
+        assert shared >= 8
 
     @pytest.mark.parametrize("m", [0, 3, 4, 5])
     def test_split_box(self, m):
@@ -186,7 +224,7 @@ class TestAgainstReference:
                 square = power(psi, 2)
                 for maps in ([identity, psi], [psi, identity], [psi, square], [square, psi]):
                     words = {g.w for g in self.same(maps, Bounds(5, 2))}
-                    dropped += len(words) < len({g.w for g in brute_fixed(maps[:1], Bounds(5, 2))})
+                    dropped += len(words) < len({w for w, _ in brute_fixed(maps[:1], Bounds(5, 2))})
         assert dropped >= 1
 
     def test_random_triples(self):
@@ -210,7 +248,7 @@ class TestAgainstReference:
                     maps.append(Morphism(amb, phi, Q, B - B * Q))
             bounds = Bounds(3, 1)
             got = self.same(maps, bounds)
-            singles = [brute_fixed([psi], bounds) for psi in maps]
+            singles = [brute_elements([psi], bounds) for psi in maps]
             allowed = set(singles[1]) & set(singles[2])
             assert got == [g for g in singles[0] if g in allowed]
             shared += len(got) > 1
@@ -231,6 +269,59 @@ class TestAgainstReference:
             assert self.same([inversion], Bounds(L, 1)) == [
                 GroupElement(amb, (a,), ()) for a in (-1, 0, 1)
             ]
+
+
+class TestOutputCaps:
+    """The answer's elements and word letters are counted as the join finds
+    them; each cap is inclusive. The caps are lowered here so the bounds
+    stay small."""
+
+    def test_elements(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_OUTPUT_ELEMENTS", 45)
+        ident = [Morphism.identity(Ambient(1, 1))]
+        # 3 words times 15 vectors, then 3 times 17
+        assert len(brute_elements(ident, Bounds(1, 7))) == 45
+        with pytest.raises(ValueError, match="hold more than 45 elements"):
+            brute_fixed(ident, Bounds(1, 8))
+        # one shift of 125 vectors, counted from halves of 25 and 5
+        with pytest.raises(ValueError, match="hold more than 45 elements"):
+            brute_fixed([Morphism.identity(Ambient(3, 1))], Bounds(0, 2))
+        with pytest.raises(ValueError, match="halves of more than 45 vectors"):
+            brute_fixed(ident, Bounds(0, 23))
+
+    def test_solver_room(self, monkeypatch):
+        # the solver refuses a shift with more solutions than the room left
+        # and lists it where it fits; TestBudgets::test_oracle_output times
+        # the count of a shift too large to list under 1 GiB
+        monkeypatch.setattr(oracle, "MAX_OUTPUT_ELEMENTS", 100)
+        amb = Ambient(3, 1)
+        solve = oracle._shift_solver([Morphism.identity(amb)], 2)
+        with pytest.raises(ValueError, match="hold more than 100 elements"):
+            solve((0, 0, 0), 100)
+        assert len(solve((0, 0, 0), 125)) == 125
+
+    def test_words_with_no_vector(self, monkeypatch):
+        # with Q = I and P = I only the words with w_ab = 0 have a vector:
+        # at L = 4, 9 of the 161 fixed words have one and 152 none
+        monkeypatch.setattr(oracle, "MAX_OUTPUT_ELEMENTS", 152)
+        amb = Ambient(2, 2)
+        maps = [Morphism(amb, FreeMap.identity(2), IntMatrix.identity(2), IntMatrix.identity(2))]
+        assert len(brute_fixed(maps, Bounds(4, 0))) == 9
+        with pytest.raises(ValueError, match="more than 152 fixed words with no vector"):
+            brute_fixed(maps, Bounds(5, 0))
+
+    def test_letters(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_OUTPUT_LETTERS", 90)
+        # z1^e for |e| <= 9 spell 90 letters, for |e| <= 10 110
+        ident = [Morphism.identity(Ambient(0, 1))]
+        assert sum(len(w) * len(vecs) for w, vecs in brute_fixed(ident, Bounds(9, 0))) == 90
+        with pytest.raises(ValueError, match="spell more than 90 letters"):
+            brute_fixed(ident, Bounds(10, 0))
+        # letters count once per element: the 20 letters of the words with
+        # |e| <= 4 under 3 vectors each spell 60, under 9 each 180
+        assert len(brute_elements([Morphism.identity(Ambient(1, 1))], Bounds(4, 1))) == 27
+        with pytest.raises(ValueError, match="spell more than 90 letters"):
+            brute_fixed([Morphism.identity(Ambient(2, 1))], Bounds(4, 1))
 
 
 class TestHalfWordTables:
@@ -291,16 +382,44 @@ class TestOracleCheckReply:
 
     def test_one_spelling_per_word_run(self, monkeypatch):
         calls = []
-        spell = jsonio.element_to_json
-        monkeypatch.setattr(jsonio, "element_to_json", lambda g: calls.append(g) or spell(g))
+        spell = freewords.format_word
+        monkeypatch.setattr(freewords, "format_word", lambda w: calls.append(w) or spell(w))
         for name in ("oracle-check", "oracle-check-rich"):
             calls.clear()
             code, out = run(["oracle-check"], (FIXTURES / f"{name}.in.json").read_text())
             assert (code, out) == (EXIT_OK, (FIXTURES / f"{name}.out.json").read_text())
             fixed = json.loads(out)["fixed"]
             heads = [next(es) for _, es in itertools.groupby(fixed, key=lambda e: e["w"])]
-            assert [spell(g) for g in calls] == heads
+            assert [spell(w) for w in calls] == [e["w"] for e in heads]
         assert len(heads) < len(fixed)
+
+    def test_no_element_built(self, monkeypatch):
+        # the reply and the membership test work on the word runs: no
+        # GroupElement is built, and `members` reduces each distinct vector
+        # of a traced run once and each traced run's v once
+        built = []
+        monkeypatch.setattr(GroupElement, "__post_init__", lambda g: built.append(g))
+        monkeypatch.setattr(GroupElement, "_trusted", classmethod(lambda cls, *args: built.append(args)))
+        reduced, seen, inside = [], [], []
+        real_members, reduce = cli.members, Lattice.reduce
+
+        def spy(H, runs):
+            seen.append((H, runs))
+            inside.append(True)
+            yield from real_members(H, runs)
+            inside.clear()
+
+        monkeypatch.setattr(cli, "members", spy)
+        monkeypatch.setattr(Lattice, "reduce", lambda L, v: (reduced.append(v) if inside else None) or reduce(L, v))
+        for name in ("oracle-check", "oracle-check-rich"):
+            reduced.clear(), seen.clear()
+            code, out = run(["oracle-check"], (FIXTURES / f"{name}.in.json").read_text())
+            assert (code, out) == (EXIT_OK, (FIXTURES / f"{name}.out.json").read_text())
+            assert json.loads(out)["contained"] is True and not inside
+            [(H, runs)] = seen
+            traced = [(w, vecs) for w, vecs in runs if H.projection_word_vector(w) is not None]
+            assert len(reduced) == len({a for _, vecs in traced for a in vecs}) + len(traced)
+        assert built == [] and len(reduced) < len(json.loads(out)["fixed"])
 
 
 class TestIndependence:
@@ -322,7 +441,7 @@ class TestIndependence:
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 attrs.add(node.attr)
-        assert {"freewords", "GroupElement", "_extend"} <= names
+        assert {"freewords", "_extend"} <= names
         assert "apply_row" in attrs
         assert not any("intlat" in mod.split(".") for mod in modules), modules
         assert not (names | attrs) & self.BANNED

@@ -31,6 +31,7 @@ PINNED = {
     "morphisms.power": "wrapped by fatfbench/tracing.py; order and fix_power use linear_power",
     "morphisms.power_vector_matrix": "wrapped by fatfbench/tracing.py; reads P_k off linear_power, which order and fix_power call",
     "oracle.reduced_words": "wrapped by fatfbench/tracing.py",
+    "jsonio.element_to_json": "wrapped by fatfbench/tracing.py; tests/make_corpus.py writes request elements with it",
 }
 
 

@@ -11,8 +11,11 @@ of BENCHMARK.json runs three times as a child process,
 `fatfbench/run.py --workload W --seed 1 --seconds <run_seconds>`, and each
 end-to-end metric keeps the median of the three. The sweep builds its
 instances with `fatfbench/instances.py` and `workloads.to_fatf`, which it
-only imports, and times `fix_tuple` best of 5 at each size. Standard library
-only; everything runs one process at a time.
+only imports, and times every size once in a round after each workload run,
+keeping each size's best over all the rounds (nine for three workloads).
+The rounds span the whole record, so a slow spell of a shared machine,
+which can last minutes, meets every size in some rounds and misses it in
+others. Standard library only; everything runs one process at a time.
 """
 
 from __future__ import annotations
@@ -27,11 +30,11 @@ import statistics
 import subprocess
 import sys
 import time
+from typing import Callable
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "fatfbench")
 RUNS = 3
-BEST_OF = 5
 F2_ELLS = (64, 128, 256, 512, 1024)
 F3_AS = (8, 12, 16, 24, 32)  # index a^2, from 64 to 1024
 
@@ -52,46 +55,55 @@ def medians(runs: list[dict], names: list[str]) -> dict:
     }
 
 
-def best_ms(call) -> float:
-    times = []
-    for _ in range(BEST_OF):
-        gc.collect()
-        t0 = time.perf_counter()
-        call()
-        times.append(time.perf_counter() - t0)
-    return min(times) * 1e3
-
-
-def sweep() -> dict:
-    """fix_tuple on the F_2 and F_3 index families, and is_autofixed of each
-    F_2 answer (the check MAX_COVER_VERTICES is sized by), over ell 64-1024."""
+def sweep_points() -> tuple[list[tuple[dict, str, Callable[[], object]]], dict[str, list[dict]]]:
+    """The sweep's calls as (point, key, call), and its families' points,
+    whose times `time_round` fills in: fix_tuple on the F_2 and F_3 index
+    families, and is_autofixed of each F_2 answer (the check
+    MAX_COVER_VERTICES is sized by), over ell 64-1024."""
     sys.path[:0] = [BENCH, os.path.join(ROOT, "src")]
     import fatf
     from fatf import fixpoint
 
     import instances
-    from sweep import slope
     from workloads import to_fatf
 
     def fix_input(ref, n: int):
         return fixpoint.FixInput((to_fatf(ref, fatf),), (tuple((i,) for i in range(1, n + 1)),))
 
+    timed = []
     f2 = []
     for ell in F2_ELLS:
         inp = fix_input(instances.index_family_f2(random.Random(1), ell)[0], 2)
         H = fixpoint.fix_tuple(inp).basis
-        f2.append({
-            "ell": ell,
-            "fix_tuple_ms": best_ms(lambda: fixpoint.fix_tuple(inp)),
-            "is_autofixed_ms": best_ms(lambda: fixpoint.is_autofixed(H, inp)),
-        })
+        f2.append({"ell": ell})
+        timed.append((f2[-1], "fix_tuple_ms", lambda inp=inp: fixpoint.fix_tuple(inp)))
+        timed.append((f2[-1], "is_autofixed_ms", lambda H=H, inp=inp: fixpoint.is_autofixed(H, inp)))
     f3 = []
     for a in F3_AS:
         inp = fix_input(instances.index_family_f3(random.Random(1), a), 3)
-        f3.append({"a": a, "ell": a * a, "fix_tuple_ms": best_ms(lambda: fixpoint.fix_tuple(inp))})
+        f3.append({"a": a, "ell": a * a})
+        timed.append((f3[-1], "fix_tuple_ms", lambda inp=inp: fixpoint.fix_tuple(inp)))
+    return timed, {"index_family_f2": f2, "index_family_f3": f3}
+
+
+def time_round(timed: list[tuple[dict, str, Callable[[], object]]]) -> None:
+    """One round: each call once, in turn, setting point[key] to the
+    call's best time in ms so far."""
+    for point, key, call in timed:
+        gc.collect()
+        t0 = time.perf_counter()
+        call()
+        ms = (time.perf_counter() - t0) * 1e3
+        point[key] = min(point.get(key, ms), ms)
+
+
+def fitted(families: dict[str, list[dict]]) -> dict:
+    """Each family's points with the fitted exponent of fix_tuple in ell."""
+    from sweep import slope
+
     return {
         family: {"points": points, "exponent": slope([(p["ell"], p["fix_tuple_ms"]) for p in points])}
-        for family, points in (("index_family_f2", f2), ("index_family_f3", f3))
+        for family, points in families.items()
     }
 
 
@@ -148,12 +160,15 @@ def main(out_path: str) -> None:
         "machine": f"{platform.machine()}, {os.cpu_count()} logical CPUs",
         "workloads": {},
     }
+    timed, families = sweep_points()
     for wl in spec["workloads"]:
-        print(f"workload {wl['name']}: {RUNS} runs of {spec['run_seconds']} s", file=sys.stderr)
-        runs = [run_workload(wl["name"], spec["run_seconds"]) for _ in range(RUNS)]
+        print(f"workload {wl['name']}: {RUNS} runs of {spec['run_seconds']} s, each followed by a sweep round", file=sys.stderr)
+        runs = []
+        for _ in range(RUNS):
+            runs.append(run_workload(wl["name"], spec["run_seconds"]))
+            time_round(timed)
         record["workloads"][wl["name"]] = {"seed": 1, "seconds": spec["run_seconds"], **medians(runs, names)}
-    print("sweep", file=sys.stderr)
-    record["sweep"] = sweep()
+    record["sweep"] = fitted(families)
     print("tier-1", file=sys.stderr)
     record["tier1"] = tier1()
     record["src_lines"] = src_lines()
