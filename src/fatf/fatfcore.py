@@ -74,35 +74,32 @@ def project(g: GroupElement) -> Word:
     return g.w
 
 
+@dataclass(frozen=True)
 class SubgroupBasis:
     """Canonical basis of a finitely generated subgroup of Z^m x F_n.
 
     The subgroup is the triple (graph, vectors, abelian lattice): the free
     part pairs each basis word u_i of the Stallings graph of the projection
     with the vector a_i, reduced modulo the HNF abelian part, for which
-    t^a_i u_i lies in the subgroup. Equal subgroups give equal triples. The
-    words are spelled only when `free_part` or `basis_elements` asks for
-    them.
+    t^a_i u_i lies in the subgroup. Equal subgroups give equal triples, so
+    the generated `==` and hash are the subgroup's. The words are spelled
+    only when `free_part` or `basis_elements` asks for them.
     """
 
-    def __init__(
-        self,
-        ambient: Ambient,
-        graph: freewords.StallingsGraph,
-        vectors: Sequence[Sequence[int]],
-        abelian_part: Lattice,
-    ):
-        if abelian_part.ambient != ambient.m:
+    ambient: Ambient
+    graph: freewords.StallingsGraph
+    vectors: tuple[Vec, ...]
+    abelian_part: Lattice
+
+    def __post_init__(self) -> None:
+        if self.abelian_part.ambient != self.ambient.m:
             raise ValueError("abelian lattice lives in the wrong ambient")
-        if graph.n != ambient.n:
+        if self.graph.n != self.ambient.n:
             raise ValueError("graph lives in the wrong ambient")
-        if len(vectors) != graph.rank:
+        if len(self.vectors) != self.graph.rank:
             raise ValueError("need one vector per basis word of the graph")
-        self.ambient = ambient
-        self.graph = graph
         # canonical: a_i is only defined modulo the abelian part
-        self.vectors: tuple[Vec, ...] = tuple([abelian_part.reduce(a)[1] for a in vectors])
-        self.abelian_part = abelian_part
+        object.__setattr__(self, "vectors", tuple([self.abelian_part.reduce(a)[1] for a in self.vectors]))
 
     @classmethod
     def from_words(
@@ -147,16 +144,6 @@ class SubgroupBasis:
         for b in self.abelian_part.basis.entries:
             out.append(GroupElement._trusted(self.ambient, b, ()))
         return out
-
-    def _key(self) -> tuple:
-        return (self.ambient, self.graph, self.vectors, self.abelian_part)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, SubgroupBasis) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        # StallingsGraph is unhashable; equal graphs have equal vertex counts
-        return hash((self.ambient, self.graph.num_vertices, self.vectors, self.abelian_part))
 
     def __repr__(self) -> str:
         return (

@@ -84,7 +84,7 @@ class FixInput:
             raise InvalidFixInput("need one fixed free-basis per morphism")
         object.__setattr__(self, "morphisms", tuple(self.morphisms))
         object.__setattr__(self, "fixed_free_bases", bases)
-        folds = []
+        folds, left = [], morphisms.MAX_SPELLED_LETTERS
         for psi, words in zip(self.morphisms, bases):
             _check_same(self.ambient, psi.ambient)
             # a FreeMap is built only with inverse images that undo it, so they
@@ -98,6 +98,9 @@ class FixInput:
             # rank Fix(phi) <= n for every automorphism (Bestvina-Handel 1992)
             if len(words) > n:
                 raise InvalidFixInput(f"a fixed free-basis has more than n = {n} words")
+            left -= morphisms._letters(psi.phi.images, words)
+            if left < 0:
+                raise InvalidFixInput(f"checking the fixed words would spell more than {morphisms.MAX_SPELLED_LETTERS} letters")
             for w in words:
                 if psi.phi.apply(w) != w:
                     raise InvalidFixInput(
@@ -123,10 +126,10 @@ class FixInput:
 @dataclass(frozen=True, eq=False)
 class FixDiagnostics:
     """The lattices of a fix_tuple answer and its index ell; `preimage` is
-    None at infinite index. im_P = im_rho Pt and N = M meet im_P are
-    computed when first read, as only the JSON reply reads them: N is the
-    HNF of `_images`, the rows of the full preimage mapped by Pt, which the
-    solves map as well. `==` compares all six values."""
+    None at infinite index. im_P = im_rho Pt and N = M meet im_P, the HNF
+    of the preimage rows mapped by Pt (`_images`, which the solves map too),
+    are computed when first read, as only the JSON reply reads them. They
+    are not fields, so `==` and hash compare all six values by `_key`."""
 
     im_rho: Lattice
     M: Lattice
@@ -233,15 +236,18 @@ def _certify(inp: FixInput, H: SubgroupBasis, error: type[Exception] = Certifica
 
     psi fixes t^a u exactly when phi fixes u and a - aQ = u_ab P. The first
     holds for each word of a graph that maps into inp.graph, as FixInput has
-    checked every fixed-basis word against its map; FixInput accepts a
-    proper sub-basis of Fix phi for maps other than the identity, so the
-    words of a graph off inp.graph are spelled and applied. The second is
-    one product (u_ab, a) [[P], [Q]] per element and map, with u_ab read off
-    the graph's vertex potentials; a row b of the abelian part needs bQ = b.
+    checked every fixed-basis word against its map; it accepts a sub-basis
+    of Fix phi for maps other than the identity, so the words of a graph off
+    inp.graph are spelled and applied, within `morphisms.MAX_SPELLED_LETTERS`.
+    The second is one product (u_ab, a) [[P], [Q]] per element and map, u_ab
+    read off the graph's vertex potentials; an abelian row b needs bQ = b.
     """
     if H.graph.maps_into(inp.graph) is None:
+        words = H.graph.basis_words
+        if sum(morphisms._letters(psi.phi.images, words) for psi in inp.morphisms) > morphisms.MAX_SPELLED_LETTERS:
+            raise error(f"checking the basis words would spell more than {morphisms.MAX_SPELLED_LETTERS} letters")
         for psi in inp.morphisms:
-            if any(psi.phi.apply(u) != u for u in H.graph.basis_words):
+            if any(psi.phi.apply(u) != u for u in words):
                 raise error("the graph does not map into the fixed-basis graph and a basis word is not fixed")
     for psi in inp.morphisms:
         for b in H.abelian_part.basis.entries:

@@ -240,6 +240,10 @@ class StallingsGraph:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, StallingsGraph) and (self.n, self.edges) == (other.n, other.edges)
 
+    def __hash__(self) -> int:
+        # equal edge tables have equal sizes, and the sizes are kept
+        return hash((self.n, self.num_vertices, self.rank))
+
     def __repr__(self) -> str:
         return f"StallingsGraph(n={self.n}, vertices={self.num_vertices}, rank={self.rank})"
 

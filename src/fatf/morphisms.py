@@ -20,11 +20,12 @@ from .freewords import Word, reduce_word
 from .intlat import IntMatrix, cyclotomic_split, matrix_inverse, matrix_order, power_by_squaring
 
 
-# Most letters free-map substitutions spell before they are reduced: the
-# check of claimed inverse images in `FreeMap`, and all the products of one
-# `FreeMap.power` ladder together, each length exact before it is spelled
-# (`_letters`). At about 13M letters/s (Python 3.11.7, shared 2-core x86_64)
-# the cap costs 0.3 s. `order` on the conjugate of the cycle of F_100 by
+# Most letters free-map substitutions spell before they are reduced, each
+# count exact before a letter is spelled (`_letters`): the check of claimed
+# inverse images in `FreeMap`, all the products of one `FreeMap.power`
+# ladder, and `fixpoint`'s fixed-word checks, over all the maps they check. At
+# about 13M letters/s (Python 3.11.7, shared 2-core x86_64) the cap costs
+# 0.3 s. `order` on the conjugate of the cycle of F_100 by
 # random_free_aut(Random(1), 100, steps=300) of tests/conftest.py (60,543
 # letters) answered after 7.6 s, its inverse check spelling 8.2M letters and
 # its ladder 69M; it now exits 2 in 0.06 s. With steps=200 the check spells
@@ -161,11 +162,11 @@ class FreeMap:
         return self._order
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FreeMap)
-            and self.n == other.n
-            and self.images == other.images
-        )
+        # one image per generator, so equal images have equal n
+        return isinstance(other, FreeMap) and self.images == other.images
+
+    def __hash__(self) -> int:
+        return hash(self.images)
 
     def __repr__(self) -> str:
         return f"FreeMap({[freewords.format_word(w) for w in self.images]})"

@@ -600,6 +600,39 @@ class TestBudgets:
         assert f"would spell more than {fatf.morphisms.MAX_SPELLED_LETTERS} letters" in json.loads(out)["error"]
         assert order_s < 3 * read_s + 0.1
 
+    def test_fixed_words_at_the_request_cap(self):
+        # phi(z1) = z1 z2^50000: `fix` checks that the basis word z1^49998 is
+        # fixed, and `closure` that the word of <z1^49997>, whose graph does
+        # not map into that of <z2>, is. Each request has 100,000 letters and
+        # its check would spell about 2.5 * 10^9 before reducing; at k = 12,000
+        # `fix` died of a MemoryError under this limit. Both are refused
+        # before spelling, in about the time their words take to read and fold
+        letters, fold_s, replies = _in_one_gib(
+            "from fatf import jsonio\n"
+            "from fatf.freewords import stallings\n"
+            "mor = {'phi': ['z1 z2^50000', 'z2'], 'Q': [], 'P': [[], []]}\n"
+            "fix = {'m': 0, 'n': 2, 'morphisms': [mor], 'fixed_bases': [['z1^49998']]}\n"
+            "H = {'free': [{'t': [], 'w': 'z1^49997'}], 'abelian': []}\n"
+            "closure = {'m': 0, 'n': 2, 'subgroup': H, 'morphisms': [mor], 'fixed_bases': [['z2']]}\n"
+            "t0 = time.perf_counter()\n"
+            "with jsonio.request():\n"
+            "    images = [jsonio.word_from_json(w) for w in mor['phi']]\n"
+            "    stallings(images, 2), stallings([jsonio.word_from_json('z1^49998')], 2)\n"
+            "fold_s = time.perf_counter() - t0\n"
+            "letters = [sum(map(len, images)) + rest for rest in (49_998, 1 + 49_997)]\n"
+            "replies = []\n"
+            "for argv, body in ((['fix'], fix), (['closure'], closure)):\n"
+            "    t0 = time.perf_counter(); code, out = run(argv, json.dumps(body))\n"
+            "    replies.append([code, out, time.perf_counter() - t0])\n"
+            "print(json.dumps([letters, fold_s, replies]))\n"
+        )
+        assert letters == [100_000, 100_000]
+        limit = f"would spell more than {fatf.morphisms.MAX_SPELLED_LETTERS} letters"
+        for (code, out, seconds), words in zip(replies, ["fixed words", "basis words"]):
+            assert code == EXIT_VALIDATION and out.count("\n") == 1
+            assert json.loads(out)["error"] == f"checking the {words} {limit}"
+            assert seconds < 2 * fold_s + 0.1
+
     def test_rank_costs_nothing(self):
         # basis and member work on the letters their words use, never on the
         # whole alphabet: at n = 10^9 a list of the 2n letters would need

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import json
@@ -354,6 +355,24 @@ class TestCanonicalEquality:
             K = SubgroupBasis.from_words(amb, pairs, H.abelian_part)
             assert K == H and hash(K) == hash(H)
             assert K.basis_elements() == H.basis_elements()
+
+    def test_a_basis_is_a_frozen_value(self):
+        # the fields are the canonical triple and its ambient, in the order
+        # the constructor takes them; none can be reassigned, so a hash once
+        # taken, as by a dict key, stays right
+        g1, g2 = GroupElement(AMB, (1, 0), (1,)), GroupElement(AMB, (0, 1), (1,))
+        H, K = subgroup_basis([g1, g2], AMB), subgroup_basis([g2, g1], AMB)
+        assert [f.name for f in dataclasses.fields(H)] == ["ambient", "graph", "vectors", "abelian_part"]
+        for name, value in (
+            ("ambient", Ambient(2, 3)),
+            ("graph", stallings([], 2)),
+            ("vectors", ((5, 5),)),
+            ("abelian_part", Lattice.from_rows([], 2)),
+        ):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(H, name, value)
+        assert {H: "H"}[K] == "H"
+        assert SubgroupBasis(ambient=AMB, graph=H.graph, vectors=((3, -2),), abelian_part=H.abelian_part) == H
 
     def test_ambient_is_part_of_the_key(self):
         H, K = subgroup_basis([], Ambient(1, 2)), subgroup_basis([], Ambient(2, 2))

@@ -24,7 +24,7 @@ from conftest import (
     reference_autofixed_closure,
     reference_certify,
 )
-from fatf import cli, fixpoint, freewords, intlat, jsonio
+from fatf import cli, fixpoint, freewords, intlat, jsonio, morphisms
 from fatf import (
     Ambient,
     FreeMap,
@@ -149,6 +149,15 @@ class TestFixTuple:
         not_onto = Morphism(amb, FreeMap([(1, 1), (2,)], None, 2), IntMatrix([[1]]), IntMatrix.zeros(2, 1))
         with pytest.raises(freewords.LetterError, match="letter 5"):
             FixInput((not_onto, Morphism.identity(amb)), ((), ((5,),)))
+
+    def test_equal_inputs_hash_equal(self):
+        # the bases are reduced on input and the fold is no field, so inputs
+        # built apart from equal maps and words compare and hash equal
+        a = FixInput((worked_morphism(),), (((2,), (3,)),))
+        b = FixInput([worked_morphism()], [[(2, 1, -1), (3,)]])
+        assert a == b and hash(a) == hash(b) and {a: "a"}[b] == "a"
+        assert a != FixInput((worked_morphism(),), (((3,), (2,)),))
+        assert hash(fix_tuple(a)) == hash(fix_tuple(b))
 
     def test_two_morphisms(self):
         amb = Ambient(1, 2)
@@ -367,6 +376,55 @@ class TestClosure:
         psi = worked_morphism()
         with pytest.raises(ValueError):
             autofixed_closure(H, FixInput((psi,), (((2,), (3,)),)))
+
+
+class TestSpelledLetters:
+    """phi(z1) = z1 z2^30 spells 31 letters for each z1 of a word it is
+    applied to. The checks that spell phi(w) count those letters first,
+    against morphisms.MAX_SPELLED_LETTERS, lowered here to 1,000."""
+
+    @staticmethod
+    def _shear() -> Morphism:
+        return Morphism(Ambient(0, 2), FreeMap([(1,) + (2,) * 30, (2,)]), IntMatrix.identity(0), IntMatrix.zeros(2, 0))
+
+    @staticmethod
+    def _unspelled(monkeypatch) -> None:
+        monkeypatch.setattr(FreeMap, "apply", lambda self, w: pytest.fail("a word was spelled"))
+
+    def test_fixed_words_share_one_budget(self, monkeypatch):
+        monkeypatch.setattr(morphisms, "MAX_SPELLED_LETTERS", 1000)
+        psi, basis = self._shear(), ((2,), (1, 2, -1))
+        # the fixed words z2 and z1 z2 z1^-1 spell 1 + 31 + 1 + 31 letters
+        assert morphisms._letters(psi.phi.images, basis) == 64
+        refused = "checking the fixed words would spell more than 1000 letters"
+        FixInput((psi,) * 15, (basis,) * 15)
+        with pytest.raises(InvalidFixInput, match=refused):
+            FixInput((psi,) * 16, (basis,) * 16)
+        # z1^32 spells 992 letters and is found not fixed; z1^33 is refused
+        # before any letter is spelled
+        with pytest.raises(InvalidFixInput, match="is not fixed"):
+            FixInput((psi,), (((1,) * 32,),))
+        self._unspelled(monkeypatch)
+        with pytest.raises(InvalidFixInput, match=refused):
+            FixInput((psi,), (((1,) * 33,),))
+
+    def test_closure_words_off_the_graph_share_one_budget(self, monkeypatch):
+        # <z1^j> does not map into the graph of <z2>, so its word is spelled
+        # and applied by each map
+        monkeypatch.setattr(morphisms, "MAX_SPELLED_LETTERS", 1000)
+        psi = self._shear()
+        one, two = FixInput((psi,), (((2,),),)), FixInput((psi, psi), (((2,),),) * 2)
+
+        def cycle(j: int) -> SubgroupBasis:
+            return SubgroupBasis.from_words(psi.ambient, [((), (1,) * j)], Lattice.from_rows([], 0))
+
+        for inp, j in ((one, 32), (two, 16)):
+            with pytest.raises(ValueError, match="a basis word is not fixed"):
+                autofixed_closure(cycle(j), inp)
+        self._unspelled(monkeypatch)
+        for inp, j in ((one, 33), (two, 17)):
+            with pytest.raises(ValueError, match="checking the basis words would spell more than 1000 letters"):
+                autofixed_closure(cycle(j), inp)
 
 
 def ell_family(ell):

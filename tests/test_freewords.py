@@ -108,6 +108,8 @@ class TestStallings:
         b = stallings([(1, 1), (1, 2), (2, 1)], 2)
         c = stallings([(1, 2), (2, 1), (1, 1), (1, 2)], 2)
         assert a == b == c
+        # the hash reads sizes that equal edge tables share
+        assert hash(a) == hash(b) == hash(c) and len({a, b, c}) == 1
 
     def test_member_expression_reexpands(self):
         g = stallings([(2, 2), (3,), (-2, 3, 2)], 3)

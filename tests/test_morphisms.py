@@ -64,6 +64,22 @@ class TestFreeMap:
         with pytest.raises(ValueError, match="different ranks"):
             FreeMap.identity(2).compose(FreeMap.identity(3))
 
+    def test_a_map_is_its_images(self):
+        # checked inverse images add nothing to the map, so a map compares
+        # and hashes by its images, with or without them
+        with_inverse = FreeMap([(1, 2), (2,)], [(1, -2), (2,)], 2)
+        without = FreeMap([(1, 2), (2,)])
+        assert with_inverse == without and hash(with_inverse) == hash(without)
+        assert with_inverse.invert() == FreeMap([(1, -2), (2,)]) != with_inverse
+        assert FreeMap.identity(0) == FreeMap([], None, 0)
+
+    def test_morphisms_hash(self):
+        # Morphism's generated hash reads its FreeMap's
+        a, b = worked_morphism(), worked_morphism()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert hash(Morphism.identity(Ambient(1, 2))) == hash(Morphism.identity(Ambient(1, 2)))
+        assert len({a, b, spiral_morphism()}) == 2
+
     def test_letters_checked_before_counts(self):
         # the images' letters, then the inverse images', then the counts: the
         # order in which the CLI names the faults of a payload

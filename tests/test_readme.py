@@ -1,4 +1,5 @@
-"""README.md names fatf's callables with the parameters they take.
+"""README.md names fatf's callables with the parameters they take, and its
+Quick example prints what its comments say.
 
 A backticked span `name(a, b)` whose arguments are all plain names is read as
 a signature. When name (bare, `Class.method` or `module.name`) means a
@@ -9,8 +10,10 @@ defined in fatf, such as `int()` or the `step(state, letter)` a caller
 writes, are skipped.
 """
 
+import contextlib
 import importlib
 import inspect
+import io
 import pathlib
 import re
 
@@ -72,3 +75,44 @@ def test_signature_spans_are_read():
     assert _parameters(_definitions("Lattice")[0]) == ["basis"]
     assert _definitions("intlat.hnf") == _definitions("hnf") == [fatf.intlat.hnf]
     assert _definitions("step") == _definitions("int") == []
+
+
+def _quick_example() -> str:
+    """The code of the README's Quick example, its first fenced block."""
+    section = README.read_text().split("## Quick example", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def _expected_prints(code: str) -> list[str]:
+    """What the comment of each line that starts with print( says it prints:
+    the comment's last line, which is the print's own `# ...` or, for a value
+    too long for it, an indented comment line that follows."""
+    expected, continues = [], False
+    for line in code.splitlines():
+        if line.startswith("print("):
+            expected.append(line.split("# ", 1)[1])
+            continues = True
+        elif continues and line.startswith(" ") and line.lstrip().startswith("# "):
+            expected[-1] = line.lstrip()[2:]
+        else:
+            continues = False
+    return expected
+
+
+def test_quick_example_prints_what_its_comments_say():
+    # a comment gives the printed value, alone or before ": " and a note
+    code = _quick_example()
+    expected = _expected_prints(code)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, str(README), "exec"), {})
+    printed = out.getvalue().splitlines()
+    assert len(printed) == len(expected) == 7
+    assert [c for v, c in zip(printed, expected) if c != v and not c.startswith(v + ": ")] == []
+    # res.basis == want, and is_autofixed
+    assert printed[-2:] == ["True", "True"]
+
+
+def test_print_comments_are_read():
+    code = "x = 1\nprint(x)  # 1: one\nprint((x, x))  # the pair:\n               # (1, 1)\n\n# a note\n"
+    assert _expected_prints(code) == ["1: one", "(1, 1)"]

@@ -12,6 +12,7 @@ checked. A pin whose name src/ calls is stale and fails too.
 """
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import pathlib
@@ -152,6 +153,48 @@ def test_pins_name_existing_definitions():
 def test_pins_have_no_caller_in_src():
     calls = src_calls()
     assert [key for key in PINNED if calls[key]] == []
+
+
+def _eq_without_hash(classes) -> list[str]:
+    """The names of the classes that define __eq__ with __hash__ None, as
+    Python sets it for a class that defines __eq__ alone."""
+    return [cls.__name__ for cls in classes if "__eq__" in vars(cls) and cls.__hash__ is None]
+
+
+def test_every_class_with_eq_hashes():
+    # equal values hash equal, and a value with no hash leaves every frozen
+    # dataclass that holds one unhashable
+    modules = [importlib.import_module(f"fatf.{p.stem}") for p in sorted(SRC.glob("*.py")) if p.stem != "__init__"]
+    classes = [
+        obj
+        for module in modules
+        for obj in vars(module).values()
+        if isinstance(obj, type) and obj.__module__ == module.__name__
+    ]
+    assert {"SubgroupBasis", "StallingsGraph", "FreeMap", "Morphism", "FixInput"} <= {
+        cls.__name__ for cls in classes if "__eq__" in vars(cls)
+    }
+    assert _eq_without_hash(classes) == []
+
+
+def test_eq_without_hash_is_found():
+    class Plain:
+        def __eq__(self, other):
+            return self is other
+
+    class Hashed(Plain):
+        def __hash__(self):
+            return 0
+
+    @dataclasses.dataclass
+    class Mutable:
+        x: int
+
+    @dataclasses.dataclass(frozen=True)
+    class Frozen:
+        x: int
+
+    assert _eq_without_hash([Plain, Hashed, Mutable, Frozen, int]) == ["Plain", "Mutable"]
 
 
 def _unused_imports(tree: ast.Module, exported: frozenset = frozenset()) -> list[str]:

@@ -120,10 +120,13 @@ def tier1() -> dict:
 
 
 def src_lines() -> dict:
+    """The newline count of each src/fatf/*.py, as `wc -l` counts lines."""
     files = sorted(f"src/fatf/{f}" for f in os.listdir(os.path.join(ROOT, "src", "fatf")) if f.endswith(".py"))
-    out = subprocess.run(["wc", "-l", *files], cwd=ROOT, capture_output=True, text=True, check=True).stdout
-    counts = {path: int(k) for k, path in (line.split() for line in out.strip().splitlines())}
-    return {"files": {k: v for k, v in counts.items() if k != "total"}, "total": counts["total"]}
+    counts = {}
+    for path in files:
+        with open(os.path.join(ROOT, path), "rb") as f:
+            counts[path] = f.read().count(b"\n")
+    return {"files": counts, "total": sum(counts.values())}
 
 
 def previous_record(out_path: str) -> str | None:
