@@ -16,7 +16,7 @@ import sys
 from typing import Any
 
 from . import bounds as bounds_mod
-from . import fixpoint, freewords, jsonio, morphisms, oracle
+from . import budget, fixpoint, freewords, jsonio, morphisms, oracle
 from .fatfcore import Ambient, Vec, member, members, subgroup_basis
 
 EXIT_OK = 0
@@ -168,7 +168,7 @@ def run(argv: list[str], stdin: str) -> tuple[int, str]:
             return EXIT_BAD_JSON, _dump({"ok": False, "error": "payload must be an object"})
     # the library raises ValueError only for inputs it rejects; other faults propagate
     try:
-        with jsonio.request():
+        with budget.scope():
             reply = handler(argv[1:]) if handler is _cmd_constants else handler(payload, _ambient(payload))
     except (ValueError, fixpoint.CertificateError) as e:
         return EXIT_VALIDATION, _dump({"ok": False, "error": str(e)})

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from . import freewords, morphisms
+from . import budget, freewords, morphisms
 from .fatfcore import Ambient, SubgroupBasis, _check_same, subgroup_contains
 from .freewords import Word, reduce_word
 from .intlat import (
@@ -84,35 +84,32 @@ class FixInput:
             raise InvalidFixInput("need one fixed free-basis per morphism")
         object.__setattr__(self, "morphisms", tuple(self.morphisms))
         object.__setattr__(self, "fixed_free_bases", bases)
-        folds, left = [], morphisms.MAX_SPELLED_LETTERS
-        for psi, words in zip(self.morphisms, bases):
-            _check_same(self.ambient, psi.ambient)
-            # a FreeMap is built only with inverse images that undo it, so they
-            # prove an automorphism; otherwise a map of F_n is onto, hence an
-            # automorphism (F_n is Hopfian), exactly when its images fold to
-            # the one-vertex rose of rank n
-            if psi.phi.inverse_images is None:
-                rose = freewords.stallings(psi.phi.images, n)
-                if rose.num_vertices != 1 or rose.rank != n:
-                    raise InvalidFixInput("a free map is not an automorphism: its images do not generate F_n")
-            # rank Fix(phi) <= n for every automorphism (Bestvina-Handel 1992)
-            if len(words) > n:
-                raise InvalidFixInput(f"a fixed free-basis has more than n = {n} words")
-            left -= morphisms._letters(psi.phi.images, words)
-            if left < 0:
-                raise InvalidFixInput(f"checking the fixed words would spell more than {morphisms.MAX_SPELLED_LETTERS} letters")
-            for w in words:
-                if psi.phi.apply(w) != w:
-                    raise InvalidFixInput(
-                        f"word {freewords.format_word(w)!r} is not fixed by its map"
-                    )
-            fold = freewords.stallings(words, n)
-            if fold.rank != len(words):
-                raise InvalidFixInput("a fixed free-basis is not a free basis")
-            # the identity fixes all of F_n, so its basis must fold to the rose
-            if psi.phi.is_identity() and (fold.num_vertices != 1 or fold.rank != n):
-                raise InvalidFixInput("the fixed free-basis of an identity map does not generate F_n")
-            folds.append(fold)
+        folds = []
+        with budget.scope():
+            for psi, words in zip(self.morphisms, bases):
+                _check_same(self.ambient, psi.ambient)
+                # a FreeMap is built only with inverse images that undo it, so
+                # they prove an automorphism; otherwise a map of F_n is onto,
+                # hence an automorphism (F_n is Hopfian), exactly when its
+                # images fold to the one-vertex rose of rank n
+                if psi.phi.inverse_images is None:
+                    rose = freewords.stallings(psi.phi.images, n)
+                    if rose.num_vertices != 1 or rose.rank != n:
+                        raise InvalidFixInput("a free map is not an automorphism: its images do not generate F_n")
+                # rank Fix(phi) <= n for every automorphism (Bestvina-Handel 1992)
+                if len(words) > n:
+                    raise InvalidFixInput(f"a fixed free-basis has more than n = {n} words")
+                morphisms.spend_letters(psi.phi.images, words, "checking the fixed words", InvalidFixInput)
+                for w in words:
+                    if psi.phi.apply(w) != w:
+                        raise InvalidFixInput(f"word {freewords.format_word(w)!r} is not fixed by its map")
+                fold = freewords.stallings(words, n)
+                if fold.rank != len(words):
+                    raise InvalidFixInput("a fixed free-basis is not a free basis")
+                # the identity fixes all of F_n, so its basis must fold to the rose
+                if psi.phi.is_identity() and (fold.num_vertices != 1 or fold.rank != n):
+                    raise InvalidFixInput("the fixed free-basis of an identity map does not generate F_n")
+                folds.append(fold)
         graph = folds[0]
         for other in folds[1:]:
             graph = freewords.pullback(graph, lambda v, a: other.edges[v].get(a), 0)
@@ -238,14 +235,15 @@ def _certify(inp: FixInput, H: SubgroupBasis, error: type[Exception] = Certifica
     holds for each word of a graph that maps into inp.graph, as FixInput has
     checked every fixed-basis word against its map; it accepts a sub-basis
     of Fix phi for maps other than the identity, so the words of a graph off
-    inp.graph are spelled and applied, within `morphisms.MAX_SPELLED_LETTERS`.
+    inp.graph are spelled and applied, all counted first (`morphisms.spend_letters`).
     The second is one product (u_ab, a) [[P], [Q]] per element and map, u_ab
     read off the graph's vertex potentials; an abelian row b needs bQ = b.
     """
     if H.graph.maps_into(inp.graph) is None:
         words = H.graph.basis_words
-        if sum(morphisms._letters(psi.phi.images, words) for psi in inp.morphisms) > morphisms.MAX_SPELLED_LETTERS:
-            raise error(f"checking the basis words would spell more than {morphisms.MAX_SPELLED_LETTERS} letters")
+        with budget.scope():
+            for psi in inp.morphisms:
+                morphisms.spend_letters(psi.phi.images, words, "checking the basis words", error)
         for psi in inp.morphisms:
             if any(psi.phi.apply(u) != u for u in words):
                 raise error("the graph does not map into the fixed-basis graph and a basis word is not fixed")

@@ -6,13 +6,11 @@ JSON implementation. Words use the text form "z1 z2^-1"; the identity is "".
 
 from __future__ import annotations
 
-import contextlib
 import math
 import sys
-from contextvars import ContextVar
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Optional, Sequence
 
-from . import freewords
+from . import budget, freewords
 from .fatfcore import Ambient, GroupElement, SubgroupBasis
 from .fixpoint import FixDiagnostics, FixResult
 from .intlat import IntMatrix, Lattice
@@ -20,13 +18,13 @@ from .morphisms import FreeMap, Morphism
 
 
 def _ints(obj: list) -> tuple[int, ...]:
-    """The integers of a list of decimal strings or JSON numbers. Inside
-    `request`, raises ValueError once the integers of the request have more
-    than MAX_INPUT_DIGITS digits."""
+    """The integers of a list of decimal strings or JSON numbers; inside a
+    `budget.scope`, ValueError once its integers pass MAX_INPUT_DIGITS digits."""
     for s in obj:
         if isinstance(s, bool) or not isinstance(s, (str, int)):
             raise ValueError(f"expected a decimal string, got {s!r}")
-    _spend("digits", sum(map(len, map(str, obj))), MAX_INPUT_DIGITS, "the integers of one request have more than {} digits in all")
+    if budget.spend("digits", sum(map(len, map(str, obj))), MAX_INPUT_DIGITS):
+        raise ValueError(f"the integers of one request have more than {MAX_INPUT_DIGITS} digits in all")
     return tuple(map(int, obj))
 
 
@@ -91,41 +89,15 @@ MAX_INPUT_DIGITS = 5_000
 # 1.6 s (Python 3.11). `basis` and `member` read no morphism.
 MAX_MORPHISM_RANK = 100
 
-# the letters the words, and the digits the integers, parsed so far in the
-# current request spell out, by kind; None outside a request, where only the
-# per-word cap holds
-_spent: ContextVar[Optional[dict[str, int]]] = ContextVar("spent", default=None)
-
-
-@contextlib.contextmanager
-def request() -> Iterator[None]:
-    """Count the letters of every word parsed inside against
-    freewords.MAX_WORD_LETTERS, and the digits of every integer against
-    MAX_INPUT_DIGITS, in all."""
-    token = _spent.set({"letters": 0, "digits": 0})
-    try:
-        yield
-    finally:
-        _spent.reset(token)
-
-
-def _spend(kind: str, amount: int, cap: int, error: str) -> None:
-    """Add amount to the request's count of kind; ValueError(error with the
-    cap) once it passes cap. Outside a request nothing is counted."""
-    spent = _spent.get()
-    if spent is not None:
-        spent[kind] += amount
-        if spent[kind] > cap:
-            raise ValueError(error.format(cap))
-
 
 def word_from_json(obj: Any) -> freewords.Word:
-    """The letters the text obj spells, unreduced and unchecked; inside
-    `request`, ValueError once the request's words pass MAX_WORD_LETTERS."""
+    """The letters the text obj spells, unreduced and unchecked; inside a
+    `budget.scope`, ValueError once its words pass MAX_WORD_LETTERS."""
     if not isinstance(obj, str):
         raise ValueError("expected a word string")
     letters = freewords.spell_word(obj)
-    _spend("letters", len(letters), freewords.MAX_WORD_LETTERS, "the words of one request are longer than {} letters in all")
+    if budget.spend("letters", len(letters), freewords.MAX_WORD_LETTERS):
+        raise ValueError(f"the words of one request are longer than {freewords.MAX_WORD_LETTERS} letters in all")
     return tuple(letters)
 
 

@@ -14,16 +14,15 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from . import freewords
+from . import budget, freewords
 from .fatfcore import Ambient, GroupElement, _check_same
 from .freewords import Word, reduce_word
 from .intlat import IntMatrix, cyclotomic_split, matrix_inverse, matrix_order, power_by_squaring
 
 
-# Most letters free-map substitutions spell before they are reduced, each
-# count exact before a letter is spelled (`_letters`): the check of claimed
-# inverse images in `FreeMap`, all the products of one `FreeMap.power`
-# ladder, and `fixpoint`'s fixed-word checks, over all the maps they check. At
+# Most letters free-map substitutions spell before reducing, counted exact by
+# `spend_letters` before any is spelled: `FreeMap`'s inverse check, `power`'s
+# ladder and `fixpoint`'s fixed-word checks, in all per CLI request or call. At
 # about 13M letters/s (Python 3.11.7, shared 2-core x86_64) the cap costs
 # 0.3 s. `order` on the conjugate of the cycle of F_100 by
 # random_free_aut(Random(1), 100, steps=300) of tests/conftest.py (60,543
@@ -39,6 +38,14 @@ def _letters(images: Sequence[Word], words: Iterable[Word]) -> int:
     lens = [0, *map(len, images)]
     lens += reversed(lens[1:])  # lens[-i] = lens[i]
     return sum(map(lens.__getitem__, itertools.chain.from_iterable(words)))
+
+
+def spend_letters(images: Sequence[Word], words: Iterable[Word], what: str, error: type[Exception] = ValueError) -> None:
+    """Count the `_letters` substituting images into words spells in the open
+    `budget.scope`, or alone outside one; error(what ...) past MAX_SPELLED_LETTERS."""
+    with budget.scope():
+        if budget.spend("spelled letters", _letters(images, words), MAX_SPELLED_LETTERS):
+            raise error(f"{what} would spell more than {MAX_SPELLED_LETTERS} letters")
 
 
 class FreeMap:
@@ -67,8 +74,7 @@ class FreeMap:
         if inverse_images is not None:
             # back undoing the map on every generator makes back onto, hence
             # an automorphism (F_n is Hopfian) whose inverse is the map
-            if _letters(inverse_images, images) > MAX_SPELLED_LETTERS:
-                raise ValueError(f"checking the inverse images would spell more than {MAX_SPELLED_LETTERS} letters")
+            spend_letters(inverse_images, images, "checking the inverse images")
             back = self.invert()
             if any(back.apply(w) != (i,) for i, w in enumerate(images, start=1)):
                 raise ValueError("claimed inverse does not undo the map")
@@ -127,23 +133,20 @@ class FreeMap:
     def power(self, k: int) -> "FreeMap":
         """self^k along `power_by_squaring`; ValueError, before the product
         that would pass it, once the ladder's products would spell more than
-        MAX_SPELLED_LETTERS letters in all, inverse images included."""
+        MAX_SPELLED_LETTERS letters with inverse images, in the call or request."""
         if k < 0:
             return self.invert().power(-k)
         if not k:
             return FreeMap.identity(self.n)
-        left = MAX_SPELLED_LETTERS
 
         def compose(f: FreeMap, g: FreeMap) -> FreeMap:
-            nonlocal left
-            left -= _letters(g.images, f.images)
+            spend_letters(g.images, f.images, "the power")
             if f.inverse_images is not None and g.inverse_images is not None:
-                left -= _letters(f.inverse_images, g.inverse_images)
-            if left < 0:
-                raise ValueError(f"the power would spell more than {MAX_SPELLED_LETTERS} letters")
+                spend_letters(f.inverse_images, g.inverse_images, "the power")
             return f.compose(g)
 
-        return power_by_squaring(self, k, compose)
+        with budget.scope():
+            return power_by_squaring(self, k, compose)
 
     def order(self):
         """Exact order in Aut(F_n), or math.inf.

@@ -11,7 +11,7 @@ import pytest
 
 import fatf
 from conftest import block_diagonal, companion, ia_map, letter_map, slow_infinite_order_matrix
-from fatf import FreeMap, IntMatrix, jsonio
+from fatf import FreeMap, IntMatrix, budget, jsonio
 from fatf.bounds import MAX_M, MAX_N
 from fatf.cli import EXIT_BAD_JSON, EXIT_OK, EXIT_UNKNOWN, EXIT_VALIDATION, _dump, run
 from fatf.freewords import format_word
@@ -384,7 +384,7 @@ class TestBudgets:
 
     def test_words_spelled_unreduced_and_budgeted(self):
         assert jsonio.word_from_json("z1 z1^-1") == (1, -1)
-        with jsonio.request():
+        with budget.scope():
             assert len(jsonio.word_from_json("z1^60000")) == 60_000
             with pytest.raises(ValueError, match="in all"):
                 jsonio.word_from_json("z2^60000")
@@ -608,14 +608,14 @@ class TestBudgets:
         # `fix` died of a MemoryError under this limit. Both are refused
         # before spelling, in about the time their words take to read and fold
         letters, fold_s, replies = _in_one_gib(
-            "from fatf import jsonio\n"
+            "from fatf import budget, jsonio\n"
             "from fatf.freewords import stallings\n"
             "mor = {'phi': ['z1 z2^50000', 'z2'], 'Q': [], 'P': [[], []]}\n"
             "fix = {'m': 0, 'n': 2, 'morphisms': [mor], 'fixed_bases': [['z1^49998']]}\n"
             "H = {'free': [{'t': [], 'w': 'z1^49997'}], 'abelian': []}\n"
             "closure = {'m': 0, 'n': 2, 'subgroup': H, 'morphisms': [mor], 'fixed_bases': [['z2']]}\n"
             "t0 = time.perf_counter()\n"
-            "with jsonio.request():\n"
+            "with budget.scope():\n"
             "    images = [jsonio.word_from_json(w) for w in mor['phi']]\n"
             "    stallings(images, 2), stallings([jsonio.word_from_json('z1^49998')], 2)\n"
             "fold_s = time.perf_counter() - t0\n"
@@ -632,6 +632,59 @@ class TestBudgets:
             assert code == EXIT_VALIDATION and out.count("\n") == 1
             assert json.loads(out)["error"] == f"checking the {words} {limit}"
             assert seconds < 2 * fold_s + 0.1
+
+    def test_inverse_checks_share_the_request_cap(self):
+        # phi = (z1 -> z1 z2^990) then (z2 -> z2 z1^2): 5,948 letters with its
+        # inverse images, whose check spells 3,930,306, under the cap. A `fix`
+        # of sixteen copies (95,168 letters) checked each map alone and
+        # answered after about 4 s; counted over the request, the second
+        # check is refused, in about the time one copy takes to answer
+        mor = {
+            "phi": ["z1" + " z2 z1^2" * 990, "z2 z1^2"],
+            "phi_inv": ["z1 z2^-990", "z2^991 z1^-1 z2^990 z1^-1"],
+            "Q": [],
+            "P": [[], []],
+        }
+        images, inverse = ([jsonio.word_from_json(w) for w in mor[key]] for key in ("phi", "phi_inv"))
+        assert sum(map(len, images + inverse)) == 5_948
+        limit = fatf.morphisms.MAX_SPELLED_LETTERS
+        assert fatf.morphisms._letters(inverse, images) == 3_930_306 <= limit
+        one, sixteen = _in_one_gib(
+            f"mor = {mor!r}\n"
+            "replies = []\n"
+            "for k in (1, 16):\n"
+            "    body = json.dumps({'m': 0, 'n': 2, 'morphisms': [mor] * k, 'fixed_bases': [[]] * k})\n"
+            "    t0 = time.perf_counter(); code, out = run(['fix'], body)\n"
+            "    replies.append([code, out, time.perf_counter() - t0])\n"
+            "print(json.dumps(replies))\n"
+        )
+        assert one[0] == EXIT_OK and json.loads(one[1])["result"]["fg"] is True
+        error = f"checking the inverse images would spell more than {limit} letters"
+        assert sixteen[:2] == [EXIT_VALIDATION, _dump({"ok": False, "error": error})]
+        assert sixteen[2] < 2 * one[2] + 0.1
+
+    def test_spelled_letters_counted_per_request(self, monkeypatch):
+        # phi(z1) = z1 z2^300 fixes the given basis z2, z1 z2^2 z1^-1, and the
+        # subgroup's word z1 z2 z1^-1 z2^-1, whose graph does not map into the
+        # basis graph; with P = (0, 1) Fix is not finitely generated. Checking
+        # the fixed words spells 605 letters and the subgroup's word 604: each
+        # fits a cap of 1,000 alone, as in the library, but not in one request
+        monkeypatch.setattr(fatf.morphisms, "MAX_SPELLED_LETTERS", 1000)
+        mor = {"phi": ["z1 z2^300", "z2"], "Q": [["1"]], "P": [["0"], ["1"]]}
+        fix = {"m": 1, "n": 2, "morphisms": [mor], "fixed_bases": [["z2", "z1 z2^2 z1^-1"]]}
+        closure = dict(fix, subgroup={"free": [{"t": ["0"], "w": "z1 z2 z1^-1 z2^-1"}], "abelian": []})
+        ambient = fatf.Ambient(1, 2)
+        inp, H = fatf.cli._fix_input(closure, ambient), jsonio.subgroup_from_json(closure["subgroup"], ambient)
+        images = inp.morphisms[0].phi.images
+        assert fatf.morphisms._letters(images, inp.fixed_free_bases[0]) == 605
+        assert fatf.morphisms._letters(images, H.graph.basis_words) == 604
+        assert H.graph.maps_into(inp.graph) is None
+        assert fatf.autofixed_closure(H, inp).basis is None
+        assert _rejected(["closure"], closure) == "checking the basis words would spell more than 1000 letters"
+        # the refused request leaves no count open: each `fix` starts at zero
+        for _ in range(2):
+            code, out = run(["fix"], json.dumps(fix))
+            assert code == EXIT_OK and json.loads(out)["result"]["fg"] is False
 
     def test_rank_costs_nothing(self):
         # basis and member work on the letters their words use, never on the

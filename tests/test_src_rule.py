@@ -236,6 +236,35 @@ def test_unused_imports_are_found():
     assert _unused_imports(tree, frozenset({"C"})) == ["itertools"]
 
 
+def _context_variables(tree: ast.Module) -> tuple[bool, int]:
+    """Whether tree imports contextvars, and how many ContextVar calls it
+    makes, by name or as an attribute."""
+    imports = any(
+        isinstance(node, ast.Import) and any(a.name == "contextvars" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "contextvars"
+        for node in ast.walk(tree)
+    )
+    calls = sum(
+        isinstance(node, ast.Call) and "ContextVar" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        for node in ast.walk(tree)
+    )
+    return imports, calls
+
+
+def test_one_context_variable_counts_work():
+    # every running budget spends through budget.spend, so no second count
+    # can creep in beside the one ledger
+    found = {mod: _context_variables(tree) for mod, tree in _modules().items()}
+    assert {mod: seen for mod, seen in found.items() if seen != (False, 0)} == {"budget": (True, 1)}
+
+
+def test_context_variables_are_found():
+    assert _context_variables(ast.parse("import contextvars\nv = contextvars.ContextVar('v')\n")) == (True, 1)
+    assert _context_variables(ast.parse("from contextvars import ContextVar as C\n")) == (True, 0)
+    assert _context_variables(ast.parse("from contextvars import ContextVar\na, b = ContextVar('a'), ContextVar('b')\n")) == (True, 2)
+    assert _context_variables(ast.parse("import contextlib\nx = contextlib.nullcontext()\n")) == (False, 0)
+
+
 def test_no_assert_in_src():
     # checks are explicit raises, so python -O keeps them
     found = [
