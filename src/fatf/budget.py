@@ -1,5 +1,5 @@
 """One running count of work by kind, which every running budget spends from:
-one count per CLI request (`cli.run`), else one per library call that spells."""
+one count per CLI request (`cli.run`), else one per library call that counts."""
 
 from contextvars import ContextVar
 from typing import Optional

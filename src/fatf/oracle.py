@@ -36,12 +36,13 @@ of the box, and the letters the half-word tables store, at most
 (half-words) * H * (1 + sum_i (1 + K_i)), K_i the longest image of phi_i,
 both at MAX_ENUMERATION, and the larger half of the split box, at
 MAX_OUTPUT_ELEMENTS vectors. The answer is counted word by word as the join
-finds it: its elements may not pass MAX_OUTPUT_ELEMENTS, nor its word
-letters, counted once per element as a reply spells them, MAX_OUTPUT_LETTERS,
-nor the fixed words with no vector in the box, which cost the walk as much
-as the others, MAX_OUTPUT_ELEMENTS. A shift whose box alone could pass what
-is left of the element cap has its solutions counted from the split box's
-table before any is listed, so no list past the cap is built.
+finds it, through `budget.spend`: on the request's ledger in `oracle-check`,
+alone in a library call. Its elements may not pass MAX_OUTPUT_ELEMENTS, nor
+its word letters, counted once per element as a reply spells them,
+MAX_OUTPUT_LETTERS, nor the fixed words with no vector in the box, which
+cost the walk as much as the others, MAX_OUTPUT_ELEMENTS. A shift whose box
+alone could pass the element cap has its solutions counted from the split
+box's table before any is listed, so no list past the cap is built.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from . import freewords
+from . import budget, freewords
 from .fatfcore import Vec
 from .freewords import Word
 from .morphisms import Morphism
@@ -182,17 +183,17 @@ def _half_word_tables(maps: Sequence[Morphism], L: int) -> list[dict[Word, list[
     return tables
 
 
-def _shift_solver(maps: Sequence[Morphism], c: int) -> Callable[[Vec, int], list[Vec]]:
-    """(s, room) -> the ascending list of the a in the box |a_j| <= c with
-    a R = s, R = [I - Q_1 | ... | I - Q_k] the stacked m x km matrix of the
-    maps, memoized per s; ValueError when it holds more than room vectors.
+def _shift_solver(maps: Sequence[Morphism], c: int) -> Callable[[Vec], list[Vec]]:
+    """s -> the ascending list of the a in the box |a_j| <= c with a R = s,
+    R = [I - Q_1 | ... | I - Q_k] the stacked m x km matrix of the maps,
+    memoized per s; ValueError when it holds more than MAX_OUTPUT_ELEMENTS.
 
     a R = a1 R1 + a2 R2 for the split a = (a1, a2) of the coordinates,
     R1 the first ceil(m/2) rows of R and R2 the last floor(m/2): one
     dict from a2 R2 to the ascending a2, and for each s a scan of a1
     ascending that looks up s - a1 R1. So a1 outer and a2 inner list the
     vectors ascending, and no call visits the whole box. When the box
-    holds more than room vectors, a first scan counts them without listing."""
+    holds more than the cap, a first scan counts them without listing."""
     m = maps[0].ambient.m
     rows = [[(i == j) - psi.Q.entries[i][j] for psi in maps for j in range(m)] for i in range(m)]
     half = (m + 1) // 2
@@ -219,16 +220,16 @@ def _shift_solver(maps: Sequence[Morphism], c: int) -> Callable[[Vec, int], list
         """The number of solutions for s, none of them listed."""
         return sum(len(right.get(tuple([x - y for x, y in zip(s, s1)]), ())) for _, s1 in left)
 
-    def solve(s: Vec, room: int) -> list[Vec]:
+    def solve(s: Vec) -> list[Vec]:
         found = memo.get(s)
-        if found is None and (box <= room or count(s) <= room):
+        if found is None:
+            if box > MAX_OUTPUT_ELEMENTS and count(s) > MAX_OUTPUT_ELEMENTS:
+                raise ValueError(f"the answer would hold more than {MAX_OUTPUT_ELEMENTS} elements")
             found = memo[s] = [
                 a1 + a2
                 for a1, s1 in left
                 for a2 in right.get(tuple([x - y for x, y in zip(s, s1)]), ())
             ]
-        if found is None or len(found) > room:
-            raise ValueError(f"the answer would hold more than {MAX_OUTPUT_ELEMENTS} elements")
         return found
 
     return solve
@@ -255,36 +256,35 @@ def brute_fixed(maps: Sequence[Morphism], bounds: Bounds) -> list[tuple[Word, li
         raise ValueError("need at least one morphism")
     _check_budget(maps, bounds)
     n = maps[0].ambient.n
-    L = bounds.word_len_max
+    L = bounds.word_len_max if n else 0  # F_0 has only the empty word
     tables = _half_word_tables(maps, L)
     solve = _shift_solver(maps, bounds.coord_abs_max)
     order = {a: i for i, a in enumerate(freewords.alphabet(n))}
-    room, letters, idle = MAX_OUTPUT_ELEMENTS, MAX_OUTPUT_LETTERS, MAX_OUTPUT_ELEMENTS
     runs: list[tuple[Word, list[Vec]]] = []
-    for ell in range(L + 1):
-        found: list[tuple[Word, list[Vec]]] = []
-        left = tables[(ell + 1) // 2]
-        # at even ell > 0 a key needs two half-words: a lone x meets only x
-        fewest = 2 if ell and ell % 2 == 0 else 1
-        for key, ys in tables[ell // 2].items():
-            us = left.get(key) if len(ys) >= fewest else None
-            if us is None:
-                continue
-            for y, yrest in ys:
-                v = freewords.invert(y)
-                for w in [u + v for u, urest in us if urest == yrest and not (y and u[-1] == y[-1])]:
-                    ab = freewords.abelianize(w, n)
-                    vecs = solve(tuple([x for psi in maps for x in psi.P.apply_row(ab)]), room)
-                    if vecs:
-                        room -= len(vecs)
-                        letters -= len(w) * len(vecs)
-                        if letters < 0:
+    with budget.scope():
+        for ell in range(L + 1):
+            found: list[tuple[Word, list[Vec]]] = []
+            left = tables[(ell + 1) // 2]
+            # at even ell > 0 a key needs two half-words: a lone x meets only x
+            fewest = 2 if ell and ell % 2 == 0 else 1
+            for key, ys in tables[ell // 2].items():
+                us = left.get(key) if len(ys) >= fewest else None
+                if us is None:
+                    continue
+                for y, yrest in ys:
+                    v = freewords.invert(y)
+                    for w in [u + v for u, urest in us if urest == yrest and not (y and u[-1] == y[-1])]:
+                        ab = freewords.abelianize(w, n)
+                        vecs = solve(tuple([x for psi in maps for x in psi.P.apply_row(ab)]))
+                        if not vecs:
+                            if budget.spend("fixed words with no vector", 1, MAX_OUTPUT_ELEMENTS):
+                                raise ValueError(f"the join would find more than {MAX_OUTPUT_ELEMENTS} fixed words with no vector")
+                            continue
+                        if budget.spend("answer elements", len(vecs), MAX_OUTPUT_ELEMENTS):
+                            raise ValueError(f"the answer would hold more than {MAX_OUTPUT_ELEMENTS} elements")
+                        if budget.spend("answer letters", len(w) * len(vecs), MAX_OUTPUT_LETTERS):
                             raise ValueError(f"the answer would spell more than {MAX_OUTPUT_LETTERS} letters")
                         found.append((w, vecs))
-                    else:
-                        idle -= 1
-                        if idle < 0:
-                            raise ValueError(f"the join would find more than {MAX_OUTPUT_ELEMENTS} fixed words with no vector")
-        found.sort(key=lambda run: tuple(map(order.__getitem__, run[0])))
-        runs.extend(found)
+            found.sort(key=lambda run: tuple(map(order.__getitem__, run[0])))
+            runs.extend(found)
     return runs

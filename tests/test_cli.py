@@ -99,6 +99,32 @@ class TestErrorPaths:
             assert code == EXIT_VALIDATION
             assert json.loads(out) == {"ok": False, "error": error}
 
+    ONE_MAP = {"m": 0, "n": 1, "morphisms": [{"phi": ["z1"], "Q": [], "P": [[]]}], "fixed_bases": [["z1"]]}
+
+    @pytest.mark.parametrize(
+        "argv, stdin, code, error",
+        [
+            (["frobnicate"], "", EXIT_UNKNOWN, "unknown subcommand"),
+            (["fix"], "[1, 2]", EXIT_BAD_JSON, "payload must be an object"),
+            (["fix"], {"m": 1, "n": 1}, EXIT_VALIDATION, "payload needs lists morphisms and fixed_bases"),
+            (["basis"], {"m": 1, "n": 1}, EXIT_VALIDATION, "payload needs a list of generators"),
+            (["oracle-check"], ONE_MAP, EXIT_VALIDATION, "payload needs a bounds object"),
+            (["member"], {"m": 1, "n": 1, "subgroup": "z1"}, EXIT_VALIDATION, "expected a subgroup object"),
+            (["order"], {"m": 1, "n": 1}, EXIT_VALIDATION, "expected a morphism object"),
+            (
+                ["member"],
+                {"m": 1, "n": 1, "subgroup": {"free": [], "abelian": []}, "element": {"t": [], "w": ""}},
+                EXIT_VALIDATION,
+                "expected a vector of length 1",
+            ),
+            (["order"], {"m": 0, "n": 101, "morphism": {}}, EXIT_VALIDATION, "morphisms are read for free rank n <= 100"),
+        ],
+        ids=["subcommand", "not an object", "fix lists", "generators", "bounds", "subgroup", "morphism", "vector", "rank"],
+    )
+    def test_front_end_refusal(self, argv, stdin, code, error):
+        text = stdin if isinstance(stdin, str) else json.dumps(stdin)
+        assert run(argv, text) == (code, _dump({"ok": False, "error": error}))
+
     GOOD_MAP = {"phi": ["z1 z2", "z2"], "phi_inv": ["z1 z2^-1", "z2"], "Q": [["1"]], "P": [["0"], ["1"]]}
     NOT_ONTO = {"phi": ["z1 z1", "z2"], "Q": [["1"]], "P": [["0"], ["1"]]}
 
@@ -456,6 +482,24 @@ class TestBudgets:
         assert cap_s < 20 * ref_s + 0.5
         assert box_s < 2 * ref_s + 0.1 and half_s < 2 * ref_s + 0.1
         assert words_s < 2 * cap_s + 0.5 and idle_s < 2 * cap_s + 0.5
+
+    def test_oracle_free_rank_zero(self):
+        # F_0 has only the empty word, yet the join walked every length up to
+        # L: at L = 8 * 10^6 it took 5.7 s and 291 MiB, and at the largest L
+        # the budgets pass, 29,999,999, it died of a MemoryError under this
+        # limit. It answers as at L = 0, in about the same time
+        (ref, ref_s), (top, top_s) = _in_one_gib(
+            "mor = {'phi': [], 'phi_inv': [], 'Q': [], 'P': []}\n"
+            "replies = []\n"
+            "for L in (0, 29_999_999):\n"
+            "    bounds = {'word_len_max': str(L), 'coord_abs_max': '0'}\n"
+            "    body = json.dumps({'m': 0, 'n': 0, 'morphisms': [mor], 'fixed_bases': [[]], 'bounds': bounds})\n"
+            "    t0 = time.perf_counter(); replies.append([run(['oracle-check'], body), time.perf_counter() - t0])\n"
+            "print(json.dumps(replies))\n"
+        )
+        assert ref == [EXIT_OK, _dump({"ok": True, "fixed": [{"t": [], "w": ""}], "fg": True, "contained": True})]
+        assert top == ref
+        assert top_s < 2 * ref_s + 0.1
 
     @pytest.mark.parametrize("m, n", [("1", "400"), ("10000000", "1"), ("1", "100000")])
     def test_constants_ranks(self, m, n):

@@ -21,7 +21,7 @@ from conftest import (
     reference_member,
     signed_perm_matrix,
 )
-from fatf import Ambient, FreeMap, GroupElement, IntMatrix, Lattice, Morphism, SubgroupBasis, cli, fix_tuple, freewords, jsonio, member, oracle, subgroup_basis
+from fatf import Ambient, FreeMap, GroupElement, IntMatrix, Lattice, Morphism, SubgroupBasis, budget, cli, fix_tuple, freewords, jsonio, member, oracle, subgroup_basis
 from fatf.cli import EXIT_OK, _dump, run
 from fatf.fixpoint import FixInput
 from fatf.morphisms import power
@@ -290,15 +290,40 @@ class TestOutputCaps:
             brute_fixed(ident, Bounds(0, 23))
 
     def test_solver_room(self, monkeypatch):
-        # the solver refuses a shift with more solutions than the room left
-        # and lists it where it fits; TestBudgets::test_oracle_output times
-        # the count of a shift too large to list under 1 GiB
-        monkeypatch.setattr(oracle, "MAX_OUTPUT_ELEMENTS", 100)
+        # the solver refuses a shift with more solutions than the element cap
+        # and lists it at the cap; TestBudgets::test_oracle_output times the
+        # count of a shift too large to list under 1 GiB
         amb = Ambient(3, 1)
         solve = oracle._shift_solver([Morphism.identity(amb)], 2)
-        with pytest.raises(ValueError, match="hold more than 100 elements"):
-            solve((0, 0, 0), 100)
-        assert len(solve((0, 0, 0), 125)) == 125
+        monkeypatch.setattr(oracle, "MAX_OUTPUT_ELEMENTS", 124)
+        with pytest.raises(ValueError, match="hold more than 124 elements"):
+            solve((0, 0, 0))
+        # past the cap a shift's solutions are counted first: this one has none
+        assert solve((1, 0, 0)) == []
+        monkeypatch.setattr(oracle, "MAX_OUTPUT_ELEMENTS", 125)
+        assert len(solve((0, 0, 0))) == 125
+
+    def test_caps_spend_from_the_open_ledger(self):
+        # a call joins an open scope: an answer of 9 elements fits in the
+        # last 9 of the element cap, and not in the last 8
+        cap = oracle.MAX_OUTPUT_ELEMENTS
+        ident = [Morphism.identity(Ambient(1, 1))]
+        with budget.scope():
+            budget.spend("answer elements", cap - 9, cap)
+            assert len(brute_elements(ident, Bounds(1, 1))) == 9
+        with budget.scope():
+            budget.spend("answer elements", cap - 8, cap)
+            with pytest.raises(ValueError) as refused:
+                brute_fixed(ident, Bounds(1, 1))
+        assert str(refused.value) == f"the answer would hold more than {cap} elements"
+
+    def test_library_calls_count_alone(self, monkeypatch):
+        # outside a scope each call opens its own: two answers of 45
+        # elements, each 60% of the cap, both fit
+        monkeypatch.setattr(oracle, "MAX_OUTPUT_ELEMENTS", 75)
+        ident = [Morphism.identity(Ambient(1, 1))]
+        for _ in range(2):
+            assert len(brute_elements(ident, Bounds(1, 7))) == 45
 
     def test_words_with_no_vector(self, monkeypatch):
         # with Q = I and P = I only the words with w_ab = 0 have a vector:

@@ -265,6 +265,47 @@ def test_context_variables_are_found():
     assert _context_variables(ast.parse("import contextlib\nx = contextlib.nullcontext()\n")) == (False, 0)
 
 
+def _countdowns(tree: ast.Module) -> list[str]:
+    """The functions in tree that bind a MAX_* constant, by name or as an
+    attribute, to a local name: a cap counted down by hand."""
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Assign):
+                targets, value = node.targets, node.value
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign, ast.NamedExpr)):
+                targets, value = [node.target], node.value
+            else:
+                continue
+            binds = any(isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store) for t in targets for n in ast.walk(t))
+            reads = value is not None and any(
+                getattr(n, "id", getattr(n, "attr", "")).startswith("MAX_") for n in ast.walk(value)
+            )
+            if binds and reads:
+                found.add(func.name)
+    return sorted(found)
+
+
+def test_running_budgets_spend_through_the_ledger():
+    # a running count goes through budget.spend, whose scope a request
+    # shares; a cap copied into a local is counted down beside the ledger
+    found = [f"{mod}.{name}" for mod, tree in _modules().items() for name in _countdowns(tree)]
+    assert found == []
+
+
+def test_countdowns_are_found():
+    tree = ast.parse(
+        "import oracle\nMAX_A = 1\n"
+        "def f():\n    room, left = MAX_A, oracle.MAX_B\n"
+        "def g(x):\n    if x > MAX_A:\n        raise ValueError(MAX_A)\n    self.cap = MAX_A\n"
+        "def h(x):\n    x -= MAX_A\n"
+        "def k():\n    def inner():\n        return (y := MAX_A - 1)\n    c: int = max(0, MAX_A)\n"
+    )
+    assert _countdowns(tree) == ["f", "h", "inner", "k"]
+
+
 def test_no_assert_in_src():
     # checks are explicit raises, so python -O keeps them
     found = [
