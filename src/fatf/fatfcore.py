@@ -98,8 +98,11 @@ class SubgroupBasis:
             raise ValueError("graph lives in the wrong ambient")
         if len(self.vectors) != self.graph.rank:
             raise ValueError("need one vector per basis word of the graph")
-        # canonical: a_i is only defined modulo the abelian part
-        object.__setattr__(self, "vectors", tuple([self.abelian_part.reduce(a)[1] for a in self.vectors]))
+        # canonical: a_i is only defined modulo the abelian part; each distinct
+        # vector, keyed as a tuple so that lists are taken too, is reduced once
+        reduce, residue = self.abelian_part.reduce, {}
+        vectors = [residue[a] if a in residue else residue.setdefault(a, reduce(a)[1]) for a in map(tuple, self.vectors)]
+        object.__setattr__(self, "vectors", tuple(vectors))
 
     @classmethod
     def from_words(
@@ -186,7 +189,8 @@ def subgroup_contains(H: SubgroupBasis, K: SubgroupBasis) -> bool:
     basis word u of K onto a closed walk in H's graph; t^a u lies in H
     exactly when a minus the sum of H's vectors along that walk (+-a_i at
     each crossing of basis edge i) lies in H's abelian part, as K's abelian
-    rows must. signed[i] is that term, for i < 0 counted from the end.
+    rows must; each distinct pair (a, sum) is checked once. signed[i] is that
+    term, for i < 0 counted from the end.
     """
     _check_same(H.ambient, K.ambient)
     image = K.graph.maps_into(H.graph)
@@ -197,7 +201,7 @@ def subgroup_contains(H: SubgroupBasis, K: SubgroupBasis) -> bool:
     sums = K.graph.basis_sums(lambda v, a: signed[crossings[image[v]].get(a, 0)], H.ambient.m)
     L = H.abelian_part
     return all(map(L.contains, K.abelian_part.basis.entries)) and all(
-        L.contains(tuple(map(sub, a, s))) for a, s in zip(K.vectors, sums)
+        L.contains(tuple(map(sub, a, s))) for a, s in set(zip(K.vectors, sums))
     )
 
 

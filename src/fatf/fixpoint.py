@@ -43,9 +43,9 @@ class BudgetExceeded(ValueError):
 
 # Most vertices fix_tuple gives its answer's graph, the cover with ell vertices
 # over each vertex of the fixed-basis graph. At the budget (ell = 1024) the F_2
-# family phi = id, Q = U^-1 [[ell+2, 1], [-1, 0]] U, P = U takes 13.7 ms and
-# is_autofixed of its answer 17.0 ms, as it checks H on the graphs and finds it
-# equal to the answer (BENCH_33.json's sweep: best of 5, Python 3.11.7, shared
+# family phi = id, Q = U^-1 [[ell+2, 1], [-1, 0]] U, P = U takes 7.6 ms and
+# is_autofixed of its answer 9.1 ms, as it checks H on the graphs and finds it
+# equal to the answer (BENCH_39.json's sweep: best of 9, Python 3.11.7, shared
 # 2-core x86_64). Its basis has 526,336 letters, spelled only when the answer
 # is read: the JSON of `fix` takes about 0.2 s more.
 MAX_COVER_VERTICES = 1024
@@ -209,10 +209,16 @@ def fix_tuple(inp: FixInput) -> FixResult:
         if None in solutions:
             raise CertificateError("a preimage row maps outside the image of I - Q")
         E = IntMatrix._trusted(tuple(solutions), m)
-        reduced = [preimage.reduce(u) for u in answer.basis_abelianized]
-        if any(any(res) for _, res in reduced):
-            raise CertificateError("an answer word abelianizes outside the preimage")
-        basis = SubgroupBasis(ambient, answer, [E.apply_row(xs) for xs, _ in reduced], kernel)
+        # a word's vector depends only on its abelianization, and the ell(r-1)+1
+        # answer words share few of them, so each is reduced and mapped once
+        us = answer.basis_abelianized
+        vector = {}
+        for u in dict.fromkeys(us):
+            xs, res = preimage.reduce(u)
+            if any(res):
+                raise CertificateError("an answer word abelianizes outside the preimage")
+            vector[u] = E.apply_row(xs)
+        basis = SubgroupBasis(ambient, answer, [vector[u] for u in us], kernel)
     elif graph.rank == 1:
         # cyclic free intersection whose generator picks up a nonzero abelian
         # defect: no power of it extends to a fixed element, so only the
@@ -236,8 +242,8 @@ def _certify(inp: FixInput, H: SubgroupBasis, error: type[Exception] = Certifica
     checked every fixed-basis word against its map; it accepts a sub-basis
     of Fix phi for maps other than the identity, so the words of a graph off
     inp.graph are spelled and applied, all counted first (`morphisms.spend_letters`).
-    The second is one product (u_ab, a) [[P], [Q]] per element and map, u_ab
-    read off the graph's vertex potentials; an abelian row b needs bQ = b.
+    The second is one product (u_ab, a) [[P], [Q]] per distinct pair and map,
+    u_ab read off the graph's vertex potentials; an abelian row b needs bQ = b.
     """
     if H.graph.maps_into(inp.graph) is None:
         words = H.graph.basis_words
@@ -247,12 +253,13 @@ def _certify(inp: FixInput, H: SubgroupBasis, error: type[Exception] = Certifica
         for psi in inp.morphisms:
             if any(psi.phi.apply(u) != u for u in words):
                 raise error("the graph does not map into the fixed-basis graph and a basis word is not fixed")
+    pairs = set(zip(H.vectors, H.graph.basis_abelianized))
     for psi in inp.morphisms:
         for b in H.abelian_part.basis.entries:
             if psi.Q.apply_row(b) != b:
                 raise error("abelian basis row not fixed")
         block = IntMatrix._trusted(psi.P.entries + psi.Q.entries, psi.ambient.m)
-        for a, u in zip(H.vectors, H.graph.basis_abelianized):
+        for a, u in pairs:
             if block.apply_row(u + a) != a:
                 raise error("basis element not fixed")
 

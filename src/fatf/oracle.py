@@ -118,9 +118,9 @@ def _word_count(n: int, max_len: int) -> int:
     return 1 + n * ((2 * n - 1) ** min(max_len, 64) - 1) // max(n - 1, 1)
 
 
-def _check_budget(maps: Sequence[Morphism], bounds: Bounds) -> None:
+def _check_budget(maps: Sequence[Morphism], L: int, c: int) -> None:
+    """Refuse bounds past a budget, for L the word length the join walks."""
     m, n = maps[0].ambient.m, maps[0].ambient.n
-    L, c = bounds.word_len_max, bounds.coord_abs_max
     # every word with the full box, although the join walks only fixed
     # words and the split lookup never builds the box
     if _word_count(n, L) * (2 * c + 1) ** min(m, 64) > MAX_ENUMERATION:
@@ -254,9 +254,9 @@ def brute_fixed(maps: Sequence[Morphism], bounds: Bounds) -> list[tuple[Word, li
     docstring, or the answer or its words with no vector an output cap."""
     if not maps:
         raise ValueError("need at least one morphism")
-    _check_budget(maps, bounds)
     n = maps[0].ambient.n
     L = bounds.word_len_max if n else 0  # F_0 has only the empty word
+    _check_budget(maps, L, bounds.coord_abs_max)
     tables = _half_word_tables(maps, L)
     solve = _shift_solver(maps, bounds.coord_abs_max)
     order = {a: i for i, a in enumerate(freewords.alphabet(n))}

@@ -501,6 +501,17 @@ class TestBudgets:
         assert top == ref
         assert top_s < 2 * ref_s + 0.1
 
+    def test_oracle_free_rank_zero_budgets_the_walked_length(self):
+        # at n = 0 the join walks L = 0 whatever L is asked, and the half-word
+        # budget counts that L, so an L past its 30,000,000 letters answers as
+        # L = 0 does
+        mor = {"phi": [], "phi_inv": [], "Q": [], "P": []}
+        replies = []
+        for L in (0, 30_000_001, 10**9):
+            bounds = {"word_len_max": str(L), "coord_abs_max": "0"}
+            replies.append(run(["oracle-check"], json.dumps({"m": 0, "n": 0, "morphisms": [mor], "fixed_bases": [[]], "bounds": bounds})))
+        assert replies[0][0] == EXIT_OK and replies[1:] == [replies[0]] * 2
+
     @pytest.mark.parametrize("m, n", [("1", "400"), ("10000000", "1"), ("1", "100000")])
     def test_constants_ranks(self, m, n):
         assert "constants are reported" in _rejected(["constants", "--m", m, "--n", n], "")

@@ -111,6 +111,19 @@ class TestSubgroupBasis:
         with pytest.raises(ValueError, match="0.5 is not an integer"):
             SubgroupBasis(Ambient(1, 1), stallings([(1,)], 1), [(0.5,)], Lattice.from_rows([], 1))
 
+    def test_vectors_as_lists(self):
+        # the constructor takes any sequences of integers, equal or not,
+        # and stores each vector as its reduced tuple
+        graph = stallings([(1, 1), (2,), (1, 2, -1)], 2)
+        L = Lattice.from_rows([[0, 3]], 2)
+        given = [[1, 4], (1, 4), [-2, 0]]
+        H = SubgroupBasis(AMB, graph, given, L)
+        assert H == SubgroupBasis(AMB, graph, [tuple(a) for a in given], L)
+        assert H.vectors == ((1, 1), (1, 1), (-2, 0))
+        assert all(type(a) is tuple for a in H.vectors)
+        with pytest.raises(ValueError, match="0.5 is not an integer"):
+            SubgroupBasis(AMB, graph, [[1, 4], [1, 0.5], [1, 0.5]], L)
+
     def test_basis_independent_of_generator_order(self):
         # <t^(1,0) z1, t^(0,1) z1>: the free vector is reduced modulo the
         # abelian lattice [(1,-1)], so both orders give the same bytes

@@ -570,6 +570,38 @@ def test_qt_reduced_once(monkeypatch):
     assert sum(reductions) == 1
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_vector_work_once_per_distinct_abelianization(monkeypatch, k):
+    # the 257 answer words at ell 256 have 3 abelianizations: the preimage
+    # reduces each once, and the certificate checks each distinct pair
+    # (vector, u_ab) once per map, by one product with [[P], [Q]]
+    psi = ell_family(256)
+    n, m = psi.ambient.n, psi.ambient.m
+    reduced, products, in_certify = [], [], []
+    real_reduce, real_apply, real_certify = Lattice.reduce, IntMatrix.apply_row, fixpoint._certify
+    monkeypatch.setattr(Lattice, "reduce", lambda self, v: reduced.append(self) or real_reduce(self, v))
+
+    def apply_row(self, v):
+        products.append(bool(in_certify) and self.rows == n + m)
+        return real_apply(self, v)
+
+    def certify(*args):
+        in_certify.append(True)
+        try:
+            return real_certify(*args)
+        finally:
+            in_certify.pop()
+
+    monkeypatch.setattr(IntMatrix, "apply_row", apply_row)
+    monkeypatch.setattr(fixpoint, "_certify", certify)
+    res = fix_tuple(FixInput((psi,) * k, (((1,), (2,)),) * k))
+    B, preimage = res.basis, res.diagnostics.preimage
+    us = B.graph.basis_abelianized
+    assert B.rank == 257 and len(set(us)) == 3 and len(set(zip(B.vectors, us))) == 3
+    assert sum(lattice is preimage for lattice in reduced) == 3
+    assert sum(products) == 3 * k
+
+
 def _corrupt_first_solution(monkeypatch):
     real = fixpoint.left_solver
     calls = []
@@ -675,6 +707,37 @@ class TestCertificates:
         _corrupt_first_solution(monkeypatch)
         with pytest.raises(CertificateError, match="not fixed"):
             fix_single(worked_morphism(), [(2,), (3,)])
+
+    def test_corrupted_vector_on_a_shared_abelianization_is_caught(self, monkeypatch):
+        # the 65 words at ell 64 share 3 abelianizations; the certificate
+        # checks each distinct (vector, u_ab) pair, so a wrong vector on a
+        # word whose u_ab an earlier word has is still caught
+        inp = FixInput((ell_family(64),), (((1,), (2,)),))
+        B = fix_tuple(inp).basis
+        us = B.graph.basis_abelianized
+        assert B.rank == 65 and len(set(us)) == 3
+        i = max(j for j, u in enumerate(us) if u in us[:j])
+        e = (1, 0)
+
+        def corrupted(vectors):
+            return [tuple(map(operator.add, a, e)) if j == i else a for j, a in enumerate(vectors)]
+
+        bad = SubgroupBasis(B.ambient, B.graph, corrupted(B.vectors), B.abelian_part)
+        assert bad.vectors[i] != B.vectors[i]
+        with pytest.raises(CertificateError, match="basis element not fixed"):
+            fixpoint._certify(inp, bad)
+        with pytest.raises(CertificateError):
+            reference_certify(inp.morphisms, bad)
+        # inside fix_tuple: the same word's vector moved on its way to the
+        # basis, or the first preimage row's solution moved
+        real = fixpoint.SubgroupBasis
+        with monkeypatch.context() as mp:
+            mp.setattr(fixpoint, "SubgroupBasis", lambda amb, graph, vectors, L: real(amb, graph, corrupted(vectors), L))
+            with pytest.raises(CertificateError, match="basis element not fixed"):
+                fix_tuple(inp)
+        _corrupt_first_solution(monkeypatch)
+        with pytest.raises(CertificateError, match="basis element not fixed"):
+            fix_tuple(inp)
 
     def test_redirected_edge_is_caught(self, monkeypatch):
         psi = conjugated_flip()
