@@ -34,6 +34,14 @@ def _as_int(x) -> int:
 
 
 def _as_vec(v: Iterable[int]) -> Vec:
+    """v as a tuple of `_as_int`s: in one C-level test when int() keeps every
+    entry equal, else entry by entry, so the first bad entry raises."""
+    v = tuple(v)
+    try:
+        if (t := tuple(map(int, v))) == v:
+            return t
+    except Exception:
+        pass
     return tuple([_as_int(x) for x in v])
 
 
@@ -86,15 +94,21 @@ def _dense(rows: Iterable[list[tuple[int, int]]], c: int) -> tuple[Vec, ...]:
 def _sparse_product(X: list, Y: list, c: int) -> list[list[tuple[int, int]]]:
     """X * Y on sparse rows (`_sparse`), Y of c columns (Gustavson, 1978): each
     nonzero (k, x) of an X row adds x * Y[k] in place into a fresh accumulator,
-    touching only the nonzeros of Y[k], and the row is kept as its nonzeros."""
+    touching only the nonzeros of Y[k], and keeps the row's nonzeros. A row
+    whose one nonzero is (k, x) is Y[k] itself (x = 1) or x * Y[k], with no
+    accumulator: product rows may be Y's lists, never changed in place."""
     out = []
     for row in X:
+        if len(row) == 1:
+            k, x = row[0]
+            out.append(Y[k] if x == 1 else [(j, x * y) for j, y in Y[k]])
+            continue
         acc = [0] * c
         for k, x in row:
             for j, y in Y[k]:
                 acc[j] += x * y
-        out.append(acc)
-    return _sparse(out)
+        out.append([(j, a) for j, a in enumerate(acc) if a])
+    return out
 
 
 class IntMatrix:
@@ -518,10 +532,11 @@ def cyclotomic(d: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def totient_at_most(m: int) -> list[tuple[int, int]]:
+@lru_cache(maxsize=None)
+def totient_at_most(m: int) -> tuple[tuple[int, int], ...]:
     """All (d, phi(d)) with Euler's phi(d) <= m: the possible orders d of a
     root-of-unity eigenvalue of an m x m integer matrix, with the degree of
-    Phi_d; empty at m = 0.
+    Phi_d; empty at m = 0. Computed once per m.
 
     Each d is built once, from its factorization, as a product of prime
     powers p^k with p <= m + 1 (as p - 1 divides phi(d)).
@@ -537,7 +552,12 @@ def totient_at_most(m: int) -> list[tuple[int, int]]:
                 grown.append((d * q, f * fq))
                 q, fq = q * p, fq * p
         out += grown
-    return out if m else []
+    return tuple(out) if m else ()
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_at_64(d: int) -> int:
+    return sum(c << 6 * i for i, c in enumerate(cyclotomic(d)))
 
 
 def cyclotomic_split(Q: IntMatrix) -> tuple[int, list[int]]:
@@ -545,19 +565,22 @@ def cyclotomic_split(Q: IntMatrix) -> tuple[int, list[int]]:
     s the lcm of their orders d (1 when there are none) and rest the factor
     left, ascending degree: [1] exactly when every eigenvalue is a root of 1.
     A Phi_d of degree above what is left of chi is skipped unbuilt, and the
-    scan stops once chi is used up."""
+    scan stops once chi is used up. As Phi_d | chi gives chi(b) = Phi_d(b)
+    q(b), chi is divided by Phi_d only while the integer Phi_d(64) >= 1
+    divides chi(64); the exact division decides each factor."""
     chi = charpoly(Q)
-    s = 1
+    s, at = 1, sum(c << 6 * i for i, c in enumerate(chi))  # chi(64)
     for d, f in totient_at_most(Q.rows):
         if len(chi) == 1:
             break
         if f >= len(chi):
             continue
-        phi_d = list(cyclotomic(d))
-        quotient, rem = _poly_divmod_monic(chi, phi_d)
-        while rem == [0]:
-            chi, s = quotient, math.lcm(s, d)
-            quotient, rem = _poly_divmod_monic(chi, phi_d)
+        p = _cyclotomic_at_64(d)
+        while at % p == 0:
+            quotient, rem = _poly_divmod_monic(chi, cyclotomic(d))
+            if rem != [0]:
+                break
+            chi, s, at = quotient, math.lcm(s, d), at // p
     return s, chi
 
 

@@ -21,7 +21,7 @@ from conftest import (
     signed_perm_matrix,
     slow_infinite_order_matrix,
 )
-from fatf import Ambient, intlat
+from fatf import Ambient, GroupElement, intlat
 from fatf.intlat import (
     DimensionError,
     IntMatrix,
@@ -43,6 +43,7 @@ from fatf.intlat import (
     totient_at_most,
     unity_exponent,
 )
+from fatf.morphisms import _block
 
 small_int = st.integers(min_value=-6, max_value=6)
 Z2 = hnf(IntMatrix.identity(2))
@@ -166,6 +167,49 @@ class TestProductReference:
             square = M.rows == M.cols
             assert M.is_identity() == (square and all(e[i][j] == (i == j) for i in range(M.rows) for j in range(M.cols)))
         assert not IntMatrix.zeros(0, 3).is_identity()
+        # zero rows and zero matrices through * and **, against the references
+        rng = random.Random(67)
+        for m in range(1, 6):
+            X = _random_entries(rng, m)
+            for Z in (IntMatrix.zeros(m, m), _with_zero_rows(rng, X)):
+                for A, B in ((Z, X), (X, Z), (Z, Z)):
+                    self._check(A, B)
+                    assert not (A * B).is_identity()
+                self._check_powers(Z, range(5))
+
+    def test_rows_with_one_nonzero(self):
+        # rows whose one nonzero is 1, -1 or another value, beside zero rows
+        # and rows with more nonzeros, as left and right operands and powered
+        rng = random.Random(68)
+        for m in range(1, 10):
+            for _ in range(6):
+                rows = []
+                for _ in range(m):
+                    kind, row = rng.random(), [0] * m
+                    if kind < 0.7:
+                        row[rng.randrange(m)] = rng.choice([1, -1, 2, -3, 7])
+                    elif kind < 0.85:
+                        row = [rng.randint(-2, 2) for _ in range(m)]
+                    rows.append(row)
+                M, X = IntMatrix(rows, cols=m), _random_entries(rng, m)
+                for A, B in ((M, X), (X, M), (M, M)):
+                    self._check(A, B)
+                self._check_powers(M, range(7))
+
+    def test_operands_are_left_untouched(self):
+        # product rows may share lists with the right operand's sparse rows,
+        # so the operands and earlier results must read as before
+        rng = random.Random(69)
+        for m in range(1, 8):
+            M = _signed_cycles(rng, _random_partition(rng, m))
+            X = _random_entries(rng, m)
+            before = (M.entries, X.entries)
+            powers = [M ** k for k in range(6)]
+            products = [M * X, X * M, M * M]
+            assert (M.entries, X.entries) == before
+            assert [P.entries for P in powers] == [reference_power(M, k) for k in range(6)]
+            assert [P.entries for P in products] == [reference_product(*p) for p in ((M, X), (X, M), (M, M))]
+            assert powers[1] == M and M * M == powers[2]
 
 
 class TestHermiteForm:
@@ -628,6 +672,12 @@ def _random_entries(rng: random.Random, m: int) -> IntMatrix:
     return IntMatrix([[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)], cols=m)
 
 
+def _with_zero_rows(rng: random.Random, M: IntMatrix) -> IntMatrix:
+    """M with a random nonempty set of its rows made zero."""
+    zero = set(rng.sample(range(M.rows), rng.randint(1, M.rows)))
+    return IntMatrix([(0,) * M.cols if i in zero else r for i, r in enumerate(M.entries)], cols=M.cols)
+
+
 def _signed_cycles(rng: random.Random, lengths: list[int]) -> IntMatrix:
     """A signed permutation matrix with cycles of the given lengths on
     shuffled letters, each arrow signed at random."""
@@ -781,6 +831,65 @@ class TestTrustedConstructor:
         assert Lattice.from_rows([[True, "2"]], 2) == Lattice.from_rows([[1, 2]], 2)
 
 
+def _per_entry(v) -> tuple[int, ...]:
+    """The entry check one entry at a time, as intlat._as_int makes it."""
+    out = []
+    for x in v:
+        i = int(x)
+        if i != x and not isinstance(x, str):
+            raise ValueError(f"{x!r} is not an integer")
+        out.append(i)
+    return tuple(out)
+
+
+def _checked(call, v):
+    """("value", the ints and their types) or ("raises", type, message)."""
+    try:
+        t = tuple(call(v))
+    except Exception as e:
+        return "raises", type(e), str(e)
+    return "value", t, tuple(map(type, t))
+
+
+class TestEntryCheck:
+    """`_as_vec`, `IntMatrix` and `GroupElement` accept and refuse rows
+    exactly as the entry-by-entry check does, with the same message."""
+
+    GOOD = [0, -3, 2**70, True, False, 2.0, -4.0, "3", "-12", Fraction(4, 2)]
+    BAD = [0.5, -2.7, "x", "1.0", None, math.nan, math.inf, -math.inf, Fraction(1, 2)]
+
+    @staticmethod
+    def _rows() -> list[list]:
+        good, bad = TestEntryCheck.GOOD, TestEntryCheck.BAD
+        rows = [[x] for x in good + bad]
+        rows += [[1, x, 2] for x in good + bad]
+        rows += [list(p) for p in itertools.permutations(bad, 2)]
+        rows += [[1, 2.0, True], (1, 2, 3), (), [0.5, "x"], ["x", 0.5], [None, 0.5], [math.nan, math.inf]]
+        return rows
+
+    def test_as_vec(self):
+        for v in self._rows():
+            assert _checked(intlat._as_vec, v) == _checked(_per_entry, v), v
+            assert _checked(intlat._as_vec, iter(v)) == _checked(_per_entry, v), v
+
+    def test_constructors(self):
+        for v in self._rows():
+            expected = _checked(_per_entry, v)
+            assert _checked(lambda v: IntMatrix([v], cols=len(v)).entries[0], v) == expected, v
+            assert _checked(lambda v: IntMatrix([[0] * len(v), v], cols=len(v)).entries[1], v) == expected, v
+            assert _checked(lambda v: GroupElement(Ambient(len(v), 1), v, ()).t, v) == expected, v
+
+    def test_first_bad_entry_decides(self):
+        with pytest.raises(ValueError, match=r"^0\.5 is not an integer$"):
+            intlat._as_vec([0.5, "x"])
+        with pytest.raises(ValueError, match="invalid literal for int"):
+            IntMatrix([["x", 0.5]])
+        with pytest.raises(TypeError):
+            GroupElement(Ambient(2, 1), (None, 0.5), ())
+        with pytest.raises(ValueError, match=r"^Fraction\(1, 2\) is not an integer$"):
+            IntMatrix([[1, Fraction(1, 2), math.nan]])
+
+
 class TestMatrixOrder:
     def test_small_orders(self):
         assert matrix_order(IntMatrix.identity(2)) == 1
@@ -840,6 +949,56 @@ class TestMatrixOrder:
             expected = (math.lcm(*ds), rest)
             assert _split_without_skips(Q) == expected
             assert cyclotomic_split(Q) == expected
+
+    def test_split_matches_a_scan_without_skips_on_conjugates(self):
+        # U^-1 C U for C block-diagonal companions of cyclotomic products, up
+        # to m = 12, of finite order or beside a factor with no root of unity
+        # for a root; (x - 57)(x - 55) gives chi(64) a factor 7 * 9 = Phi_1(64),
+        # and x - 64 makes chi(64) = 0, which every Phi_d(64) divides
+        rng = random.Random(13)
+        others = [[-2, 1], [1, -3, 1], [-1, -1, 0, 1], [3135, -112, 1], [-64, 1]]
+        for trial in range(120):
+            m = rng.randint(1, 12)
+            blocks, degree = [], 0
+            if trial % 2:
+                f = rng.choice(others)
+                blocks.append(companion(f))
+                degree = len(f) - 1
+            while degree < m:
+                d = rng.choice([d for d, f in totient_at_most(m - degree)])
+                blocks.append(companion(list(cyclotomic(d))))
+                degree += len(blocks[-1])
+            C = block_diagonal(rng.sample(blocks, len(blocks)))
+            U = random_unimodular(rng, C.rows, steps=rng.randint(0, 8))
+            Q = matrix_inverse(U) * C * U
+            assert cyclotomic_split(Q) == _split_without_skips(Q)
+
+    def test_split_matches_a_scan_without_skips_on_morphism_blocks(self):
+        rng = random.Random(14)
+        for m, n in ((1, 1), (2, 3), (4, 2), (6, 3), (8, 2), (10, 3), (12, 3), (12, 7)):
+            for _ in range(3):
+                psi, _, _ = random_finite_order_morphism(rng, Ambient(m, n))
+                for Q in (psi.Q, _block(psi)):
+                    assert cyclotomic_split(Q) == _split_without_skips(Q)
+
+    def test_exact_division_decides_a_factor_the_value_test_passes(self, monkeypatch):
+        # chi = (x - 27)(x + 45) has chi(64) = 37 * 109 = 4033 = Phi_6(64),
+        # while Phi_1(64) = 63, Phi_2(64) = 65, Phi_3(64) = 4161 and
+        # Phi_4(64) = 4097 do not divide it: Phi_6 alone is tried, and the
+        # exact division refuses it
+        Q = IntMatrix([[27, 0], [0, -45]])
+        assert charpoly(Q) == [-1215, 18, 1]
+        assert intlat._cyclotomic_at_64(6) == 4033 == 37 * 109
+        divisors = []
+        divmod_monic = intlat._poly_divmod_monic
+
+        def spy(a, b):
+            divisors.append(tuple(b))
+            return divmod_monic(a, b)
+
+        monkeypatch.setattr(intlat, "_poly_divmod_monic", spy)
+        assert cyclotomic_split(Q) == (1, [-1215, 18, 1])
+        assert divisors == [cyclotomic(6)]
 
     def test_split_builds_only_what_it_divides(self):
         # chi(I) = Phi_1^40 is used up after Phi_1, so no other Phi_d is built

@@ -1,6 +1,6 @@
 """Record one benchmark baseline as JSON: the workloads' end-to-end medians,
-the fix_tuple sweep with its fitted exponents, the tier-1 wall time and the
-`src/` line count.
+the fix_tuple sweep with its fitted exponents, the finite-order kernels'
+sweep, the tier-1 wall time and the `src/` line count.
 
     python3 tools/bench_record.py BENCH_<pr>.json
 
@@ -15,7 +15,11 @@ only imports, and times every size once in a round after each workload run,
 keeping each size's best over all the rounds (nine for three workloads).
 The rounds span the whole record, so a slow spell of a shared machine,
 which can last minutes, meets every size in some rounds and misses it in
-others. Standard library only; everything runs one process at a time.
+others. The same rounds time the kernels of `order` and `per`,
+`intlat.cyclotomic_split(psi.Q)` and `morphisms._block(psi) ** order`, on
+`instances.finite_order` morphisms at m = 4, 8 and 12, each point the mean
+of FINITE_ORDER_CALLS calls, in microseconds. Standard library only;
+everything runs one process at a time.
 """
 
 from __future__ import annotations
@@ -37,6 +41,13 @@ BENCH = os.path.join(ROOT, "fatfbench")
 RUNS = 3
 F2_ELLS = (64, 128, 256, 512, 1024)
 F3_AS = (8, 12, 16, 24, 32)  # index a^2, from 64 to 1024
+# (m, n, abelian cycles, negative flags, free cycles): orders 6, 15 and 105
+FINITE_ORDERS = (
+    (4, 3, [1, 3], [True, False], [3]),
+    (8, 3, [3, 5], [False, False], [3]),
+    (12, 3, [5, 7], [False, False], [3]),
+)
+FINITE_ORDER_CALLS = 20
 
 
 def run_workload(name: str, seconds: float) -> dict:
@@ -59,10 +70,11 @@ def sweep_points() -> tuple[list[tuple[dict, str, Callable[[], object]]], dict[s
     """The sweep's calls as (point, key, call), and its families' points,
     whose times `time_round` fills in: fix_tuple on the F_2 and F_3 index
     families, and is_autofixed of each F_2 answer (the check
-    MAX_COVER_VERTICES is sized by), over ell 64-1024."""
+    MAX_COVER_VERTICES is sized by), over ell 64-1024; and the finite-order
+    kernels over m."""
     sys.path[:0] = [BENCH, os.path.join(ROOT, "src")]
     import fatf
-    from fatf import fixpoint
+    from fatf import fixpoint, intlat, morphisms
 
     import instances
     from workloads import to_fatf
@@ -83,28 +95,46 @@ def sweep_points() -> tuple[list[tuple[dict, str, Callable[[], object]]], dict[s
         inp = fix_input(instances.index_family_f3(random.Random(1), a), 3)
         f3.append({"a": a, "ell": a * a})
         timed.append((f3[-1], "fix_tuple_ms", lambda inp=inp: fixpoint.fix_tuple(inp)))
-    return timed, {"index_family_f2": f2, "index_family_f3": f3}
+    fo = []
+    for m, n, m_cycles, m_negative, n_cycles in FINITE_ORDERS:
+        ref = instances.finite_order(random.Random(1), m, n, n_cycles, [False] * len(n_cycles), m_cycles, m_negative)
+        psi = to_fatf(ref.psi, fatf)
+        if morphisms.order(psi) != ref.order:
+            raise RuntimeError(f"the finite-order instance at m = {m} does not have order {ref.order}")
+        block = morphisms._block(psi)
+        fo.append({"m": m, "n": n, "order": ref.order})
+        timed.append((fo[-1], "cyclotomic_split_us", lambda Q=psi.Q: intlat.cyclotomic_split(Q)))
+        timed.append((fo[-1], "block_power_us", lambda B=block, k=ref.order: B ** k))
+    return timed, {"index_family_f2": f2, "index_family_f3": f3, "finite_order": fo}
 
 
 def time_round(timed: list[tuple[dict, str, Callable[[], object]]]) -> None:
-    """One round: each call once, in turn, setting point[key] to the
-    call's best time in ms so far."""
+    """One round: each call in turn, setting point[key] to the call's best
+    time so far: one call in ms for a key ending in _ms, the mean of
+    FINITE_ORDER_CALLS calls in microseconds for one ending in _us."""
     for point, key, call in timed:
+        calls, scale = (FINITE_ORDER_CALLS, 1e6 / FINITE_ORDER_CALLS) if key.endswith("_us") else (1, 1e3)
         gc.collect()
         t0 = time.perf_counter()
-        call()
-        ms = (time.perf_counter() - t0) * 1e3
-        point[key] = min(point.get(key, ms), ms)
+        for _ in range(calls):
+            call()
+        t = (time.perf_counter() - t0) * scale
+        point[key] = min(point.get(key, t), t)
 
 
 def fitted(families: dict[str, list[dict]]) -> dict:
-    """Each family's points with the fitted exponent of fix_tuple in ell."""
+    """Each family's points with the fitted exponent of fix_tuple in ell, or
+    for the finite-order family the exponent of each kernel in m."""
     from sweep import slope
 
-    return {
-        family: {"points": points, "exponent": slope([(p["ell"], p["fix_tuple_ms"]) for p in points])}
-        for family, points in families.items()
-    }
+    out = {}
+    for family, points in families.items():
+        if family == "finite_order":
+            keys = ("cyclotomic_split_us", "block_power_us")
+            out[family] = {"points": points, "exponents_in_m": {k: slope([(p["m"], p[k]) for p in points]) for k in keys}}
+        else:
+            out[family] = {"points": points, "exponent": slope([(p["ell"], p["fix_tuple_ms"]) for p in points])}
+    return out
 
 
 def tier1() -> dict:
@@ -179,7 +209,11 @@ def main(out_path: str) -> None:
         json.dump(record, f, indent=1)
         f.write("\n")
     for family, fit in record["sweep"].items():
-        print(f"{family}: fix_tuple exponent in ell {fit['exponent']:.2f}")
+        if "exponent" in fit:
+            print(f"{family}: fix_tuple exponent in ell {fit['exponent']:.2f}")
+    for p in record["sweep"]["finite_order"]["points"]:
+        print(f"finite_order m={p['m']} order {p['order']}: cyclotomic_split {p['cyclotomic_split_us']:.1f} us, "
+              f"block ** order {p['block_power_us']:.1f} us")
     previous = previous_record(out_path)
     if previous is not None:
         compare(record, previous)
